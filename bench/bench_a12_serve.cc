@@ -170,12 +170,12 @@ Run()
     spec.jobs = 3;
     spec.max_instructions = 4000;
     util::StatusOr<chaos::ServeCampaignResult> campaign =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
-                                [](const chaos::ServeSeedResult& r) {
-                                    if (!r.ok())
-                                        Fatal("A12: invariant violated: ",
-                                              r.Summary());
-                                });
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::ServeSeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A12: invariant violated: ",
+                                         r.Summary());
+                           });
     if (!campaign.ok())
         Fatal("A12: campaign failed to run: ",
               campaign.status().ToString());
@@ -229,12 +229,12 @@ Run()
     net_spec.submits = 3;
     net_spec.max_instructions = 2000;
     util::StatusOr<chaos::NetCampaignResult> net_campaign =
-        chaos::RunNetCampaign(net_spec, /*first_seed=*/1, /*seeds=*/10,
-                              [](const chaos::NetSeedResult& r) {
-                                  if (!r.ok())
-                                      Fatal("A12: net invariant violated: ",
-                                            r.Summary());
-                              });
+        chaos::RunCampaign(net_spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::NetSeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A12: net invariant violated: ",
+                                         r.Summary());
+                           });
     if (!net_campaign.ok())
         Fatal("A12: net campaign failed to run: ",
               net_campaign.status().ToString());

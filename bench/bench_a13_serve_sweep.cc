@@ -274,12 +274,12 @@ Run()
     spec.sweeps = 2;
     spec.sweep_configs = 3;
     util::StatusOr<chaos::ServeCampaignResult> campaign =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
-                                [](const chaos::ServeSeedResult& r) {
-                                    if (!r.ok())
-                                        Fatal("A13: invariant violated: ",
-                                              r.Summary());
-                                });
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/10,
+                           [](const chaos::ServeSeedResult& r) {
+                               if (!r.ok())
+                                   Fatal("A13: invariant violated: ",
+                                         r.Summary());
+                           });
     if (!campaign.ok())
         Fatal("A13: campaign failed to run: ",
               campaign.status().ToString());

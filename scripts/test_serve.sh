@@ -58,6 +58,9 @@ expect_exit 0 "$SUBMIT" --socket "$SOCK" ping
 expect_exit 0 "$SUBMIT" --socket "$SOCK" --workload grep \
     --max-instructions 20000 --wait submit
 grep -q '"state":"done"' "$TMP/out.txt"
+# That submit named no --token, so atum-submit made one up; the journal
+# carries it whole: "submit-" and 32 hex digits.
+grep -Eq '"token":"submit-[0-9a-f]{32}"' "$DIR/serve.journal"
 
 # The finished job is visible to status, the status file, and atum-top.
 expect_exit 0 "$SUBMIT" --socket "$SOCK" status
@@ -197,6 +200,11 @@ expect_exit 0 "$CHAOS" --serve --campaign powercut --seeds 2
 grep -q "0 failing" "$TMP/out.txt"
 expect_exit 0 "$CHAOS" --serve --sweeps --seeds 4
 grep -q "0 failing" "$TMP/out.txt"
+# A hand-written serve schedule replays through --replay FILE --serve.
+printf 'seed 3\ncampaign powercut\nop power-cut-write 40\n' \
+    > "$TMP/serve.schedule"
+expect_exit 0 "$CHAOS" --replay "$TMP/serve.schedule" --serve
+grep -q "power-cut.*: ok" "$TMP/out.txt"
 
 # -- hostile-network hardening (docs/SERVE.md "Network failure model") ------
 DIR4="$TMP/net"
@@ -250,6 +258,11 @@ SERVE_PID=
 # -- a taste of the net drill + protocol fuzz sweep (full runs nightly) -----
 expect_exit 0 "$CHAOS" --net --seeds 2
 grep -q "0 failing" "$TMP/out.txt"
+# A hand-written net schedule replays through --replay FILE --net.
+printf 'seed 2\ncampaign net-dup,net-kill\nop dup-request 1\nop kill-serve 3\n' \
+    > "$TMP/net.schedule"
+expect_exit 0 "$CHAOS" --replay "$TMP/net.schedule" --net
+grep -q "1 kills.*: ok" "$TMP/out.txt"
 expect_exit 0 "$CHAOS" --fuzz-protocol --seeds 500
 grep -q ": ok" "$TMP/out.txt"
 

@@ -170,44 +170,25 @@ ScanUniverse(io::Vfs& vfs, const std::string& path = kTracePath)
     return facts;
 }
 
-void
-Fail(SeedResult& r, const char* invariant, std::string detail)
-{
-    r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
-}
-
-void
-Fail(ServeSeedResult& r, const char* invariant, std::string detail)
-{
-    r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
-}
-
-void
-Fail(NetSeedResult& r, const char* invariant, std::string detail)
-{
-    r.violations.push_back(InvariantViolation{invariant, std::move(detail)});
-}
-
 /** Round-trips the salvaged records through a fresh container. */
-template <typename Result>
 void
-CheckSalvageRoundTrip(Result& r, const TraceFacts& facts)
+CheckSalvageRoundTrip(DrillResult& r, const TraceFacts& facts)
 {
     if (facts.records.empty())
         return;
     trace::MemoryByteSink resealed;
     const util::Status status = trace::WriteAtf2(resealed, facts.records);
     if (!status.ok()) {
-        Fail(r, "prefix-consistency",
-             "salvaged records fail to re-serialize: " + status.ToString());
+        r.Fail("prefix-consistency",
+               "salvaged records fail to re-serialize: " + status.ToString());
         return;
     }
     trace::MemoryByteSource in(resealed.bytes());
     const trace::ScanReport report = trace::ScanTrace(in, nullptr);
     if (!report.intact() ||
         report.records_salvaged != facts.records.size()) {
-        Fail(r, "prefix-consistency",
-             "salvage round-trip is not intact: " + report.ToString());
+        r.Fail("prefix-consistency",
+               "salvage round-trip is not intact: " + report.ToString());
     }
 }
 
@@ -229,9 +210,9 @@ CheckAccountedTrace(SeedResult& r, const TraceFacts& facts,
 
     if (!facts.file_exists || !facts.report.recognized) {
         if (appended > lost)
-            Fail(r, "accounting",
-                 "trace missing/unrecognized though records were "
-                 "delivered" + ctx.str());
+            r.Fail("accounting",
+                   "trace missing/unrecognized though records were "
+                   "delivered" + ctx.str());
         return;
     }
 
@@ -244,12 +225,12 @@ CheckAccountedTrace(SeedResult& r, const TraceFacts& facts,
         static_cast<uint64_t>(facts.report.chunks_bad) * chunk_records +
         (close_ok ? 0 : chunk_records);
     if (declared > appended && !has_short)
-        Fail(r, "accounting",
-             "more records recovered+declared-lost than were ever "
-             "appended" + ctx.str());
+        r.Fail("accounting",
+               "more records recovered+declared-lost than were ever "
+               "appended" + ctx.str());
     if (declared + slack < appended)
-        Fail(r, "accounting", "silent loss: recovered + declared-lost + "
-             "detected-damage bound < appended" + ctx.str());
+        r.Fail("accounting", "silent loss: recovered + declared-lost + "
+               "detected-damage bound < appended" + ctx.str());
 
     // The in-stream loss marker: once the sink recovered (not degraded
     // at the end), the stream documents the cumulative loss itself.
@@ -257,23 +238,23 @@ CheckAccountedTrace(SeedResult& r, const TraceFacts& facts,
         const uint32_t want =
             lost > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(lost);
         if (facts.markers == 0 || facts.last_marker != want)
-            Fail(r, "accounting",
-                 "lost records but the stream's kLoss marker does not "
-                 "declare them" + ctx.str());
+            r.Fail("accounting",
+                   "lost records but the stream's kLoss marker does not "
+                   "declare them" + ctx.str());
     }
 
     // I3 — prefix consistency (only meaningful without injected rot).
     if (!has_damage) {
         if (facts.report.chunks_bad != 0)
-            Fail(r, "prefix-consistency",
-                 "bad chunks without injected corruption" + ctx.str());
+            r.Fail("prefix-consistency",
+                   "bad chunks without injected corruption" + ctx.str());
         if (facts.report.valid_prefix_records !=
             facts.report.records_salvaged)
-            Fail(r, "prefix-consistency",
-                 "salvageable records beyond the valid prefix" + ctx.str());
+            r.Fail("prefix-consistency",
+                   "salvageable records beyond the valid prefix" + ctx.str());
         if (close_ok && !facts.report.intact())
-            Fail(r, "prefix-consistency",
-                 "clean close but the container is not intact" + ctx.str());
+            r.Fail("prefix-consistency",
+                   "clean close but the container is not intact" + ctx.str());
     }
 
     CheckSalvageRoundTrip(r, facts);
@@ -287,19 +268,19 @@ CheckSalvagedTrace(SeedResult& r, const TraceFacts& facts,
     if (!facts.file_exists || !facts.report.recognized)
         return;  // a cut before the first sync promises nothing
     if (facts.data > max_appended && !has_short) {
-        Fail(r, "accounting", "durable trace holds more records than the "
-             "capture ever appended");
+        r.Fail("accounting", "durable trace holds more records than the "
+               "capture ever appended");
     }
     if (!has_damage) {
         if (facts.report.chunks_bad != 0)
-            Fail(r, "prefix-consistency",
-                 "bad chunks in the durable prefix without injected "
-                 "corruption: " + facts.report.ToString());
+            r.Fail("prefix-consistency",
+                   "bad chunks in the durable prefix without injected "
+                   "corruption: " + facts.report.ToString());
         if (facts.report.valid_prefix_records !=
             facts.report.records_salvaged)
-            Fail(r, "prefix-consistency",
-                 "salvageable records beyond the valid prefix: " +
-                     facts.report.ToString());
+            r.Fail("prefix-consistency",
+                   "salvageable records beyond the valid prefix: " +
+                       facts.report.ToString());
     }
     CheckSalvageRoundTrip(r, facts);
 }
@@ -332,16 +313,16 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
 
     if (found == nullptr) {
         if (cap.ckpts_written > 0) {
-            Fail(r, "durable-checkpoint",
-                 "session counted " + std::to_string(cap.ckpts_written) +
-                     " checkpoints written but none is loadable after "
-                     "the crash");
+            r.Fail("durable-checkpoint",
+                   "session counted " + std::to_string(cap.ckpts_written) +
+                       " checkpoints written but none is loadable after "
+                       "the crash");
         }
         util::StatusOr<TraceFacts> facts = ScanUniverse(rebooted);
         stop_recovery_clock();
         if (!facts.ok()) {
-            Fail(r, "prefix-consistency",
-                 "durable trace unreadable: " + facts.status().ToString());
+            r.Fail("prefix-consistency",
+                   "durable trace unreadable: " + facts.status().ToString());
             return;
         }
         r.salvaged = facts->file_exists;
@@ -358,22 +339,22 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
         trace::FileSink::OpenResumed(kTracePath, found->sink_state(),
                                      rebooted);
     if (!sink.ok()) {
-        Fail(r, "durable-checkpoint",
-             "loadable checkpoint but the trace cannot be resumed: " +
-                 sink.status().ToString());
+        r.Fail("durable-checkpoint",
+               "loadable checkpoint but the trace cannot be resumed: " +
+                   sink.status().ToString());
         return;
     }
 
     cpu::Machine machine(found->meta().machine_config);
     core::AtumTracer tracer(machine, **sink, found->meta().tracer_config);
     if (util::Status s = found->RestoreMachine(machine); !s.ok()) {
-        Fail(r, "durable-checkpoint",
-             "machine restore failed: " + s.ToString());
+        r.Fail("durable-checkpoint",
+               "machine restore failed: " + s.ToString());
         return;
     }
     if (util::Status s = found->RestoreTracer(tracer); !s.ok()) {
-        Fail(r, "durable-checkpoint",
-             "tracer restore failed: " + s.ToString());
+        r.Fail("durable-checkpoint",
+               "tracer restore failed: " + s.ToString());
         return;
     }
     stop_recovery_clock();  // ready to continue the capture
@@ -386,8 +367,8 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
 
     util::StatusOr<TraceFacts> facts = ScanUniverse(rebooted);
     if (!facts.ok()) {
-        Fail(r, "prefix-consistency",
-             "recovered trace unreadable: " + facts.status().ToString());
+        r.Fail("prefix-consistency",
+               "recovered trace unreadable: " + facts.status().ToString());
         return;
     }
     r.resumed = true;
@@ -488,14 +469,17 @@ SweepConfigsFor(const ServeCampaignSpec& spec, uint32_t s, bool inject_bad)
     return configs;
 }
 
+/** The drill-mode daemon of a serve or net drill whose script makes
+ *  `submissions` submits: the queue has room for every one of them. */
+template <typename Spec>
 serve::ServeConfig
-ServeConfigFor(const ServeCampaignSpec& spec)
+ServeConfigFor(const Spec& spec, uint32_t submissions)
 {
     serve::ServeConfig config;
     config.dir = ".";    // flat MemVfs names, like the capture drills
     config.workers = 0;  // drill mode: jobs run on this thread, in order
-    config.admission.max_queue_depth = spec.jobs + 4;
-    config.admission.max_per_tenant = spec.jobs + 4;
+    config.admission.max_queue_depth = submissions + 4;
+    config.admission.max_per_tenant = submissions + 4;
     config.admission.default_max_instructions = spec.max_instructions;
     config.buffer_bytes = spec.buffer_bytes;
     config.chunk_records = spec.chunk_records;
@@ -534,7 +518,7 @@ RunServeScript(const ServeCampaignSpec& spec, uint64_t seed,
     const ServePlan plan = MakeServePlan(spec, seed);
     ServeGeneration gen;
 
-    serve::ServeConfig config = ServeConfigFor(spec);
+    serve::ServeConfig config = ServeConfigFor(spec, spec.jobs);
     config.external_stop = vfs.cut_flag();
     obs::Registry registry;
     serve::ServeCore core(config, vfs, &registry);
@@ -606,12 +590,12 @@ std::vector<serve::JobInfo>
 RecoverServe(const ServeCampaignSpec& spec, io::MemVfs& rebooted,
              ServeSeedResult& r)
 {
-    serve::ServeConfig config = ServeConfigFor(spec);
+    serve::ServeConfig config = ServeConfigFor(spec, spec.jobs);
     obs::Registry registry;
     serve::ServeCore core(config, rebooted, &registry);
     if (util::Status s = core.Start(); !s.ok()) {
-        Fail(r, "serve-recovery",
-             "restarted daemon cannot recover: " + s.ToString());
+        r.Fail("serve-recovery",
+               "restarted daemon cannot recover: " + s.ToString());
         return {};
     }
     while (core.RunNextQueuedJob()) {
@@ -724,38 +708,38 @@ CheckSweepInvariants(ServeSeedResult& r,
             continue;
         if (!journaled.insert({record.id, record.config_index}).second &&
             !has_damage) {
-            Fail(r, "serve-sweep-dup",
-                 "config " + std::to_string(record.config_index) +
-                     " of sweep " + std::to_string(record.id) +
-                     " journaled twice");
+            r.Fail("serve-sweep-dup",
+                   "config " + std::to_string(record.config_index) +
+                       " of sweep " + std::to_string(record.id) +
+                       " journaled twice");
             continue;
         }
         const auto it = by_id.find(record.id);
         if (it == by_id.end()) {
             if (!has_damage)
-                Fail(r, "serve-sweep-lost-row",
-                     "journaled row for unknown sweep " +
-                         std::to_string(record.id));
+                r.Fail("serve-sweep-lost-row",
+                       "journaled row for unknown sweep " +
+                           std::to_string(record.id));
             continue;
         }
         const serve::JobInfo& job = *it->second;
         if (job.kind != "sweep" ||
             record.config_index >= job.sweep_rows.size()) {
-            Fail(r, "serve-sweep-lost-row",
-                 "journaled row for job " + std::to_string(record.id) +
-                     " config " + std::to_string(record.config_index) +
-                     " does not fit the recovered sweep");
+            r.Fail("serve-sweep-lost-row",
+                   "journaled row for job " + std::to_string(record.id) +
+                       " config " + std::to_string(record.config_index) +
+                       " does not fit the recovered sweep");
             continue;
         }
         // S4 proper: the journaled row IS the reported row, byte for
         // byte, across any number of kill/restart cycles.
         if (job.sweep_rows[record.config_index] != record.row)
-            Fail(r, "serve-sweep-lost-row",
-                 "sweep " + std::to_string(record.id) + " config " +
-                     std::to_string(record.config_index) +
-                     " diverges from its journaled row: journal=" +
-                     record.row + " reported=" +
-                     job.sweep_rows[record.config_index]);
+            r.Fail("serve-sweep-lost-row",
+                   "sweep " + std::to_string(record.id) + " config " +
+                       std::to_string(record.config_index) +
+                       " diverges from its journaled row: journal=" +
+                       record.row + " reported=" +
+                       job.sweep_rows[record.config_index]);
     }
 
     for (const auto& [id, job] : by_id) {
@@ -793,11 +777,11 @@ CheckSweepInvariants(ServeSeedResult& r,
             const std::string golden = serve::SweepRowJson(
                 i, trace_records.size(), job->configs[i], result);
             if (row != golden)
-                Fail(r, "serve-sweep-divergence",
-                     "sweep " + std::to_string(id) + " config " +
-                         std::to_string(i) +
-                         " is not bit-identical to the clean run: got " +
-                         row + " want " + golden);
+                r.Fail("serve-sweep-divergence",
+                       "sweep " + std::to_string(id) + " config " +
+                           std::to_string(i) +
+                           " is not bit-identical to the clean run: got " +
+                           row + " want " + golden);
         }
     }
 }
@@ -828,9 +812,9 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
     if (bytes.ok()) {
         records = serve::ScanJournalBytes(*bytes, nullptr, &journal_dropped);
     } else if (!acked.empty()) {
-        Fail(r, "serve-journal",
-             "daemon acked jobs but left no readable journal: " +
-                 bytes.status().ToString());
+        r.Fail("serve-journal",
+               "daemon acked jobs but left no readable journal: " +
+                   bytes.status().ToString());
         return;
     }
 
@@ -844,9 +828,9 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
         // second start or finish after one IS the double-run.
         if (terminal.count(record.id) &&
             reported_after_terminal.insert(record.id).second) {
-            Fail(r, "serve-double-run",
-                 "journal records for job " + std::to_string(record.id) +
-                     " continue after its terminal record");
+            r.Fail("serve-double-run",
+                   "journal records for job " + std::to_string(record.id) +
+                       " continue after its terminal record");
         }
         if (record.kind == serve::JournalKind::kFinished ||
             record.kind == serve::JournalKind::kCancelled)
@@ -859,21 +843,21 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
             continue;  // injected rot ate the record — J3's prefix rule
         const auto it = by_id.find(id);
         if (it == by_id.end()) {
-            Fail(r, "serve-lost-job",
-                 "acked job " + std::to_string(id) +
-                     " is gone from the recovered daemon");
+            r.Fail("serve-lost-job",
+                   "acked job " + std::to_string(id) +
+                       " is gone from the recovered daemon");
             continue;
         }
         if (!IsTerminalJobState(it->second->state))
-            Fail(r, "serve-lost-job",
-                 "acked job " + std::to_string(id) + " is stuck in state " +
-                     serve::JobStateName(it->second->state));
+            r.Fail("serve-lost-job",
+                   "acked job " + std::to_string(id) + " is stuck in state " +
+                       serve::JobStateName(it->second->state));
         // Across a restart the journal is the only memory; the terminal
         // verdict must be in it, not just in the replacement's RAM.
         if (r.power_cut && !terminal.count(id))
-            Fail(r, "serve-lost-job",
-                 "acked job " + std::to_string(id) +
-                     " has no terminal journal record after recovery");
+            r.Fail("serve-lost-job",
+                   "acked job " + std::to_string(id) +
+                       " has no terminal journal record after recovery");
     }
 
     for (uint64_t id : acked) {
@@ -885,8 +869,8 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
     // S3 — the surviving journal itself scans clean (absent injected rot;
     // gen-1's torn tail was truncated away when the journal reopened).
     if (!has_damage && journal_dropped)
-        Fail(r, "serve-journal",
-             "final journal has a torn/corrupt tail after recovery");
+        r.Fail("serve-journal",
+               "final journal has a torn/corrupt tail after recovery");
 
     // S4/S5 — sweep rows survive verbatim and the merged result matches
     // a clean run (partially gated on damage, like the trace checks).
@@ -906,8 +890,8 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
         util::StatusOr<TraceFacts> facts =
             ScanUniverse(final_vfs, trace_path);
         if (!facts.ok()) {
-            Fail(r, "serve-trace", trace_path + " unreadable: " +
-                                       facts.status().ToString());
+            r.Fail("serve-trace", trace_path + " unreadable: " +
+                                         facts.status().ToString());
             continue;
         }
         if (!facts->file_exists || !facts->report.recognized) {
@@ -915,20 +899,20 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
             // bytes with the power; only a daemon that never crashed
             // owes us the file.
             if (!r.power_cut)
-                Fail(r, "serve-trace",
-                     "job " + std::to_string(job.id) +
-                         " is done but its trace is missing/unrecognized");
+                r.Fail("serve-trace",
+                       "job " + std::to_string(job.id) +
+                           " is done but its trace is missing/unrecognized");
             continue;
         }
         if (facts->report.chunks_bad != 0)
-            Fail(r, "serve-trace",
-                 trace_path + " has bad chunks without injected "
-                              "corruption: " + facts->report.ToString());
+            r.Fail("serve-trace",
+                   trace_path + " has bad chunks without injected "
+                                "corruption: " + facts->report.ToString());
         if (facts->report.valid_prefix_records !=
             facts->report.records_salvaged)
-            Fail(r, "serve-trace",
-                 trace_path + " has salvageable records beyond the valid "
-                              "prefix: " + facts->report.ToString());
+            r.Fail("serve-trace",
+                   trace_path + " has salvageable records beyond the valid "
+                                "prefix: " + facts->report.ToString());
         CheckSalvageRoundTrip(r, *facts);
     }
 }
@@ -980,22 +964,6 @@ MakeNetPlan(const NetCampaignSpec& spec, uint64_t seed)
     return plan;
 }
 
-serve::ServeConfig
-NetServeConfigFor(const NetCampaignSpec& spec)
-{
-    serve::ServeConfig config;
-    config.dir = ".";    // flat MemVfs names, like the other drills
-    config.workers = 0;  // drill mode: jobs run on this thread, in order
-    config.admission.max_queue_depth = spec.submits + 4;
-    config.admission.max_per_tenant = spec.submits + 4;
-    config.admission.default_max_instructions = spec.max_instructions;
-    config.buffer_bytes = spec.buffer_bytes;
-    config.chunk_records = spec.chunk_records;
-    config.checkpoint_every_fills = spec.checkpoint_every_fills;
-    config.keep_checkpoints = spec.keep_checkpoints;
-    return config;
-}
-
 /** Loop bound for wire pumps: one delivery puts at most two small frames
  *  on the wire (the duplicate), so running this long without drying up
  *  is a wedge — the N2 violation, not an infinite loop. */
@@ -1021,8 +989,8 @@ class NetHarness
 
     util::Status Start()
     {
-        core_ = std::make_unique<serve::ServeCore>(NetServeConfigFor(spec_),
-                                                   *disk_, registry_.get());
+        core_ = std::make_unique<serve::ServeCore>(
+            ServeConfigFor(spec_, spec_.submits), *disk_, registry_.get());
         return core_->Start();
     }
 
@@ -1110,11 +1078,11 @@ class NetHarness
         core_.reset();  // the dying process's last I/O hits the old disk
         registry_ = std::make_unique<obs::Registry>();
         disk_ = std::make_unique<io::MemVfs>(snap);
-        core_ = std::make_unique<serve::ServeCore>(NetServeConfigFor(spec_),
-                                                   *disk_, registry_.get());
+        core_ = std::make_unique<serve::ServeCore>(
+            ServeConfigFor(spec_, spec_.submits), *disk_, registry_.get());
         if (util::Status s = core_->Start(); !s.ok()) {
-            Fail(r_, "net-recovery",
-                 "restarted daemon cannot recover: " + s.ToString());
+            r_.Fail("net-recovery",
+                    "restarted daemon cannot recover: " + s.ToString());
             dead_ = true;
             return;
         }
@@ -1138,9 +1106,9 @@ class NetHarness
                 return true;
             parser.Feed(buf, *n);
         }
-        Fail(r_, "net-wedged",
-             "wire did not run dry within " +
-                 std::to_string(kNetPumpBound) + " reads");
+        r_.Fail("net-wedged",
+                "wire did not run dry within " +
+                    std::to_string(kNetPumpBound) + " reads");
         return true;
     }
 
@@ -1170,9 +1138,9 @@ class NetHarness
                                           core_->HandleRequest(payload));
         }
         if (extracted == kNetPumpBound) {
-            Fail(r_, "net-wedged",
-                 "server answered " + std::to_string(kNetPumpBound) +
-                     " frames from one delivery without running dry");
+            r_.Fail("net-wedged",
+                    "server answered " + std::to_string(kNetPumpBound) +
+                        " frames from one delivery without running dry");
         }
         if (!alive) {
             // The read faulted: the daemon saw a dead peer and drops
@@ -1198,9 +1166,9 @@ class NetHarness
                 // An oversized frame from the daemon — only a rewritten
                 // length in flight can produce one.
                 if (!has_flip_)
-                    Fail(r_, "net-garbage-answer",
-                         "daemon framing poisoned the client parser on "
-                         "a clean wire: " + next.status().ToString());
+                    r_.Fail("net-garbage-answer",
+                            "daemon framing poisoned the client parser on "
+                            "a clean wire: " + next.status().ToString());
                 ResetWire();
                 return got;
             }
@@ -1210,9 +1178,9 @@ class NetHarness
             RecordAnswer(token, payload);
         }
         if (got == kNetPumpBound)
-            Fail(r_, "net-wedged",
-                 "client read " + std::to_string(kNetPumpBound) +
-                     " answers to one delivery without running dry");
+            r_.Fail("net-wedged",
+                    "client read " + std::to_string(kNetPumpBound) +
+                        " answers to one delivery without running dry");
         if (!alive || client_parser_.pending_bytes() > 0) {
             // A faulted read or a torn answer: the client drops the
             // connection (it cannot resynchronize a byte stream) and
@@ -1230,9 +1198,9 @@ class NetHarness
             // N2 — on a clean wire, every byte the daemon frames is a
             // JSON document; anything else is the daemon babbling.
             if (!has_flip_)
-                Fail(r_, "net-garbage-answer",
-                     "daemon answered bytes that do not parse: " +
-                         payload);
+                r_.Fail("net-garbage-answer",
+                        "daemon answered bytes that do not parse: " +
+                            payload);
             return;
         }
         if (token.empty() || !doc->Get("ok").AsBool() || !doc->Has("id"))
@@ -1253,17 +1221,17 @@ class NetHarness
         if (bytes.ok()) {
             records = serve::ScanJournalBytes(*bytes, nullptr, &dropped);
         } else if (!acked_.empty()) {
-            Fail(r_, "net-journal",
-                 "daemon acked submits but left no readable journal: " +
-                     bytes.status().ToString());
+            r_.Fail("net-journal",
+                    "daemon acked submits but left no readable journal: " +
+                        bytes.status().ToString());
             return;
         }
         // The wire cannot damage the disk: however hostile the network
         // was, the surviving journal scans clean end-to-end.
         if (dropped)
-            Fail(r_, "net-journal",
-                 "journal has a torn/corrupt tail after a wire-only "
-                 "drill");
+            r_.Fail("net-journal",
+                    "journal has a torn/corrupt tail after a wire-only "
+                    "drill");
 
         // N1 — at most one submission per token, across every delivery,
         // duplicate, retry and kill-restart. Checked on the journal's
@@ -1281,7 +1249,7 @@ class NetHarness
                                  std::to_string(ids.size()) + " times: ids";
             for (uint64_t id : ids)
                 detail += " " + std::to_string(id);
-            Fail(r_, "net-double-run", detail);
+            r_.Fail("net-double-run", detail);
         }
 
         if (has_flip_)
@@ -1299,32 +1267,32 @@ class NetHarness
             const uint64_t id0 = ids[0];
             for (uint64_t id : ids) {
                 if (id != id0) {
-                    Fail(r_, "net-ack-divergence",
-                         "token '" + token + "' was acked as job " +
-                             std::to_string(id0) + " and again as job " +
-                             std::to_string(id));
+                    r_.Fail("net-ack-divergence",
+                            "token '" + token + "' was acked as job " +
+                                std::to_string(id0) + " and again as job " +
+                                std::to_string(id));
                     break;
                 }
             }
             const auto journaled = token_ids.find(token);
             if (journaled == token_ids.end() ||
                 journaled->second.count(id0) == 0) {
-                Fail(r_, "net-ack-orphan",
-                     "token '" + token + "' was acked as job " +
-                         std::to_string(id0) +
-                         " but the journal never submitted it");
+                r_.Fail("net-ack-orphan",
+                        "token '" + token + "' was acked as job " +
+                            std::to_string(id0) +
+                            " but the journal never submitted it");
                 continue;
             }
             const auto it = by_id.find(id0);
             if (it == by_id.end()) {
-                Fail(r_, "net-lost-job",
-                     "acked job " + std::to_string(id0) +
-                         " is gone from the final daemon");
+                r_.Fail("net-lost-job",
+                        "acked job " + std::to_string(id0) +
+                            " is gone from the final daemon");
             } else if (!IsTerminalJobState(it->second->state)) {
-                Fail(r_, "net-lost-job",
-                     "acked job " + std::to_string(id0) +
-                         " is stuck in state " +
-                         serve::JobStateName(it->second->state));
+                r_.Fail("net-lost-job",
+                        "acked job " + std::to_string(id0) +
+                            " is stuck in state " +
+                            serve::JobStateName(it->second->state));
             }
         }
     }
@@ -1371,6 +1339,125 @@ RunNetScript(const NetCampaignSpec& spec, uint64_t seed,
     harness.Finish();
 }
 
+// ---------------------------------------------------------------------------
+// The campaign driver every drill shares.
+
+/** The verdict tail of every Summary line: ": ok", or the violation
+ *  count followed by each [invariant] and its detail. */
+std::string
+Verdict(const std::vector<InvariantViolation>& violations)
+{
+    if (violations.empty())
+        return ": ok";
+    std::ostringstream os;
+    os << ": " << violations.size() << " VIOLATIONS";
+    for (const InvariantViolation& v : violations)
+        os << " [" << v.invariant << "] " << v.detail;
+    return os.str();
+}
+
+// Each drill's own counts, added into its campaign aggregate.
+
+void
+Tally(CampaignResult& total, const SeedResult& r)
+{
+    total.power_cuts += r.power_cut;
+    total.resumes += r.resumed;
+    total.salvages += r.salvaged;
+}
+
+void
+Tally(ServeCampaignResult& total, const ServeSeedResult& r)
+{
+    total.power_cuts += r.power_cut;
+    total.resumes += r.jobs_resumed;
+    total.salvages += r.jobs_salvaged;
+    total.sweeps_acked += r.sweeps_acked;
+    total.sweep_rows += r.sweep_rows;
+    total.sweep_partial_resumes += r.sweep_partial_resume;
+}
+
+void
+Tally(NetCampaignResult& total, const NetSeedResult& r)
+{
+    total.kills += r.kills;
+    total.retries += r.retries;
+    total.acks += r.acks;
+    total.dup_acks += r.dup_acks;
+}
+
+/**
+ * The seed loop: each seed's schedule is rolled from the op counts
+ * `probe(seed)` returns, drilled, and tallied into the aggregate.
+ */
+template <typename Campaign, typename Spec, typename Seed, typename Probe>
+util::StatusOr<Campaign>
+RunSeeds(const Spec& spec, uint64_t first_seed, uint64_t seeds,
+         const Probe& probe, const std::function<void(const Seed&)>& on_seed)
+{
+    Campaign result;
+    for (uint64_t i = 0; i < seeds; ++i) {
+        const uint64_t seed = first_seed + i;
+        util::StatusOr<io::OpCounts> counts = probe(seed);
+        if (!counts.ok())
+            return counts.status();
+        util::StatusOr<io::ChaosSchedule> schedule =
+            io::ChaosSchedule::Random(seed, spec.campaigns, *counts);
+        if (!schedule.ok())
+            return schedule.status();
+        util::StatusOr<Seed> seed_result = ReplaySchedule(spec, *schedule);
+        if (!seed_result.ok())
+            return seed_result.status();
+        ++result.seeds_run;
+        result.faults_fired += seed_result->faults_fired;
+        Tally(result, *seed_result);
+        if (!seed_result->ok())
+            result.failures.push_back(*seed_result);
+        if (on_seed)
+            on_seed(*seed_result);
+    }
+    return result;
+}
+
+/** The greedy shrinker behind every Minimize overload. */
+template <typename Spec>
+util::StatusOr<io::ChaosSchedule>
+Shrink(const Spec& spec, const io::ChaosSchedule& schedule)
+{
+    const auto fails = [&](const io::ChaosSchedule& s)
+        -> util::StatusOr<bool> {
+        auto r = ReplaySchedule(spec, s);
+        if (!r.ok())
+            return r.status();
+        return !r->ok();
+    };
+
+    util::StatusOr<bool> failing = fails(schedule);
+    if (!failing.ok())
+        return failing.status();
+    if (!*failing)
+        return schedule;  // nothing to preserve; return unchanged
+
+    io::ChaosSchedule current = schedule;
+    bool shrunk = true;
+    while (shrunk && current.ops.size() > 1) {
+        shrunk = false;
+        for (size_t i = 0; i < current.ops.size(); ++i) {
+            io::ChaosSchedule trial = current;
+            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
+            util::StatusOr<bool> still = fails(trial);
+            if (!still.ok())
+                return still.status();
+            if (*still) {
+                current = std::move(trial);
+                shrunk = true;
+                break;
+            }
+        }
+    }
+    return current;
+}
+
 }  // namespace
 
 std::string
@@ -1384,13 +1471,7 @@ SeedResult::Summary() const
     os << ", " << data_records << " records";
     if (lost_records > 0)
         os << " + " << lost_records << " declared lost";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
+    os << Verdict(violations);
     return os.str();
 }
 
@@ -1437,8 +1518,8 @@ ReplaySchedule(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
     // The process survived its faults; its own books must balance.
     util::StatusOr<TraceFacts> facts = ScanUniverse(mem);
     if (!facts.ok()) {
-        Fail(r, "prefix-consistency",
-             "trace unreadable: " + facts.status().ToString());
+        r.Fail("prefix-consistency",
+               "trace unreadable: " + facts.status().ToString());
         return r;
     }
     r.data_records = facts->data;
@@ -1453,72 +1534,17 @@ util::StatusOr<CampaignResult>
 RunCampaign(const CampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
             const std::function<void(const SeedResult&)>& on_seed)
 {
-    util::StatusOr<io::OpCounts> probe = ProbeOpCounts(spec);
+    const util::StatusOr<io::OpCounts> probe = ProbeOpCounts(spec);
     if (!probe.ok())
         return probe.status();
-
-    CampaignResult result;
-    for (uint64_t i = 0; i < seeds; ++i) {
-        const uint64_t seed = first_seed + i;
-        util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
-        if (!schedule.ok())
-            return schedule.status();
-        util::StatusOr<SeedResult> seed_result =
-            ReplaySchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
-        ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        if (seed_result->power_cut)
-            ++result.power_cuts;
-        if (seed_result->resumed)
-            ++result.resumes;
-        if (seed_result->salvaged)
-            ++result.salvages;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
-        if (on_seed)
-            on_seed(*seed_result);
-    }
-    return result;
+    return RunSeeds<CampaignResult>(
+        spec, first_seed, seeds, [&](uint64_t) { return probe; }, on_seed);
 }
 
 util::StatusOr<io::ChaosSchedule>
 Minimize(const CampaignSpec& spec, const io::ChaosSchedule& schedule)
 {
-    const auto fails = [&](const io::ChaosSchedule& s)
-        -> util::StatusOr<bool> {
-        util::StatusOr<SeedResult> r = ReplaySchedule(spec, s);
-        if (!r.ok())
-            return r.status();
-        return !r->ok();
-    };
-
-    util::StatusOr<bool> failing = fails(schedule);
-    if (!failing.ok())
-        return failing.status();
-    if (!*failing)
-        return schedule;  // nothing to preserve; return unchanged
-
-    io::ChaosSchedule current = schedule;
-    bool shrunk = true;
-    while (shrunk && current.ops.size() > 1) {
-        shrunk = false;
-        for (size_t i = 0; i < current.ops.size(); ++i) {
-            io::ChaosSchedule trial = current;
-            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
-            util::StatusOr<bool> still = fails(trial);
-            if (!still.ok())
-                return still.status();
-            if (*still) {
-                current = std::move(trial);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return current;
+    return Shrink(spec, schedule);
 }
 
 // ---------------------------------------------------------------------------
@@ -1540,18 +1566,12 @@ ServeSeedResult::Summary() const
         os << ", " << sweeps_acked << " sweeps/" << sweep_rows << " rows";
     if (sweep_partial_resume)
         os << ", sweep-partial-resume";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
+    os << Verdict(violations);
     return os.str();
 }
 
 util::StatusOr<io::OpCounts>
-ProbeServeOpCounts(const ServeCampaignSpec& spec, uint64_t seed)
+ProbeOpCounts(const ServeCampaignSpec& spec, uint64_t seed)
 {
     io::MemVfs mem;
     io::ChaosVfs vfs(mem, io::ChaosSchedule{});
@@ -1562,8 +1582,8 @@ ProbeServeOpCounts(const ServeCampaignSpec& spec, uint64_t seed)
 }
 
 util::StatusOr<ServeSeedResult>
-ReplayServeSchedule(const ServeCampaignSpec& spec,
-                    const io::ChaosSchedule& schedule)
+ReplaySchedule(const ServeCampaignSpec& spec,
+               const io::ChaosSchedule& schedule)
 {
     ServeSeedResult r;
     r.seed = schedule.seed;
@@ -1600,80 +1620,19 @@ ReplayServeSchedule(const ServeCampaignSpec& spec,
 }
 
 util::StatusOr<ServeCampaignResult>
-RunServeCampaign(const ServeCampaignSpec& spec, uint64_t first_seed,
-                 uint64_t seeds,
-                 const std::function<void(const ServeSeedResult&)>& on_seed)
+RunCampaign(const ServeCampaignSpec& spec, uint64_t first_seed,
+            uint64_t seeds,
+            const std::function<void(const ServeSeedResult&)>& on_seed)
 {
-    ServeCampaignResult result;
-    for (uint64_t i = 0; i < seeds; ++i) {
-        const uint64_t seed = first_seed + i;
-        // Each seed scripts its own request mix, so each aims its fault
-        // schedule with its own fault-free probe.
-        util::StatusOr<io::OpCounts> probe = ProbeServeOpCounts(spec, seed);
-        if (!probe.ok())
-            return probe.status();
-        util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
-        if (!schedule.ok())
-            return schedule.status();
-        util::StatusOr<ServeSeedResult> seed_result =
-            ReplayServeSchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
-        ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        if (seed_result->power_cut)
-            ++result.power_cuts;
-        result.resumes += seed_result->jobs_resumed;
-        result.salvages += seed_result->jobs_salvaged;
-        result.sweeps_acked += seed_result->sweeps_acked;
-        result.sweep_rows += seed_result->sweep_rows;
-        if (seed_result->sweep_partial_resume)
-            ++result.sweep_partial_resumes;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
-        if (on_seed)
-            on_seed(*seed_result);
-    }
-    return result;
+    return RunSeeds<ServeCampaignResult>(
+        spec, first_seed, seeds,
+        [&](uint64_t seed) { return ProbeOpCounts(spec, seed); }, on_seed);
 }
 
 util::StatusOr<io::ChaosSchedule>
-MinimizeServe(const ServeCampaignSpec& spec,
-              const io::ChaosSchedule& schedule)
+Minimize(const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule)
 {
-    const auto fails = [&](const io::ChaosSchedule& s)
-        -> util::StatusOr<bool> {
-        util::StatusOr<ServeSeedResult> r = ReplayServeSchedule(spec, s);
-        if (!r.ok())
-            return r.status();
-        return !r->ok();
-    };
-
-    util::StatusOr<bool> failing = fails(schedule);
-    if (!failing.ok())
-        return failing.status();
-    if (!*failing)
-        return schedule;
-
-    io::ChaosSchedule current = schedule;
-    bool shrunk = true;
-    while (shrunk && current.ops.size() > 1) {
-        shrunk = false;
-        for (size_t i = 0; i < current.ops.size(); ++i) {
-            io::ChaosSchedule trial = current;
-            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
-            util::StatusOr<bool> still = fails(trial);
-            if (!still.ok())
-                return still.status();
-            if (*still) {
-                current = std::move(trial);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return current;
+    return Shrink(spec, schedule);
 }
 
 // ---------------------------------------------------------------------------
@@ -1691,18 +1650,12 @@ NetSeedResult::Summary() const
         os << " (" << dup_acks << " dedup)";
     if (retries > 0)
         os << ", " << retries << " retries";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
+    os << Verdict(violations);
     return os.str();
 }
 
 util::StatusOr<io::OpCounts>
-ProbeNetOpCounts(const NetCampaignSpec& spec, uint64_t seed)
+ProbeOpCounts(const NetCampaignSpec& spec, uint64_t seed)
 {
     NetSeedResult r;
     io::ChaosNet net{io::ChaosSchedule{}};
@@ -1718,8 +1671,7 @@ ProbeNetOpCounts(const NetCampaignSpec& spec, uint64_t seed)
 }
 
 util::StatusOr<NetSeedResult>
-ReplayNetSchedule(const NetCampaignSpec& spec,
-                  const io::ChaosSchedule& schedule)
+ReplaySchedule(const NetCampaignSpec& spec, const io::ChaosSchedule& schedule)
 {
     NetSeedResult r;
     r.seed = schedule.seed;
@@ -1735,75 +1687,18 @@ ReplayNetSchedule(const NetCampaignSpec& spec,
 }
 
 util::StatusOr<NetCampaignResult>
-RunNetCampaign(const NetCampaignSpec& spec, uint64_t first_seed,
-               uint64_t seeds,
-               const std::function<void(const NetSeedResult&)>& on_seed)
+RunCampaign(const NetCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
+            const std::function<void(const NetSeedResult&)>& on_seed)
 {
-    NetCampaignResult result;
-    for (uint64_t i = 0; i < seeds; ++i) {
-        const uint64_t seed = first_seed + i;
-        // Each seed scripts its own request mix, so each aims its fault
-        // schedule with its own fault-free probe.
-        util::StatusOr<io::OpCounts> probe = ProbeNetOpCounts(spec, seed);
-        if (!probe.ok())
-            return probe.status();
-        util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Random(seed, spec.campaigns, *probe);
-        if (!schedule.ok())
-            return schedule.status();
-        util::StatusOr<NetSeedResult> seed_result =
-            ReplayNetSchedule(spec, *schedule);
-        if (!seed_result.ok())
-            return seed_result.status();
-        ++result.seeds_run;
-        result.faults_fired += seed_result->faults_fired;
-        result.kills += seed_result->kills;
-        result.retries += seed_result->retries;
-        result.acks += seed_result->acks;
-        result.dup_acks += seed_result->dup_acks;
-        if (!seed_result->ok())
-            result.failures.push_back(*seed_result);
-        if (on_seed)
-            on_seed(*seed_result);
-    }
-    return result;
+    return RunSeeds<NetCampaignResult>(
+        spec, first_seed, seeds,
+        [&](uint64_t seed) { return ProbeOpCounts(spec, seed); }, on_seed);
 }
 
 util::StatusOr<io::ChaosSchedule>
-MinimizeNet(const NetCampaignSpec& spec, const io::ChaosSchedule& schedule)
+Minimize(const NetCampaignSpec& spec, const io::ChaosSchedule& schedule)
 {
-    const auto fails = [&](const io::ChaosSchedule& s)
-        -> util::StatusOr<bool> {
-        util::StatusOr<NetSeedResult> r = ReplayNetSchedule(spec, s);
-        if (!r.ok())
-            return r.status();
-        return !r->ok();
-    };
-
-    util::StatusOr<bool> failing = fails(schedule);
-    if (!failing.ok())
-        return failing.status();
-    if (!*failing)
-        return schedule;
-
-    io::ChaosSchedule current = schedule;
-    bool shrunk = true;
-    while (shrunk && current.ops.size() > 1) {
-        shrunk = false;
-        for (size_t i = 0; i < current.ops.size(); ++i) {
-            io::ChaosSchedule trial = current;
-            trial.ops.erase(trial.ops.begin() + static_cast<long>(i));
-            util::StatusOr<bool> still = fails(trial);
-            if (!still.ok())
-                return still.status();
-            if (*still) {
-                current = std::move(trial);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return current;
+    return Shrink(spec, schedule);
 }
 
 // ---------------------------------------------------------------------------
@@ -1815,14 +1710,7 @@ FuzzReport::Summary() const
     std::ostringstream os;
     os << "fuzz: " << inputs << " inputs, " << frames
        << " frames extracted, " << parsed << " parsed, " << rejected
-       << " rejected";
-    if (violations.empty()) {
-        os << ": ok";
-    } else {
-        os << ": " << violations.size() << " VIOLATIONS";
-        for (const InvariantViolation& v : violations)
-            os << " [" << v.invariant << "] " << v.detail;
-    }
+       << " rejected" << Verdict(violations);
     return os.str();
 }
 

@@ -31,12 +31,14 @@
  * A failing (seed, schedule) pair serializes to a small text file that
  * replays the identical failure forever — tests/chaos_corpus/ collects
  * them as regression tests. Minimize() shrinks a failing schedule to the
- * fewest ops that still violate.
+ * fewest ops that still violate. The serve and net drills below share
+ * the same driver (the entry points at the end of this file).
  */
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "io/chaos.h"
@@ -69,11 +71,38 @@ struct InvariantViolation {
     std::string detail;
 };
 
-/** Outcome of one seed's crash drill. */
-struct SeedResult {
+/**
+ * What every drill's seed result carries, whatever it crashed: the
+ * (seed, schedule) pair that replays it, the faults that fired, and the
+ * invariant verdict.
+ */
+struct DrillResult {
     uint64_t seed = 0;
     io::ChaosSchedule schedule;
     uint32_t faults_fired = 0;
+    std::vector<InvariantViolation> violations;
+
+    bool ok() const { return violations.empty(); }
+    /** Records one breach of `invariant`. */
+    void Fail(const char* invariant, std::string detail)
+    {
+        violations.push_back(InvariantViolation{invariant, std::move(detail)});
+    }
+};
+
+/** What every campaign adds up, whatever its drill. */
+template <typename Seed>
+struct CampaignTotals {
+    uint64_t seeds_run = 0;
+    uint64_t faults_fired = 0;
+    /** Failing seeds only (schedules are the repro artifacts). */
+    std::vector<Seed> failures;
+
+    bool ok() const { return failures.empty(); }
+};
+
+/** Outcome of one seed's crash drill. */
+struct SeedResult : DrillResult {
     bool power_cut = false;
     bool resumed = false;    ///< recovery went through a checkpoint
     bool salvaged = false;   ///< recovery scanned the bare trace
@@ -86,57 +115,17 @@ struct SeedResult {
      * scan (no checkpoint). 0 when no cut fired (bench_a10 percentiles).
      */
     uint64_t recovery_us = 0;
-    std::vector<InvariantViolation> violations;
 
-    bool ok() const { return violations.empty(); }
     /** One log line: seed, faults, recovery mode, verdict. */
     std::string Summary() const;
 };
 
 /** Aggregate of a whole campaign. */
-struct CampaignResult {
-    uint64_t seeds_run = 0;
-    uint64_t faults_fired = 0;
+struct CampaignResult : CampaignTotals<SeedResult> {
     uint64_t power_cuts = 0;
     uint64_t resumes = 0;
     uint64_t salvages = 0;
-    /** Failing seeds only (schedules are the repro artifacts). */
-    std::vector<SeedResult> failures;
-
-    bool ok() const { return failures.empty(); }
 };
-
-/**
- * Runs the spec's capture fault-free and returns its operation counts —
- * the address space random schedules aim their fault indices into.
- * Deterministic per spec, so one probe serves a whole seed range.
- */
-util::StatusOr<io::OpCounts> ProbeOpCounts(const CampaignSpec& spec);
-
-/**
- * Runs one complete drill for an explicit schedule (the replay path for
- * corpus files and minimization).
- */
-util::StatusOr<SeedResult> ReplaySchedule(const CampaignSpec& spec,
-                                          const io::ChaosSchedule& schedule);
-
-/**
- * Runs seeds [first_seed, first_seed + seeds): rolls each schedule from
- * the shared probe and drills it. `on_seed` (may be null) observes every
- * result as it completes (progress reporting, artifact writing).
- */
-util::StatusOr<CampaignResult> RunCampaign(
-    const CampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
-    const std::function<void(const SeedResult&)>& on_seed = nullptr);
-
-/**
- * Greedy delta-debugging of a failing schedule: repeatedly drops ops
- * whose removal keeps at least one invariant violated, until no single
- * op can be removed. Returns the (still-failing) minimal schedule; if
- * `schedule` does not fail at all, returns it unchanged.
- */
-util::StatusOr<io::ChaosSchedule> Minimize(const CampaignSpec& spec,
-                                           const io::ChaosSchedule& schedule);
 
 // ---------------------------------------------------------------------------
 // Kill-restart drills against the serve daemon (docs/SERVE.md).
@@ -197,10 +186,7 @@ struct ServeCampaignSpec {
 };
 
 /** Outcome of one seed's kill-restart drill. */
-struct ServeSeedResult {
-    uint64_t seed = 0;
-    io::ChaosSchedule schedule;
-    uint32_t faults_fired = 0;
+struct ServeSeedResult : DrillResult {
     bool power_cut = false;
     uint32_t jobs_acked = 0;     ///< submissions the daemon promised
     uint32_t jobs_done = 0;      ///< terminal "done" after recovery
@@ -212,17 +198,13 @@ struct ServeSeedResult {
      *  journaled and resumed it from that high-water mark — the drill
      *  the S5 byte-identity check exists for. */
     bool sweep_partial_resume = false;
-    std::vector<InvariantViolation> violations;
 
-    bool ok() const { return violations.empty(); }
     /** One log line: seed, faults, job fates, verdict. */
     std::string Summary() const;
 };
 
 /** Aggregate of a whole serve campaign. */
-struct ServeCampaignResult {
-    uint64_t seeds_run = 0;
-    uint64_t faults_fired = 0;
+struct ServeCampaignResult : CampaignTotals<ServeSeedResult> {
     uint64_t power_cuts = 0;
     uint64_t resumes = 0;
     uint64_t salvages = 0;
@@ -230,36 +212,7 @@ struct ServeCampaignResult {
     uint64_t sweep_rows = 0;
     /** Seeds whose recovery resumed a partially-journaled sweep. */
     uint64_t sweep_partial_resumes = 0;
-    std::vector<ServeSeedResult> failures;
-
-    bool ok() const { return failures.empty(); }
 };
-
-/**
- * Runs seed `seed`'s request script fault-free and returns its operation
- * counts. Unlike the capture probe, the script itself is seed-derived
- * (submit/run interleave, which job gets cancelled), so each seed aims
- * its schedule with its own probe.
- */
-util::StatusOr<io::OpCounts> ProbeServeOpCounts(const ServeCampaignSpec& spec,
-                                                uint64_t seed);
-
-/**
- * Runs one complete serve drill for an explicit schedule; the request
- * script is re-derived from schedule.seed, so a serialized schedule
- * replays the identical drill forever.
- */
-util::StatusOr<ServeSeedResult> ReplayServeSchedule(
-    const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule);
-
-/** Runs seeds [first_seed, first_seed + seeds) of serve drills. */
-util::StatusOr<ServeCampaignResult> RunServeCampaign(
-    const ServeCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
-    const std::function<void(const ServeSeedResult&)>& on_seed = nullptr);
-
-/** Minimize() for a failing serve schedule. */
-util::StatusOr<io::ChaosSchedule> MinimizeServe(
-    const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule);
 
 // ---------------------------------------------------------------------------
 // Hostile-network drills against the serve protocol (docs/SERVE.md
@@ -316,58 +269,82 @@ struct NetCampaignSpec {
 };
 
 /** Outcome of one seed's hostile-network drill. */
-struct NetSeedResult {
-    uint64_t seed = 0;
-    io::ChaosSchedule schedule;
-    uint32_t faults_fired = 0;
+struct NetSeedResult : DrillResult {
     uint32_t kills = 0;      ///< daemon deaths (kill-serve ops fired)
     uint32_t retries = 0;    ///< ambiguous submits re-sent (same token)
     uint32_t acks = 0;       ///< submit answers carrying a job id
     uint32_t dup_acks = 0;   ///< answers flagged "dup" (dedup served them)
-    std::vector<InvariantViolation> violations;
 
-    bool ok() const { return violations.empty(); }
     /** One log line: seed, faults, retry/ack traffic, verdict. */
     std::string Summary() const;
 };
 
 /** Aggregate of a whole net campaign. */
-struct NetCampaignResult {
-    uint64_t seeds_run = 0;
-    uint64_t faults_fired = 0;
+struct NetCampaignResult : CampaignTotals<NetSeedResult> {
     uint64_t kills = 0;
     uint64_t retries = 0;
     uint64_t acks = 0;
     uint64_t dup_acks = 0;
-    std::vector<NetSeedResult> failures;
-
-    bool ok() const { return failures.empty(); }
 };
 
-/**
- * Runs seed `seed`'s client script over a fault-free ChaosNet and
- * returns its send/recv/request counts — the address space net schedules
- * aim their fault indices into.
- */
-util::StatusOr<io::OpCounts> ProbeNetOpCounts(const NetCampaignSpec& spec,
-                                              uint64_t seed);
+// ---------------------------------------------------------------------------
+// The campaign driver: four entry points, each overloaded on the spec
+// type, over one seed loop and one shrinker.
 
 /**
- * Runs one complete net drill for an explicit schedule; the client
- * script is re-derived from schedule.seed, so a serialized schedule
- * replays the identical drill forever.
+ * Runs a drill fault-free and returns its operation counts — the address
+ * space random schedules aim their fault indices into. The capture probe
+ * is deterministic per spec, so one probe serves a whole seed range. The
+ * serve and net scripts are seed-derived (submit/run interleave, which
+ * job gets cancelled, where pings go), so each seed aims its schedule
+ * with its own probe.
  */
-util::StatusOr<NetSeedResult> ReplayNetSchedule(
+util::StatusOr<io::OpCounts> ProbeOpCounts(const CampaignSpec& spec);
+util::StatusOr<io::OpCounts> ProbeOpCounts(const ServeCampaignSpec& spec,
+                                           uint64_t seed);
+util::StatusOr<io::OpCounts> ProbeOpCounts(const NetCampaignSpec& spec,
+                                           uint64_t seed);
+
+/**
+ * Runs one complete drill for an explicit schedule (the replay path for
+ * corpus files and minimization). The serve and net scripts are
+ * re-derived from schedule.seed, so a serialized schedule replays the
+ * identical drill forever.
+ */
+util::StatusOr<SeedResult> ReplaySchedule(const CampaignSpec& spec,
+                                          const io::ChaosSchedule& schedule);
+util::StatusOr<ServeSeedResult> ReplaySchedule(
+    const ServeCampaignSpec& spec, const io::ChaosSchedule& schedule);
+util::StatusOr<NetSeedResult> ReplaySchedule(
     const NetCampaignSpec& spec, const io::ChaosSchedule& schedule);
 
-/** Runs seeds [first_seed, first_seed + seeds) of net drills. */
-util::StatusOr<NetCampaignResult> RunNetCampaign(
+/**
+ * Runs seeds [first_seed, first_seed + seeds): rolls each schedule from
+ * its probe and drills it. `on_seed` (may be null) observes every result
+ * as it completes (progress reporting, artifact writing).
+ */
+util::StatusOr<CampaignResult> RunCampaign(
+    const CampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
+    const std::function<void(const SeedResult&)>& on_seed = nullptr);
+util::StatusOr<ServeCampaignResult> RunCampaign(
+    const ServeCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
+    const std::function<void(const ServeSeedResult&)>& on_seed = nullptr);
+util::StatusOr<NetCampaignResult> RunCampaign(
     const NetCampaignSpec& spec, uint64_t first_seed, uint64_t seeds,
     const std::function<void(const NetSeedResult&)>& on_seed = nullptr);
 
-/** Minimize() for a failing net schedule. */
-util::StatusOr<io::ChaosSchedule> MinimizeNet(
-    const NetCampaignSpec& spec, const io::ChaosSchedule& schedule);
+/**
+ * Greedy delta-debugging of a failing schedule: repeatedly drops ops
+ * whose removal keeps at least one invariant violated, until no single
+ * op can be removed. Returns the (still-failing) minimal schedule; if
+ * `schedule` does not fail at all, returns it unchanged.
+ */
+util::StatusOr<io::ChaosSchedule> Minimize(const CampaignSpec& spec,
+                                           const io::ChaosSchedule& schedule);
+util::StatusOr<io::ChaosSchedule> Minimize(const ServeCampaignSpec& spec,
+                                           const io::ChaosSchedule& schedule);
+util::StatusOr<io::ChaosSchedule> Minimize(const NetCampaignSpec& spec,
+                                           const io::ChaosSchedule& schedule);
 
 // ---------------------------------------------------------------------------
 // Deterministic protocol fuzzing (no wire, no daemon: just the codec).

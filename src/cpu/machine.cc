@@ -439,77 +439,6 @@ Machine::PublishMetrics(obs::Registry& reg) const
     mmu_.PublishMetrics(reg);
 }
 
-MachineSnapshot
-Machine::SaveSnapshot() const
-{
-    MachineSnapshot snap;
-    snap.memory = memory_.SaveData();
-    for (unsigned i = 0; i < isa::kNumRegs; ++i)
-        snap.regs[i] = regs_[i];
-    snap.psl = psl_;
-    snap.banked_sp[0] = banked_sp_[0];
-    snap.banked_sp[1] = banked_sp_[1];
-    snap.scbb = scbb_;
-    snap.pcbb = pcbb_;
-    snap.pid = pid_;
-    snap.iccs = iccs_;
-    snap.icr_reload = icr_reload_;
-    snap.icr_count = icr_count_;
-    snap.timer_pending = timer_pending_;
-    snap.software_pending = software_pending_;
-    snap.halted = halted_;
-    snap.icount = icount_;
-    snap.ucycles = ucycles_;
-    snap.mapen = mmu_.enabled();
-    snap.regions[0] = mmu_.GetRegion(mmu::Region::kP0);
-    snap.regions[1] = mmu_.GetRegion(mmu::Region::kP1);
-    snap.regions[2] = mmu_.GetRegion(mmu::Region::kS0);
-    snap.console_output = console_output_;
-    snap.ev = ev_;
-    snap.dma_src = dma_src_;
-    snap.dma_dst = dma_dst_;
-    snap.dma_len = dma_len_;
-    snap.dma_delay = dma_delay_;
-    snap.dma_pending = dma_pending_;
-    return snap;
-}
-
-void
-Machine::RestoreSnapshot(const MachineSnapshot& snapshot)
-{
-    memory_.RestoreData(snapshot.memory);
-    for (unsigned i = 0; i < isa::kNumRegs; ++i)
-        regs_[i] = snapshot.regs[i];
-    psl_ = snapshot.psl;
-    banked_sp_[0] = snapshot.banked_sp[0];
-    banked_sp_[1] = snapshot.banked_sp[1];
-    scbb_ = snapshot.scbb;
-    pcbb_ = snapshot.pcbb;
-    pid_ = snapshot.pid;
-    iccs_ = snapshot.iccs;
-    icr_reload_ = snapshot.icr_reload;
-    icr_count_ = snapshot.icr_count;
-    timer_pending_ = snapshot.timer_pending;
-    software_pending_ = snapshot.software_pending;
-    halted_ = snapshot.halted;
-    icount_ = snapshot.icount;
-    ucycles_ = snapshot.ucycles;
-    mmu_.set_enabled(snapshot.mapen);
-    mmu_.SetRegion(mmu::Region::kP0, snapshot.regions[0]);
-    mmu_.SetRegion(mmu::Region::kP1, snapshot.regions[1]);
-    mmu_.SetRegion(mmu::Region::kS0, snapshot.regions[2]);
-    console_output_ = snapshot.console_output;
-    ev_ = snapshot.ev;
-    dma_src_ = snapshot.dma_src;
-    dma_dst_ = snapshot.dma_dst;
-    dma_len_ = snapshot.dma_len;
-    dma_delay_ = snapshot.dma_delay;
-    dma_pending_ = snapshot.dma_pending;
-    pending_fault_.active = false;
-    InvalidateIBuf();
-    mmu_.tlb().InvalidateAll();
-}
-
 util::Status
 Machine::Save(util::StateWriter& w) const
 {

@@ -95,23 +95,6 @@ struct PcbLayout {
     static constexpr uint32_t kSize = 88;
 };
 
-/** Complete restorable machine state (see Machine::SaveSnapshot). */
-struct MachineSnapshot {
-    std::vector<uint8_t> memory;
-    uint32_t regs[isa::kNumRegs];
-    Psl psl;
-    uint32_t banked_sp[2];
-    uint32_t scbb, pcbb, pid, iccs, icr_reload, icr_count;
-    bool timer_pending, software_pending, halted;
-    uint64_t icount, ucycles;
-    bool mapen;
-    mmu::RegionRegs regions[3];
-    std::string console_output;
-    EventCounters ev;
-    uint32_t dma_src, dma_dst, dma_len, dma_delay;
-    bool dma_pending;
-};
-
 class Machine
 {
   public:
@@ -196,17 +179,8 @@ class Machine
     }
 
     /**
-     * Captures the complete architectural state (including a copy of
-     * physical memory). The TB is not saved; RestoreSnapshot flushes it,
-     * which is architecturally invisible (it only re-walks page tables).
-     */
-    MachineSnapshot SaveSnapshot() const;
-    /** Restores state saved on this machine (same memory size). */
-    void RestoreSnapshot(const MachineSnapshot& snapshot);
-
-    /**
      * Serializes the *complete* machine — architectural state, physical
-     * memory, MMU registers, and, unlike SaveSnapshot, the exact
+     * memory, MMU registers, console output, and the exact
      * microarchitectural state too: TB contents and the instruction
      * prefetch buffer. A restored machine re-executes the identical
      * micro-event stream (ifetches, TB misses, PTE walks), which the

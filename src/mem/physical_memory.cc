@@ -94,15 +94,6 @@ PhysicalMemory::WriteBlock(uint32_t pa, const void* src, uint32_t len)
     std::memcpy(data_.data() + pa, src, len);
 }
 
-void
-PhysicalMemory::RestoreData(const std::vector<uint8_t>& data)
-{
-    if (data.size() != data_.size())
-        Fatal("snapshot size mismatch: ", data.size(), " vs ",
-              data_.size());
-    data_ = data;
-}
-
 util::Status
 PhysicalMemory::Save(util::StateWriter& w) const
 {

@@ -66,11 +66,6 @@ class PhysicalMemory
     uint32_t ReserveTop(uint32_t bytes);
     void Unreserve();
 
-    /** Copies out the full memory contents (for machine snapshots). */
-    std::vector<uint8_t> SaveData() const { return data_; }
-    /** Restores contents saved by SaveData; sizes must match. */
-    void RestoreData(const std::vector<uint8_t>& data);
-
     /** Serializes size, reservation and contents (checkpoint hook). */
     util::Status Save(util::StateWriter& w) const;
     /**

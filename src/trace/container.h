@@ -52,8 +52,8 @@ namespace atum::trace {
 
 // ---------------------------------------------------------------------------
 // Byte-stream interfaces. The container reads/writes through these so that
-// tests can interpose fault injection (trace/fault.h) or keep data in
-// memory without touching a filesystem.
+// tests can keep data in memory without touching a filesystem; faults are
+// injected one layer down, at the Vfs seam (io/chaos.h ChaosVfs).
 
 /** Destination for raw container bytes. */
 class ByteSink

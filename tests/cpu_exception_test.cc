@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "assembler/assembler.h"
 #include "cpu/machine.h"
 #include "mmu/mmu.h"
+#include "util/serialize.h"
 
 namespace atum::cpu {
 namespace {
@@ -407,6 +409,23 @@ TEST_F(ExceptionTest, HaltedMachineStaysHalted)
 }
 
 
+/** The machine's complete state, through the checkpoint serializer. */
+std::vector<uint8_t>
+SaveState(const Machine& machine)
+{
+    util::StateWriter w;
+    EXPECT_TRUE(machine.Save(w).ok());
+    return w.Take();
+}
+
+void
+RestoreState(Machine& machine, const std::vector<uint8_t>& bytes)
+{
+    util::StateReader r(bytes);
+    const util::Status status = machine.Restore(r);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
 TEST_F(ExceptionTest, SnapshotRestoreReplaysDeterministically)
 {
     // Run a self-modifying-ish program with interrupts, snapshot mid-way,
@@ -434,7 +453,7 @@ TEST_F(ExceptionTest, SnapshotRestoreReplaysDeterministically)
     m().psl().ipl = 0;
     m().set_pc(0x1000);
     m().Run(1000);  // part-way through
-    const MachineSnapshot snap = m().SaveSnapshot();
+    const std::vector<uint8_t> snap = SaveState(m());
     ASSERT_FALSE(m().halted());
 
     ASSERT_EQ(m().Run(1'000'000).reason, Machine::StopReason::kHalted);
@@ -442,7 +461,7 @@ TEST_F(ExceptionTest, SnapshotRestoreReplaysDeterministically)
     const uint32_t first_ticks = m().memory().Read32(kMark0);
     const uint64_t first_icount = m().icount();
 
-    m().RestoreSnapshot(snap);
+    RestoreState(m(), snap);
     ASSERT_FALSE(m().halted());
     ASSERT_EQ(m().Run(1'000'000).reason, Machine::StopReason::kHalted);
     EXPECT_EQ(m().reg(2), first_r2);
@@ -460,12 +479,11 @@ TEST_F(ExceptionTest, SnapshotRestoresConsoleAndHaltState)
     Load(code.Finish());
     m().set_pc(0x1000);
     ASSERT_EQ(m().Run(10).reason, Machine::StopReason::kHalted);
-    const MachineSnapshot snap = m().SaveSnapshot();
-    EXPECT_TRUE(snap.halted);
+    const std::vector<uint8_t> snap = SaveState(m());
 
     m().ClearHalt();
     m().WriteIpr(isa::Ipr::kConsTx, 'z');
-    m().RestoreSnapshot(snap);
+    RestoreState(m(), snap);
     EXPECT_TRUE(m().halted());
     EXPECT_EQ(m().console_output(), "a");
 }

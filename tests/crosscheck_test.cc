@@ -114,8 +114,9 @@ TEST(Crosscheck, ExactStreamPins)
     const CrosscheckReport report = Crosscheck(records, ev);
     EXPECT_FALSE(report.passed());
     for (const CounterCheck& c : report.checks) {
-        if (c.name == "reads")
+        if (c.name == "reads") {
             EXPECT_FALSE(c.ok);
+        }
     }
 }
 
@@ -212,8 +213,9 @@ TEST(Crosscheck, InstructionsNeedOpcodeMarkers)
     const CrosscheckReport report = Crosscheck(records, ev);
     EXPECT_TRUE(report.passed());
     for (const CounterCheck& c : report.checks) {
-        if (c.name == "instructions")
+        if (c.name == "instructions") {
             EXPECT_FALSE(c.checked);
+        }
     }
 
     records.push_back(Make(RecordType::kOpcode));
@@ -249,10 +251,11 @@ TEST(Crosscheck, InjectedCounterBugIsCaught)
         const CrosscheckReport report = Crosscheck(out.records, buggy);
         EXPECT_FALSE(report.passed()) << name;
         for (const CounterCheck& c : report.checks) {
-            if (c.name == name)
+            if (c.name == name) {
                 EXPECT_FALSE(c.ok) << name;
-            else if (c.name != "tlb_fills")  // bounded by tlb_misses
+            } else if (c.name != "tlb_fills") {  // bounded by tlb_misses
                 EXPECT_TRUE(c.ok) << c.name << " blamed for " << name;
+            }
         }
     }
 }
@@ -310,8 +313,9 @@ TEST_P(CrosscheckProperty, CleanCaptureIsZeroDelta)
     const CrosscheckReport report = Crosscheck(out.records, out.ev);
     EXPECT_TRUE(report.passed()) << report.ToString();
     for (const CounterCheck& c : report.checks) {
-        if (c.checked && c.name != "tlb_fills")
+        if (c.checked && c.name != "tlb_fills") {
             EXPECT_EQ(c.derived.lo, c.derived.hi) << c.name;
+        }
     }
 }
 

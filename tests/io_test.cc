@@ -32,8 +32,9 @@ Put(Vfs& vfs, const std::string& path, const std::string& content,
     util::StatusOr<std::unique_ptr<WritableFile>> f = vfs.Create(path);
     ASSERT_TRUE(f.ok()) << f.status().ToString();
     ASSERT_TRUE((*f)->Write(content.data(), content.size()).ok());
-    if (sync)
+    if (sync) {
         ASSERT_TRUE((*f)->Sync().ok());
+    }
     ASSERT_TRUE((*f)->Close().ok());
 }
 

@@ -1040,7 +1040,7 @@ TEST(ServeChaos, KillRestartCampaignUpholdsInvariants)
     spec.jobs = 3;
     spec.max_instructions = 4000;
     util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/4);
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/4);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     for (const chaos::ServeSeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
@@ -1061,7 +1061,7 @@ TEST(ServeChaos, SweepKillRestartCampaignUpholdsS4AndS5)
     spec.sweeps = 2;
     spec.sweep_configs = 3;
     util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     for (const chaos::ServeSeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
@@ -1237,7 +1237,7 @@ TEST(NetChaos, HostileWireCampaignUpholdsN1N2N3)
     spec.campaigns = {"net-flaky", "net-cut", "net-flip",
                       "net-stall", "net-dup", "net-kill"};
     util::StatusOr<chaos::NetCampaignResult> result =
-        chaos::RunNetCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
+        chaos::RunCampaign(spec, /*first_seed=*/1, /*seeds=*/6);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     for (const chaos::NetSeedResult& failure : result->failures)
         ADD_FAILURE() << failure.Summary();
@@ -1275,7 +1275,7 @@ TEST(NetChaos, TeethDedupBugIsCaughtAsDoubleRunAndFixPasses)
     const io::ChaosSchedule schedule = DupDeliverySchedule();
 
     util::StatusOr<chaos::NetSeedResult> good =
-        chaos::ReplayNetSchedule(spec, schedule);
+        chaos::ReplaySchedule(spec, schedule);
     ASSERT_TRUE(good.ok()) << good.status().ToString();
     EXPECT_TRUE(good->ok()) << good->Summary();
     EXPECT_GE(good->dup_acks, 1u);  // dedup answered the duplicate
@@ -1283,7 +1283,7 @@ TEST(NetChaos, TeethDedupBugIsCaughtAsDoubleRunAndFixPasses)
     {
         TokenDedupBugGuard bug;
         util::StatusOr<chaos::NetSeedResult> broken =
-            chaos::ReplayNetSchedule(spec, schedule);
+            chaos::ReplaySchedule(spec, schedule);
         ASSERT_TRUE(broken.ok()) << broken.status().ToString();
         ASSERT_FALSE(broken->ok()) << "the drill failed to bite the bug";
         EXPECT_EQ(broken->violations[0].invariant, "net-double-run")
@@ -1291,7 +1291,7 @@ TEST(NetChaos, TeethDedupBugIsCaughtAsDoubleRunAndFixPasses)
     }
 
     util::StatusOr<chaos::NetSeedResult> fixed =
-        chaos::ReplayNetSchedule(spec, schedule);
+        chaos::ReplaySchedule(spec, schedule);
     ASSERT_TRUE(fixed.ok()) << fixed.status().ToString();
     EXPECT_TRUE(fixed->ok()) << fixed->Summary();
 }
@@ -1314,7 +1314,7 @@ TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
 
     TokenDedupBugGuard bug;
     util::StatusOr<io::ChaosSchedule> minimal =
-        chaos::MinimizeNet(spec, noisy);
+        chaos::Minimize(spec, noisy);
     ASSERT_TRUE(minimal.ok()) << minimal.status().ToString();
     ASSERT_EQ(minimal->ops.size(), 1u);
     EXPECT_EQ(minimal->ops[0].kind, io::ChaosOpKind::kDupRequest);
@@ -1326,7 +1326,7 @@ TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
         io::ChaosSchedule::Parse(minimal->Serialize());
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
     util::StatusOr<chaos::NetSeedResult> replay =
-        chaos::ReplayNetSchedule(spec, *reparsed);
+        chaos::ReplaySchedule(spec, *reparsed);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_FALSE(replay->ok());
 }

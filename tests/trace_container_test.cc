@@ -1,17 +1,19 @@
 // Corruption matrix for the ATF2 container: every truncation point,
 // bit flips in every chunk position, crash-model truncation, legacy v1
-// handling, and the fault-injection harness itself. No test here may
+// handling, and faults injected at the Vfs seam. No test here may
 // kill the process — malformed file input must always come back as a
 // Status or a damage report.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "io/chaos.h"
+#include "io/mem_vfs.h"
 #include "trace/container.h"
-#include "trace/fault.h"
 #include "trace/record.h"
 #include "trace/sink.h"
 #include "util/status.h"
@@ -264,48 +266,103 @@ TEST(Container, LegacyV1StopsAtImplausibleRecord)
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection through the writer.
+// Fault injection through the writer and reader: FileSink / FileByteSource
+// over a ChaosVfs executing a schedule-file program (io/chaos.h). Writes
+// and reads are counted from 1; with chunk_records = 4, write 1 is the
+// header and write N+2 is chunk N's flush.
+
+constexpr char kTrace[] = "trace.atf2";
+
+io::ChaosSchedule
+Schedule(const char* text)
+{
+    util::StatusOr<io::ChaosSchedule> schedule =
+        io::ChaosSchedule::Parse(text);
+    EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
+    return schedule.ok() ? *schedule : io::ChaosSchedule{};
+}
+
+/** Scans the trace file on `vfs` the way a reader of it would. */
+ScanReport
+ScanFile(io::Vfs& vfs, std::vector<Record>* out = nullptr)
+{
+    util::StatusOr<std::unique_ptr<FileByteSource>> in =
+        FileByteSource::Open(kTrace, vfs);
+    EXPECT_TRUE(in.ok()) << in.status().ToString();
+    if (!in.ok())
+        return ScanReport{};
+    return ScanTrace(**in, out);
+}
+
+/** Writes `records` through a FileSink on `vfs` and seals it. */
+util::Status
+WriteFile(io::Vfs& vfs, const std::vector<Record>& records)
+{
+    util::StatusOr<std::unique_ptr<FileSink>> sink =
+        FileSink::Open(kTrace, {.chunk_records = 4}, vfs);
+    if (!sink.ok())
+        return sink.status();
+    for (const Record& r : records) {
+        if (util::Status status = (*sink)->Append(r); !status.ok())
+            return status;
+    }
+    return (*sink)->Close();
+}
 
 TEST(Container, FailedAppendConsumesNothingAndIsRetryable)
 {
-    MemoryByteSink base;
-    // Write 0 is the header; write 1 is chunk 0's flush.
-    FaultySink sink(base, FaultPlan{}.FailWrite(1));
-    Atf2Writer writer(sink, {.chunk_records = 4});
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, Schedule("op fail-write 2 io\n"));  // chunk 0
+    util::StatusOr<std::unique_ptr<FileSink>> sink =
+        FileSink::Open(kTrace, {.chunk_records = 4}, vfs);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
 
     const std::vector<Record> records = TestRecords(10);
     uint64_t delivered = 0;
     unsigned retries = 0;
     while (delivered < records.size()) {
-        const util::Status status = writer.Append(records[delivered]);
+        const util::Status status = (*sink)->Append(records[delivered]);
         if (status.ok())
             ++delivered;
         else
             ++retries;  // same record goes again: nothing was consumed
     }
-    ASSERT_TRUE(writer.Seal().ok());
+    ASSERT_TRUE((*sink)->Close().ok());
     EXPECT_EQ(retries, 1u);
-    EXPECT_EQ(sink.faults_fired(), 1u);
+    EXPECT_EQ(vfs.faults_fired(), 1u);
 
     // Despite the mid-stream failure and retry: no duplicate, no gap.
     std::vector<Record> back;
-    const ScanReport report = Scan(base.bytes(), &back);
+    const ScanReport report = ScanFile(mem, &back);
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(back, records);
 }
 
 TEST(Container, CrashTruncationLeavesRecoverablePrefix)
 {
-    MemoryByteSink base;
-    // Crash model: everything past byte 100 claims success but vanishes.
-    // 100 bytes = header (32) + chunk 0 (48) + 20 bytes of chunk 1.
-    FaultySink sink(base, FaultPlan{}.TruncateAt(100));
-    ASSERT_TRUE(
-        WriteAtf2(sink, TestRecords(10), {.chunk_records = 4}).ok());
-    ASSERT_EQ(base.bytes().size(), 100u);
+    // The capture syncs once chunk 0 is out (a checkpoint would), then
+    // the power dies before chunk 1's flush lands: after the reboot the
+    // durable file is the header plus chunk 0, and nothing past it.
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, Schedule("op power-cut-write 3\n"));
+    util::StatusOr<std::unique_ptr<FileSink>> sink =
+        FileSink::Open(kTrace, {.chunk_records = 4}, vfs);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    const std::vector<Record> records = TestRecords(10);
+    // A full chunk is flushed by the next append: record 4 sends chunk 0.
+    for (uint32_t i = 0; i < 5; ++i)
+        ASSERT_TRUE((*sink)->Append(records[i]).ok());
+    ASSERT_TRUE((*sink)->SaveState().ok());
+    util::Status status;
+    for (uint32_t i = 5; i < records.size() && status.ok(); ++i)
+        status = (*sink)->Append(records[i]);
+    EXPECT_FALSE(status.ok());
+    ASSERT_TRUE(vfs.power_cut_fired());
+    EXPECT_FALSE((*sink)->Close().ok());
 
+    io::MemVfs rebooted(vfs.snapshot());
     std::vector<Record> back;
-    const ScanReport report = Scan(base.bytes(), &back);
+    const ScanReport report = ScanFile(rebooted, &back);
     EXPECT_FALSE(report.intact());
     EXPECT_FALSE(report.sealed);
     EXPECT_EQ(report.records_salvaged, 4u);
@@ -314,12 +371,13 @@ TEST(Container, CrashTruncationLeavesRecoverablePrefix)
 
 TEST(Container, InFlightFlipIsDetected)
 {
-    MemoryByteSink base;
-    FaultySink sink(base, FaultPlan{}.FlipByte(kChunk1 + 20));
-    ASSERT_TRUE(
-        WriteAtf2(sink, TestRecords(10), {.chunk_records = 4}).ok());
+    io::MemVfs mem;
+    // Byte 20 of chunk 1's flush: inside its payload.
+    io::ChaosVfs vfs(mem, Schedule("op flip-write 3 20\n"));
+    ASSERT_TRUE(WriteFile(vfs, TestRecords(10)).ok());
+    EXPECT_EQ(vfs.faults_fired(), 1u);
 
-    const ScanReport report = Scan(base.bytes());
+    const ScanReport report = ScanFile(mem);
     EXPECT_FALSE(report.intact());
     EXPECT_EQ(report.chunks_bad, 1u);
     EXPECT_EQ(report.records_salvaged, 6u);
@@ -327,10 +385,10 @@ TEST(Container, InFlightFlipIsDetected)
 
 TEST(Container, FailedReadIsReportedNotFatal)
 {
-    const std::vector<uint8_t> bytes = SealedContainer(10);
-    MemoryByteSource base(bytes);
-    FaultySource source(base, FaultPlan{}.FailRead(0));
-    const ScanReport report = ScanTrace(source, nullptr);
+    io::MemVfs mem;
+    ASSERT_TRUE(WriteFile(mem, TestRecords(10)).ok());
+    io::ChaosVfs vfs(mem, Schedule("op fail-read 1 io\n"));
+    const ScanReport report = ScanFile(vfs);
     EXPECT_FALSE(report.intact());
     EXPECT_EQ(report.records_salvaged, 0u);
     ASSERT_FALSE(report.issues.empty());
@@ -353,17 +411,6 @@ TEST(Container, SalvageOfDamagedFileVerifiesIntact)
     const ScanReport report = Scan(repaired.bytes(), &back);
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(back, salvaged);
-}
-
-TEST(Container, RandomPlansAreDeterministic)
-{
-    const FaultPlan a = FaultPlan::Random(42, 4096, 3);
-    const FaultPlan b = FaultPlan::Random(42, 4096, 3);
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (size_t i = 0; i < a.ops.size(); ++i)
-        EXPECT_EQ(a.ops[i].ToString(), b.ops[i].ToString());
-    const FaultPlan c = FaultPlan::Random(43, 4096, 3);
-    EXPECT_NE(a.ToString(), c.ToString());
 }
 
 // ---------------------------------------------------------------------------

@@ -57,8 +57,9 @@
 // survive their own round trip.
 //
 // A failing seed's schedule is minimized (unless --no-minimize) and, with
-// --out-dir, written as DIR/failing-seed-N.schedule; such a file replays
-// the identical failure forever via --replay and belongs in
+// --out-dir, written as DIR/failing-seed-N.schedule (failing-serve-seed-N
+// and failing-net-seed-N for the other drills); such a file replays the
+// identical failure forever via --replay and belongs in
 // tests/chaos_corpus/ as a regression test.
 //
 // Exit codes follow the shared contract in util/status.h:
@@ -72,6 +73,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "chaos/campaign.h"
@@ -312,74 +314,40 @@ WriteFileOrDie(const std::string& path, const std::string& body)
         IoFatal("cannot write ", path);
 }
 
-/**
- * Minimizes (optionally) and reports one failing seed; writes the repro
- * schedule under --out-dir when given. Returns the schedule actually
- * reported (minimized or original).
- */
-void
-ReportFailure(const Options& opts, const chaos::SeedResult& failure)
+/** What the shared paths below call each drill. */
+struct DrillNames {
+    const char* campaign;  ///< totals-line and error-message label
+    const char* repro;     ///< repro file name, up to the seed number
+};
+
+DrillNames
+NamesOf(const chaos::CampaignSpec&)
 {
-    io::ChaosSchedule repro = failure.schedule;
-    if (opts.minimize) {
-        util::StatusOr<io::ChaosSchedule> minimized =
-            chaos::Minimize(opts.spec, failure.schedule);
-        if (minimized.ok())
-            repro = *minimized;
-        else
-            std::fprintf(stderr, "atum-chaos: minimize failed: %s\n",
-                         minimized.status().ToString().c_str());
-    }
-    std::fprintf(stderr, "FAIL %s\n", failure.Summary().c_str());
-    obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
-                      failure.seed, 0);
-    if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-seed-" +
-                                 std::to_string(failure.seed) + ".schedule";
-        WriteFileOrDie(path, repro.Serialize());
-        std::fprintf(stderr, "  repro written to %s\n", path.c_str());
-    } else {
-        std::fprintf(stderr, "  repro schedule:\n%s",
-                     repro.Serialize().c_str());
-    }
+    return {"campaign", "failing-seed-"};
 }
 
-/** ReportFailure for a failing serve drill (MinimizeServe instead). */
-void
-ReportServeFailure(const Options& opts, const chaos::ServeSeedResult& failure)
+DrillNames
+NamesOf(const chaos::ServeCampaignSpec&)
 {
-    io::ChaosSchedule repro = failure.schedule;
-    if (opts.minimize) {
-        util::StatusOr<io::ChaosSchedule> minimized =
-            chaos::MinimizeServe(opts.serve_spec, failure.schedule);
-        if (minimized.ok())
-            repro = *minimized;
-        else
-            std::fprintf(stderr, "atum-chaos: minimize failed: %s\n",
-                         minimized.status().ToString().c_str());
-    }
-    std::fprintf(stderr, "FAIL %s\n", failure.Summary().c_str());
-    obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
-                      failure.seed, 0);
-    if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-serve-seed-" +
-                                 std::to_string(failure.seed) + ".schedule";
-        WriteFileOrDie(path, repro.Serialize());
-        std::fprintf(stderr, "  repro written to %s\n", path.c_str());
-    } else {
-        std::fprintf(stderr, "  repro schedule:\n%s",
-                     repro.Serialize().c_str());
-    }
+    return {"serve campaign", "failing-serve-seed-"};
 }
 
-/** ReportFailure for a failing net drill (MinimizeNet instead). */
+DrillNames
+NamesOf(const chaos::NetCampaignSpec&)
+{
+    return {"net campaign", "failing-net-seed-"};
+}
+
+/** Minimizes (optionally) and reports one failing seed; writes the
+ *  repro schedule under --out-dir when given. */
+template <typename Spec, typename Seed>
 void
-ReportNetFailure(const Options& opts, const chaos::NetSeedResult& failure)
+ReportFailure(const Options& opts, const Spec& spec, const Seed& failure)
 {
     io::ChaosSchedule repro = failure.schedule;
     if (opts.minimize) {
         util::StatusOr<io::ChaosSchedule> minimized =
-            chaos::MinimizeNet(opts.net_spec, failure.schedule);
+            chaos::Minimize(spec, failure.schedule);
         if (minimized.ok())
             repro = *minimized;
         else
@@ -390,7 +358,7 @@ ReportNetFailure(const Options& opts, const chaos::NetSeedResult& failure)
     obs::flight::Note("chaos.seed-failure", failure.Summary().c_str(),
                       failure.seed, 0);
     if (!opts.out_dir.empty()) {
-        const std::string path = opts.out_dir + "/failing-net-seed-" +
+        const std::string path = opts.out_dir + "/" + NamesOf(spec).repro +
                                  std::to_string(failure.seed) + ".schedule";
         WriteFileOrDie(path, repro.Serialize());
         std::fprintf(stderr, "  repro written to %s\n", path.c_str());
@@ -406,9 +374,9 @@ RunProbe(const Options& opts)
 {
     util::StatusOr<io::OpCounts> probe =
         opts.net
-            ? chaos::ProbeNetOpCounts(opts.net_spec, opts.first_seed)
+            ? chaos::ProbeOpCounts(opts.net_spec, opts.first_seed)
         : opts.serve
-            ? chaos::ProbeServeOpCounts(opts.serve_spec, opts.first_seed)
+            ? chaos::ProbeOpCounts(opts.serve_spec, opts.first_seed)
             : chaos::ProbeOpCounts(opts.spec);
     if (!probe.ok())
         IoFatal("probe failed: ", probe.status().ToString());
@@ -427,106 +395,27 @@ RunProbe(const Options& opts)
     return util::kExitOk;
 }
 
+/** Replays one schedule file through the selected drill (--replay). */
+template <typename Spec>
 int
-RunReplay(const Options& opts)
+RunReplay(const Options& opts, Spec spec)
 {
     util::StatusOr<io::ChaosSchedule> schedule =
         io::ChaosSchedule::Parse(ReadFileOrDie(opts.replay));
     if (!schedule.ok())
         IoFatal(opts.replay, ": ", schedule.status().ToString());
-
-    if (opts.net) {
-        chaos::NetCampaignSpec spec = opts.net_spec;
-        if (spec.campaigns.empty())
-            spec.campaigns = schedule->campaigns;
-        util::StatusOr<chaos::NetSeedResult> result =
-            chaos::ReplayNetSchedule(spec, *schedule);
-        if (!result.ok())
-            IoFatal("replay failed to run: ", result.status().ToString());
-        std::printf("%s\n", result->Summary().c_str());
-        if (result->ok())
-            return util::kExitOk;
-        Options report_opts = opts;
-        report_opts.net_spec = spec;
-        ReportNetFailure(report_opts, *result);
-        return util::kExitError;
-    }
-
-    if (opts.serve) {
-        chaos::ServeCampaignSpec spec = opts.serve_spec;
-        if (spec.campaigns.empty())
-            spec.campaigns = schedule->campaigns;
-        util::StatusOr<chaos::ServeSeedResult> result =
-            chaos::ReplayServeSchedule(spec, *schedule);
-        if (!result.ok())
-            IoFatal("replay failed to run: ", result.status().ToString());
-        std::printf("%s\n", result->Summary().c_str());
-        if (result->ok())
-            return util::kExitOk;
-        Options report_opts = opts;
-        report_opts.serve_spec = spec;
-        ReportServeFailure(report_opts, *result);
-        return util::kExitError;
-    }
-
-    chaos::CampaignSpec spec = opts.spec;
     if (spec.campaigns.empty())
         spec.campaigns = schedule->campaigns;
 
-    util::StatusOr<chaos::SeedResult> result =
-        chaos::ReplaySchedule(spec, *schedule);
+    auto result = chaos::ReplaySchedule(spec, *schedule);
     if (!result.ok())
         IoFatal("replay failed to run: ", result.status().ToString());
 
     std::printf("%s\n", result->Summary().c_str());
     if (result->ok())
         return util::kExitOk;
-    Options report_opts = opts;
-    report_opts.spec = spec;
-    ReportFailure(report_opts, *result);
+    ReportFailure(opts, spec, *result);
     return util::kExitError;
-}
-
-/** The hostile-network campaign (--net). */
-int
-RunNetSeeds(Options& opts)
-{
-    opts.net_spec.campaigns = opts.campaigns;
-    uint64_t done = 0;
-    const auto on_seed = [&](const chaos::NetSeedResult& r) {
-        ++done;
-        if (opts.verbose || !r.ok())
-            std::printf("%s\n", r.Summary().c_str());
-        else if (done % 50 == 0)
-            std::printf("... %llu/%llu seeds\n",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(opts.seeds));
-    };
-
-    util::StatusOr<chaos::NetCampaignResult> result =
-        chaos::RunNetCampaign(opts.net_spec, opts.first_seed, opts.seeds,
-                              on_seed);
-    if (!result.ok())
-        IoFatal("net campaign failed to run: ", result.status().ToString());
-
-    std::printf(
-        "net campaign: %llu seeds, %llu faults fired, %llu kills, "
-        "%llu acks (%llu dedup), %llu retries, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->kills),
-        static_cast<unsigned long long>(result->acks),
-        static_cast<unsigned long long>(result->dup_acks),
-        static_cast<unsigned long long>(result->retries),
-        result->failures.size());
-
-    for (const chaos::NetSeedResult& failure : result->failures)
-        ReportNetFailure(opts, failure);
-    if (!result->ok() && obs::flight::Armed() &&
-        obs::flight::DumpNow("campaign-failure"))
-        std::fprintf(stderr, "  flight recorder: %s/chaos.flight.json\n",
-                     opts.out_dir.c_str());
-    return result->ok() ? util::kExitOk : util::kExitError;
 }
 
 /** The protocol codec fuzzer (--fuzz-protocol): --seeds is the input
@@ -540,60 +429,60 @@ RunFuzz(const Options& opts)
     return report.ok() ? util::kExitOk : util::kExitError;
 }
 
-/** The serve kill-restart campaign (--serve --campaign ...). */
-int
-RunServeSeeds(Options& opts)
+/** The closing totals of a capture or serve campaign (the disk drills);
+ *  the net drill's overload below prints its wire counts instead. */
+template <typename Spec, typename Result>
+void
+PrintTotals(const Spec& spec, const Result& result)
 {
-    opts.serve_spec.campaigns = opts.campaigns;
-    uint64_t done = 0;
-    const auto on_seed = [&](const chaos::ServeSeedResult& r) {
-        ++done;
-        if (opts.verbose || !r.ok())
-            std::printf("%s\n", r.Summary().c_str());
-        else if (done % 50 == 0)
-            std::printf("... %llu/%llu seeds\n",
-                        static_cast<unsigned long long>(done),
-                        static_cast<unsigned long long>(opts.seeds));
-    };
-
-    util::StatusOr<chaos::ServeCampaignResult> result =
-        chaos::RunServeCampaign(opts.serve_spec, opts.first_seed, opts.seeds,
-                                on_seed);
-    if (!result.ok())
-        IoFatal("serve campaign failed to run: ", result.status().ToString());
-
     std::printf(
-        "serve campaign: %llu seeds, %llu faults fired, %llu power cuts, "
+        "%s: %llu seeds, %llu faults fired, %llu power cuts, "
         "%llu resumes, %llu salvages, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->power_cuts),
-        static_cast<unsigned long long>(result->resumes),
-        static_cast<unsigned long long>(result->salvages),
-        result->failures.size());
-    if (opts.serve_spec.sweeps > 0)
-        std::printf(
-            "  sweeps: %llu acked, %llu rows complete, "
-            "%llu partial-journal resumes\n",
-            static_cast<unsigned long long>(result->sweeps_acked),
-            static_cast<unsigned long long>(result->sweep_rows),
-            static_cast<unsigned long long>(result->sweep_partial_resumes));
-
-    for (const chaos::ServeSeedResult& failure : result->failures)
-        ReportServeFailure(opts, failure);
-    if (!result->ok() && obs::flight::Armed() &&
-        obs::flight::DumpNow("campaign-failure"))
-        std::fprintf(stderr, "  flight recorder: %s/chaos.flight.json\n",
-                     opts.out_dir.c_str());
-    return result->ok() ? util::kExitOk : util::kExitError;
+        NamesOf(spec).campaign,
+        static_cast<unsigned long long>(result.seeds_run),
+        static_cast<unsigned long long>(result.faults_fired),
+        static_cast<unsigned long long>(result.power_cuts),
+        static_cast<unsigned long long>(result.resumes),
+        static_cast<unsigned long long>(result.salvages),
+        result.failures.size());
+    if constexpr (std::is_same_v<Spec, chaos::ServeCampaignSpec>) {
+        if (spec.sweeps > 0)
+            std::printf(
+                "  sweeps: %llu acked, %llu rows complete, "
+                "%llu partial-journal resumes\n",
+                static_cast<unsigned long long>(result.sweeps_acked),
+                static_cast<unsigned long long>(result.sweep_rows),
+                static_cast<unsigned long long>(
+                    result.sweep_partial_resumes));
+    }
 }
 
-int
-RunSeeds(Options& opts)
+void
+PrintTotals(const chaos::NetCampaignSpec& spec,
+            const chaos::NetCampaignResult& result)
 {
-    opts.spec.campaigns = opts.campaigns;
+    std::printf(
+        "%s: %llu seeds, %llu faults fired, %llu kills, "
+        "%llu acks (%llu dedup), %llu retries, %zu failing\n",
+        NamesOf(spec).campaign,
+        static_cast<unsigned long long>(result.seeds_run),
+        static_cast<unsigned long long>(result.faults_fired),
+        static_cast<unsigned long long>(result.kills),
+        static_cast<unsigned long long>(result.acks),
+        static_cast<unsigned long long>(result.dup_acks),
+        static_cast<unsigned long long>(result.retries),
+        result.failures.size());
+}
+
+/** A seeded campaign over the selected drill (--campaign, --serve,
+ *  --net): progress lines, totals, then every failure reported. */
+template <typename Spec>
+int
+RunSeeds(const Options& opts, Spec spec)
+{
+    spec.campaigns = opts.campaigns;
     uint64_t done = 0;
-    const auto on_seed = [&](const chaos::SeedResult& r) {
+    const auto on_seed = [&](const auto& r) {
         ++done;
         if (opts.verbose || !r.ok())
             std::printf("%s\n", r.Summary().c_str());
@@ -603,23 +492,15 @@ RunSeeds(Options& opts)
                         static_cast<unsigned long long>(opts.seeds));
     };
 
-    util::StatusOr<chaos::CampaignResult> result =
-        chaos::RunCampaign(opts.spec, opts.first_seed, opts.seeds, on_seed);
+    auto result =
+        chaos::RunCampaign(spec, opts.first_seed, opts.seeds, on_seed);
     if (!result.ok())
-        IoFatal("campaign failed to run: ", result.status().ToString());
+        IoFatal(NamesOf(spec).campaign, " failed to run: ",
+                result.status().ToString());
 
-    std::printf(
-        "campaign: %llu seeds, %llu faults fired, %llu power cuts, "
-        "%llu resumes, %llu salvages, %zu failing\n",
-        static_cast<unsigned long long>(result->seeds_run),
-        static_cast<unsigned long long>(result->faults_fired),
-        static_cast<unsigned long long>(result->power_cuts),
-        static_cast<unsigned long long>(result->resumes),
-        static_cast<unsigned long long>(result->salvages),
-        result->failures.size());
-
-    for (const chaos::SeedResult& failure : result->failures)
-        ReportFailure(opts, failure);
+    PrintTotals(spec, *result);
+    for (const auto& failure : result->failures)
+        ReportFailure(opts, spec, failure);
     if (!result->ok() && obs::flight::Armed() &&
         obs::flight::DumpNow("campaign-failure"))
         std::fprintf(stderr, "  flight recorder: %s/chaos.flight.json\n",
@@ -648,10 +529,10 @@ main(int argc, char** argv)
     if (opts.probe)
         return atum::RunProbe(opts);
     if (!opts.replay.empty())
-        return atum::RunReplay(opts);
-    if (opts.net)
-        return atum::RunNetSeeds(opts);
-    if (opts.serve)
-        return atum::RunServeSeeds(opts);
-    return atum::RunSeeds(opts);
+        return opts.net     ? atum::RunReplay(opts, opts.net_spec)
+               : opts.serve ? atum::RunReplay(opts, opts.serve_spec)
+                            : atum::RunReplay(opts, opts.spec);
+    return opts.net     ? atum::RunSeeds(opts, opts.net_spec)
+           : opts.serve ? atum::RunSeeds(opts, opts.serve_spec)
+                        : atum::RunSeeds(opts, opts.spec);
 }

@@ -122,7 +122,7 @@ MakeToken()
         (static_cast<uint64_t>(::getpid()) << 32) ^
         static_cast<uint64_t>(
             std::chrono::steady_clock::now().time_since_epoch().count()));
-    char buf[36];
+    char buf[sizeof "submit-" + 32];  // prefix + 32 hex digits + NUL
     std::snprintf(buf, sizeof buf, "submit-%016llx%016llx",
                   static_cast<unsigned long long>(rng()),
                   static_cast<unsigned long long>(rng()));
