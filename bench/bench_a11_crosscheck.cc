@@ -73,7 +73,7 @@ Capture(const std::string& workload, trace::TraceSink& sink,
     core::AtumTracer tracer(machine, sink, config);
     kernel::BootSystem(machine, {workloads::MakeWorkload(workload)});
     const core::SessionResult result =
-        core::RunTraced(machine, tracer, 500'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 500'000'000});
     if (!result.halted)
         Fatal("A11: workload '", workload, "' did not halt");
     RunOutcome out;

@@ -32,7 +32,8 @@ Run()
         options.max_pool_frames = pool;
         kernel::BootInfo info = kernel::BootSystem(
             machine, {workloads::MakeSort(6000)}, options);
-        const auto result = core::RunTraced(machine, tracer, 400'000'000);
+        const auto result = core::RunSupervised(
+            machine, tracer, {.max_instructions = 400'000'000});
         if (!result.halted)
             Fatal("paging run did not complete at pool=", pool);
 

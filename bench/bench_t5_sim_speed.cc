@@ -43,7 +43,8 @@ BM_MachineTraced(benchmark::State& state)
         trace::CountingSink sink;
         core::AtumTracer tracer(machine, sink);
         kernel::BootSystem(machine, {workloads::MakeHash(1500)});
-        const auto r = core::RunTraced(machine, tracer, 400'000'000);
+        const auto r = core::RunSupervised(
+            machine, tracer, {.max_instructions = 400'000'000});
         instructions += r.instructions;
     }
     state.counters["instr/s"] = benchmark::Counter(

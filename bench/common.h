@@ -150,7 +150,8 @@ CaptureFullSystem(std::vector<kernel::GuestProgram> programs,
     core::AtumTracer tracer(machine, sink, tracer_config);
     kernel::BootInfo info = kernel::BootSystem(machine, std::move(programs));
     Capture capture;
-    capture.session = core::RunTraced(machine, tracer, 400'000'000);
+    capture.session = core::RunSupervised(
+        machine, tracer, {.max_instructions = 400'000'000});
     if (!capture.session.halted)
         Fatal("capture did not run to completion");
     capture.records = sink.TakeRecords();

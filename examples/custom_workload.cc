@@ -63,7 +63,8 @@ main()
     trace::VectorSink sink;
     core::AtumTracer tracer(machine, sink);
     kernel::BootSystem(machine, {std::move(program)});
-    const auto result = core::RunTraced(machine, tracer, 10'000'000);
+    const auto result = core::RunSupervised(
+        machine, tracer, {.max_instructions = 10'000'000});
 
     trace::TraceStats stats;
     for (const auto& r : sink.records())

@@ -37,7 +37,7 @@ main()
         trace::VectorSink sink;
         core::AtumTracer tracer(machine, sink);
         kernel::BootSystem(machine, std::move(programs));
-        core::RunTraced(machine, tracer, 400'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 400'000'000});
 
         trace::TraceStats stats;
         for (const auto& r : sink.records())

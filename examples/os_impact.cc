@@ -44,7 +44,7 @@ main()
         cpu::Machine machine(MachineConfig());
         core::AtumTracer tracer(machine, full_sink);
         kernel::BootSystem(machine, workloads::StandardMix());
-        core::RunTraced(machine, tracer, 400'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 400'000'000});
     }
 
     // Capture 2: user-only probe on process 1 of the identical mix.

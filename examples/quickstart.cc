@@ -41,7 +41,7 @@ main()
 
     // 4. Run traced until every process exits.
     const core::SessionResult result =
-        core::RunTraced(machine, tracer, 100'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 100'000'000});
 
     std::printf("halted=%d instructions=%llu ucycles=%llu records=%llu "
                 "buffer-fills=%llu\n\n",

@@ -29,7 +29,7 @@ main()
     trace::VectorSink sink;
     core::AtumTracer tracer(machine, sink);
     kernel::BootSystem(machine, workloads::StandardMix());
-    core::RunTraced(machine, tracer, 400'000'000);
+    core::RunSupervised(machine, tracer, {.max_instructions = 400'000'000});
 
     const std::vector<uint64_t> windows = {100, 1000, 10000, 100000};
     analysis::WorkingSetAnalyzer full(windows);

@@ -362,7 +362,7 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
     uint64_t remaining = found->meta().instructions_remaining;
     if (remaining == 0 || remaining == UINT64_MAX)
         remaining = spec.max_instructions;
-    (void)core::RunTraced(machine, tracer, remaining);
+    (void)core::RunSupervised(machine, tracer, {.max_instructions = remaining});
     const util::Status close_status = (*sink)->Close();
 
     util::StatusOr<TraceFacts> facts = ScanUniverse(rebooted);

@@ -10,7 +10,6 @@
 namespace atum::core {
 
 using trace::Record;
-using ucode::ControlStore;
 using ucode::MemAccess;
 
 AtumTracer::AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
@@ -38,39 +37,7 @@ AtumTracer::Attach()
 {
     if (attached_)
         Fatal("AtumTracer already attached");
-    ControlStore& cs = machine_.control_store();
-
-    cs.PatchMemAccess([this](const MemAccess& access) -> uint32_t {
-        if (access.kind == ucode::MemAccessKind::kIFetch &&
-            !config_.record_ifetch) {
-            return 0;
-        }
-        if (access.kind == ucode::MemAccessKind::kPte &&
-            !config_.record_pte) {
-            return 0;
-        }
-        return Append(trace::FromMemAccess(access));
-    });
-    cs.PatchContextSwitch([this](uint16_t pid, uint32_t pcb_pa) -> uint32_t {
-        return Append(trace::MakeCtxSwitch(pid, pcb_pa));
-    });
-    cs.PatchTlbMiss([this](uint32_t vaddr, bool kernel) -> uint32_t {
-        if (!config_.record_tlb_miss)
-            return 0;
-        return Append(trace::MakeTlbMiss(vaddr, kernel));
-    });
-    cs.PatchExceptionDispatch([this](uint8_t vector) -> uint32_t {
-        if (!config_.record_exceptions)
-            return 0;
-        return Append(trace::MakeException(vector));
-    });
-    if (config_.record_opcodes) {
-        cs.PatchDecode(
-            [this](uint32_t pc, uint8_t opcode, bool kernel) -> uint32_t {
-                return Append(trace::MakeOpcode(pc, opcode, kernel));
-            });
-    }
-
+    machine_.control_store().Install(*this);
     attached_ = true;
 }
 
@@ -79,13 +46,48 @@ AtumTracer::Detach()
 {
     if (!attached_)
         return;
-    ControlStore& cs = machine_.control_store();
-    cs.Unpatch(ucode::PatchPoint::kMemAccess);
-    cs.Unpatch(ucode::PatchPoint::kContextSwitch);
-    cs.Unpatch(ucode::PatchPoint::kTlbMiss);
-    cs.Unpatch(ucode::PatchPoint::kExceptionDispatch);
-    cs.Unpatch(ucode::PatchPoint::kDecode);
+    machine_.control_store().Remove();
     attached_ = false;
+}
+
+uint32_t
+AtumTracer::OnMemAccess(const MemAccess& access)
+{
+    if (access.kind == ucode::MemAccessKind::kIFetch && !config_.record_ifetch)
+        return 0;
+    if (access.kind == ucode::MemAccessKind::kPte && !config_.record_pte)
+        return 0;
+    return Append(trace::FromMemAccess(access));
+}
+
+uint32_t
+AtumTracer::OnContextSwitch(uint16_t pid, uint32_t pcb_pa)
+{
+    return Append(trace::MakeCtxSwitch(pid, pcb_pa));
+}
+
+uint32_t
+AtumTracer::OnTlbMiss(uint32_t vaddr, bool kernel)
+{
+    if (!config_.record_tlb_miss)
+        return 0;
+    return Append(trace::MakeTlbMiss(vaddr, kernel));
+}
+
+uint32_t
+AtumTracer::OnExceptionDispatch(uint8_t vector)
+{
+    if (!config_.record_exceptions)
+        return 0;
+    return Append(trace::MakeException(vector));
+}
+
+uint32_t
+AtumTracer::OnDecode(uint32_t pc, uint8_t opcode, bool kernel)
+{
+    if (!config_.record_opcodes)
+        return 0;
+    return Append(trace::MakeOpcode(pc, opcode, kernel));
 }
 
 uint32_t

@@ -69,7 +69,7 @@ struct AtumConfig {
     uint32_t drain_retry_ucycles = 50000;
 };
 
-class AtumTracer
+class AtumTracer : public ucode::Patch
 {
   public:
     /**
@@ -167,6 +167,14 @@ class AtumTracer
     }
 
   private:
+    // The ucode::Patch micro-routines: each applies its record_* filter,
+    // then appends one record.
+    uint32_t OnMemAccess(const ucode::MemAccess& access) override;
+    uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
+    uint32_t OnTlbMiss(uint32_t vaddr, bool kernel) override;
+    uint32_t OnExceptionDispatch(uint8_t vector) override;
+    uint32_t OnDecode(uint32_t pc, uint8_t opcode, bool kernel) override;
+
     uint32_t Append(const trace::Record& record);
     /** Empties the buffer (deliver or count-as-lost); returns the
      *  micro-cycle pause this drain charged. */

@@ -80,9 +80,9 @@ struct CheckpointMeta {
     AtumConfig tracer_config;
     /** Sequence number within a rotation series (monotonic across resumes). */
     uint64_t sequence = 0;
-    /** Guest instructions retired when the checkpoint was taken. */
+    /** Machine::icount() when the checkpoint was taken. */
     uint64_t instructions = 0;
-    /** Instruction budget remaining for the capture at checkpoint time. */
+    /** Step budget (core/session.h) remaining at checkpoint time. */
     uint64_t instructions_remaining = 0;
     /** Informational: the trace file this checkpoint belongs to. */
     std::string trace_path;

@@ -9,39 +9,13 @@
 
 namespace atum::core {
 
-namespace {
-
-SessionResult
-RunCommon(cpu::Machine& machine, uint64_t max_instructions)
-{
-    SessionResult result;
-    const uint64_t ucycles_before = machine.ucycles();
-    const auto run = machine.Run(max_instructions);
-    result.instructions = run.instructions;
-    result.ucycles = machine.ucycles() - ucycles_before;
-    result.halted = run.reason == cpu::Machine::StopReason::kHalted;
-    return result;
-}
-
-void
-FillTracerStats(SessionResult& result, AtumTracer& tracer)
-{
-    result.records = tracer.records();
-    result.buffer_fills = tracer.buffer_fills();
-    result.overhead_ucycles = tracer.overhead_ucycles();
-    result.lost_records = tracer.lost_records();
-    result.loss_events = tracer.loss_events();
-    result.degraded = tracer.degraded();
-}
-
-}  // namespace
-
 void
 PublishCaptureMetrics(obs::Registry& reg, const cpu::Machine& machine,
-                      const AtumTracer& tracer, const trace::FileSink* sink)
+                      const AtumTracer* tracer, const trace::FileSink* sink)
 {
     machine.PublishMetrics(reg);
-    tracer.PublishMetrics(reg);
+    if (tracer)
+        tracer->PublishMetrics(reg);
     if (sink)
         sink->PublishMetrics(reg);
 }
@@ -64,51 +38,29 @@ StopCauseName(StopCause cause)
     return "?";
 }
 
-SessionResult
-RunTraced(cpu::Machine& machine, AtumTracer& tracer,
-          uint64_t max_instructions)
-{
-    if (!tracer.attached())
-        tracer.Attach();
-    SessionResult result = RunCommon(machine, max_instructions);
-    result.drain_status = tracer.Flush();
-    result.stop_cause =
-        result.halted ? StopCause::kHalted : StopCause::kInstrLimit;
-    FillTracerStats(result, tracer);
-    return result;
-}
+namespace {
 
-SessionResult
-RunBaseline(cpu::Machine& machine, UserOnlyTracer& tracer,
-            uint64_t max_instructions)
+void
+FillTracerStats(SessionResult& result, AtumTracer& tracer)
 {
-    if (!tracer.attached())
-        tracer.Attach();
-    SessionResult result = RunCommon(machine, max_instructions);
-    result.stop_cause =
-        result.halted ? StopCause::kHalted : StopCause::kInstrLimit;
     result.records = tracer.records();
+    result.buffer_fills = tracer.buffer_fills();
+    result.overhead_ucycles = tracer.overhead_ucycles();
     result.lost_records = tracer.lost_records();
-    return result;
+    result.loss_events = tracer.loss_events();
+    result.degraded = tracer.degraded();
 }
 
+/**
+ * The one run loop. `tracer` is null for an untraced or baseline run,
+ * which passes default options: checkpoints and the kill hook need a
+ * tracer.
+ */
 SessionResult
-RunUntraced(cpu::Machine& machine, uint64_t max_instructions)
-{
-    SessionResult result = RunCommon(machine, max_instructions);
-    result.stop_cause =
-        result.halted ? StopCause::kHalted : StopCause::kInstrLimit;
-    return result;
-}
-
-SessionResult
-RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
-              const SupervisorOptions& options)
+RunLoop(cpu::Machine& machine, AtumTracer* tracer,
+        const SupervisorOptions& options)
 {
     using Clock = std::chrono::steady_clock;
-
-    if (!tracer.attached())
-        tracer.Attach();
 
     SessionResult result;
     const uint64_t ucycles_before = machine.ucycles();
@@ -121,7 +73,7 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
     // so icount alone cannot distinguish a wedged exception loop from a
     // busy guest; LastStepFaulted can.
     uint64_t last_progress_ucycles = machine.ucycles();
-    uint64_t fills_at_last_checkpoint = tracer.buffer_fills();
+    uint64_t fills_at_last_checkpoint = tracer ? tracer->buffer_fills() : 0;
     StopCause cause = StopCause::kInstrLimit;
     bool stopped = false;
 
@@ -168,14 +120,14 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
                 options.file_sink->SaveState();
             if (sink_state.ok()) {
                 meta.has_sink_state = true;
-                status = options.checkpoints->Write(meta, machine, tracer,
+                status = options.checkpoints->Write(meta, machine, *tracer,
                                                     &*sink_state);
             } else {
                 status = sink_state.status();
             }
         } else {
             status =
-                options.checkpoints->Write(meta, machine, tracer, nullptr);
+                options.checkpoints->Write(meta, machine, *tracer, nullptr);
         }
         if (!status.ok()) {
             // The capture goes on: losing checkpoint coverage is strictly
@@ -185,7 +137,7 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
             Warn("checkpoint write failed (capture continues): ",
                  status.ToString());
         }
-        fills_at_last_checkpoint = tracer.buffer_fills();
+        fills_at_last_checkpoint = tracer->buffer_fills();
         checkpoint_counter.Add(1);
         checkpoint_us.Add(static_cast<uint64_t>(
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -222,7 +174,8 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
     // while a sampled window is open.
     if (profiler != nullptr) {
         machine.SetPhaseProfiler(profiler);
-        tracer.SetPhaseProfiler(profiler);
+        if (tracer)
+            tracer->SetPhaseProfiler(profiler);
         profiler->BeginRun();
     }
 
@@ -263,11 +216,11 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
                 break;
             }
             if (options.checkpoints &&
-                tracer.buffer_fills() - fills_at_last_checkpoint >=
+                tracer->buffer_fills() - fills_at_last_checkpoint >=
                     options.checkpoint_every_fills)
                 take_checkpoint(executed);
             if (options.kill_after_fills != 0 &&
-                tracer.buffer_fills() >= options.kill_after_fills) {
+                tracer->buffer_fills() >= options.kill_after_fills) {
                 // Test hook: vanish exactly as SIGKILL would — no
                 // destructors, no seal, no final checkpoint. 137 is the
                 // shell's exit code for a SIGKILLed process.
@@ -316,11 +269,13 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
     if (options.checkpoints)
         take_checkpoint(executed);
 
-    {
-        ATUM_SPAN("supervisor", "flush");
-        result.drain_status = tracer.Flush();
+    if (tracer) {
+        {
+            ATUM_SPAN("supervisor", "flush");
+            result.drain_status = tracer->Flush();
+        }
+        FillTracerStats(result, *tracer);
     }
-    FillTracerStats(result, tracer);
     if (options.checkpoints) {
         result.checkpoints_written = options.checkpoints->written();
         result.last_checkpoint = options.checkpoints->last_path();
@@ -333,8 +288,40 @@ RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
     if (profiler != nullptr) {
         profiler->EndRun();
         machine.SetPhaseProfiler(nullptr);
-        tracer.SetPhaseProfiler(nullptr);
+        if (tracer)
+            tracer->SetPhaseProfiler(nullptr);
     }
+    return result;
+}
+
+}  // namespace
+
+SessionResult
+RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
+              const SupervisorOptions& options)
+{
+    if (!tracer.attached())
+        tracer.Attach();
+    return RunLoop(machine, &tracer, options);
+}
+
+SessionResult
+RunUntraced(cpu::Machine& machine, uint64_t max_instructions)
+{
+    SupervisorOptions options;
+    options.max_instructions = max_instructions;
+    return RunLoop(machine, nullptr, options);
+}
+
+SessionResult
+RunBaseline(cpu::Machine& machine, UserOnlyTracer& tracer,
+            uint64_t max_instructions)
+{
+    if (!tracer.attached())
+        tracer.Attach();
+    SessionResult result = RunUntraced(machine, max_instructions);
+    result.records = tracer.records();
+    result.lost_records = tracer.lost_records();
     return result;
 }
 

@@ -3,10 +3,17 @@
 
 /**
  * @file
- * Capture-session helpers: run a prepared machine to completion under a
- * tracer and collect the capture-side statistics in one struct — plus
- * the supervised long-haul run loop (RunSupervised) that adds periodic
- * checkpoints, a deadman watchdog, deadlines and graceful signal stops.
+ * Capture-session helpers: run a prepared machine under a tracer and
+ * collect the capture-side statistics in one struct. There is one run
+ * loop: RunSupervised, with periodic checkpoints, a deadman watchdog,
+ * deadlines and graceful signal stops, all off by default. RunUntraced
+ * and RunBaseline run the same loop with no ATUM tracer.
+ *
+ * Step unit: every instruction budget and every
+ * SessionResult::instructions counts Machine::StepOne dispatches, i.e.
+ * executed instructions plus interrupt deliveries. That is the unit of
+ * atum-capture output, RUN.json, checkpoints and serve jobs.
+ * Machine::Run and Machine::icount() count instructions only.
  *
  * Ordering note: an AtumTracer must be constructed *before* the guest
  * kernel is booted (its buffer reservation must be visible to the boot
@@ -30,7 +37,7 @@
 
 namespace atum::core {
 
-/** Why a (supervised) capture run stopped. */
+/** Why a run stopped. */
 enum class StopCause {
     kHalted,     ///< guest executed HALT — normal completion
     kInstrLimit, ///< the instruction budget was exhausted
@@ -44,7 +51,7 @@ const char* StopCauseName(StopCause cause);
 
 /** Outcome of one capture run. */
 struct SessionResult {
-    uint64_t instructions = 0;  ///< guest instructions executed
+    uint64_t instructions = 0;  ///< steps: instructions + interrupts
     uint64_t ucycles = 0;       ///< total micro-cycles (incl. tracing)
     bool halted = false;        ///< machine reached HALT
     uint64_t records = 0;       ///< trace records captured
@@ -54,7 +61,7 @@ struct SessionResult {
     uint32_t loss_events = 0;   ///< distinct sink-failure episodes
     bool degraded = false;      ///< capture ended in counting-only mode
 
-    // -- supervision outcome (RunSupervised only) --------------------------
+    // -- supervision outcome -----------------------------------------------
     StopCause stop_cause = StopCause::kInstrLimit;
     uint32_t checkpoints_written = 0;
     std::string last_checkpoint;     ///< newest checkpoint file ("" if none)
@@ -64,20 +71,9 @@ struct SessionResult {
     util::Status checkpoint_status;
 };
 
-/** Runs with ATUM microcode tracing attached; flushes the buffer at end. */
-SessionResult RunTraced(cpu::Machine& machine, AtumTracer& tracer,
-                        uint64_t max_instructions);
-
-/** Runs with the user-only baseline tracer attached. */
-SessionResult RunBaseline(cpu::Machine& machine, UserOnlyTracer& tracer,
-                          uint64_t max_instructions);
-
-/** Runs without any tracer (for slowdown comparisons). */
-SessionResult RunUntraced(cpu::Machine& machine, uint64_t max_instructions);
-
-/** Knobs for the supervised long-haul run loop. */
+/** Knobs for the run loop; the defaults supervise nothing. */
 struct SupervisorOptions {
-    /** Guest instruction budget. */
+    /** Step budget (instructions plus interrupt deliveries). */
     uint64_t max_instructions = UINT64_MAX;
 
     /**
@@ -118,7 +114,7 @@ struct SupervisorOptions {
      */
     trace::FileSink* file_sink = nullptr;
     /** Template for each checkpoint's meta (configs, trace path). */
-    CheckpointMeta meta;
+    CheckpointMeta meta{};
 
     /**
      * Test hook: die with _Exit(137) — no destructors, no seal, exactly
@@ -151,7 +147,7 @@ struct SupervisorOptions {
      * enforcement and cancel/drain propagation set *stop_flag from here.
      * May be null. Must not throw.
      */
-    std::function<void()> on_slice;
+    std::function<void()> on_slice{};
 
     /**
      * Sampling phase profiler (obs/spans.h). When set, the loop opens a
@@ -166,20 +162,22 @@ struct SupervisorOptions {
 
 /**
  * Publishes the whole capture stack — machine (cpu.* / mmu.*), tracer
- * (tracer.*) and optionally the sink's container tallies
- * (trace.sink.*) — into `reg`. Called at every telemetry boundary by
- * RunSupervised; callers can reuse it to refresh finals before writing
- * a run manifest.
+ * (tracer.*, when non-null) and the sink's container tallies
+ * (trace.sink.*, when non-null) — into `reg`. Called at every telemetry
+ * boundary by the run loop; callers can reuse it to refresh finals
+ * before writing a run manifest.
  */
 void PublishCaptureMetrics(obs::Registry& reg, const cpu::Machine& machine,
-                           const AtumTracer& tracer,
+                           const AtumTracer* tracer,
                            const trace::FileSink* sink);
 
 /**
- * The long-haul capture loop: RunTraced plus supervision. Steps the
- * machine in slices, writing periodic checkpoints at buffer-fill
- * boundaries, stopping cleanly on signal/deadline/watchdog, and sealing
- * capture state on every exit path:
+ * Runs with ATUM microcode tracing attached (attaching it if needed).
+ * A plain capture passes only a budget:
+ * `RunSupervised(machine, tracer, {.max_instructions = n})`. The loop
+ * steps the machine in slices, writing periodic checkpoints at
+ * buffer-fill boundaries, stopping cleanly on signal/deadline/watchdog,
+ * and sealing capture state on every exit path:
  *
  *   1. a final checkpoint is written *before* the final drain, so a
  *      resume from it replays the drain and stays byte-identical;
@@ -191,6 +189,13 @@ void PublishCaptureMetrics(obs::Registry& reg, const cpu::Machine& machine,
  */
 SessionResult RunSupervised(cpu::Machine& machine, AtumTracer& tracer,
                             const SupervisorOptions& options);
+
+/** The same loop with no tracer (for slowdown comparisons). */
+SessionResult RunUntraced(cpu::Machine& machine, uint64_t max_instructions);
+
+/** The same loop with the user-only baseline tracer attached. */
+SessionResult RunBaseline(cpu::Machine& machine, UserOnlyTracer& tracer,
+                          uint64_t max_instructions);
 
 }  // namespace atum::core
 

@@ -36,7 +36,7 @@ struct UserTracerConfig {
     uint32_t cost_per_record = 0;
 };
 
-class UserOnlyTracer
+class UserOnlyTracer : public ucode::Patch
 {
   public:
     /** Both references must outlive the tracer. */
@@ -58,6 +58,10 @@ class UserOnlyTracer
     uint64_t lost_records() const { return lost_records_; }
 
   private:
+    // ucode::Patch: keep the target's user references; track the pid.
+    uint32_t OnMemAccess(const ucode::MemAccess& access) override;
+    uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
+
     cpu::Machine& machine_;
     trace::TraceSink& sink_;
     UserTracerConfig config_;

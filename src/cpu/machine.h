@@ -132,13 +132,19 @@ class Machine
 
     struct RunResult {
         StopReason reason;
-        uint64_t instructions;  ///< executed during this Run call
+        uint64_t instructions;  ///< icount advance during this Run call
     };
 
-    /** Executes until HALT or `max_instructions` are retired. */
+    /**
+     * Executes until HALT or until icount() has advanced by
+     * `max_instructions`. This cpu-layer primitive counts instructions
+     * only; interrupt deliveries take a StepOne but no icount. The
+     * session run loop (core/session.h) counts steps instead, so its
+     * `instructions` also includes the interrupt deliveries.
+     */
     RunResult Run(uint64_t max_instructions);
 
-    /** Executes one instruction (or takes one pending interrupt). */
+    /** Executes one instruction or takes one pending interrupt: a step. */
     void StepOne();
 
     bool halted() const { return halted_; }

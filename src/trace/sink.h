@@ -12,7 +12,7 @@
  * tracer's drain path retries and degrades instead (core/atum_tracer.h).
  *
  * File-backed sinks write the checksummed ATF2 container
- * (trace/container.h); file sources read ATF2 and legacy v1.
+ * (trace/container.h); file sources read ATF2.
  */
 
 #include <cstdint>
@@ -211,10 +211,10 @@ class VectorSource : public TraceSource
 };
 
 /**
- * Reads a trace file (ATF2 or legacy v1). Damage does not kill the
- * stream: Next() serves every checksum-verified record and then stops;
- * status() tells whether that end was a clean EOF (OK) or a tear
- * (data-loss), and report() has the per-chunk detail.
+ * Reads an ATF2 trace file. Damage does not kill the stream: Next()
+ * serves every checksum-verified record and then stops; status() tells
+ * whether that end was a clean EOF (OK) or a tear (data-loss), and
+ * report() has the per-chunk detail.
  */
 class FileSource : public TraceSource
 {
@@ -227,7 +227,6 @@ class FileSource : public TraceSource
     /** OK while every record so far came from verified, complete data. */
     const util::Status& status() const { return status_; }
     const ScanReport& report() const { return report_; }
-    bool legacy_v1() const { return report_.legacy_v1; }
 
   private:
     FileSource() = default;

@@ -5,140 +5,11 @@
 namespace atum::ucode {
 
 void
-ControlStore::PatchMemAccess(MemAccessHook hook)
+ControlStore::Install(Patch& patch)
 {
-    if (mem_hook_)
-        Fatal("kMemAccess already patched");
-    mem_hook_ = std::move(hook);
-}
-
-void
-ControlStore::PatchContextSwitch(ContextSwitchHook hook)
-{
-    if (csw_hook_)
-        Fatal("kContextSwitch already patched");
-    csw_hook_ = std::move(hook);
-}
-
-void
-ControlStore::PatchTlbMiss(TlbMissHook hook)
-{
-    if (tlb_hook_)
-        Fatal("kTlbMiss already patched");
-    tlb_hook_ = std::move(hook);
-}
-
-void
-ControlStore::PatchExceptionDispatch(ExceptionHook hook)
-{
-    if (exc_hook_)
-        Fatal("kExceptionDispatch already patched");
-    exc_hook_ = std::move(hook);
-}
-
-void
-ControlStore::PatchDecode(DecodeHook hook)
-{
-    if (decode_hook_)
-        Fatal("kDecode already patched");
-    decode_hook_ = std::move(hook);
-}
-
-void
-ControlStore::Unpatch(PatchPoint point)
-{
-    switch (point) {
-      case PatchPoint::kMemAccess:
-        mem_hook_ = nullptr;
-        break;
-      case PatchPoint::kContextSwitch:
-        csw_hook_ = nullptr;
-        break;
-      case PatchPoint::kTlbMiss:
-        tlb_hook_ = nullptr;
-        break;
-      case PatchPoint::kExceptionDispatch:
-        exc_hook_ = nullptr;
-        break;
-      case PatchPoint::kDecode:
-        decode_hook_ = nullptr;
-        break;
-      case PatchPoint::kNumPoints:
-        Panic("Unpatch: bad patch point");
-    }
-}
-
-void
-ControlStore::UnpatchAll()
-{
-    mem_hook_ = nullptr;
-    csw_hook_ = nullptr;
-    tlb_hook_ = nullptr;
-    exc_hook_ = nullptr;
-    decode_hook_ = nullptr;
-}
-
-bool
-ControlStore::IsPatched(PatchPoint point) const
-{
-    switch (point) {
-      case PatchPoint::kMemAccess:
-        return static_cast<bool>(mem_hook_);
-      case PatchPoint::kContextSwitch:
-        return static_cast<bool>(csw_hook_);
-      case PatchPoint::kTlbMiss:
-        return static_cast<bool>(tlb_hook_);
-      case PatchPoint::kExceptionDispatch:
-        return static_cast<bool>(exc_hook_);
-      case PatchPoint::kDecode:
-        return static_cast<bool>(decode_hook_);
-      case PatchPoint::kNumPoints:
-        break;
-    }
-    Panic("IsPatched: bad patch point");
-}
-
-uint32_t
-ControlStore::FireMemAccess(const MemAccess& access)
-{
-    ++fire_counts_[static_cast<size_t>(PatchPoint::kMemAccess)];
-    return mem_hook_ ? mem_hook_(access) : 0;
-}
-
-uint32_t
-ControlStore::FireContextSwitch(uint16_t pid, uint32_t pcb_pa)
-{
-    ++fire_counts_[static_cast<size_t>(PatchPoint::kContextSwitch)];
-    return csw_hook_ ? csw_hook_(pid, pcb_pa) : 0;
-}
-
-uint32_t
-ControlStore::FireTlbMiss(uint32_t vaddr, bool kernel)
-{
-    ++fire_counts_[static_cast<size_t>(PatchPoint::kTlbMiss)];
-    return tlb_hook_ ? tlb_hook_(vaddr, kernel) : 0;
-}
-
-uint32_t
-ControlStore::FireExceptionDispatch(uint8_t vector)
-{
-    ++fire_counts_[static_cast<size_t>(PatchPoint::kExceptionDispatch)];
-    return exc_hook_ ? exc_hook_(vector) : 0;
-}
-
-uint32_t
-ControlStore::FireDecode(uint32_t pc, uint8_t opcode, bool kernel)
-{
-    ++fire_counts_[static_cast<size_t>(PatchPoint::kDecode)];
-    return decode_hook_ ? decode_hook_(pc, opcode, kernel) : 0;
-}
-
-uint64_t
-ControlStore::FireCount(PatchPoint point) const
-{
-    if (point >= PatchPoint::kNumPoints)
-        Panic("FireCount: bad patch point");
-    return fire_counts_[static_cast<size_t>(point)];
+    if (patch_)
+        Fatal("control store already patched");
+    patch_ = &patch;
 }
 
 }  // namespace atum::ucode

@@ -206,7 +206,8 @@ TEST(CheckpointResume, ResumedTraceIsByteIdentical)
         AtumTracer tracer(machine, **sink, tconfig);
         kernel::BootSystem(machine, workloads::StandardMix(1));
         const auto result =
-            core::RunTraced(machine, tracer, 100'000'000);
+            core::RunSupervised(
+                machine, tracer, {.max_instructions = 100'000'000});
         ASSERT_TRUE(result.halted);
         ASSERT_TRUE((*sink)->Close().ok());
     }
@@ -514,7 +515,8 @@ TEST(FlushStatus, EndOfRunLossIsReported)
     RefusingSink sink;
     AtumTracer tracer(machine, sink, SmallBufferConfig());
     kernel::BootSystem(machine, workloads::StandardMix(1));
-    const auto result = core::RunTraced(machine, tracer, 300'000);
+    const auto result = core::RunSupervised(
+        machine, tracer, {.max_instructions = 300'000});
     EXPECT_TRUE(result.degraded);
     EXPECT_FALSE(result.drain_status.ok());
     EXPECT_GT(result.lost_records, 0u);

@@ -85,7 +85,7 @@ CaptureWorkload(const std::string& name, bool record_opcodes = true)
     AtumTracer tracer(machine, sink, config);
     kernel::BootSystem(machine, {workloads::MakeWorkload(name)});
     const core::SessionResult result =
-        core::RunTraced(machine, tracer, 200'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 200'000'000});
     CaptureOutcome out;
     out.records = sink.records();
     out.ev = machine.event_counters();
@@ -409,7 +409,7 @@ TEST_P(CrosscheckProperty, TracerDegradeCoversCounters)
     kernel::BootSystem(machine, {workloads::MakeWorkload(GetParam())});
 
     const core::SessionResult result =
-        core::RunTraced(machine, tracer, 200'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 200'000'000});
     ASSERT_TRUE(result.halted);
     ASSERT_GT(result.lost_records, 0u);
 

@@ -31,7 +31,7 @@ using cache::CacheConfig;
 using cache::DriverOptions;
 using core::AtumConfig;
 using core::AtumTracer;
-using core::RunTraced;
+using core::RunSupervised;
 using cpu::Machine;
 using trace::Record;
 
@@ -55,7 +55,8 @@ MixTrace()
         config.buffer_bytes = 128u << 10;
         AtumTracer tracer(*machine, *sink, config);
         kernel::BootSystem(*machine, workloads::StandardMix(1));
-        const auto result = RunTraced(*machine, tracer, 100'000'000);
+        const auto result = RunSupervised(
+            *machine, tracer, {.max_instructions = 100'000'000});
         EXPECT_TRUE(result.halted);
         return *new std::vector<Record>(sink->TakeRecords());
     }();
@@ -192,7 +193,8 @@ TEST(Integration, SlowdownIsOrderTenToTwenty)
     trace::CountingSink sink;
     AtumTracer tracer(*traced, sink);
     kernel::BootSystem(*traced, {workloads::MakeHash(800)});
-    const auto with = RunTraced(*traced, tracer, 100'000'000);
+    const auto with = RunSupervised(
+        *traced, tracer, {.max_instructions = 100'000'000});
 
     auto plain = MixMachine();
     kernel::BootSystem(*plain, {workloads::MakeHash(800)});
@@ -213,7 +215,7 @@ TEST(Integration, CapturedTraceIsDeterministic)
         trace::VectorSink sink;
         AtumTracer tracer(*machine, sink);
         kernel::BootSystem(*machine, {workloads::MakeListProc(100, 3)});
-        RunTraced(*machine, tracer, 100'000'000);
+        RunSupervised(*machine, tracer, {.max_instructions = 100'000'000});
         return sink.TakeRecords();
     };
     const auto a = capture();

@@ -134,32 +134,40 @@ TEST_F(MmuTest, CleanToDirtyRewalksOnce)
 TEST_F(MmuTest, PteReferenceReportedToControlStore)
 {
     MapP0(0, 6);
-    unsigned pte_refs = 0;
-    cs_.PatchMemAccess([&](const ucode::MemAccess& a) -> uint32_t {
-        if (a.kind == ucode::MemAccessKind::kPte) {
-            ++pte_refs;
-            EXPECT_EQ(a.vaddr, 0x1000u);  // physical PTE address
-            EXPECT_EQ(a.vaddr, a.paddr);
+    struct PtePatch : ucode::Patch {
+        unsigned pte_refs = 0;
+        uint32_t OnMemAccess(const ucode::MemAccess& a) override
+        {
+            if (a.kind == ucode::MemAccessKind::kPte) {
+                ++pte_refs;
+                EXPECT_EQ(a.vaddr, 0x1000u);  // physical PTE address
+                EXPECT_EQ(a.vaddr, a.paddr);
+            }
+            return 0;
         }
-        return 0;
-    });
+    } patch;
+    cs_.Install(patch);
     ASSERT_EQ(mmu_.Translate(0, false, false).status, XlateStatus::kOk);
-    EXPECT_EQ(pte_refs, 1u);
+    EXPECT_EQ(patch.pte_refs, 1u);
 }
 
-TEST_F(MmuTest, TlbMissFiresPatchPoint)
+TEST_F(MmuTest, TlbMissFiresSplicePoint)
 {
     MapP0(0, 6);
-    unsigned misses = 0;
-    cs_.PatchTlbMiss([&](uint32_t va, bool kernel) -> uint32_t {
-        EXPECT_EQ(va, 0u);
-        EXPECT_FALSE(kernel);
-        ++misses;
-        return 0;
-    });
+    struct MissPatch : ucode::Patch {
+        unsigned misses = 0;
+        uint32_t OnTlbMiss(uint32_t va, bool kernel) override
+        {
+            EXPECT_EQ(va, 0u);
+            EXPECT_FALSE(kernel);
+            ++misses;
+            return 0;
+        }
+    } patch;
+    cs_.Install(patch);
     mmu_.Translate(0, false, false);
     mmu_.Translate(0, false, false);  // hit: no second fire
-    EXPECT_EQ(misses, 1u);
+    EXPECT_EQ(patch.misses, 1u);
 }
 
 TEST_F(MmuTest, S0Translation)

@@ -84,7 +84,6 @@ TEST(Container, SealedRoundTripIsIntact)
     const ScanReport report = Scan(bytes, &back);
     EXPECT_TRUE(report.intact());
     EXPECT_TRUE(report.sealed);
-    EXPECT_FALSE(report.legacy_v1);
     EXPECT_EQ(report.chunks_ok, 3u);
     EXPECT_EQ(report.chunks_bad, 0u);
     EXPECT_EQ(report.records_salvaged, 10u);
@@ -109,6 +108,33 @@ TEST(Container, ZeroLengthFileIsNotATrace)
     EXPECT_FALSE(report.intact());
     ASSERT_EQ(report.issues.size(), 1u);
     EXPECT_EQ(report.issues[0].error, "empty file");
+}
+
+TEST(Container, RetiredV1MagicIsNotATrace)
+{
+    // Raw v1 files ("ATUM0001" + packed records, no checksums) are no
+    // longer read: they scan as unrecognized, and loading one is a
+    // Status, never a Fatal.
+    const char v1_magic[] = "ATUM0001";
+    std::vector<uint8_t> bytes(v1_magic, v1_magic + 8);
+    for (uint32_t i = 0; i < 7; ++i) {
+        uint8_t packed[kRecordBytes];
+        PackRecord(TestRecord(i), packed);
+        bytes.insert(bytes.end(), packed, packed + sizeof packed);
+    }
+    const ScanReport report = Scan(bytes);
+    EXPECT_FALSE(report.recognized);
+    EXPECT_FALSE(report.intact());
+    EXPECT_EQ(report.records_salvaged, 0u);
+
+    io::MemVfs vfs;
+    auto file = vfs.Create("v1.atum");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Write(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE((*file)->Close().ok());
+    auto loaded = LoadTrace("v1.atum", vfs);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 // Truncate the container at EVERY byte boundary. The scanner must never
@@ -211,58 +237,6 @@ TEST(Container, FooterFlipLeavesRecordsButNotSealed)
     EXPECT_FALSE(report.intact());
     EXPECT_FALSE(report.sealed);
     EXPECT_EQ(report.records_salvaged, 10u);
-}
-
-// ---------------------------------------------------------------------------
-// Legacy v1.
-
-std::vector<uint8_t>
-V1Container(uint32_t n)
-{
-    std::vector<uint8_t> bytes(kV1Magic, kV1Magic + sizeof kV1Magic);
-    for (uint32_t i = 0; i < n; ++i) {
-        uint8_t packed[kRecordBytes];
-        PackRecord(TestRecord(i), packed);
-        bytes.insert(bytes.end(), packed, packed + sizeof packed);
-    }
-    return bytes;
-}
-
-TEST(Container, LegacyV1ReadsInFull)
-{
-    std::vector<Record> back;
-    const ScanReport report = Scan(V1Container(7), &back);
-    EXPECT_TRUE(report.intact());
-    EXPECT_TRUE(report.legacy_v1);
-    EXPECT_EQ(report.records_salvaged, 7u);
-    EXPECT_EQ(back, TestRecords(7));
-}
-
-TEST(Container, LegacyV1TruncationKeepsWholeRecords)
-{
-    std::vector<uint8_t> bytes = V1Container(7);
-    bytes.resize(bytes.size() - 3);  // tear the last record
-
-    std::vector<Record> back;
-    const ScanReport report = Scan(bytes, &back);
-    EXPECT_FALSE(report.intact());
-    EXPECT_EQ(report.records_salvaged, 6u);
-    ASSERT_EQ(report.issues.size(), 1u);
-    EXPECT_NE(report.issues[0].error.find("truncated"), std::string::npos);
-}
-
-TEST(Container, LegacyV1StopsAtImplausibleRecord)
-{
-    std::vector<uint8_t> bytes = V1Container(7);
-    // Poison record 3's type byte: v1 has no checksums, so nothing after
-    // this point can be trusted (the bytes may be misaligned garbage).
-    bytes[sizeof kV1Magic + 3 * kRecordBytes + 4] = 0xFF;
-
-    std::vector<Record> back;
-    const ScanReport report = Scan(bytes, &back);
-    EXPECT_FALSE(report.intact());
-    EXPECT_EQ(report.records_salvaged, 3u);
-    EXPECT_EQ(back, TestRecords(3));
 }
 
 // ---------------------------------------------------------------------------

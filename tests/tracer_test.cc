@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "assembler/assembler.h"
 #include "core/atum_tracer.h"
@@ -60,7 +61,8 @@ TEST(AtumTracer, CapturesFullSystemTrace)
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(2000)});
 
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
     ASSERT_GT(result.records, 0u);
     EXPECT_EQ(result.records, sink.records().size());
@@ -88,7 +90,8 @@ TEST(AtumTracer, TracingDoesNotPerturbExecution)
     trace::CountingSink sink;
     AtumTracer tracer(*traced, sink);
     kernel::BootSystem(*traced, {TinyLoop(3000)});
-    const SessionResult with = RunTraced(*traced, tracer, 10'000'000);
+    const SessionResult with = RunSupervised(
+        *traced, tracer, {.max_instructions = 10'000'000});
 
     auto plain = SmallMachine();
     kernel::BootSystem(*plain, {TinyLoop(3000)});
@@ -110,7 +113,8 @@ TEST(AtumTracer, SlowdownScalesWithPatchCost)
         config.cost_per_record = cost;
         AtumTracer tracer(*machine, sink, config);
         kernel::BootSystem(*machine, {TinyLoop(2000)});
-        const SessionResult r = RunTraced(*machine, tracer, 10'000'000);
+        const SessionResult r = RunSupervised(
+            *machine, tracer, {.max_instructions = 10'000'000});
         EXPECT_TRUE(r.halted);
         return r.ucycles;
     };
@@ -128,7 +132,8 @@ TEST(AtumTracer, BufferFillsAndDrains)
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(2000)});
 
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
     EXPECT_GT(result.buffer_fills, 2u);
     EXPECT_EQ(tracer.buffered_records(), 0u);  // flushed
@@ -144,7 +149,7 @@ TEST(AtumTracer, BufferContentsSurviveThePhysicalMemoryPath)
     trace::VectorSink sink;
     AtumTracer tracer(*machine, sink);
     kernel::BootSystem(*machine, {TinyLoop(500)});
-    RunTraced(*machine, tracer, 10'000'000);
+    RunSupervised(*machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_GT(sink.records().size(), 0u);
     for (const auto& r : sink.records()) {
         EXPECT_LT(static_cast<unsigned>(r.type),
@@ -183,7 +188,7 @@ TEST(AtumTracer, FilterConfigDropsRecordTypes)
     config.record_exceptions = false;
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(1000)});
-    RunTraced(*machine, tracer, 10'000'000);
+    RunSupervised(*machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_GT(sink.records().size(), 0u);
     for (const auto& r : sink.records()) {
         EXPECT_NE(r.type, RecordType::kIFetch);
@@ -230,7 +235,7 @@ TEST(UserOnlyTracer, SeesStrictSubsetOfAtumTrace)
         trace::VectorSink sink;
         AtumTracer tracer(*machine, sink);
         kernel::BootSystem(*machine, {TinyLoop(2000)});
-        RunTraced(*machine, tracer, 10'000'000);
+        RunSupervised(*machine, tracer, {.max_instructions = 10'000'000});
         trace::TraceStats stats;
         for (const auto& r : sink.records())
             stats.Accumulate(r);
@@ -248,6 +253,44 @@ TEST(UserOnlyTracer, SeesStrictSubsetOfAtumTrace)
     const uint64_t user = run_user();
     EXPECT_LT(user, full);
     EXPECT_GT(user, 0u);
+}
+
+TEST(Session, RunLoopsShareOneStepUnit)
+{
+    // Untraced and traced runs go through one loop that counts steps
+    // (instructions plus interrupt deliveries), so a binding budget stops
+    // both at the same guest instruction with the same count.
+    Machine::Config config;  // atum-capture's defaults
+    config.mem_bytes = 4u << 20;
+    config.timer_reload = 2000;
+    const auto boot = [](Machine& machine) {
+        std::vector<GuestProgram> programs;
+        for (const char* name :
+             {"matrix", "sort", "listproc", "grep", "hash", "fft"})
+            programs.push_back(workloads::MakeWorkload(name, 1));
+        kernel::BootSystem(machine, programs);
+    };
+    constexpr uint64_t kBudget = 200'000;
+
+    Machine plain(config);
+    boot(plain);
+    const SessionResult untraced = RunUntraced(plain, kBudget);
+
+    Machine traced(config);
+    trace::CountingSink sink;
+    AtumTracer tracer(traced, sink);
+    boot(traced);
+    const SessionResult supervised =
+        RunSupervised(traced, tracer, {.max_instructions = kBudget});
+
+    ASSERT_EQ(untraced.stop_cause, StopCause::kInstrLimit);
+    ASSERT_EQ(supervised.stop_cause, StopCause::kInstrLimit);
+    EXPECT_EQ(untraced.instructions, kBudget);
+    EXPECT_EQ(supervised.instructions, kBudget);
+    EXPECT_EQ(plain.icount(), traced.icount());
+    // The timer interrupts delivered inside the budget took steps but
+    // retired no instruction.
+    EXPECT_LT(plain.icount(), kBudget);
 }
 
 TEST(Session, UntracedRunReportsBasics)
@@ -270,7 +313,8 @@ TEST(AtumTracer, OpcodeRecordsMatchInstructionCount)
     config.record_opcodes = true;
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(500)});
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
 
     uint64_t opcode_records = 0;
@@ -343,7 +387,8 @@ TEST(AtumTracerFaults, TransientSinkFailureIsRetriedWithoutLoss)
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(2000)});
 
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
     EXPECT_EQ(tracer.drain_retries(), 2u);
     EXPECT_FALSE(result.degraded);
@@ -364,7 +409,8 @@ TEST(AtumTracerFaults, DeadSinkDegradesToCountingOnly)
     kernel::BootSystem(*machine, {TinyLoop(2000)});
 
     // The machine must run to completion even though every drain fails.
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
     EXPECT_TRUE(result.degraded);
     EXPECT_GE(result.loss_events, 1u);
@@ -385,7 +431,8 @@ TEST(AtumTracerFaults, RecoveredSinkGetsOneLossMarker)
     AtumTracer tracer(*machine, sink, config);
     kernel::BootSystem(*machine, {TinyLoop(2000)});
 
-    const SessionResult result = RunTraced(*machine, tracer, 10'000'000);
+    const SessionResult result = RunSupervised(
+        *machine, tracer, {.max_instructions = 10'000'000});
     ASSERT_TRUE(result.halted);
     EXPECT_FALSE(result.degraded);  // recovered before the end
     EXPECT_EQ(result.loss_events, 1u);

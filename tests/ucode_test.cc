@@ -23,25 +23,69 @@ TEST(MicroOp, MemoryOpsCostMoreThanAlu)
     EXPECT_GE(CostOf(MicroOpKind::kCtxLoad), CostOf(MicroOpKind::kDRead));
 }
 
-TEST(ControlStore, UnpatchedFiresReturnZero)
+/**
+ * A patch overriding four of the five splice points; each records what it
+ * saw and returns a distinct cost. OnExceptionDispatch is left to the
+ * base class.
+ */
+struct FakePatch : Patch {
+    MemAccess access;
+    uint16_t pid = 0;
+    uint32_t pcb_pa = 0;
+    uint32_t miss_vaddr = 0;
+    uint32_t decode_pc = 0;
+    uint8_t decode_op = 0;
+    bool decode_kernel = false;
+
+    uint32_t OnMemAccess(const MemAccess& a) override
+    {
+        access = a;
+        return 16;
+    }
+    uint32_t OnContextSwitch(uint16_t p, uint32_t pcb) override
+    {
+        pid = p;
+        pcb_pa = pcb;
+        return 2;
+    }
+    uint32_t OnTlbMiss(uint32_t vaddr, bool) override
+    {
+        miss_vaddr = vaddr;
+        return 3;
+    }
+    uint32_t OnDecode(uint32_t pc, uint8_t op, bool kernel) override
+    {
+        decode_pc = pc;
+        decode_op = op;
+        decode_kernel = kernel;
+        return 5;
+    }
+};
+
+void
+ExpectAllFiresReturnZero(ControlStore& cs)
 {
-    ControlStore cs;
     EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
     EXPECT_EQ(cs.FireContextSwitch(1, 0x100), 0u);
     EXPECT_EQ(cs.FireTlbMiss(0x200, false), 0u);
     EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kMemAccess), 1u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kContextSwitch), 1u);
+    EXPECT_EQ(cs.FireDecode(0x300, 0x10, false), 0u);
 }
 
-TEST(ControlStore, PatchReceivesAccessAndReturnsCost)
+TEST(ControlStore, UnpatchedFiresReturnZero)
 {
     ControlStore cs;
-    MemAccess seen;
-    cs.PatchMemAccess([&](const MemAccess& a) -> uint32_t {
-        seen = a;
-        return 16;
-    });
+    EXPECT_FALSE(cs.installed());
+    ExpectAllFiresReturnZero(cs);
+}
+
+TEST(ControlStore, EachSplicePointReachesItsOverride)
+{
+    ControlStore cs;
+    FakePatch patch;
+    cs.Install(patch);
+    EXPECT_TRUE(cs.installed());
+
     MemAccess access;
     access.vaddr = 0x1234;
     access.paddr = 0x5678;
@@ -49,84 +93,51 @@ TEST(ControlStore, PatchReceivesAccessAndReturnsCost)
     access.kind = MemAccessKind::kWrite;
     access.kernel = true;
     EXPECT_EQ(cs.FireMemAccess(access), 16u);
-    EXPECT_EQ(seen.vaddr, 0x1234u);
-    EXPECT_EQ(seen.paddr, 0x5678u);
-    EXPECT_EQ(seen.kind, MemAccessKind::kWrite);
-    EXPECT_TRUE(seen.kernel);
-}
+    EXPECT_EQ(patch.access.vaddr, 0x1234u);
+    EXPECT_EQ(patch.access.paddr, 0x5678u);
+    EXPECT_EQ(patch.access.kind, MemAccessKind::kWrite);
+    EXPECT_TRUE(patch.access.kernel);
 
-TEST(ControlStore, AllPointsPatchable)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 1u; });
-    cs.PatchContextSwitch([](uint16_t, uint32_t) { return 2u; });
-    cs.PatchTlbMiss([](uint32_t, bool) { return 3u; });
-    cs.PatchExceptionDispatch([](uint8_t) { return 4u; });
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kContextSwitch));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kTlbMiss));
-    EXPECT_TRUE(cs.IsPatched(PatchPoint::kExceptionDispatch));
-    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 1u);
-    EXPECT_EQ(cs.FireContextSwitch(0, 0), 2u);
-    EXPECT_EQ(cs.FireTlbMiss(0, true), 3u);
-    EXPECT_EQ(cs.FireExceptionDispatch(0), 4u);
-}
+    EXPECT_EQ(cs.FireContextSwitch(7, 0x4000), 2u);
+    EXPECT_EQ(patch.pid, 7u);
+    EXPECT_EQ(patch.pcb_pa, 0x4000u);
 
-TEST(ControlStore, UnpatchRemovesHook)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 9u; });
-    cs.Unpatch(PatchPoint::kMemAccess);
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 0u);
-}
+    EXPECT_EQ(cs.FireTlbMiss(0x8000, true), 3u);
+    EXPECT_EQ(patch.miss_vaddr, 0x8000u);
 
-TEST(ControlStore, UnpatchAll)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 1u; });
-    cs.PatchTlbMiss([](uint32_t, bool) { return 1u; });
-    cs.UnpatchAll();
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kMemAccess));
-    EXPECT_FALSE(cs.IsPatched(PatchPoint::kTlbMiss));
-}
-
-TEST(ControlStoreDeath, DoublePatchIsFatal)
-{
-    ControlStore cs;
-    cs.PatchMemAccess([](const MemAccess&) { return 0u; });
-    EXPECT_DEATH(cs.PatchMemAccess([](const MemAccess&) { return 0u; }),
-                 "already patched");
-}
-
-TEST(ControlStore, FireCountsAccumulate)
-{
-    ControlStore cs;
-    for (int i = 0; i < 5; ++i)
-        cs.FireMemAccess(MemAccess{});
-    EXPECT_EQ(cs.FireCount(PatchPoint::kMemAccess), 5u);
-    EXPECT_EQ(cs.FireCount(PatchPoint::kTlbMiss), 0u);
-}
-
-
-TEST(ControlStore, DecodePatchReceivesOpcodeAndPc)
-{
-    ControlStore cs;
-    uint32_t seen_pc = 0;
-    uint8_t seen_op = 0;
-    bool seen_kernel = false;
-    cs.PatchDecode([&](uint32_t pc, uint8_t op, bool kernel) -> uint32_t {
-        seen_pc = pc;
-        seen_op = op;
-        seen_kernel = kernel;
-        return 5;
-    });
     EXPECT_EQ(cs.FireDecode(0x1234, 0x10, true), 5u);
-    EXPECT_EQ(seen_pc, 0x1234u);
-    EXPECT_EQ(seen_op, 0x10);
-    EXPECT_TRUE(seen_kernel);
-    cs.Unpatch(PatchPoint::kDecode);
-    EXPECT_EQ(cs.FireDecode(0, 0, false), 0u);
+    EXPECT_EQ(patch.decode_pc, 0x1234u);
+    EXPECT_EQ(patch.decode_op, 0x10);
+    EXPECT_TRUE(patch.decode_kernel);
+}
+
+TEST(ControlStore, PointNotOverriddenReturnsZero)
+{
+    ControlStore cs;
+    FakePatch patch;
+    cs.Install(patch);
+    EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
+}
+
+TEST(ControlStore, RemoveRestoresZero)
+{
+    ControlStore cs;
+    FakePatch patch;
+    cs.Install(patch);
+    cs.Remove();
+    EXPECT_FALSE(cs.installed());
+    ExpectAllFiresReturnZero(cs);
+    cs.Install(patch);  // the store is free again
+    EXPECT_EQ(cs.FireTlbMiss(0, false), 3u);
+}
+
+TEST(ControlStoreDeath, SecondInstallIsFatal)
+{
+    ControlStore cs;
+    FakePatch first;
+    FakePatch second;
+    cs.Install(first);
+    EXPECT_DEATH(cs.Install(second), "already patched");
 }
 
 }  // namespace

@@ -134,7 +134,7 @@ TEST(Workloads, PipelineIsSyscallHeavy)
         trace::VectorSink sink;
         core::AtumTracer tracer(machine, sink);
         BootSystem(machine, std::move(programs));
-        core::RunTraced(machine, tracer, 100'000'000);
+        core::RunSupervised(machine, tracer, {.max_instructions = 100'000'000});
         uint64_t kernel = 0, total = 0;
         for (const auto& r : sink.records()) {
             if (!r.IsMemory())
@@ -277,7 +277,7 @@ TEST(Workloads, SmcRewritesItsOwnText)
     std::vector<GuestProgram> programs;
     programs.push_back(MakeSmc(100));
     BootSystem(machine, std::move(programs));
-    core::RunTraced(machine, tracer, 30'000'000);
+    core::RunSupervised(machine, tracer, {.max_instructions = 30'000'000});
     EXPECT_EQ(machine.console_output(), "x");  // no '!' = every call saw
                                                // the patched bytes
     uint64_t text_writes = 0;
