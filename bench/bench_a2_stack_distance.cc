@@ -10,6 +10,7 @@
 #include "analysis/stack_distance.h"
 #include "cache/cache.h"
 #include "common.h"
+#include "trace/ref_filter.h"
 #include "util/table.h"
 
 namespace atum {
@@ -25,12 +26,11 @@ Run()
 
     analysis::StackDistanceAnalyzer full(kBlockShift);
     analysis::StackDistanceAnalyzer user(kBlockShift);
+    trace::RefFilter user_refs({.include_kernel = false});
     for (const trace::Record& r : cap.records) {
         full.Feed(r);
-        if (r.IsMemory() && !r.kernel() &&
-            r.type != trace::RecordType::kPte) {
+        if (user_refs.Classify(r) == trace::RefFilter::kRef)
             user.Feed(r);
-        }
     }
 
     std::printf("A2: fully-associative LRU miss rate from one-pass stack\n"
@@ -60,8 +60,9 @@ Run()
     const uint64_t check_blocks = (16u << 10) >> kBlockShift;
     cache::Cache direct({.size_bytes = 16u << 10, .block_bytes = 16,
                          .assoc = 0});
+    trace::RefFilter refs;
     for (const trace::Record& r : cap.records) {
-        if (r.IsMemory() && r.type != trace::RecordType::kPte)
+        if (refs.Classify(r) == trace::RefFilter::kRef)
             direct.Access(r.addr, r.type == trace::RecordType::kWrite);
     }
     std::printf("cross-check @16K: one-pass misses=%llu, direct "

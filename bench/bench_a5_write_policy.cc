@@ -10,6 +10,7 @@
 #include "cache/trace_driver.h"
 #include "cache/write_buffer.h"
 #include "common.h"
+#include "trace/ref_filter.h"
 #include "util/table.h"
 
 namespace atum {
@@ -53,16 +54,12 @@ Run()
         cache::WriteBuffer buffer(
             {.depth = depth, .retire_cycles = 6, .block_bytes = 4});
         uint64_t writes = 0;
-        uint16_t pid = 0;
+        trace::RefFilter refs;
         for (const auto& r : cap.records) {
-            if (r.type == trace::RecordType::kCtxSwitch) {
-                pid = r.info;
-                continue;
-            }
-            if (!r.IsMemory() || r.type == trace::RecordType::kPte)
+            if (refs.Classify(r) != trace::RefFilter::kRef)
                 continue;
             const bool is_write = r.type == trace::RecordType::kWrite;
-            wt_cache.Access(r.addr, is_write, r.kernel() ? 0 : pid);
+            wt_cache.Access(r.addr, is_write, refs.PidOf(r));
             if (is_write) {
                 buffer.Write(r.addr);
                 ++writes;

@@ -10,6 +10,7 @@
 
 #include "analysis/working_set.h"
 #include "common.h"
+#include "trace/ref_filter.h"
 #include "util/table.h"
 
 namespace atum {
@@ -26,9 +27,10 @@ Run()
     analysis::WorkingSetAnalyzer full(windows);
     analysis::WorkingSetAnalyzer user_all(windows);  // all user processes
     analysis::WorkingSetAnalyzer kernel_only(windows);
+    trace::RefFilter refs;
     for (const trace::Record& r : cap.records) {
         full.Feed(r);
-        if (!r.IsMemory() || r.type == trace::RecordType::kPte)
+        if (refs.Classify(r) != trace::RefFilter::kRef)
             continue;
         if (r.kernel())
             kernel_only.Feed(r);

@@ -13,6 +13,7 @@
 #include "core/session.h"
 #include "cpu/machine.h"
 #include "kernel/boot.h"
+#include "trace/ref_filter.h"
 #include "trace/sink.h"
 #include "util/table.h"
 #include "workloads/workloads.h"
@@ -34,12 +35,11 @@ main()
     const std::vector<uint64_t> windows = {100, 1000, 10000, 100000};
     analysis::WorkingSetAnalyzer full(windows);
     analysis::WorkingSetAnalyzer user(windows);
+    trace::RefFilter user_refs({.include_kernel = false});
     for (const trace::Record& r : sink.records()) {
         full.Feed(r);
-        if (r.IsMemory() && !r.kernel() &&
-            r.type != trace::RecordType::kPte) {
+        if (user_refs.Classify(r) == trace::RefFilter::kRef)
             user.Feed(r);
-        }
     }
 
     Table table({"window(refs)", "full-system(pages)", "user-only(pages)"});

@@ -100,8 +100,11 @@ TIMED_ID=$(sed 's/.*"id":\([0-9]*\).*/\1/;q' "$TMP/out.txt")
 expect_exit 0 "$SUBMIT" --socket "$SOCK" --id "$TIMED_ID" cancel
 
 # A queued job with a huge budget cancels cleanly (exit 5, interrupted).
-"$SUBMIT" --socket "$SOCK" --workload grep --max-instructions 50000000 \
-    submit > "$TMP/big.json"
+# At scale 1024 grep needs ~200 M instructions to halt, so the 50 M budget
+# keeps it running for seconds: the cancel always lands first (a scale-1
+# grep halts in ~60 ms and could finish "done" before it).
+"$SUBMIT" --socket "$SOCK" --workload grep --scale 1024 \
+    --max-instructions 50000000 submit > "$TMP/big.json"
 BIG_ID=$(sed 's/.*"id":\([0-9]*\).*/\1/' "$TMP/big.json")
 expect_exit 0 "$SUBMIT" --socket "$SOCK" --id "$BIG_ID" cancel
 # A running job honors the cancel at its next slice boundary; poll.

@@ -36,6 +36,16 @@ grep -q "cache 16K/16B/1w/wb" "$TMP/rep.txt"
 grep -q "tlb 32 entries" "$TMP/rep.txt"
 grep -q "distinct pages" "$TMP/rep.txt"
 
+# Behaviour lock on the replay models: the full report (cache, TLB,
+# working sets, stack distance, per-pid profiles), then the same with
+# kernel references filtered out, must match the golden bit for bit.
+report_models() {
+    "$BUILD/tools/atum-report" "$TMP/t.atum" --cache 16:16:1 \
+        --flush-on-switch --tlb 32 --working-sets --stack-distance "$@"
+}
+{ report_models; report_models --no-kernel; } > "$TMP/golden.txt"
+diff -u "$SRC/tests/golden/report_grep.txt" "$TMP/golden.txt"
+
 "$BUILD/tools/atum-disasm" --kernel > "$TMP/dis.txt"
 grep -q "k_start:" "$TMP/dis.txt"
 grep -q "svpctx" "$TMP/dis.txt"
@@ -60,6 +70,7 @@ grep -q "invalid-argument" "$TMP/sweep_bad.txt"
 # Exit-code contract: 2 usage, 3 missing input, 4 unrecognized input.
 expect_exit 2 "$BUILD/tools/atum-report"
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --no-such-flag
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --sweep 16:16:1,,
 expect_exit 2 "$BUILD/tools/atum-capture" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-capture"
 expect_exit 3 "$BUILD/tools/atum-report" "$TMP/absent.atum"

@@ -1,6 +1,6 @@
 #include "analysis/compare.h"
 
-#include "trace/sink.h"
+#include "util/bitops.h"
 
 namespace atum::analysis {
 
@@ -70,27 +70,15 @@ SetSampledMissRate(const std::vector<trace::Record>& records,
     Cache c(config);
     const uint32_t sets = c.num_sets();
     const uint32_t sample_mask = (1u << sample_shift) - 1;
-    const unsigned block_shift = [&] {
-        unsigned s = 0;
-        while ((1u << s) < config.block_bytes)
-            ++s;
-        return s;
-    }();
+    const unsigned block_shift = Log2Floor(config.block_bytes);
 
-    uint16_t pid = 0;
+    trace::RefFilter refs = cache::RefFilterFor(options);
     SampledStats stats;
     for (const trace::Record& r : records) {
-        if (r.type == trace::RecordType::kCtxSwitch) {
-            pid = r.info;
-            if (options.flush_on_switch)
-                c.Flush();
-            continue;
-        }
-        if (!r.IsMemory() || r.type == trace::RecordType::kPte)
-            continue;
-        if (r.kernel() && !options.include_kernel)
-            continue;
-        if (r.type == trace::RecordType::kIFetch && !options.include_ifetch)
+        const trace::RefFilter::Verdict verdict = refs.Classify(r);
+        if (verdict == trace::RefFilter::kSwitch && options.flush_on_switch)
+            c.Flush();
+        if (verdict != trace::RefFilter::kRef)
             continue;
         const uint32_t set = (r.addr >> block_shift) & (sets - 1);
         // Hash-select sets: alignment-free sampling (see header).
@@ -99,7 +87,7 @@ SetSampledMissRate(const std::vector<trace::Record>& records,
             continue;  // not a sampled set
         ++stats.sampled_accesses;
         if (!c.Access(r.addr, r.type == trace::RecordType::kWrite,
-                      r.kernel() ? 0 : pid)) {
+                      refs.PidOf(r))) {
             ++stats.sampled_misses;
         }
     }

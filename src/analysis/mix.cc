@@ -4,17 +4,10 @@
 
 namespace atum::analysis {
 
-using trace::Record;
-using trace::RecordType;
-
 void
-FootprintAnalyzer::Feed(const Record& record)
+FootprintAnalyzer::Feed(const trace::Record& record)
 {
-    if (record.type == RecordType::kCtxSwitch) {
-        current_pid_ = record.info;
-        return;
-    }
-    if (!record.IsMemory() || record.type == RecordType::kPte)
+    if (refs_.Classify(record) != trace::RefFilter::kRef)
         return;
     const uint32_t page = PageOf(record);
     all_pages_.insert(page);
@@ -22,15 +15,8 @@ FootprintAnalyzer::Feed(const Record& record)
         kernel_pages_.insert(page);
     } else {
         user_pages_.insert(page);
-        per_pid_pages_[current_pid_].insert(page);
+        per_pid_pages_[refs_.PidOf(record)].insert(page);
     }
-}
-
-void
-FootprintAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
 }
 
 }  // namespace atum::analysis

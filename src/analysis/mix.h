@@ -13,7 +13,7 @@
 #include <set>
 
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 
 namespace atum::analysis {
 
@@ -21,7 +21,6 @@ class FootprintAnalyzer
 {
   public:
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     uint64_t total_pages() const { return all_pages_.size(); }
     uint64_t kernel_pages() const { return kernel_pages_.size(); }
@@ -37,7 +36,7 @@ class FootprintAnalyzer
     std::set<uint32_t> kernel_pages_;
     std::set<uint32_t> user_pages_;
     std::map<uint16_t, std::set<uint32_t>> per_pid_pages_;
-    uint16_t current_pid_ = 0;
+    trace::RefFilter refs_;
 };
 
 }  // namespace atum::analysis

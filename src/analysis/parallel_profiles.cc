@@ -4,31 +4,23 @@
 
 #include "analysis/stack_distance.h"
 #include "replay/thread_pool.h"
+#include "trace/ref_filter.h"
 
 namespace atum::analysis {
 
 using trace::Record;
-using trace::RecordType;
 
 std::vector<ProcessProfile>
 PerProcessStackProfiles(const std::vector<Record>& records,
                         const ProcessProfileOptions& options, unsigned jobs)
 {
-    // Serial split: per-pid block substreams, in trace order. PTE refs
-    // carry physical addresses and are excluded, as everywhere else.
+    // Serial split: per-pid block substreams, in trace order.
     std::map<uint16_t, std::vector<uint32_t>> substreams;
-    uint16_t current_pid = 0;
+    trace::RefFilter refs({.include_kernel = options.include_kernel});
     for (const Record& r : records) {
-        if (r.type == RecordType::kCtxSwitch) {
-            current_pid = r.info;
-            continue;
-        }
-        if (!r.IsMemory() || r.type == RecordType::kPte)
-            continue;
-        if (r.kernel() && !options.include_kernel)
-            continue;
-        const uint16_t pid = r.kernel() ? 0 : current_pid;
-        substreams[pid].push_back(r.addr >> options.block_shift);
+        if (refs.Classify(r) == trace::RefFilter::kRef)
+            substreams[refs.PidOf(r)].push_back(r.addr >>
+                                                options.block_shift);
     }
 
     std::vector<ProcessProfile> profiles(substreams.size());

@@ -77,15 +77,8 @@ StackDistanceAnalyzer::TouchBlock(uint32_t block)
 void
 StackDistanceAnalyzer::Feed(const trace::Record& record)
 {
-    if (record.IsMemory() && record.type != trace::RecordType::kPte)
+    if (refs_.Classify(record) == trace::RefFilter::kRef)
         TouchBlock(record.addr >> block_shift_);
-}
-
-void
-StackDistanceAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
 }
 
 uint64_t

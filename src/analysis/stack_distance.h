@@ -17,12 +17,13 @@
  * O(N + B) space for N accesses and B distinct blocks.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 
 namespace atum::analysis {
 
@@ -37,7 +38,6 @@ class StackDistanceAnalyzer
 
     /** Processes a memory record's address (markers/PTE refs skipped). */
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     uint64_t total_accesses() const { return time_; }
     uint64_t cold_misses() const { return cold_misses_; }
@@ -60,6 +60,7 @@ class StackDistanceAnalyzer
     void EnsureCapacity();
 
     unsigned block_shift_;
+    trace::RefFilter refs_;
     std::vector<int32_t> bit_;   ///< Fenwick tree over timestamps
     std::vector<uint8_t> mark_;  ///< which timestamps hold a block's
                                  ///< most-recent access (rebuild source)

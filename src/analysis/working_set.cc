@@ -43,15 +43,8 @@ WorkingSetAnalyzer::Touch(uint32_t page)
 void
 WorkingSetAnalyzer::Feed(const trace::Record& record)
 {
-    if (record.IsMemory() && record.type != trace::RecordType::kPte)
+    if (refs_.Classify(record) == trace::RefFilter::kRef)
         Touch(PageOf(record));
-}
-
-void
-WorkingSetAnalyzer::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
 }
 
 double

@@ -14,12 +14,13 @@
  * truncation is negligible for T >> tau).
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 
 namespace atum::analysis {
 
@@ -29,11 +30,10 @@ class WorkingSetAnalyzer
     /** `windows` are the tau values (in references) to evaluate. */
     explicit WorkingSetAnalyzer(std::vector<uint64_t> windows);
 
-    /** Feeds one memory reference's page; non-memory records are skipped
-     *  by the Feed(Record) overload. */
+    /** Feeds one memory reference's page; markers and PTE refs are
+     *  skipped by the Feed(Record) overload. */
     void Touch(uint32_t page);
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     /** Total references seen. */
     uint64_t total_refs() const { return time_; }
@@ -49,6 +49,7 @@ class WorkingSetAnalyzer
     std::vector<uint64_t> min_sums_;
     std::unordered_map<uint32_t, uint64_t> last_access_;
     uint64_t time_ = 0;
+    trace::RefFilter refs_;
 };
 
 /** Extracts the page number of a memory record (512-byte pages). */

@@ -45,27 +45,21 @@ CacheHierarchy::Access(uint32_t addr, bool is_write, bool is_ifetch,
 void
 CacheHierarchy::Feed(const Record& record)
 {
-    if (record.type == RecordType::kCtxSwitch) {
-        current_pid_ = record.info;
+    switch (refs_.Classify(record)) {
+      case trace::RefFilter::kSwitch:
         if (config_.flush_on_switch) {
             l1i_.Flush();
             l1d_.Flush();
             l2_.Flush();
         }
         return;
-    }
-    if (!record.IsMemory() || record.type == RecordType::kPte)
+      case trace::RefFilter::kRef:
+        Access(record.addr, record.type == RecordType::kWrite,
+               record.type == RecordType::kIFetch, refs_.PidOf(record));
         return;
-    const uint16_t pid = record.kernel() ? 0 : current_pid_;
-    Access(record.addr, record.type == RecordType::kWrite,
-           record.type == RecordType::kIFetch, pid);
-}
-
-void
-CacheHierarchy::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
+      default:
+        return;
+    }
 }
 
 double

@@ -14,7 +14,7 @@
 
 #include "cache/cache.h"
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 
 namespace atum::cache {
 
@@ -39,7 +39,6 @@ class CacheHierarchy
 
     /** Feeds a trace record (markers handle context switches). */
     void Feed(const trace::Record& record);
-    void DriveAll(trace::TraceSource& source);
 
     const Cache& l1i() const { return l1i_; }
     const Cache& l1d() const { return l1d_; }
@@ -61,7 +60,7 @@ class CacheHierarchy
     uint64_t accesses_ = 0;
     uint64_t l1_misses_ = 0;
     uint64_t memory_accesses_ = 0;
-    uint16_t current_pid_ = 0;
+    trace::RefFilter refs_;
 };
 
 }  // namespace atum::cache

@@ -12,7 +12,7 @@
 
 #include "cache/cache.h"
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 
 namespace atum::cache {
 
@@ -26,6 +26,16 @@ struct DriverOptions {
     bool flush_on_switch = false;  ///< flush caches at context switches
     uint16_t only_pid = 0;         ///< nonzero: keep just this process
 };
+
+/** The reference filter `options` select (trace/ref_filter.h). */
+inline trace::RefFilter
+RefFilterFor(const DriverOptions& options)
+{
+    return trace::RefFilter({.include_kernel = options.include_kernel,
+                             .include_ifetch = options.include_ifetch,
+                             .include_pte = options.include_pte,
+                             .only_pid = options.only_pid});
+}
 
 class TraceCacheDriver
 {
@@ -41,20 +51,16 @@ class TraceCacheDriver
     /** Feeds one record (records must arrive in trace order). */
     void Feed(const trace::Record& record);
 
-    /** Feeds every record of a source. */
-    void DriveAll(trace::TraceSource& source);
-
     /** References accepted (fed into a cache). */
     uint64_t fed() const { return fed_; }
     /** References rejected by the filters. */
     uint64_t filtered() const { return filtered_; }
-    uint16_t current_pid() const { return current_pid_; }
 
   private:
     Cache& dcache_;
     Cache* icache_;
-    DriverOptions options_;
-    uint16_t current_pid_ = 0;
+    bool flush_on_switch_;
+    trace::RefFilter refs_;
     uint64_t fed_ = 0;
     uint64_t filtered_ = 0;
 };

@@ -7,11 +7,7 @@
 namespace atum::tlbsim {
 
 using trace::Record;
-using trace::RecordType;
-
-namespace {
-constexpr uint32_t kS0BaseVpn = 0x80000000u >> kPageShift;
-}  // namespace
+using trace::RefFilter;
 
 util::Status
 ValidateConfig(const TlbSimConfig& config)
@@ -28,75 +24,50 @@ ValidateConfig(const TlbSimConfig& config)
     return util::OkStatus();
 }
 
-TlbSim::TlbSim(const TlbSimConfig& config) : config_(config)
+namespace {
+
+/** The TB geometry `config` names; Fatal when ValidateConfig rejects it. */
+mmu::Tlb
+MakeTlb(const TlbSimConfig& config)
 {
     if (util::Status status = ValidateConfig(config); !status.ok())
         Fatal(status.message());
-    ways_ = config.ways == 0 ? config.entries : config.ways;
-    sets_ = config.entries / ways_;
-    entries_.resize(config.entries);
+    const uint32_t ways = config.ways == 0 ? config.entries : config.ways;
+    return mmu::Tlb(config.entries / ways, ways);
 }
 
-void
-TlbSim::Access(uint32_t vaddr)
-{
-    ++stats_.accesses;
-    const uint32_t vpn = vaddr >> kPageShift;
-    const uint32_t set = vpn & (sets_ - 1);
-    Entry* base = &entries_[static_cast<size_t>(set) * ways_];
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
-            base[w].stamp = ++tick_;
-            return;
-        }
-    }
-    ++stats_.misses;
-    Entry* victim = base;
-    for (uint32_t w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].stamp < victim->stamp)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->stamp = ++tick_;
-}
+}  // namespace
 
-void
-TlbSim::FlushProcess()
+TlbSim::TlbSim(const TlbSimConfig& config)
+    : config_(config),
+      tlb_(MakeTlb(config)),
+      refs_({.include_kernel = config.include_kernel,
+             .include_pte = config.include_pte})
 {
-    ++stats_.flushes;
-    for (Entry& e : entries_) {
-        if (e.valid && (config_.flush_system_too || e.vpn < kS0BaseVpn))
-            e.valid = false;
-    }
 }
 
 void
 TlbSim::Feed(const Record& record)
 {
-    if (record.type == RecordType::kCtxSwitch) {
-        if (config_.flush_on_switch)
-            FlushProcess();
+    switch (refs_.Classify(record)) {
+      case RefFilter::kSwitch:
+        if (config_.flush_on_switch) {
+            ++flushes_;
+            if (config_.flush_system_too)
+                tlb_.InvalidateAll();
+            else
+                tlb_.FlushProcessEntries();
+        }
+        return;
+      case RefFilter::kRef: {
+        const uint32_t vpn = record.addr >> kPageShift;
+        if (tlb_.Lookup(vpn) == nullptr)
+            tlb_.Insert({.vpn = vpn});
+        return;
+      }
+      default:
         return;
     }
-    if (!record.IsMemory())
-        return;
-    if (record.type == RecordType::kPte && !config_.include_pte)
-        return;
-    if (record.kernel() && !config_.include_kernel)
-        return;
-    Access(record.addr);
-}
-
-void
-TlbSim::DriveAll(trace::TraceSource& source)
-{
-    while (auto r = source.Next())
-        Feed(*r);
 }
 
 }  // namespace atum::tlbsim

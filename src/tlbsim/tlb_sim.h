@@ -10,10 +10,10 @@
  */
 
 #include <cstdint>
-#include <vector>
 
+#include "mmu/tlb.h"
 #include "trace/record.h"
-#include "trace/sink.h"
+#include "trace/ref_filter.h"
 #include "util/status.h"
 
 namespace atum::tlbsim {
@@ -48,6 +48,11 @@ struct TlbSimStats {
     }
 };
 
+/**
+ * The machine's TB (mmu::Tlb) driven by a trace instead of the MMU: a hit
+ * is a Lookup, a miss a Lookup then an Insert, so replacement and LRU
+ * order are the machine's own.
+ */
 class TlbSim
 {
   public:
@@ -56,27 +61,17 @@ class TlbSim
     /** Feeds one trace record, in order. */
     void Feed(const trace::Record& record);
 
-    /** Feeds every record of a source. */
-    void DriveAll(trace::TraceSource& source);
-
-    const TlbSimStats& stats() const { return stats_; }
+    TlbSimStats stats() const
+    {
+        return {.accesses = tlb_.lookups(), .misses = tlb_.misses(),
+                .flushes = flushes_};
+    }
 
   private:
-    struct Entry {
-        bool valid = false;
-        uint32_t vpn = 0;
-        uint64_t stamp = 0;
-    };
-
-    void Access(uint32_t vaddr);
-    void FlushProcess();
-
     TlbSimConfig config_;
-    uint32_t sets_;
-    uint32_t ways_;
-    std::vector<Entry> entries_;
-    uint64_t tick_ = 0;
-    TlbSimStats stats_;
+    mmu::Tlb tlb_;
+    trace::RefFilter refs_;
+    uint64_t flushes_ = 0;
 };
 
 }  // namespace atum::tlbsim

@@ -72,8 +72,10 @@ TraceCompressor::Append(const Record& record)
         static_cast<uint8_t>(log2_size << 5);
     bytes_.push_back(header);
 
-    const int32_t delta = static_cast<int32_t>(record.addr) -
-                          static_cast<int32_t>(last_addr_[type_idx]);
+    // Wrap in uint32_t, then reinterpret: a signed subtraction could
+    // overflow on deltas of 2^31 or more.
+    const int32_t delta =
+        static_cast<int32_t>(record.addr - last_addr_[type_idx]);
     PutVarint(bytes_, ZigZag(delta));
     last_addr_[type_idx] = record.addr;
 
@@ -120,8 +122,7 @@ DecompressTrace(const std::vector<uint8_t>& bytes)
         r.flags = MakeFlags(kernel, static_cast<uint8_t>(1u << log2_size));
 
         const int32_t delta = UnZigZag(GetVarint(bytes, &pos));
-        r.addr = static_cast<uint32_t>(
-            static_cast<int32_t>(last_addr[type_idx]) + delta);
+        r.addr = last_addr[type_idx] + static_cast<uint32_t>(delta);
         last_addr[type_idx] = r.addr;
 
         if (TypeHasInfo(r.type))

@@ -192,6 +192,8 @@ MemoryByteSource::Read(void* data, size_t len)
 {
     const size_t avail = bytes_.size() - pos_;
     const size_t n = len < avail ? len : avail;
+    if (n == 0)
+        return n;  // empty input: bytes_.data() may be null
     std::memcpy(data, bytes_.data() + pos_, n);
     pos_ += n;
     return n;

@@ -135,56 +135,4 @@ FileSink::PublishMetrics(obs::Registry& reg) const
     reg.GetCounter("trace.sink.file_bytes").Set(writer_->bytes_written());
 }
 
-util::StatusOr<std::unique_ptr<FileSource>>
-FileSource::Open(const std::string& path, io::Vfs& vfs)
-{
-    util::StatusOr<std::unique_ptr<FileByteSource>> in =
-        FileByteSource::Open(path, vfs);
-    if (!in.ok())
-        return in.status();
-
-    std::unique_ptr<FileSource> source(new FileSource);
-    source->report_ = ScanTrace(**in, &source->records_);
-    if (!source->report_.recognized)
-        return util::InvalidArgument("not an ATUM trace file: ", path);
-    if (!source->report_.intact()) {
-        const auto& issues = source->report_.issues;
-        source->status_ = util::DataLoss(
-            path, ": ", issues.empty() ? "damaged" : issues[0].error, " (",
-            source->report_.records_salvaged, " records salvageable)");
-    }
-    return source;
-}
-
-std::optional<Record>
-FileSource::Next()
-{
-    if (pos_ >= records_.size())
-        return std::nullopt;
-    return records_[pos_++];
-}
-
-util::Status
-WriteTraceFile(const std::string& path, const std::vector<Record>& records)
-{
-    util::StatusOr<std::unique_ptr<FileSink>> sink = FileSink::Open(path);
-    if (!sink.ok())
-        return sink.status();
-    for (const Record& r : records) {
-        util::Status status = (*sink)->Append(r);
-        if (!status.ok())
-            return status;
-    }
-    return (*sink)->Close();
-}
-
-std::vector<Record>
-ReadTraceFile(const std::string& path)
-{
-    util::StatusOr<std::vector<Record>> records = LoadTrace(path);
-    if (!records.ok())
-        Fatal(records.status().ToString());
-    return std::move(*records);
-}
-
 }  // namespace atum::trace

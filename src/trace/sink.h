@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Trace consumers and producers: where drained trace-buffer contents go
- * (sinks) and where analyzers read records from (sources).
+ * Trace consumers: where drained trace-buffer contents go. Analyzers read
+ * a whole trace with LoadTrace (trace/container.h) and walk the vector.
  *
  * Sinks report failure through Status instead of dying: the captured
  * trace is the single most valuable artifact this system produces, and a
@@ -12,12 +12,11 @@
  * tracer's drain path retries and degrades instead (core/atum_tracer.h).
  *
  * File-backed sinks write the checksummed ATF2 container
- * (trace/container.h); file sources read ATF2.
+ * (trace/container.h).
  */
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,78 +176,6 @@ class FileSink : public TraceSink
     bool closed_ = false;
     util::Status close_status_;
 };
-
-/** Sequential record reader. */
-class TraceSource
-{
-  public:
-    virtual ~TraceSource() = default;
-    /** Returns the next record, or nullopt at end of trace. */
-    virtual std::optional<Record> Next() = 0;
-};
-
-/** Reads from an in-memory record vector (borrowed, not owned). */
-class VectorSource : public TraceSource
-{
-  public:
-    explicit VectorSource(const std::vector<Record>& records)
-        : records_(records)
-    {
-    }
-
-    std::optional<Record> Next() override
-    {
-        if (pos_ >= records_.size())
-            return std::nullopt;
-        return records_[pos_++];
-    }
-
-    void Reset() { pos_ = 0; }
-
-  private:
-    const std::vector<Record>& records_;
-    size_t pos_ = 0;
-};
-
-/**
- * Reads an ATF2 trace file. Damage does not kill the stream: Next()
- * serves every checksum-verified record and then stops; status() tells
- * whether that end was a clean EOF (OK) or a tear (data-loss), and
- * report() has the per-chunk detail.
- */
-class FileSource : public TraceSource
-{
-  public:
-    static util::StatusOr<std::unique_ptr<FileSource>> Open(
-        const std::string& path, io::Vfs& vfs = io::RealVfs());
-
-    std::optional<Record> Next() override;
-
-    /** OK while every record so far came from verified, complete data. */
-    const util::Status& status() const { return status_; }
-    const ScanReport& report() const { return report_; }
-
-  private:
-    FileSource() = default;
-
-    std::vector<Record> records_;
-    size_t pos_ = 0;
-    ScanReport report_;
-    util::Status status_;
-};
-
-/**
- * Writes `records` to `path` as a sealed ATF2 container.
- * The returned status may be ignored by legacy callers; nothing aborts.
- */
-util::Status WriteTraceFile(const std::string& path,
-                            const std::vector<Record>& records);
-
-/**
- * Reads an entire trace file into memory; Fatal on any error (legacy
- * convenience — prefer LoadTrace (trace/container.h) in new code).
- */
-std::vector<Record> ReadTraceFile(const std::string& path);
 
 }  // namespace atum::trace
 

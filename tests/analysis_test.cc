@@ -315,5 +315,35 @@ TEST(SetSampling, SampledSubsetIsExactPerSet)
     EXPECT_EQ(sampled.sampled_misses, want_mis);
 }
 
+TEST(SetSampling, ShiftZeroAgreesWithSimulateCache)
+{
+    // Sampling every set is a plain simulation: the same filter options
+    // must select the same references as SimulateCache, PTE and pid
+    // filters included.
+    Rng rng(11);
+    std::vector<Record> records;
+    for (int i = 0; i < 40000; ++i) {
+        if (i % 700 == 0)
+            records.push_back(
+                MakeCtxSwitch(static_cast<uint16_t>(1 + rng.Below(3)), 0));
+        const RecordType type = static_cast<RecordType>(rng.Below(4));
+        const bool kernel = type != RecordType::kPte && rng.Below(5) == 0;
+        records.push_back(
+            Ref((kernel ? 0x80000000u : 0u) | (rng.Below(1u << 15) & ~3u),
+                kernel, type));
+    }
+    const cache::CacheConfig config{.size_bytes = 4096, .block_bytes = 16,
+                                    .assoc = 2, .pid_tags = true};
+    for (const cache::DriverOptions& options :
+         {cache::DriverOptions{}, cache::DriverOptions{.include_pte = true},
+          cache::DriverOptions{.include_kernel = false},
+          cache::DriverOptions{.only_pid = 2}}) {
+        const auto full = SimulateCache(records, config, options);
+        const auto sampled = SetSampledMissRate(records, config, options, 0);
+        EXPECT_EQ(sampled.sampled_accesses, full.accesses);
+        EXPECT_EQ(sampled.sampled_misses, full.misses);
+    }
+}
+
 }  // namespace
 }  // namespace atum::analysis

@@ -20,6 +20,7 @@
 #include "cpu/machine.h"
 #include "kernel/boot.h"
 #include "tlbsim/tlb_sim.h"
+#include "trace/container.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
 #include "workloads/workloads.h"
@@ -48,17 +49,17 @@ MixMachine()
 const std::vector<Record>&
 MixTrace()
 {
-    static const std::vector<Record>& records = [] {
+    static const std::vector<Record> records = [] {
         auto machine = MixMachine();
-        auto* sink = new trace::VectorSink();
+        trace::VectorSink sink;
         AtumConfig config;
         config.buffer_bytes = 128u << 10;
-        AtumTracer tracer(*machine, *sink, config);
+        AtumTracer tracer(*machine, sink, config);
         kernel::BootSystem(*machine, workloads::StandardMix(1));
         const auto result = RunSupervised(
             *machine, tracer, {.max_instructions = 100'000'000});
         EXPECT_TRUE(result.halted);
-        return *new std::vector<Record>(sink->TakeRecords());
+        return sink.TakeRecords();
     }();
     return records;
 }
@@ -173,13 +174,20 @@ TEST(Integration, TraceFileRoundTripPreservesAnalysis)
 {
     const std::string path =
         std::string(::testing::TempDir()) + "/mix_trace.atum";
-    trace::WriteTraceFile(path, MixTrace());
-    const std::vector<Record> back = trace::ReadTraceFile(path);
-    ASSERT_EQ(back.size(), MixTrace().size());
+    {
+        auto sink = trace::FileSink::Open(path);
+        ASSERT_TRUE(sink.ok());
+        for (const Record& r : MixTrace())
+            ASSERT_TRUE((*sink)->Append(r).ok());
+        ASSERT_TRUE((*sink)->Close().ok());
+    }
+    auto back = trace::LoadTrace(path);
+    ASSERT_TRUE(back.ok());
+    ASSERT_EQ(back->size(), MixTrace().size());
 
     CacheConfig config{.size_bytes = 8192, .block_bytes = 16, .assoc = 1};
     const auto direct = analysis::SimulateCache(MixTrace(), config, {});
-    const auto reloaded = analysis::SimulateCache(back, config, {});
+    const auto reloaded = analysis::SimulateCache(*back, config, {});
     EXPECT_EQ(direct.misses, reloaded.misses);
     EXPECT_EQ(direct.accesses, reloaded.accesses);
     std::remove(path.c_str());

@@ -437,14 +437,15 @@ TEST(Container, LoadTraceOnDamagedFileIsDataLoss)
     EXPECT_NE(loaded.status().message().find("salvageable"),
               std::string::npos);
 
-    // The tolerant source still serves the islands.
-    auto source = FileSource::Open(path);
-    ASSERT_TRUE(source.ok());
-    size_t served = 0;
-    while ((*source)->Next().has_value())
-        ++served;
-    EXPECT_EQ(served, 6u);
-    EXPECT_EQ((*source)->status().code(), util::StatusCode::kDataLoss);
+    // The tolerant scanner still serves the islands.
+    auto in = FileByteSource::Open(path);
+    ASSERT_TRUE(in.ok());
+    std::vector<Record> islands;
+    const ScanReport report = ScanTrace(**in, &islands);
+    EXPECT_TRUE(report.recognized);
+    EXPECT_FALSE(report.intact());
+    EXPECT_EQ(islands.size(), 6u);
+    EXPECT_EQ(report.records_salvaged, 6u);
     std::remove(path.c_str());
 }
 

@@ -1,4 +1,4 @@
-// Unit tests for the trace library: record packing, sinks/sources, file
+// Unit tests for the trace library: record packing, sinks, file
 // round-trips, and the trace statistics accumulator.
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <string>
 
 #include "trace/compress.h"
+#include "trace/container.h"
 #include "trace/record.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
@@ -119,21 +120,17 @@ TEST(Sinks, FileRoundTrip)
         r.info = static_cast<uint16_t>(i);
         records.push_back(r);
     }
-    WriteTraceFile(path, records);
-    const std::vector<Record> back = ReadTraceFile(path);
-    EXPECT_EQ(back, records);
+    {
+        auto sink = FileSink::Open(path);
+        ASSERT_TRUE(sink.ok());
+        for (const Record& r : records)
+            ASSERT_TRUE((*sink)->Append(r).ok());
+        ASSERT_TRUE((*sink)->Close().ok());
+    }
+    auto back = LoadTrace(path);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, records);
     std::remove(path.c_str());
-}
-
-TEST(Sinks, VectorSourceIterates)
-{
-    std::vector<Record> records = {MakeException(1), MakeException(2)};
-    VectorSource source(records);
-    EXPECT_EQ(source.Next()->info, 1u);
-    EXPECT_EQ(source.Next()->info, 2u);
-    EXPECT_FALSE(source.Next().has_value());
-    source.Reset();
-    EXPECT_EQ(source.Next()->info, 1u);
 }
 
 TEST(Sinks, BadMagicIsInvalidArgument)
@@ -143,17 +140,17 @@ TEST(Sinks, BadMagicIsInvalidArgument)
     ASSERT_NE(f, nullptr);
     std::fwrite("garbage!", 1, 8, f);
     std::fclose(f);
-    auto source = FileSource::Open(path);
-    ASSERT_FALSE(source.ok());
-    EXPECT_EQ(source.status().code(), util::StatusCode::kInvalidArgument);
+    auto loaded = LoadTrace(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
     std::remove(path.c_str());
 }
 
 TEST(Sinks, MissingFileIsNotFound)
 {
-    auto source = FileSource::Open("/nonexistent/path/x.atum");
-    ASSERT_FALSE(source.ok());
-    EXPECT_EQ(source.status().code(), util::StatusCode::kNotFound);
+    auto loaded = LoadTrace("/nonexistent/path/x.atum");
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kNotFound);
 }
 
 TEST(Stats, CountsByType)

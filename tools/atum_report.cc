@@ -121,7 +121,7 @@ ParseSweepSpecs(const std::string& specs)
             specs.substr(start, comma == std::string::npos ? std::string::npos
                                                            : comma - start);
         if (spec.empty())
-            Fatal("empty spec in --sweep '", specs, "'");
+            UsageError("empty spec in --sweep '", specs, "'");
         configs.push_back(ParseCacheSpec(spec));
         if (comma == std::string::npos)
             break;
