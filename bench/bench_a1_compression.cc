@@ -26,7 +26,11 @@ Run()
         const bench::Capture cap =
             bench::CaptureFullSystem({workloads::MakeWorkload(name)});
         const auto bytes = trace::CompressTrace(cap.records);
-        if (trace::DecompressTrace(bytes) != cap.records)
+        const util::StatusOr<std::vector<trace::Record>> back =
+            trace::DecompressTrace(bytes);
+        if (!back.ok())
+            Fatal("decompressing ", name, ": ", back.status().ToString());
+        if (back.value() != cap.records)
             Fatal("compression round-trip failed for ", name);
         const double raw = static_cast<double>(cap.records.size()) *
                            trace::kRecordBytes;

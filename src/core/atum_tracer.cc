@@ -1,5 +1,6 @@
 #include "core/atum_tracer.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "obs/flight.h"
@@ -112,16 +113,22 @@ util::Status
 AtumTracer::DeliverRange(uint32_t* delivered, uint32_t total)
 {
     // The machine is "frozen" while the host reads the buffer back out of
-    // physical memory — the console extraction step of the paper.
-    uint8_t bytes[trace::kRecordBytes];
+    // physical memory — the console extraction step of the paper. It is
+    // read a slice at a time, one block copy per slice.
+    constexpr uint32_t kSliceRecords = 512;
+    uint8_t slice[kSliceRecords * trace::kRecordBytes];
     while (*delivered < total) {
+        const uint32_t n = std::min(kSliceRecords, total - *delivered);
         machine_.memory().ReadBlock(
-            buf_base_ + *delivered * trace::kRecordBytes, bytes,
-            sizeof bytes);
-        util::Status status = sink_.Append(trace::UnpackRecord(bytes));
-        if (!status.ok())
-            return status;
-        ++*delivered;  // a failed Append consumed nothing; resume here
+            buf_base_ + *delivered * trace::kRecordBytes, slice,
+            n * trace::kRecordBytes);
+        for (uint32_t i = 0; i < n; ++i) {
+            util::Status status = sink_.Append(
+                trace::UnpackRecord(slice + i * trace::kRecordBytes));
+            if (!status.ok())
+                return status;
+            ++*delivered;  // a failed Append consumed nothing; resume here
+        }
     }
     return util::OkStatus();
 }

@@ -149,6 +149,18 @@ DeserializeSink(const std::vector<uint8_t>& bytes,
         return util::DataLoss("checkpoint open-chunk bytes (",
                               state->pending.size(),
                               ") are not a whole number of records");
+    // The writer packs the open chunk into a buffer of exactly this
+    // capacity, so outside bytes must not exceed it.
+    if (state->chunk_records == 0 ||
+        state->chunk_records > trace::kAtf2MaxChunkRecords)
+        return util::DataLoss("checkpoint chunk capacity ",
+                              state->chunk_records, " is out of range");
+    if (state->pending.size() >
+        size_t{state->chunk_records} * trace::kRecordBytes)
+        return util::DataLoss("checkpoint open chunk holds ",
+                              state->pending.size() / trace::kRecordBytes,
+                              " records, more than its capacity of ",
+                              state->chunk_records);
     return util::OkStatus();
 }
 

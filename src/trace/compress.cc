@@ -30,21 +30,27 @@ PutVarint(std::vector<uint8_t>& out, uint32_t v)
     out.push_back(static_cast<uint8_t>(v));
 }
 
-uint32_t
-GetVarint(const std::vector<uint8_t>& in, size_t* pos)
+/**
+ * Reads one varint of at most 32 bits. A fifth byte may carry only the
+ * top four bits: anything above 0x0F (including a continuation bit)
+ * would be address bits that do not fit, so the stream is malformed.
+ */
+util::Status
+GetVarint(const std::vector<uint8_t>& in, size_t* pos, uint32_t* v)
 {
-    uint32_t v = 0;
-    unsigned shift = 0;
-    while (true) {
+    *v = 0;
+    for (unsigned shift = 0;; shift += 7) {
         if (*pos >= in.size())
-            Fatal("truncated compressed trace");
+            return util::DataLoss("truncated compressed trace at byte ",
+                                  *pos);
         const uint8_t byte = in[(*pos)++];
-        v |= static_cast<uint32_t>(byte & 0x7f) << shift;
+        if (shift == 28 && byte > 0x0F)
+            return util::DataLoss("overlong varint in compressed trace at "
+                                  "byte ",
+                                  *pos - 1);
+        *v |= static_cast<uint32_t>(byte & 0x7f) << shift;
         if (!(byte & 0x80))
-            return v;
-        shift += 7;
-        if (shift > 28)
-            Fatal("overlong varint in compressed trace");
+            return util::OkStatus();
     }
 }
 
@@ -102,7 +108,7 @@ CompressTrace(const std::vector<Record>& records)
     return compressor.bytes();
 }
 
-std::vector<Record>
+util::StatusOr<std::vector<Record>>
 DecompressTrace(const std::vector<uint8_t>& bytes)
 {
     std::vector<Record> out;
@@ -112,21 +118,32 @@ DecompressTrace(const std::vector<uint8_t>& bytes)
         const uint8_t header = bytes[pos++];
         const auto type_idx = static_cast<size_t>(header & 0x0F);
         if (type_idx >= static_cast<size_t>(RecordType::kNumTypes))
-            Fatal("bad record type in compressed trace");
+            return util::DataLoss("bad record type ", type_idx,
+                                  " in compressed trace at byte ", pos - 1);
         Record r;
         r.type = static_cast<RecordType>(type_idx);
         const bool kernel = (header & 0x10) != 0;
         const uint8_t log2_size = (header >> 5) & 3;
         if (log2_size > 2)
-            Fatal("bad access size in compressed trace");
+            return util::DataLoss("bad access size in compressed trace at "
+                                  "byte ",
+                                  pos - 1);
         r.flags = MakeFlags(kernel, static_cast<uint8_t>(1u << log2_size));
 
-        const int32_t delta = UnZigZag(GetVarint(bytes, &pos));
-        r.addr = last_addr[type_idx] + static_cast<uint32_t>(delta);
+        uint32_t zigzag = 0;
+        util::Status status = GetVarint(bytes, &pos, &zigzag);
+        if (!status.ok())
+            return status;
+        r.addr = last_addr[type_idx] + static_cast<uint32_t>(UnZigZag(zigzag));
         last_addr[type_idx] = r.addr;
 
-        if (TypeHasInfo(r.type))
-            r.info = static_cast<uint16_t>(GetVarint(bytes, &pos));
+        if (TypeHasInfo(r.type)) {
+            uint32_t info = 0;
+            status = GetVarint(bytes, &pos, &info);
+            if (!status.ok())
+                return status;
+            r.info = static_cast<uint16_t>(info);
+        }
         out.push_back(r);
     }
     return out;

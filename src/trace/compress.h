@@ -25,14 +25,20 @@
 #include <vector>
 
 #include "trace/record.h"
+#include "util/status.h"
 
 namespace atum::trace {
 
 /** Encodes `records` into the compact byte stream. */
 std::vector<uint8_t> CompressTrace(const std::vector<Record>& records);
 
-/** Decodes a stream produced by CompressTrace; Fatal on malformed input. */
-std::vector<Record> DecompressTrace(const std::vector<uint8_t>& bytes);
+/**
+ * Decodes a stream produced by CompressTrace. Malformed input (a
+ * truncated stream, an overlong varint, a bad record type or access
+ * size) is a data-loss status, never a process exit.
+ */
+util::StatusOr<std::vector<Record>> DecompressTrace(
+    const std::vector<uint8_t>& bytes);
 
 /** Streaming encoder with the same format. */
 class TraceCompressor

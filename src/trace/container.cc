@@ -1,5 +1,6 @@
 #include "trace/container.h"
 
+#include <algorithm>
 #include <cstring>
 #include <sstream>
 
@@ -29,6 +30,15 @@ Put64(std::vector<uint8_t>& out, uint64_t v)
 {
     Put32(out, static_cast<uint32_t>(v));
     Put32(out, static_cast<uint32_t>(v >> 32));
+}
+
+void
+Set32(uint8_t* p, uint32_t v)
+{
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
+    p[2] = static_cast<uint8_t>(v >> 16);
+    p[3] = static_cast<uint8_t>(v >> 24);
 }
 
 uint16_t
@@ -71,6 +81,16 @@ FindMarker(const std::vector<uint8_t>& b, size_t from)
             return i;
     }
     return kNpos;
+}
+
+/** The open-chunk buffer for `chunk_records`; Fatal on a bad capacity. */
+std::vector<uint8_t>
+MakeChunkBuffer(uint32_t chunk_records)
+{
+    if (chunk_records == 0 || chunk_records > kAtf2MaxChunkRecords)
+        Fatal("bad ATF2 chunk capacity: ", chunk_records);
+    return std::vector<uint8_t>(kAtf2ChunkHeaderBytes +
+                                size_t{chunk_records} * kRecordBytes);
 }
 
 }  // namespace
@@ -203,19 +223,16 @@ MemoryByteSource::Read(void* data, size_t len)
 // Writer.
 
 Atf2Writer::Atf2Writer(ByteSink& out, const Atf2WriterOptions& options)
-    : out_(out), options_(options)
+    : out_(out),
+      options_(options),
+      chunk_(MakeChunkBuffer(options.chunk_records))
 {
-    if (options_.chunk_records == 0 ||
-        options_.chunk_records > kAtf2MaxChunkRecords)
-        Fatal("bad ATF2 chunk capacity: ", options_.chunk_records);
-    pending_.reserve(static_cast<size_t>(options_.chunk_records) *
-                     kRecordBytes);
 }
 
 Atf2Writer::Atf2Writer(ByteSink& out, ResumeFrom resume)
     : out_(out),
       options_{resume.state.chunk_records},
-      pending_(resume.state.pending),
+      chunk_(MakeChunkBuffer(resume.state.chunk_records)),
       pending_records_(
           static_cast<uint32_t>(resume.state.pending.size() / kRecordBytes)),
       records_(resume.state.records),
@@ -223,9 +240,12 @@ Atf2Writer::Atf2Writer(ByteSink& out, ResumeFrom resume)
       bytes_written_(resume.state.file_bytes),
       started_(resume.state.file_bytes > 0)
 {
-    if (options_.chunk_records == 0 ||
-        options_.chunk_records > kAtf2MaxChunkRecords)
-        Fatal("bad ATF2 chunk capacity: ", options_.chunk_records);
+    const std::vector<uint8_t>& pending = resume.state.pending;
+    if (pending.size() > chunk_.size() - kAtf2ChunkHeaderBytes)
+        Fatal("ATF2 resume state holds ", pending.size(),
+              " open-chunk bytes, more than one chunk");
+    std::copy(pending.begin(), pending.end(),
+              chunk_.begin() + kAtf2ChunkHeaderBytes);
 }
 
 Atf2ResumeState
@@ -236,7 +256,9 @@ Atf2Writer::SaveState() const
     state.chunks = chunks_;
     state.records = records_;
     state.chunk_records = options_.chunk_records;
-    state.pending = pending_;
+    const auto payload = chunk_.begin() + kAtf2ChunkHeaderBytes;
+    state.pending.assign(payload,
+                         payload + size_t{pending_records_} * kRecordBytes);
     return state;
 }
 
@@ -268,19 +290,19 @@ Atf2Writer::FlushChunk()
         return util::OkStatus();
     // One Write call per chunk: either the whole chunk reaches the sink
     // or the stream is torn at a point the scanner can resynchronize past.
-    std::vector<uint8_t> chunk;
-    chunk.reserve(kAtf2ChunkHeaderBytes + pending_.size());
-    Put32(chunk, kAtf2ChunkMagic);
-    Put32(chunk, pending_records_);
-    Put32(chunk, util::Crc32c(pending_.data(), pending_.size()));
-    Put32(chunk, util::Crc32c(chunk.data(), chunk.size()));
-    chunk.insert(chunk.end(), pending_.begin(), pending_.end());
-    util::Status status = out_.Write(chunk.data(), chunk.size());
+    const size_t payload = size_t{pending_records_} * kRecordBytes;
+    uint8_t* header = chunk_.data();
+    Set32(header, kAtf2ChunkMagic);
+    Set32(header + 4, pending_records_);
+    Set32(header + 8,
+          util::Crc32c(header + kAtf2ChunkHeaderBytes, payload));
+    Set32(header + 12, util::Crc32c(header, 12));
+    const size_t bytes = kAtf2ChunkHeaderBytes + payload;
+    util::Status status = out_.Write(header, bytes);
     if (!status.ok())
-        return status;  // pending_ kept: the flush can be retried
+        return status;  // the records stay buffered: the flush can be retried
     ++chunks_;
-    bytes_written_ += chunk.size();
-    pending_.clear();
+    bytes_written_ += bytes;
     pending_records_ = 0;
     return util::OkStatus();
 }
@@ -298,9 +320,8 @@ Atf2Writer::Append(const Record& record)
         if (!status.ok())
             return status;  // `record` was not consumed; caller may retry
     }
-    uint8_t packed[kRecordBytes];
-    PackRecord(record, packed);
-    pending_.insert(pending_.end(), packed, packed + sizeof packed);
+    PackRecord(record, chunk_.data() + kAtf2ChunkHeaderBytes +
+                           size_t{pending_records_} * kRecordBytes);
     ++pending_records_;
     ++records_;
     return util::OkStatus();
@@ -389,6 +410,10 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
         }
     }
 
+    // No file holds more records than this, so `out` never regrows.
+    if (out != nullptr)
+        out->reserve(out->size() + b.size() / kRecordBytes);
+
     size_t pos = kAtf2HeaderBytes;
     while (pos < b.size()) {
         if (b.size() - pos < 4) {
@@ -454,26 +479,29 @@ ScanTrace(ByteSource& in, std::vector<Record>* out)
             const uint8_t* records = &b[pos + kAtf2ChunkHeaderBytes];
             bool good = Get32(&b[pos + 8]) == util::Crc32c(records, payload);
             if (good) {
+                // Each record is unpacked once, for the check and for
+                // `out`; an implausible one takes back the whole chunk.
+                const size_t kept = out != nullptr ? out->size() : 0;
                 for (uint32_t i = 0; i < count; ++i) {
-                    if (!IsPlausibleRecord(
-                            UnpackRecord(records + i * kRecordBytes))) {
+                    const Record r = UnpackRecord(records + i * kRecordBytes);
+                    if (!IsPlausibleRecord(r)) {
                         good = false;
                         break;
                     }
+                    if (out != nullptr)
+                        out->push_back(r);
                 }
-                if (!good)
+                if (!good) {
+                    if (out != nullptr)
+                        out->resize(kept);
                     issue(pos, "chunk passes CRC but holds implausible "
                                "records");
+                }
             } else {
                 issue(pos, "chunk payload CRC mismatch (" +
                                std::to_string(count) + " records lost)");
             }
             if (good) {
-                if (out != nullptr) {
-                    for (uint32_t i = 0; i < count; ++i)
-                        out->push_back(
-                            UnpackRecord(records + i * kRecordBytes));
-                }
                 ++report.chunks_ok;
                 report.records_salvaged += count;
                 if (prefix_intact)

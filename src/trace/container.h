@@ -208,9 +208,10 @@ struct Atf2ResumeState {
 // Writer.
 
 /**
- * Streams records into an ATF2 container. Records accumulate in an open
- * chunk that is written out (header + payload, one Write call) when full;
- * Seal() flushes the final partial chunk and appends the footer.
+ * Streams records into an ATF2 container. Records are packed straight
+ * into the open chunk's buffer, which is written out (header + payload,
+ * one Write call) when full and then reused; Seal() flushes the final
+ * partial chunk and appends the footer.
  *
  * A failed Append consumed nothing: the same record can be retried once
  * the sink recovers, and no record is ever silently dropped or doubled.
@@ -260,7 +261,10 @@ class Atf2Writer
 
     ByteSink& out_;
     Atf2WriterOptions options_;
-    std::vector<uint8_t> pending_;  ///< packed records of the open chunk
+    /** The open chunk as it goes to the sink: a kAtf2ChunkHeaderBytes
+     *  header slot, filled in at flush, then room for a full chunk of
+     *  packed records. Allocated once. */
+    std::vector<uint8_t> chunk_;
     uint32_t pending_records_ = 0;
     uint64_t records_ = 0;
     uint32_t chunks_ = 0;

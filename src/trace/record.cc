@@ -105,42 +105,4 @@ MakeLoss(uint32_t lost, uint16_t event)
     return r;
 }
 
-bool
-IsPlausibleRecord(const Record& r)
-{
-    if (static_cast<uint8_t>(r.type) >=
-        static_cast<uint8_t>(RecordType::kNumTypes))
-        return false;
-    // flags: bit 0 kernel, bits 2:1 log2(size) with size <= 4, rest zero.
-    if ((r.flags & ~0x07u) != 0 || ((r.flags >> 1) & 3) == 3)
-        return false;
-    return true;
-}
-
-void
-PackRecord(const Record& r, uint8_t out[kRecordBytes])
-{
-    out[0] = static_cast<uint8_t>(r.addr);
-    out[1] = static_cast<uint8_t>(r.addr >> 8);
-    out[2] = static_cast<uint8_t>(r.addr >> 16);
-    out[3] = static_cast<uint8_t>(r.addr >> 24);
-    out[4] = static_cast<uint8_t>(r.type);
-    out[5] = r.flags;
-    out[6] = static_cast<uint8_t>(r.info);
-    out[7] = static_cast<uint8_t>(r.info >> 8);
-}
-
-Record
-UnpackRecord(const uint8_t in[kRecordBytes])
-{
-    Record r;
-    r.addr = static_cast<uint32_t>(in[0]) | static_cast<uint32_t>(in[1]) << 8 |
-             static_cast<uint32_t>(in[2]) << 16 |
-             static_cast<uint32_t>(in[3]) << 24;
-    r.type = static_cast<RecordType>(in[4]);
-    r.flags = in[5];
-    r.info = static_cast<uint16_t>(in[6] | (in[7] << 8));
-    return r;
-}
-
 }  // namespace atum::trace

@@ -90,13 +90,46 @@ Record MakeLoss(uint32_t lost, uint16_t event);
  * Raw v1 trace files carry no checksums, so a reader must vet each record
  * before trusting it (a corrupt type byte must not reach per-type arrays).
  */
-bool IsPlausibleRecord(const Record& r);
+inline bool
+IsPlausibleRecord(const Record& r)
+{
+    if (static_cast<uint8_t>(r.type) >=
+        static_cast<uint8_t>(RecordType::kNumTypes))
+        return false;
+    // flags: bit 0 kernel, bits 2:1 log2(size) with size <= 4, rest zero.
+    return (r.flags & ~0x07u) == 0 && ((r.flags >> 1) & 3) != 3;
+}
+
+// Pack and unpack run once or twice per record on the patch, drain, scan
+// and load paths, so they are inline.
 
 /** Packs a record into 8 bytes (little-endian). */
-void PackRecord(const Record& r, uint8_t out[kRecordBytes]);
+inline void
+PackRecord(const Record& r, uint8_t out[kRecordBytes])
+{
+    out[0] = static_cast<uint8_t>(r.addr);
+    out[1] = static_cast<uint8_t>(r.addr >> 8);
+    out[2] = static_cast<uint8_t>(r.addr >> 16);
+    out[3] = static_cast<uint8_t>(r.addr >> 24);
+    out[4] = static_cast<uint8_t>(r.type);
+    out[5] = r.flags;
+    out[6] = static_cast<uint8_t>(r.info);
+    out[7] = static_cast<uint8_t>(r.info >> 8);
+}
 
 /** Unpacks a record from 8 bytes. */
-Record UnpackRecord(const uint8_t in[kRecordBytes]);
+inline Record
+UnpackRecord(const uint8_t in[kRecordBytes])
+{
+    Record r;
+    r.addr = static_cast<uint32_t>(in[0]) | static_cast<uint32_t>(in[1]) << 8 |
+             static_cast<uint32_t>(in[2]) << 16 |
+             static_cast<uint32_t>(in[3]) << 24;
+    r.type = static_cast<RecordType>(in[4]);
+    r.flags = in[5];
+    r.info = static_cast<uint16_t>(in[6] | (in[7] << 8));
+    return r;
+}
 
 }  // namespace atum::trace
 

@@ -4,9 +4,13 @@
 /**
  * @file
  * CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), the checksum the
- * ATF2 trace container uses per chunk. Software table implementation —
- * fast enough that checksumming is invisible next to simulation cost, and
- * byte-identical on every platform, which the golden-file tests require.
+ * ATF2 trace container uses per chunk. Every drained and every loaded
+ * byte passes through it, so it sits on the capture's critical path: a
+ * bytewise table loop ran at ~350 MB/s and took about 0.4 s of a 1.1 s
+ * drain of a 141 MB trace. Crc32cExtend therefore uses the SSE4.2 `crc32`
+ * instruction when the CPU has it (checked once, at the first call) and
+ * slicing-by-8 otherwise. Both give the same value on every platform,
+ * which the golden-file tests require.
  *
  * Check value: Crc32c("123456789", 9) == 0xE3069283.
  */
@@ -22,6 +26,13 @@ namespace atum::util {
  * of the whole sequence, so Extend(Extend(0, a), b) == Crc32c(a+b).
  */
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
+
+/**
+ * The portable slicing-by-8 implementation Crc32cExtend falls back to
+ * when the CPU lacks a CRC32C instruction. Same contract and output;
+ * named so that it can be tested on hosts that have the instruction.
+ */
+uint32_t Crc32cExtendPortable(uint32_t crc, const void* data, size_t len);
 
 /** CRC32C of one contiguous buffer. */
 inline uint32_t

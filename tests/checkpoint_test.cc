@@ -371,6 +371,34 @@ TEST_F(CheckpointCorruption, GeometryMismatchIsRejected)
     EXPECT_FALSE(ckpt->RestoreTracer(wrong_tracer).ok());
 }
 
+TEST(CheckpointSinkState, OpenChunkBeyondCapacityIsRejected)
+{
+    // Well-framed checkpoints whose sink state the ATF2 writer could not
+    // hold: a bad chunk capacity, or more open-chunk records than it.
+    Machine machine(MixConfig());
+    trace::VectorSink sink;
+    AtumTracer tracer(machine, sink, SmallBufferConfig());
+    kernel::BootSystem(machine, workloads::StandardMix(1));
+    CheckpointMeta meta;
+    meta.machine_config = MixConfig();
+    meta.tracer_config = SmallBufferConfig();
+    for (const uint32_t chunk_records :
+         {0u, 2u, trace::kAtf2MaxChunkRecords + 1}) {
+        trace::Atf2ResumeState sink_state;
+        sink_state.file_bytes = 32;
+        sink_state.chunk_records = chunk_records;
+        sink_state.pending.assign(3 * trace::kRecordBytes, 0);
+        MemoryByteSink out;
+        ASSERT_TRUE(core::WriteCheckpoint(out, meta, machine, tracer,
+                                          &sink_state)
+                        .ok());
+        MemoryByteSource source(out.bytes());
+        util::StatusOr<Checkpoint> ckpt = Checkpoint::Read(source);
+        ASSERT_FALSE(ckpt.ok()) << "chunk_records " << chunk_records;
+        EXPECT_EQ(ckpt.status().code(), util::StatusCode::kDataLoss);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Supervisor stop paths.
 

@@ -8,7 +8,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "analysis/compare.h"
 #include "cache/hierarchy.h"
@@ -23,6 +28,7 @@
 #include "trace/container.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
+#include "util/crc32.h"
 #include "workloads/workloads.h"
 
 namespace atum {
@@ -247,6 +253,70 @@ TEST(Integration, HierarchyConsistentWithSingleLevelOnRealTrace)
     EXPECT_GT(h.accesses(), 0u);
     EXPECT_GT(h.Amat(), 1.0);
     EXPECT_LT(h.Amat(), 10.0);
+}
+
+/** Length and CRC32C of a whole file. */
+struct FileDigest {
+    uint64_t bytes = 0;
+    uint32_t crc32c = 0;
+    bool operator==(const FileDigest&) const = default;
+};
+
+std::ostream&
+operator<<(std::ostream& os, const FileDigest& d)
+{
+    return os << d.bytes << " bytes, crc32c 0x" << std::hex << d.crc32c
+              << std::dec;
+}
+
+/**
+ * Captures matrix, grep, smc and forkwave at scale 1 into an ATF2 file
+ * the way `atum-capture` does with its defaults (4 MB of memory, timer
+ * 2000, 512-record chunks) and a `buffer_kb` trace buffer; returns the
+ * file's digest.
+ */
+FileDigest
+CaptureFileDigest(uint32_t buffer_kb)
+{
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/pinned_" + std::to_string(buffer_kb) +
+                             ".atum";
+    {
+        Machine::Config machine_config;
+        machine_config.mem_bytes = 4u << 20;
+        machine_config.timer_reload = 2000;
+        Machine machine(machine_config);
+        std::vector<kernel::GuestProgram> programs;
+        for (const char* name : {"matrix", "grep", "smc", "forkwave"})
+            programs.push_back(workloads::MakeWorkload(name, 1));
+        auto sink = trace::FileSink::Open(path);
+        EXPECT_TRUE(sink.ok());
+        if (!sink.ok())
+            return {};
+        AtumConfig config;
+        config.buffer_bytes = buffer_kb << 10;
+        AtumTracer tracer(machine, **sink, config);
+        kernel::BootSystem(machine, programs);
+        const auto result = RunSupervised(
+            machine, tracer, {.max_instructions = 2'000'000'000});
+        EXPECT_TRUE(result.halted);
+        EXPECT_TRUE(result.drain_status.ok());
+        EXPECT_TRUE((*sink)->Close().ok());
+    }
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return {bytes.size(), util::Crc32c(bytes.data(), bytes.size())};
+}
+
+TEST(Integration, CaptureFileBytesArePinned)
+{
+    // Behaviour lock on the capture drain path: the complete ATF2 file,
+    // not just its records, must stay byte-identical. Two buffer sizes
+    // move every drain boundary relative to the chunk boundaries.
+    EXPECT_EQ(CaptureFileDigest(256), (FileDigest{3313832, 0x0AE625F3}));
+    EXPECT_EQ(CaptureFileDigest(16), (FileDigest{3313432, 0xAA66C157}));
 }
 
 }  // namespace

@@ -208,10 +208,19 @@ TEST(Stats, ToStringMentionsCounts)
 }
 
 
+/** DecompressTrace on a stream that must decode. */
+std::vector<Record>
+MustDecompress(const std::vector<uint8_t>& bytes)
+{
+    util::StatusOr<std::vector<Record>> out = DecompressTrace(bytes);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    return out.ok() ? std::move(out).value() : std::vector<Record>{};
+}
+
 TEST(Compress, EmptyTrace)
 {
     EXPECT_TRUE(CompressTrace({}).empty());
-    EXPECT_TRUE(DecompressTrace({}).empty());
+    EXPECT_TRUE(MustDecompress({}).empty());
 }
 
 TEST(Compress, RoundTripMixedRecords)
@@ -233,7 +242,7 @@ TEST(Compress, RoundTripMixedRecords)
     records.push_back(MakeTlbMiss(0x40000123, false));
 
     const auto bytes = CompressTrace(records);
-    EXPECT_EQ(DecompressTrace(bytes), records);
+    EXPECT_EQ(MustDecompress(bytes), records);
 }
 
 TEST(Compress, SequentialStreamBeatsRawFormat)
@@ -248,7 +257,7 @@ TEST(Compress, SequentialStreamBeatsRawFormat)
         compressor.Append(FromMemAccess(a));
     }
     EXPECT_LT(compressor.BytesPerRecord(), 2.5);
-    EXPECT_EQ(DecompressTrace(compressor.bytes()).size(), 10000u);
+    EXPECT_EQ(MustDecompress(compressor.bytes()).size(), 10000u);
 }
 
 TEST(Compress, LargeDeltasStillRoundTrip)
@@ -261,15 +270,52 @@ TEST(Compress, LargeDeltasStillRoundTrip)
         a.vaddr = addr;
         records.push_back(FromMemAccess(a));
     }
-    EXPECT_EQ(DecompressTrace(CompressTrace(records)), records);
+    EXPECT_EQ(MustDecompress(CompressTrace(records)), records);
 }
 
-TEST(CompressDeath, TruncatedStreamIsFatal)
+TEST(Compress, TruncatedStreamIsDataLoss)
 {
-    std::vector<Record> records = {MakeCtxSwitch(1, 0)};
-    auto bytes = CompressTrace(records);
+    auto bytes = CompressTrace({MakeCtxSwitch(1, 0)});
     bytes.pop_back();
-    EXPECT_DEATH(DecompressTrace(bytes), "truncated");
+    const auto out = DecompressTrace(bytes);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), util::StatusCode::kDataLoss);
+    EXPECT_NE(out.status().message().find("truncated"), std::string::npos);
+}
+
+TEST(Compress, OverlongVarintIsDataLoss)
+{
+    // Header: a 4-byte user read (type 1, log2 size 2). A fifth varint
+    // byte may carry only the top four address bits.
+    const uint8_t kRead4 = 0x41;
+    EXPECT_TRUE(DecompressTrace({kRead4, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}).ok());
+    for (uint8_t fifth : {0x10, 0x7F, 0x80, 0xFF}) {
+        const auto out =
+            DecompressTrace({kRead4, 0xFF, 0xFF, 0xFF, 0xFF, fifth});
+        ASSERT_FALSE(out.ok()) << "fifth byte " << unsigned{fifth};
+        EXPECT_EQ(out.status().code(), util::StatusCode::kDataLoss);
+        EXPECT_NE(out.status().message().find("overlong"), std::string::npos);
+    }
+}
+
+TEST(Compress, BadRecordTypeIsDataLoss)
+{
+    for (uint8_t header : {0x0A, 0x0F, 0x4A}) {
+        const auto out = DecompressTrace({header, 0x00});
+        ASSERT_FALSE(out.ok()) << "header " << unsigned{header};
+        EXPECT_EQ(out.status().code(), util::StatusCode::kDataLoss);
+        EXPECT_NE(out.status().message().find("record type"),
+                  std::string::npos);
+    }
+}
+
+TEST(Compress, BadAccessSizeIsDataLoss)
+{
+    // log2 size 3 (an 8-byte access) is not an encoding the tracer makes.
+    const auto out = DecompressTrace({0x61, 0x00});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), util::StatusCode::kDataLoss);
+    EXPECT_NE(out.status().message().find("access size"), std::string::npos);
 }
 
 }  // namespace

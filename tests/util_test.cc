@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "util/bitops.h"
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -192,6 +195,65 @@ TEST(Crc32c, MatchesCheckValue)
     // RFC 3720's CRC32C check value for "123456789".
     EXPECT_EQ(util::Crc32c("123456789", 9), 0xE3069283u);
     EXPECT_EQ(util::Crc32c("", 0), 0u);
+}
+
+/** Bit-at-a-time CRC32C: the definition the fast paths must match. */
+uint32_t
+ReferenceCrc32c(const uint8_t* data, size_t len)
+{
+    uint32_t crc = ~0u;
+    for (size_t i = 0; i < len; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0);
+    }
+    return ~crc;
+}
+
+TEST(Crc32c, EveryLengthAndAlignmentMatchesReference)
+{
+    // Both the dispatching entry point (the SSE4.2 instruction where the
+    // CPU has it) and the portable slicing-by-8 path, over every length
+    // that exercises the 8-byte body and the byte tail, at every start
+    // offset within a word.
+    constexpr size_t kMaxLen = 1100;
+    Rng rng(15);
+    std::vector<uint8_t> buf(kMaxLen + 8);
+    for (uint8_t& b : buf)
+        b = static_cast<uint8_t>(rng.Next32());
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len <= kMaxLen; ++len) {
+            const uint8_t* p = buf.data() + align;
+            const uint32_t want = ReferenceCrc32c(p, len);
+            ASSERT_EQ(util::Crc32cExtend(0, p, len), want)
+                << "len " << len << " align " << align;
+            ASSERT_EQ(util::Crc32cExtendPortable(0, p, len), want)
+                << "len " << len << " align " << align;
+        }
+    }
+}
+
+TEST(Crc32c, RandomSplitsCompose)
+{
+    Rng rng(16);
+    std::vector<uint8_t> buf(4096);
+    for (uint8_t& b : buf)
+        b = static_cast<uint8_t>(rng.Next32());
+    const uint32_t want = ReferenceCrc32c(buf.data(), buf.size());
+    for (int trial = 0; trial < 200; ++trial) {
+        uint32_t fast = 0;
+        uint32_t portable = 0;
+        for (size_t pos = 0; pos < buf.size();) {
+            const size_t n = std::min<size_t>(buf.size() - pos,
+                                              rng.Range(0, 100));
+            fast = util::Crc32cExtend(fast, buf.data() + pos, n);
+            portable = util::Crc32cExtendPortable(portable, buf.data() + pos,
+                                                  n);
+            pos += n;
+        }
+        ASSERT_EQ(fast, want) << "trial " << trial;
+        ASSERT_EQ(portable, want) << "trial " << trial;
+    }
 }
 
 TEST(Crc32c, ExtendComposes)
