@@ -97,10 +97,13 @@ CrosscheckReport::ToString() const
         }
         // Signed distance from the interval; zero when inside it.
         std::string delta = "0";
-        if (c.actual < c.derived.lo)
-            delta = "-" + std::to_string(c.derived.lo - c.actual);
-        else if (!c.derived.unbounded && c.actual > c.derived.hi)
-            delta = "+" + std::to_string(c.actual - c.derived.hi);
+        if (c.actual < c.derived.lo) {
+            delta = "-";
+            delta += std::to_string(c.derived.lo - c.actual);
+        } else if (!c.derived.unbounded && c.actual > c.derived.hi) {
+            delta = "+";
+            delta += std::to_string(c.actual - c.derived.hi);
+        }
         table.AddRow({c.name, std::to_string(c.actual),
                       std::to_string(c.derived.lo),
                       c.derived.unbounded ? "inf"
@@ -167,22 +170,11 @@ Crosscheck(const std::vector<trace::Record>& records,
 util::StatusOr<cpu::EventCounters>
 ReadCountersFromManifest(const std::string& path, io::Vfs& vfs)
 {
-    util::StatusOr<std::unique_ptr<io::ReadableFile>> file =
-        vfs.OpenRead(path);
-    if (!file.ok())
-        return file.status();
-    std::string body;
-    char buf[4096];
-    for (;;) {
-        util::StatusOr<size_t> n = (*file)->Read(buf, sizeof buf);
-        if (!n.ok())
-            return n.status();
-        if (*n == 0)
-            break;
-        body.append(buf, *n);
-    }
+    util::StatusOr<std::string> body = io::ReadFile(vfs, path);
+    if (!body.ok())
+        return body.status();
 
-    util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(body);
+    util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(*body);
     if (!doc.ok())
         return util::InvalidArgument("run manifest ", path, ": ",
                                      doc.status().ToString());

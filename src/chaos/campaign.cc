@@ -176,15 +176,25 @@ CheckSalvageRoundTrip(DrillResult& r, const TraceFacts& facts)
 {
     if (facts.records.empty())
         return;
-    trace::MemoryByteSink resealed;
-    const util::Status status = trace::WriteAtf2(resealed, facts.records);
+    // A fresh local MemVfs, not the drill's: the round trip must not move
+    // the drill's op counts.
+    io::MemVfs scratch;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out =
+        scratch.Create(kTracePath);
+    const util::Status status =
+        out.ok() ? trace::WriteAtf2(**out, facts.records) : out.status();
     if (!status.ok()) {
         r.Fail("prefix-consistency",
                "salvaged records fail to re-serialize: " + status.ToString());
         return;
     }
-    trace::MemoryByteSource in(resealed.bytes());
-    const trace::ScanReport report = trace::ScanTrace(in, nullptr);
+    util::StatusOr<std::unique_ptr<io::ReadableFile>> in =
+        scratch.OpenRead(kTracePath);
+    if (!in.ok()) {
+        r.Fail("prefix-consistency", in.status().ToString());
+        return;
+    }
+    const trace::ScanReport report = trace::ScanTrace(**in, nullptr);
     if (!report.intact() ||
         report.records_salvaged != facts.records.size()) {
         r.Fail("prefix-consistency",
@@ -604,9 +614,6 @@ RecoverServe(const ServeCampaignSpec& spec, io::MemVfs& rebooted,
     return core.Jobs();
 }
 
-util::StatusOr<std::string> ReadWholeFile(io::Vfs& vfs,
-                                          const std::string& path);
-
 /**
  * Inspects the crash-consistent journal BEFORE recovery touches it: did
  * the cut leave a sweep mid-flight with some — not zero, not all — of
@@ -617,7 +624,7 @@ void
 DetectSweepPartialResume(io::Vfs& rebooted, ServeSeedResult& r)
 {
     util::StatusOr<std::string> bytes =
-        ReadWholeFile(rebooted, "serve.journal");
+        io::ReadFile(rebooted, "serve.journal");
     if (!bytes.ok())
         return;
     const std::vector<serve::JournalRecord> records =
@@ -642,25 +649,6 @@ DetectSweepPartialResume(io::Vfs& rebooted, ServeSeedResult& r)
         if (have > 0 && have < total)
             r.sweep_partial_resume = true;
     }
-}
-
-util::StatusOr<std::string>
-ReadWholeFile(io::Vfs& vfs, const std::string& path)
-{
-    util::StatusOr<std::unique_ptr<io::ReadableFile>> in = vfs.OpenRead(path);
-    if (!in.ok())
-        return in.status();
-    std::string bytes;
-    char buf[4096];
-    for (;;) {
-        util::StatusOr<size_t> n = (*in)->Read(buf, sizeof buf);
-        if (!n.ok())
-            return n.status();
-        if (*n == 0)
-            break;
-        bytes.append(buf, *n);
-    }
-    return bytes;
 }
 
 bool
@@ -806,7 +794,7 @@ CheckServeInvariants(ServeSeedResult& r, const std::vector<uint64_t>& acked,
 
     // Scan the surviving journal exactly the way a next restart would.
     util::StatusOr<std::string> bytes =
-        ReadWholeFile(final_vfs, "serve.journal");
+        io::ReadFile(final_vfs, "serve.journal");
     std::vector<serve::JournalRecord> records;
     bool journal_dropped = false;
     if (bytes.ok()) {
@@ -1215,7 +1203,7 @@ class NetHarness
     void CheckNetInvariants(const std::vector<serve::JobInfo>& final_jobs)
     {
         util::StatusOr<std::string> bytes =
-            ReadWholeFile(*disk_, "serve.journal");
+            io::ReadFile(*disk_, "serve.journal");
         std::vector<serve::JournalRecord> records;
         bool dropped = false;
         if (bytes.ok()) {
@@ -1247,8 +1235,10 @@ class NetHarness
                 continue;
             std::string detail = "token '" + token + "' was submitted " +
                                  std::to_string(ids.size()) + " times: ids";
-            for (uint64_t id : ids)
-                detail += " " + std::to_string(id);
+            for (uint64_t id : ids) {
+                detail += ' ';
+                detail += std::to_string(id);
+            }
             r_.Fail("net-double-run", detail);
         }
 

@@ -167,7 +167,7 @@ DeserializeSink(const std::vector<uint8_t>& bytes,
 // -- framing ----------------------------------------------------------------
 
 util::Status
-WriteSection(trace::ByteSink& out, CheckpointSection id,
+WriteSection(io::WritableFile& out, CheckpointSection id,
              const std::vector<uint8_t>& payload, uint32_t* sections,
              uint64_t* payload_total)
 {
@@ -192,7 +192,7 @@ WriteSection(trace::ByteSink& out, CheckpointSection id,
 
 /** Reads exactly `len` bytes or fails with data-loss. */
 util::Status
-ReadExact(trace::ByteSource& in, uint8_t* dst, size_t len,
+ReadExact(io::ReadableFile& in, uint8_t* dst, size_t len,
           const char* what)
 {
     size_t got = 0;
@@ -211,7 +211,7 @@ ReadExact(trace::ByteSource& in, uint8_t* dst, size_t len,
 }  // namespace
 
 util::Status
-WriteCheckpoint(trace::ByteSink& out, const CheckpointMeta& meta,
+WriteCheckpoint(io::WritableFile& out, const CheckpointMeta& meta,
                 const cpu::Machine& machine, const AtumTracer& tracer,
                 const trace::Atf2ResumeState* sink_state)
 {
@@ -279,10 +279,7 @@ WriteCheckpoint(trace::ByteSink& out, const CheckpointMeta& meta,
     Put64(footer, payload_total);
     Put32(footer, 0);  // reserved
     Put32(footer, util::Crc32c(footer.data(), footer.size()));
-    status = out.Write(footer.data(), footer.size());
-    if (!status.ok())
-        return status;
-    return out.Flush();
+    return out.Write(footer.data(), footer.size());
 }
 
 namespace {
@@ -337,7 +334,7 @@ WriteCheckpointFile(const std::string& path, const CheckpointMeta& meta,
 }
 
 util::StatusOr<Checkpoint>
-Checkpoint::Read(trace::ByteSource& in)
+Checkpoint::Read(io::ReadableFile& in)
 {
     uint8_t header[kCheckpointHeaderBytes];
     util::Status status = ReadExact(in, header, sizeof header, "header");

@@ -95,7 +95,8 @@ struct CheckpointMeta {
  * trace writer's mid-stream state (FileSink::SaveState); pass nullptr
  * for sink-less sessions (in-memory captures, tests).
  */
-util::Status WriteCheckpoint(trace::ByteSink& out, const CheckpointMeta& meta,
+util::Status WriteCheckpoint(io::WritableFile& out,
+                             const CheckpointMeta& meta,
                              const cpu::Machine& machine,
                              const AtumTracer& tracer,
                              const trace::Atf2ResumeState* sink_state);
@@ -129,7 +130,7 @@ class Checkpoint
 {
   public:
     /** Reads and verifies a whole checkpoint stream. */
-    static util::StatusOr<Checkpoint> Read(trace::ByteSource& in);
+    static util::StatusOr<Checkpoint> Read(io::ReadableFile& in);
     /** Read() on a file; kNotFound/kIoError when unreadable. */
     static util::StatusOr<Checkpoint> Load(const std::string& path,
                                            io::Vfs& vfs = io::RealVfs());

@@ -62,6 +62,8 @@ class MemVfs::MemReadableFile : public ReadableFile
     {
         const size_t avail = bytes_.size() - pos_;
         const size_t n = len < avail ? len : avail;
+        if (n == 0)
+            return n;  // an empty file's bytes_.data() may be null
         std::memcpy(data, bytes_.data() + pos_, n);
         pos_ += n;
         return n;

@@ -25,6 +25,24 @@ DirOf(const std::string& path)
     return path.substr(0, slash);
 }
 
+util::StatusOr<std::string>
+ReadFile(Vfs& vfs, const std::string& path)
+{
+    util::StatusOr<std::unique_ptr<ReadableFile>> in = vfs.OpenRead(path);
+    if (!in.ok())
+        return in.status();
+    std::string bytes;
+    char buf[4096];
+    for (;;) {
+        util::StatusOr<size_t> n = (*in)->Read(buf, sizeof buf);
+        if (!n.ok())
+            return n.status();
+        if (*n == 0)
+            return bytes;
+        bytes.append(buf, *n);
+    }
+}
+
 namespace {
 
 class RealWritableFile : public WritableFile

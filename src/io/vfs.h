@@ -4,7 +4,7 @@
 /**
  * @file
  * The Vfs seam — everything the capture pipeline wants from an operating
- * system, as an interface.
+ * system, as an interface, and the one byte interface in atum.
  *
  * The trace container, the trace sink, the checkpoint writer and the run
  * manifest used to call POSIX directly, which made their durability
@@ -21,6 +21,14 @@
  *                     one may;
  *  - ChaosVfs         (io/chaos.h) decorates a MemVfs with seeded,
  *                     schedule-driven fault injection.
+ *
+ * Every byte atum keeps on storage crosses WritableFile/ReadableFile:
+ * the ATF2 trace container (trace/container.h), the checkpoint
+ * (core/checkpoint.h), the serve job journal (serve/journal.h), the run
+ * manifest, and the tools. There is no second byte interface: tests
+ * keep bytes in memory with a MemVfs, and the trace layer's
+ * FileByteSink/FileByteSource are decorators of these two types that
+ * retry kInterrupted.
  *
  * Operations are deliberately few — the five things a crash-safe writer
  * actually needs: create/append/read a file, atomically publish a name
@@ -119,6 +127,13 @@ class Vfs
 
 /** The process-wide passthrough to the host OS. */
 Vfs& RealVfs();
+
+/**
+ * Reads the whole of `path` through `vfs`, one 4 KB Read at a time (so
+ * a ChaosVfs counts one read op per 4 KB). kNotFound when missing; the
+ * first failed Read's status otherwise.
+ */
+util::StatusOr<std::string> ReadFile(Vfs& vfs, const std::string& path);
 
 /** `path`'s parent directory ("." when the path has no slash). */
 std::string DirOf(const std::string& path);

@@ -19,16 +19,20 @@ RegName(unsigned reg)
         return "sp";
       case kRegPc:
         return "pc";
-      default:
-        return "r" + std::to_string(reg);
+      default: {
+        std::string name = "r";
+        name += std::to_string(reg);
+        return name;
+      }
     }
 }
 
+/** `v` in hex after `prefix` ("#0x1f"). */
 std::string
-Hex(uint32_t v)
+Hex(uint32_t v, const char* prefix = "")
 {
     char buf[16];
-    std::snprintf(buf, sizeof buf, "0x%x", v);
+    std::snprintf(buf, sizeof buf, "%s0x%x", prefix, v);
     return buf;
 }
 
@@ -50,12 +54,15 @@ FormatOperand(const Operand& op)
       case AddrMode::kDisp8:
       case AddrMode::kDisp32:
         return std::to_string(op.disp) + "(" + r + ")";
-      case AddrMode::kDisp32Def:
-        return "@" + std::to_string(op.disp) + "(" + r + ")";
+      case AddrMode::kDisp32Def: {
+        std::string s = "@";
+        s += std::to_string(op.disp);
+        return s + "(" + r + ")";
+      }
       case AddrMode::kImm:
-        return "#" + Hex(op.imm);
+        return Hex(op.imm, "#");
       case AddrMode::kAbs:
-        return "@#" + Hex(op.imm);
+        return Hex(op.imm, "@#");
     }
     Panic("unreachable addressing mode");
 }

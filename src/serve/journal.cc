@@ -27,26 +27,6 @@ AppendU32Le(std::string& out, uint32_t v)
 /** Records are small; anything claiming more is noise, not a record. */
 constexpr uint32_t kMaxRecordBytes = 64u << 10;
 
-util::StatusOr<std::string>
-ReadAllBytes(const std::string& path, io::Vfs& vfs)
-{
-    util::StatusOr<std::unique_ptr<io::ReadableFile>> in =
-        vfs.OpenRead(path);
-    if (!in.ok())
-        return in.status();
-    std::string bytes;
-    char buf[4096];
-    for (;;) {
-        util::StatusOr<size_t> n = (*in)->Read(buf, sizeof buf);
-        if (!n.ok())
-            return n.status();
-        if (*n == 0)
-            break;
-        bytes.append(buf, *n);
-    }
-    return bytes;
-}
-
 }  // namespace
 
 const char*
@@ -235,7 +215,7 @@ util::StatusOr<std::unique_ptr<JobJournal>>
 JobJournal::Open(const std::string& path, io::Vfs& vfs)
 {
     std::unique_ptr<JobJournal> journal(new JobJournal(path, vfs));
-    util::StatusOr<std::string> bytes = ReadAllBytes(path, vfs);
+    util::StatusOr<std::string> bytes = io::ReadFile(vfs, path);
     if (!bytes.ok() && bytes.status().code() != util::StatusCode::kNotFound)
         return bytes.status();
 
@@ -292,42 +272,6 @@ JobJournal::Append(const JournalRecord& record)
         return s;
     }
     durable_bytes_ += frame.size();
-    return util::OkStatus();
-}
-
-util::Status
-JobJournal::Compact(const std::vector<JournalRecord>& records)
-{
-    const std::string tmp = path_ + ".tmp";
-    util::StatusOr<std::unique_ptr<io::WritableFile>> out = vfs_.Create(tmp);
-    if (!out.ok())
-        return out.status();
-    std::string bytes;
-    for (const JournalRecord& record : records) {
-        const std::string payload = SerializeJournalRecord(record);
-        AppendU32Le(bytes, static_cast<uint32_t>(payload.size()));
-        AppendU32Le(bytes, util::Crc32c(payload.data(), payload.size()));
-        bytes += payload;
-    }
-    if (util::Status s = (*out)->Write(bytes.data(), bytes.size()); !s.ok())
-        return s;
-    if (util::Status s = (*out)->Sync(); !s.ok())
-        return s;
-    if (util::Status s = (*out)->Close(); !s.ok())
-        return s;
-    // The ATCK publish: the complete new journal replaces the old name
-    // atomically, and the rename is made durable before we rely on it.
-    if (util::Status s = vfs_.Rename(tmp, path_); !s.ok())
-        return s;
-    if (util::Status s = vfs_.DirSync(path_); !s.ok())
-        return s;
-    file_.reset();
-    util::StatusOr<std::unique_ptr<io::WritableFile>> file =
-        vfs_.OpenForAppendAt(path_, bytes.size());
-    if (!file.ok())
-        return file.status();
-    file_ = std::move(*file);
-    durable_bytes_ = bytes.size();
     return util::OkStatus();
 }
 

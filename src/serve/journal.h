@@ -21,10 +21,6 @@
  * crash interrupted), and re-opens for append exactly past the valid
  * prefix. A corrupt record mid-file ends the valid prefix there —
  * trusting frames past a bad CRC would resurrect jobs from noise.
- *
- * Compact() rewrites the journal with the ATCK publish pattern
- * (tmp + fsync + rename + dirsync) so a long-lived daemon's journal
- * doesn't grow with its whole history.
  */
 
 #include <cstdint>
@@ -111,13 +107,6 @@ class JobJournal
      * further appends rather than append after garbage.
      */
     util::Status Append(const JournalRecord& record);
-
-    /**
-     * Atomically replaces the journal's content with `records` (tmp +
-     * fsync + rename + dirsync) and re-opens for append. On failure the
-     * old journal remains the published truth.
-     */
-    util::Status Compact(const std::vector<JournalRecord>& records);
 
     /** Records recovered by Open(), in append order. */
     const std::vector<JournalRecord>& recovered() const

@@ -96,7 +96,7 @@ MakeChunkBuffer(uint32_t chunk_records)
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// File-backed byte streams.
+// File handles.
 
 FileByteSink::FileByteSink(std::unique_ptr<io::WritableFile> file,
                            std::string path)
@@ -168,8 +168,6 @@ FileByteSink::Close()
 {
     if (file_ == nullptr)
         return util::OkStatus();
-    // fsync before close: a capture is hours of machine time, and "the
-    // kernel probably wrote it eventually" is not crash-safe.
     util::Status status = Sync();
     const util::Status close_status = file_->Close();
     if (status.ok())
@@ -207,29 +205,18 @@ FileByteSource::Read(void* data, size_t len)
     return got;
 }
 
-util::StatusOr<size_t>
-MemoryByteSource::Read(void* data, size_t len)
-{
-    const size_t avail = bytes_.size() - pos_;
-    const size_t n = len < avail ? len : avail;
-    if (n == 0)
-        return n;  // empty input: bytes_.data() may be null
-    std::memcpy(data, bytes_.data() + pos_, n);
-    pos_ += n;
-    return n;
-}
-
 // ---------------------------------------------------------------------------
 // Writer.
 
-Atf2Writer::Atf2Writer(ByteSink& out, const Atf2WriterOptions& options)
+Atf2Writer::Atf2Writer(io::WritableFile& out,
+                       const Atf2WriterOptions& options)
     : out_(out),
       options_(options),
       chunk_(MakeChunkBuffer(options.chunk_records))
 {
 }
 
-Atf2Writer::Atf2Writer(ByteSink& out, ResumeFrom resume)
+Atf2Writer::Atf2Writer(io::WritableFile& out, ResumeFrom resume)
     : out_(out),
       options_{resume.state.chunk_records},
       chunk_(MakeChunkBuffer(resume.state.chunk_records)),
@@ -347,9 +334,6 @@ Atf2Writer::Seal()
     status = out_.Write(footer.data(), footer.size());
     if (!status.ok())
         return status;
-    status = out_.Flush();
-    if (!status.ok())
-        return status;
     sealed_ = true;
     return util::OkStatus();
 }
@@ -358,7 +342,7 @@ Atf2Writer::Seal()
 // Tolerant scanner.
 
 ScanReport
-ScanTrace(ByteSource& in, std::vector<Record>* out)
+ScanTrace(io::ReadableFile& in, std::vector<Record>* out)
 {
     ScanReport report;
     std::vector<uint8_t> b;
@@ -590,7 +574,7 @@ LoadTrace(const std::string& path, io::Vfs& vfs)
 }
 
 util::Status
-WriteAtf2(ByteSink& out, const std::vector<Record>& records,
+WriteAtf2(io::WritableFile& out, const std::vector<Record>& records,
           const Atf2WriterOptions& options)
 {
     Atf2Writer writer(out, options);

@@ -48,44 +48,20 @@
 namespace atum::trace {
 
 // ---------------------------------------------------------------------------
-// Byte-stream interfaces. The container reads/writes through these so that
-// tests can keep data in memory without touching a filesystem; faults are
-// injected one layer down, at the Vfs seam (io/chaos.h ChaosVfs).
-
-/** Destination for raw container bytes. */
-class ByteSink
-{
-  public:
-    virtual ~ByteSink() = default;
-    /** Writes all `len` bytes or returns a non-OK status. */
-    virtual util::Status Write(const void* data, size_t len) = 0;
-    virtual util::Status Flush() { return util::OkStatus(); }
-    /**
-     * Makes everything written so far durable (fsync for files). The
-     * checkpoint subsystem calls this before recording a trace-file
-     * high-water mark, so the mark never points past what a crash can
-     * lose.
-     */
-    virtual util::Status Sync() { return Flush(); }
-    /** Flushes and releases the destination; idempotent. */
-    virtual util::Status Close() { return Flush(); }
-};
-
-/** Source of raw container bytes. */
-class ByteSource
-{
-  public:
-    virtual ~ByteSource() = default;
-    /** Reads up to `len` bytes; returns the count read, 0 at end. */
-    virtual util::StatusOr<size_t> Read(void* data, size_t len) = 0;
-};
+// File handles. The container reads and writes io::WritableFile and
+// io::ReadableFile (io/vfs.h); tests keep bytes in an io::MemVfs, and
+// faults are injected at the same seam (io/chaos.h ChaosVfs). These two
+// decorators add the retry of interrupted (EINTR-class) operations, so
+// callers only ever see an interruption if it persists.
 
 /**
- * File-backed ByteSink over the Vfs seam (io/vfs.h); Close() is
- * fsync-then-close. Interrupted (EINTR-class) writes and syncs are
- * retried here, so callers only ever see them if they persist.
+ * A WritableFile over the Vfs seam that retries kInterrupted writes and
+ * syncs. Close() syncs before it closes, which makes it stronger than the
+ * WritableFile contract (there Close does not imply Sync): a capture is
+ * hours of machine time, and "the kernel probably wrote it eventually"
+ * is not crash-safe.
  */
-class FileByteSink : public ByteSink
+class FileByteSink : public io::WritableFile
 {
   public:
     static util::StatusOr<std::unique_ptr<FileByteSink>> Open(
@@ -107,6 +83,7 @@ class FileByteSink : public ByteSink
 
     util::Status Write(const void* data, size_t len) override;
     util::Status Sync() override;
+    /** Sync, then close; idempotent. */
     util::Status Close() override;
 
   private:
@@ -116,8 +93,8 @@ class FileByteSink : public ByteSink
     std::string path_;
 };
 
-/** File-backed ByteSource over the Vfs seam. */
-class FileByteSource : public ByteSource
+/** A ReadableFile over the Vfs seam that retries kInterrupted reads. */
+class FileByteSource : public io::ReadableFile
 {
   public:
     static util::StatusOr<std::unique_ptr<FileByteSource>> Open(
@@ -133,40 +110,6 @@ class FileByteSource : public ByteSource
 
     std::unique_ptr<io::ReadableFile> file_;
     std::string path_;
-};
-
-/** Accumulates container bytes in memory (tests, fault harness). */
-class MemoryByteSink : public ByteSink
-{
-  public:
-    util::Status Write(const void* data, size_t len) override
-    {
-        const auto* p = static_cast<const uint8_t*>(data);
-        bytes_.insert(bytes_.end(), p, p + len);
-        return util::OkStatus();
-    }
-
-    const std::vector<uint8_t>& bytes() const { return bytes_; }
-    std::vector<uint8_t>& mutable_bytes() { return bytes_; }
-
-  private:
-    std::vector<uint8_t> bytes_;
-};
-
-/** Reads container bytes from a borrowed in-memory buffer. */
-class MemoryByteSource : public ByteSource
-{
-  public:
-    explicit MemoryByteSource(const std::vector<uint8_t>& bytes)
-        : bytes_(bytes)
-    {
-    }
-
-    util::StatusOr<size_t> Read(void* data, size_t len) override;
-
-  private:
-    const std::vector<uint8_t>& bytes_;
-    size_t pos_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -221,7 +164,8 @@ struct Atf2ResumeState {
 class Atf2Writer
 {
   public:
-    explicit Atf2Writer(ByteSink& out, const Atf2WriterOptions& options = {});
+    explicit Atf2Writer(io::WritableFile& out,
+                        const Atf2WriterOptions& options = {});
 
     /** Tag selecting the resume constructor (keeps the options overload
      *  unambiguous under designated initializers). */
@@ -234,7 +178,7 @@ class Atf2Writer
      * must already be positioned at `state.file_bytes` (FileByteSink::
      * OpenAt does the truncation).
      */
-    Atf2Writer(ByteSink& out, ResumeFrom resume);
+    Atf2Writer(io::WritableFile& out, ResumeFrom resume);
 
     Atf2Writer(const Atf2Writer&) = delete;
     Atf2Writer& operator=(const Atf2Writer&) = delete;
@@ -259,7 +203,7 @@ class Atf2Writer
     util::Status Start();
     util::Status FlushChunk();
 
-    ByteSink& out_;
+    io::WritableFile& out_;
     Atf2WriterOptions options_;
     /** The open chunk as it goes to the sink: a kAtf2ChunkHeaderBytes
      *  header slot, filled in at flush, then room for a full chunk of
@@ -309,7 +253,7 @@ struct ScanReport {
  * be null to verify only). Never terminates the process; all damage is
  * described in the returned report.
  */
-ScanReport ScanTrace(ByteSource& in, std::vector<Record>* out);
+ScanReport ScanTrace(io::ReadableFile& in, std::vector<Record>* out);
 
 /**
  * Strictly loads a trace file: every record or a non-OK status (kNotFound
@@ -321,7 +265,8 @@ util::StatusOr<std::vector<Record>> LoadTrace(const std::string& path,
                                               io::Vfs& vfs = io::RealVfs());
 
 /** Writes `records` as a sealed ATF2 container on `out`. */
-util::Status WriteAtf2(ByteSink& out, const std::vector<Record>& records,
+util::Status WriteAtf2(io::WritableFile& out,
+                       const std::vector<Record>& records,
                        const Atf2WriterOptions& options = {});
 
 }  // namespace atum::trace

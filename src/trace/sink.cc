@@ -7,51 +7,65 @@
 
 namespace atum::trace {
 
-MeteredByteSink::MeteredByteSink(std::unique_ptr<ByteSink> inner)
-    : inner_(std::move(inner)),
-      bytes_(&obs::Registry::Global().GetCounter("trace.sink.bytes")),
-      writes_(&obs::Registry::Global().GetCounter("trace.sink.writes")),
-      fsyncs_(&obs::Registry::Global().GetCounter("trace.sink.fsyncs")),
-      write_us_(&obs::Registry::Global().GetHistogram("trace.sink.write_us"))
-{
-}
+namespace {
 
-util::Status
-MeteredByteSink::Write(const void* data, size_t len)
+/**
+ * WritableFile decorator that meters the host-side write path: bytes and
+ * write calls (`trace.sink.bytes`, `trace.sink.writes`), fsyncs
+ * (`trace.sink.fsyncs`) and per-Write wall latency (`trace.sink.write_us`
+ * log2-µs histogram), all in the global metrics registry. Pure
+ * pass-through otherwise — statuses (including injected faults)
+ * propagate unchanged.
+ */
+class MeteredFile : public io::WritableFile
 {
-    const auto t0 = std::chrono::steady_clock::now();
-    util::Status status = inner_->Write(data, len);
-    const auto elapsed = std::chrono::steady_clock::now() - t0;
-    write_us_->Add(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
-            .count()));
-    writes_->Add(1);
-    if (status.ok())
-        bytes_->Add(len);
-    return status;
-}
+  public:
+    explicit MeteredFile(std::unique_ptr<io::WritableFile> inner)
+        : inner_(std::move(inner)),
+          bytes_(&obs::Registry::Global().GetCounter("trace.sink.bytes")),
+          writes_(&obs::Registry::Global().GetCounter("trace.sink.writes")),
+          fsyncs_(&obs::Registry::Global().GetCounter("trace.sink.fsyncs")),
+          write_us_(
+              &obs::Registry::Global().GetHistogram("trace.sink.write_us"))
+    {
+    }
 
-util::Status
-MeteredByteSink::Sync()
-{
-    util::Status status = inner_->Sync();
-    fsyncs_->Add(1);
-    return status;
-}
+    util::Status Write(const void* data, size_t len) override
+    {
+        const auto t0 = std::chrono::steady_clock::now();
+        util::Status status = inner_->Write(data, len);
+        const auto elapsed = std::chrono::steady_clock::now() - t0;
+        write_us_->Add(static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+                .count()));
+        writes_->Add(1);
+        if (status.ok())
+            bytes_->Add(len);
+        return status;
+    }
 
-FileSink::FileSink(const std::string& path)
-{
-    util::StatusOr<std::unique_ptr<FileByteSink>> out =
-        FileByteSink::Open(path);
-    if (!out.ok())
-        Fatal(out.status().message());
-    out_ = std::make_unique<MeteredByteSink>(std::move(*out));
-    writer_ = std::make_unique<Atf2Writer>(*out_);
-}
+    util::Status Sync() override
+    {
+        util::Status status = inner_->Sync();
+        fsyncs_->Add(1);
+        return status;
+    }
 
-FileSink::FileSink(std::unique_ptr<ByteSink> out,
+    util::Status Close() override { return inner_->Close(); }
+
+  private:
+    std::unique_ptr<io::WritableFile> inner_;
+    obs::Counter* bytes_;
+    obs::Counter* writes_;
+    obs::Counter* fsyncs_;
+    obs::Histogram* write_us_;
+};
+
+}  // namespace
+
+FileSink::FileSink(std::unique_ptr<io::WritableFile> out,
                    const Atf2WriterOptions& options)
-    : out_(std::make_unique<MeteredByteSink>(std::move(out)))
+    : out_(std::make_unique<MeteredFile>(std::move(out)))
 {
     writer_ = std::make_unique<Atf2Writer>(*out_, options);
 }
@@ -68,9 +82,9 @@ FileSink::Open(const std::string& path, const Atf2WriterOptions& options,
         new FileSink(std::move(*out), options));
 }
 
-FileSink::FileSink(std::unique_ptr<ByteSink> out,
+FileSink::FileSink(std::unique_ptr<io::WritableFile> out,
                    const Atf2ResumeState& state)
-    : out_(std::make_unique<MeteredByteSink>(std::move(out)))
+    : out_(std::make_unique<MeteredFile>(std::move(out)))
 {
     writer_ = std::make_unique<Atf2Writer>(*out_, Atf2Writer::ResumeFrom{state});
 }

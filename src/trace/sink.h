@@ -27,32 +27,6 @@
 
 namespace atum::trace {
 
-/**
- * ByteSink decorator that meters the host-side write path: bytes and
- * write calls (`trace.sink.bytes`, `trace.sink.writes`), fsyncs
- * (`trace.sink.fsyncs`) and per-Write wall latency (`trace.sink.write_us`
- * log2-µs histogram), all in the global metrics registry. Pure
- * pass-through otherwise — statuses (including injected faults)
- * propagate unchanged.
- */
-class MeteredByteSink : public ByteSink
-{
-  public:
-    explicit MeteredByteSink(std::unique_ptr<ByteSink> inner);
-
-    util::Status Write(const void* data, size_t len) override;
-    util::Status Flush() override { return inner_->Flush(); }
-    util::Status Sync() override;
-    util::Status Close() override { return inner_->Close(); }
-
-  private:
-    std::unique_ptr<ByteSink> inner_;
-    obs::Counter* bytes_;
-    obs::Counter* writes_;
-    obs::Counter* fsyncs_;
-    obs::Histogram* write_us_;
-};
-
 /** Receives records drained from the trace buffer. */
 class TraceSink
 {
@@ -102,14 +76,8 @@ class CountingSink : public TraceSink
 class FileSink : public TraceSink
 {
   public:
-    /**
-     * Opens `path` for writing; Fatal when the file cannot be created
-     * (kept for the quickstart path — use Open() where a recoverable
-     * error is wanted).
-     */
-    explicit FileSink(const std::string& path);
-
-    /** Recoverable open; `vfs` selects the filesystem (chaos tests). */
+    /** Opens `path` for writing; `vfs` selects the filesystem (chaos
+     *  tests). */
     static util::StatusOr<std::unique_ptr<FileSink>> Open(
         const std::string& path, const Atf2WriterOptions& options = {},
         io::Vfs& vfs = io::RealVfs());
@@ -124,10 +92,6 @@ class FileSink : public TraceSink
     static util::StatusOr<std::unique_ptr<FileSink>> OpenResumed(
         const std::string& path, const Atf2ResumeState& state,
         io::Vfs& vfs = io::RealVfs());
-
-    /** Writes the container into an arbitrary byte sink (fault tests). */
-    explicit FileSink(std::unique_ptr<ByteSink> out,
-                      const Atf2WriterOptions& options = {});
 
     /** Closes (seal + fsync) if still open; failure is a warning only. */
     ~FileSink() override;
@@ -163,15 +127,18 @@ class FileSink : public TraceSink
     /**
      * Publishes container-level tallies into `reg` as `trace.sink.*`
      * counters (records, chunks, file_bytes). The byte-path metrics
-     * (bytes/writes/fsyncs/write_us) are event-driven via
-     * MeteredByteSink and need no publishing.
+     * (bytes/writes/fsyncs/write_us) are metered as they happen and
+     * need no publishing.
      */
     void PublishMetrics(obs::Registry& reg) const;
 
   private:
-    FileSink(std::unique_ptr<ByteSink> out, const Atf2ResumeState& state);
+    FileSink(std::unique_ptr<io::WritableFile> out,
+             const Atf2WriterOptions& options);
+    FileSink(std::unique_ptr<io::WritableFile> out,
+             const Atf2ResumeState& state);
 
-    std::unique_ptr<ByteSink> out_;
+    std::unique_ptr<io::WritableFile> out_;
     std::unique_ptr<Atf2Writer> writer_;
     bool closed_ = false;
     util::Status close_status_;

@@ -7,14 +7,13 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "chaos/campaign.h"
 #include "core/checkpoint.h"
 #include "io/chaos.h"
+#include "io/vfs.h"
 #include "util/status.h"
 
 #ifndef ATUM_CHAOS_CORPUS_DIR
@@ -33,14 +32,16 @@ QuickSpec()
     return spec;
 }
 
+/** "writes/syncs/reads/renames/unlinks/dirsyncs", as a pin compares. */
 std::string
-ReadFile(const std::string& path)
+DiskCounts(const util::StatusOr<io::OpCounts>& counts)
 {
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream body;
-    body << in.rdbuf();
-    EXPECT_FALSE(in.bad()) << path;
-    return body.str();
+    if (!counts.ok())
+        return counts.status().ToString();
+    const io::OpCounts& c = counts.value();
+    return std::to_string(c.writes) + "/" + std::to_string(c.syncs) + "/" +
+           std::to_string(c.reads) + "/" + std::to_string(c.renames) + "/" +
+           std::to_string(c.unlinks) + "/" + std::to_string(c.dirsyncs);
 }
 
 std::vector<std::string>
@@ -73,8 +74,10 @@ TEST(ChaosCorpus, ReplaysClean)
                                 << ATUM_CHAOS_CORPUS_DIR;
     for (const std::string& file : files) {
         SCOPED_TRACE(file);
+        util::StatusOr<std::string> text = io::ReadFile(io::RealVfs(), file);
+        ASSERT_TRUE(text.ok()) << text.status().ToString();
         util::StatusOr<io::ChaosSchedule> schedule =
-            io::ChaosSchedule::Parse(ReadFile(file));
+            io::ChaosSchedule::Parse(*text);
         ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
         util::StatusOr<SeedResult> result =
             ReplaySchedule(CampaignSpec{}, *schedule);
@@ -84,6 +87,30 @@ TEST(ChaosCorpus, ReplaysClean)
             << "schedule no longer fires any fault; re-aim it with "
                "`atum-chaos --probe`: " << result->Summary();
     }
+}
+
+// Behaviour lock on the I/O sequence: the fault-free op counts that
+// `atum-chaos --probe`, `--probe --serve` and `--probe --serve --sweeps`
+// print. Every seeded schedule aims its fault indices into these counts,
+// so a change to the byte path that moves one silently re-aims every
+// campaign. In the capture probe, 412 syncs = 3 x 137 checkpoints + the
+// final trace sync; the three per checkpoint are the trace SaveState
+// sync, the checkpoint's own Sync and the sync inside
+// FileByteSink::Close.
+TEST(ChaosProbe, OpCountsArePinned)
+{
+    EXPECT_EQ(DiskCounts(ProbeOpCounts(CampaignSpec{})),
+              "3552/412/0/137/134/137");
+    EXPECT_EQ(DiskCounts(ProbeOpCounts(ServeCampaignSpec{}, /*seed=*/1)),
+              "1448/256/0/96/72/80");
+    // The lighter capture shape atum-chaos gives bare --serve --sweeps.
+    ServeCampaignSpec sweeps;
+    sweeps.sweeps = 2;
+    sweeps.jobs = 2;
+    sweeps.max_instructions = 2000;
+    sweeps.buffer_bytes = 8u << 10;
+    EXPECT_EQ(DiskCounts(ProbeOpCounts(sweeps, /*seed=*/1)),
+              "131/30/4/25/2/4");
 }
 
 // Property: after a power cut at an arbitrary write/sync, recovery (via

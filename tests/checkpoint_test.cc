@@ -17,6 +17,8 @@
 #include "core/checkpoint.h"
 #include "core/session.h"
 #include "cpu/machine.h"
+#include "io/chaos.h"
+#include "io/mem_vfs.h"
 #include "kernel/boot.h"
 #include "trace/container.h"
 #include "trace/sink.h"
@@ -34,8 +36,6 @@ using core::CheckpointRotator;
 using core::StopCause;
 using core::SupervisorOptions;
 using cpu::Machine;
-using trace::MemoryByteSink;
-using trace::MemoryByteSource;
 
 Machine::Config
 MixConfig()
@@ -61,19 +61,29 @@ TempPath(const std::string& name)
     return std::string(dir ? dir : "/tmp") + "/" + name;
 }
 
+constexpr char kCkpt[] = "capture.atck";
+
+/** The bytes WriteCheckpoint produces for this state. */
 std::vector<uint8_t>
-ReadAllBytes(const std::string& path)
+CheckpointBytes(const CheckpointMeta& meta, const Machine& machine,
+                const AtumTracer& tracer,
+                const trace::Atf2ResumeState* sink_state)
 {
-    std::vector<uint8_t> bytes;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return bytes;
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    std::fclose(f);
-    return bytes;
+    io::MemVfs vfs;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out =
+        vfs.Create(kCkpt);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(
+        core::WriteCheckpoint(**out, meta, machine, tracer, sink_state).ok());
+    return vfs.ReadAll(kCkpt).value();
+}
+
+/** Reads `bytes` back as a checkpoint file on a fresh MemVfs. */
+util::StatusOr<Checkpoint>
+ReadCheckpoint(const std::vector<uint8_t>& bytes)
+{
+    io::MemVfs vfs(io::MemVfs::Snapshot{{{kCkpt, bytes}}});
+    return Checkpoint::Load(kCkpt, vfs);
 }
 
 // ---------------------------------------------------------------------------
@@ -141,13 +151,8 @@ TEST(CheckpointDeterminism, RestoredMachineReplaysIdentically)
     CheckpointMeta meta;
     meta.machine_config = mconfig;
     meta.tracer_config = tconfig;
-    MemoryByteSink ckpt_bytes;
-    ASSERT_TRUE(
-        core::WriteCheckpoint(ckpt_bytes, meta, machine, tracer, nullptr)
-            .ok());
-
-    MemoryByteSource source(ckpt_bytes.bytes());
-    util::StatusOr<Checkpoint> ckpt = Checkpoint::Read(source);
+    util::StatusOr<Checkpoint> ckpt =
+        ReadCheckpoint(CheckpointBytes(meta, machine, tracer, nullptr));
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
 
     Machine restored(ckpt->meta().machine_config);
@@ -269,11 +274,14 @@ TEST(CheckpointResume, ResumedTraceIsByteIdentical)
         ASSERT_TRUE((*sink)->Close().ok());
     }
 
-    const std::vector<uint8_t> full = ReadAllBytes(full_path);
-    const std::vector<uint8_t> resumed = ReadAllBytes(torn_path);
-    ASSERT_FALSE(full.empty());
-    ASSERT_EQ(full.size(), resumed.size());
-    EXPECT_TRUE(full == resumed)
+    util::StatusOr<std::string> full =
+        io::ReadFile(io::RealVfs(), full_path);
+    util::StatusOr<std::string> resumed =
+        io::ReadFile(io::RealVfs(), torn_path);
+    ASSERT_TRUE(full.ok() && resumed.ok());
+    ASSERT_FALSE(full->empty());
+    ASSERT_EQ(full->size(), resumed->size());
+    EXPECT_TRUE(*full == *resumed)
         << "resumed capture diverged from the uninterrupted one";
 
     std::remove(full_path.c_str());
@@ -289,38 +297,50 @@ class CheckpointCorruption : public ::testing::Test
   protected:
     void SetUp() override
     {
-        Machine machine(MixConfig());
-        trace::VectorSink sink;
-        AtumTracer tracer(machine, sink, SmallBufferConfig());
-        kernel::BootSystem(machine, workloads::StandardMix(1));
-        tracer.Attach();
-        machine.Run(20'000);
+        kernel::BootSystem(machine_, workloads::StandardMix(1));
+        tracer_.Attach();
+        machine_.Run(20'000);
 
-        CheckpointMeta meta;
-        meta.machine_config = MixConfig();
-        meta.tracer_config = SmallBufferConfig();
-        trace::Atf2ResumeState sink_state;
-        sink_state.file_bytes = 32;
-        MemoryByteSink out;
-        ASSERT_TRUE(core::WriteCheckpoint(out, meta, machine, tracer,
-                                          &sink_state)
-                        .ok());
-        bytes_ = out.bytes();
+        meta_.machine_config = MixConfig();
+        meta_.tracer_config = SmallBufferConfig();
+        sink_state_.file_bytes = 32;
+        bytes_ = CheckpointBytes(meta_, machine_, tracer_, &sink_state_);
     }
 
     util::Status ReadStatus(const std::vector<uint8_t>& bytes)
     {
-        MemoryByteSource source(bytes);
-        util::StatusOr<Checkpoint> ckpt = Checkpoint::Read(source);
+        util::StatusOr<Checkpoint> ckpt = ReadCheckpoint(bytes);
         return ckpt.ok() ? util::OkStatus() : ckpt.status();
     }
 
+    Machine machine_{MixConfig()};
+    trace::VectorSink sink_;
+    AtumTracer tracer_{machine_, sink_, SmallBufferConfig()};
+    CheckpointMeta meta_;
+    trace::Atf2ResumeState sink_state_;
     std::vector<uint8_t> bytes_;
 };
 
 TEST_F(CheckpointCorruption, IntactCheckpointLoads)
 {
     EXPECT_TRUE(ReadStatus(bytes_).ok());
+}
+
+// Interrupted (EINTR-class) writes and syncs are retried below the
+// checkpoint writer: the published file is the same bytes and loads.
+TEST_F(CheckpointCorruption, InterruptedWriteAndSyncAreRetried)
+{
+    util::StatusOr<io::ChaosSchedule> schedule = io::ChaosSchedule::Parse(
+        "op fail-write 1 intr\nop fail-sync 1 intr\n");
+    ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, *schedule);
+    ASSERT_TRUE(core::WriteCheckpointFile(kCkpt, meta_, machine_, tracer_,
+                                          &sink_state_, vfs)
+                    .ok());
+    EXPECT_EQ(vfs.faults_fired(), 2u);
+    EXPECT_EQ(mem.ReadAll(kCkpt).value(), bytes_);
+    EXPECT_TRUE(Checkpoint::Load(kCkpt, mem).ok());
 }
 
 TEST_F(CheckpointCorruption, EveryTruncationIsRejected)
@@ -352,8 +372,7 @@ TEST_F(CheckpointCorruption, EveryBitFlipIsRejected)
 
 TEST_F(CheckpointCorruption, GeometryMismatchIsRejected)
 {
-    MemoryByteSource source(bytes_);
-    util::StatusOr<Checkpoint> ckpt = Checkpoint::Read(source);
+    util::StatusOr<Checkpoint> ckpt = ReadCheckpoint(bytes_);
     ASSERT_TRUE(ckpt.ok());
 
     // A machine with the wrong memory size must refuse the image.
@@ -388,12 +407,8 @@ TEST(CheckpointSinkState, OpenChunkBeyondCapacityIsRejected)
         sink_state.file_bytes = 32;
         sink_state.chunk_records = chunk_records;
         sink_state.pending.assign(3 * trace::kRecordBytes, 0);
-        MemoryByteSink out;
-        ASSERT_TRUE(core::WriteCheckpoint(out, meta, machine, tracer,
-                                          &sink_state)
-                        .ok());
-        MemoryByteSource source(out.bytes());
-        util::StatusOr<Checkpoint> ckpt = Checkpoint::Read(source);
+        util::StatusOr<Checkpoint> ckpt = ReadCheckpoint(
+            CheckpointBytes(meta, machine, tracer, &sink_state));
         ASSERT_FALSE(ckpt.ok()) << "chunk_records " << chunk_records;
         EXPECT_EQ(ckpt.status().code(), util::StatusCode::kDataLoss);
     }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -339,14 +340,14 @@ TEST_P(CrosscheckProperty, CheckpointResumeCoversCounters)
     core::CheckpointMeta meta;
     meta.machine_config = mconfig;
     meta.tracer_config = tconfig;
-    trace::MemoryByteSink ckpt_bytes;
-    ASSERT_TRUE(
-        core::WriteCheckpoint(ckpt_bytes, meta, machine, tracer, nullptr)
-            .ok());
+    io::MemVfs vfs;
+    ASSERT_TRUE(core::WriteCheckpointFile("ckpt.atck", meta, machine, tracer,
+                                          nullptr, vfs)
+                    .ok());
     const size_t records_at_ckpt = sink.records().size();
 
-    trace::MemoryByteSource source(ckpt_bytes.bytes());
-    util::StatusOr<core::Checkpoint> ckpt = core::Checkpoint::Read(source);
+    util::StatusOr<core::Checkpoint> ckpt =
+        core::Checkpoint::Load("ckpt.atck", vfs);
     ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
 
     Machine restored(ckpt->meta().machine_config);
@@ -428,14 +429,20 @@ TEST_P(CrosscheckProperty, PowercutSalvagePrefixCoversCounters)
     const CaptureOutcome out = CaptureWorkload(GetParam());
     ASSERT_TRUE(out.halted);
 
-    trace::MemoryByteSink container;
-    ASSERT_TRUE(trace::WriteAtf2(container, out.records).ok());
-    std::vector<uint8_t> torn = container.bytes();
+    io::MemVfs vfs;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> file =
+        vfs.Create("t.atf2");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(trace::WriteAtf2(**file, out.records).ok());
+    std::vector<uint8_t> torn = vfs.ReadAll("t.atf2").value();
     torn.resize(torn.size() * 2 / 3);
 
+    io::MemVfs cut(io::MemVfs::Snapshot{{{"t.atf2", torn}}});
+    util::StatusOr<std::unique_ptr<io::ReadableFile>> in =
+        cut.OpenRead("t.atf2");
+    ASSERT_TRUE(in.ok());
     std::vector<Record> salvaged;
-    trace::MemoryByteSource source(torn);
-    const trace::ScanReport scan = trace::ScanTrace(source, &salvaged);
+    const trace::ScanReport scan = trace::ScanTrace(**in, &salvaged);
     ASSERT_TRUE(scan.recognized);
     ASSERT_LT(salvaged.size(), out.records.size());
 

@@ -41,20 +41,13 @@ Put(Vfs& vfs, const std::string& path, const std::string& content,
 std::string
 Get(Vfs& vfs, const std::string& path)
 {
-    util::StatusOr<std::unique_ptr<ReadableFile>> f = vfs.OpenRead(path);
-    if (!f.ok())
-        return "<" + f.status().ToString() + ">";
-    std::string out;
-    char buf[64];
-    while (true) {
-        util::StatusOr<size_t> got = (*f)->Read(buf, sizeof buf);
-        if (!got.ok())
-            return "<" + got.status().ToString() + ">";
-        if (*got == 0)
-            break;
-        out.append(buf, *got);
-    }
-    return out;
+    util::StatusOr<std::string> bytes = ReadFile(vfs, path);
+    if (bytes.ok())
+        return *bytes;
+    std::string error = "<";
+    error += bytes.status().ToString();
+    error += '>';
+    return error;
 }
 
 // ---------------------------------------------------------------------------

@@ -294,8 +294,10 @@ Submitted(uint64_t id)
     JournalRecord r;
     r.kind = JournalKind::kSubmitted;
     r.id = id;
-    r.tenant = "t";
-    r.workload = "grep";
+    // Appended, not assigned: GCC 12 at -O3 misreports assigning a
+    // literal to a fresh string as an overlapping copy (-Wrestrict).
+    r.tenant += "t";
+    r.workload += "grep";
     return r;
 }
 

@@ -47,20 +47,46 @@ TestRecords(uint32_t n)
     return records;
 }
 
+constexpr char kTrace[] = "trace.atf2";
+
+/** Scans the trace file on `vfs` the way a reader of it would. */
+ScanReport
+ScanFile(io::Vfs& vfs, std::vector<Record>* out = nullptr)
+{
+    util::StatusOr<std::unique_ptr<FileByteSource>> in =
+        FileByteSource::Open(kTrace, vfs);
+    EXPECT_TRUE(in.ok()) << in.status().ToString();
+    if (!in.ok())
+        return ScanReport{};
+    return ScanTrace(**in, out);
+}
+
+/** The bytes of `records` written as a sealed container by WriteAtf2. */
+std::vector<uint8_t>
+Atf2Bytes(const std::vector<Record>& records,
+          const Atf2WriterOptions& options = {})
+{
+    io::MemVfs vfs;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out =
+        vfs.Create(kTrace);
+    EXPECT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(WriteAtf2(**out, records, options).ok());
+    return vfs.ReadAll(kTrace).value();
+}
+
 /** A sealed container of `n` records, 4 records per chunk. */
 std::vector<uint8_t>
 SealedContainer(uint32_t n)
 {
-    MemoryByteSink sink;
-    EXPECT_TRUE(WriteAtf2(sink, TestRecords(n), {.chunk_records = 4}).ok());
-    return sink.bytes();
+    return Atf2Bytes(TestRecords(n), {.chunk_records = 4});
 }
 
+/** Scans `bytes` placed as the trace file on a fresh MemVfs. */
 ScanReport
 Scan(const std::vector<uint8_t>& bytes, std::vector<Record>* out = nullptr)
 {
-    MemoryByteSource source(bytes);
-    return ScanTrace(source, out);
+    io::MemVfs vfs(io::MemVfs::Snapshot{{{kTrace, bytes}}});
+    return ScanFile(vfs, out);
 }
 
 // With chunk_records = 4 the layout of a 10-record container is:
@@ -94,9 +120,7 @@ TEST(Container, SealedRoundTripIsIntact)
 
 TEST(Container, EmptyTraceSealsAndVerifies)
 {
-    MemoryByteSink sink;
-    ASSERT_TRUE(WriteAtf2(sink, {}, {.chunk_records = 4}).ok());
-    const ScanReport report = Scan(sink.bytes());
+    const ScanReport report = Scan(Atf2Bytes({}, {.chunk_records = 4}));
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(report.records_salvaged, 0u);
 }
@@ -245,8 +269,6 @@ TEST(Container, FooterFlipLeavesRecordsButNotSealed)
 // and reads are counted from 1; with chunk_records = 4, write 1 is the
 // header and write N+2 is chunk N's flush.
 
-constexpr char kTrace[] = "trace.atf2";
-
 io::ChaosSchedule
 Schedule(const char* text)
 {
@@ -254,18 +276,6 @@ Schedule(const char* text)
         io::ChaosSchedule::Parse(text);
     EXPECT_TRUE(schedule.ok()) << schedule.status().ToString();
     return schedule.ok() ? *schedule : io::ChaosSchedule{};
-}
-
-/** Scans the trace file on `vfs` the way a reader of it would. */
-ScanReport
-ScanFile(io::Vfs& vfs, std::vector<Record>* out = nullptr)
-{
-    util::StatusOr<std::unique_ptr<FileByteSource>> in =
-        FileByteSource::Open(kTrace, vfs);
-    EXPECT_TRUE(in.ok()) << in.status().ToString();
-    if (!in.ok())
-        return ScanReport{};
-    return ScanTrace(**in, out);
 }
 
 /** Writes `records` through a FileSink on `vfs` and seals it. */
@@ -369,6 +379,19 @@ TEST(Container, FailedReadIsReportedNotFatal)
     EXPECT_NE(report.issues[0].error.find("read failed"), std::string::npos);
 }
 
+TEST(Container, InterruptedReadIsRetried)
+{
+    io::MemVfs mem;
+    ASSERT_TRUE(WriteFile(mem, TestRecords(10)).ok());
+    io::ChaosVfs vfs(mem, Schedule("op fail-read 1 intr\n"));
+    std::vector<Record> back;
+    const ScanReport report = ScanFile(vfs, &back);
+    EXPECT_EQ(vfs.faults_fired(), 1u);
+    EXPECT_TRUE(report.intact()) << report.ToString();
+    EXPECT_EQ(report.records_salvaged, 10u);
+    EXPECT_EQ(back, TestRecords(10));
+}
+
 TEST(Container, SalvageOfDamagedFileVerifiesIntact)
 {
     std::vector<uint8_t> bytes = SealedContainer(10);
@@ -379,10 +402,8 @@ TEST(Container, SalvageOfDamagedFileVerifiesIntact)
     ASSERT_FALSE(damaged.intact());
     ASSERT_GE(salvaged.size(), damaged.valid_prefix_records);
 
-    MemoryByteSink repaired;
-    ASSERT_TRUE(WriteAtf2(repaired, salvaged).ok());
     std::vector<Record> back;
-    const ScanReport report = Scan(repaired.bytes(), &back);
+    const ScanReport report = Scan(Atf2Bytes(salvaged), &back);
     EXPECT_TRUE(report.intact());
     EXPECT_EQ(back, salvaged);
 }

@@ -71,13 +71,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "chaos/campaign.h"
 #include "io/chaos.h"
+#include "io/vfs.h"
 #include "obs/flight.h"
 #include "util/build_info.h"
 #include "util/logging.h"
@@ -291,19 +291,6 @@ IoFatal(Args&&... args)
     std::exit(util::kExitIo);
 }
 
-std::string
-ReadFileOrDie(const std::string& path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        IoFatal("cannot open ", path);
-    std::ostringstream body;
-    body << in.rdbuf();
-    if (in.bad())
-        IoFatal("cannot read ", path);
-    return body.str();
-}
-
 void
 WriteFileOrDie(const std::string& path, const std::string& body)
 {
@@ -400,8 +387,12 @@ template <typename Spec>
 int
 RunReplay(const Options& opts, Spec spec)
 {
+    util::StatusOr<std::string> text =
+        io::ReadFile(io::RealVfs(), opts.replay);
+    if (!text.ok())
+        IoFatal("--replay: ", text.status().ToString());
     util::StatusOr<io::ChaosSchedule> schedule =
-        io::ChaosSchedule::Parse(ReadFileOrDie(opts.replay));
+        io::ChaosSchedule::Parse(*text);
     if (!schedule.ok())
         IoFatal(opts.replay, ": ", schedule.status().ToString());
     if (spec.campaigns.empty())

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/vfs.h"
 #include "util/build_info.h"
 #include "util/json.h"
 #include "util/logging.h"
@@ -249,17 +250,11 @@ RenderFrame(const std::vector<Snapshot>& snaps, bool ansi)
 bool
 RenderServeFrame(const std::string& path, bool ansi, bool* rendered)
 {
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (!file)
+    util::StatusOr<std::string> body = io::ReadFile(io::RealVfs(), path);
+    if (!body.ok())
         return false;
-    std::string body;
-    char buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, file)) > 0)
-        body.append(buf, n);
-    std::fclose(file);
 
-    util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(body);
+    util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(*body);
     if (!doc.ok() || doc->Get("v").AsString() != "atum-serve-status-v1")
         return false;
 
