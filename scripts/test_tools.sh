@@ -217,9 +217,14 @@ expect_exit 0 "$BUILD/tools/atum-capture" --out "$TMP/m.atum" \
 [ -s "$TMP/m.jsonl" ] || { echo "FAIL: metrics JSONL empty" >&2; exit 1; }
 [ -s "$TMP/m.atum.run.json" ] || { echo "FAIL: RUN.json missing" >&2; exit 1; }
 
-# atum-report --stats appends the aggregate counter table.
-expect_exit 0 "$BUILD/tools/atum-report" "$TMP/m.atum" --stats
+# atum-report --stats appends the aggregate counter table, with each
+# stage's wall time (report.<stage>_us), the scan's under --verify too.
+expect_exit 0 "$BUILD/tools/atum-report" "$TMP/m.atum" --stats \
+    --stack-distance
 grep -q "report.records" "$TMP/out.txt"
+grep -q "report.stack_distance_us" "$TMP/out.txt"
+expect_exit 0 "$BUILD/tools/atum-report" "$TMP/m.atum" --verify --stats
+grep -q "report.scan_us" "$TMP/out.txt"
 
 # atum-top renders the newest snapshot once and exits.
 expect_exit 0 "$BUILD/tools/atum-top" --once "$TMP/m.jsonl"

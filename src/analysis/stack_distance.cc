@@ -4,74 +4,172 @@
 
 namespace atum::analysis {
 
+namespace {
+
+/** First capacities: one analyzer per process is common, so start small. */
+constexpr uint32_t kInitialStamps = 64;
+constexpr size_t kInitialSlots = 64;
+/** Stamps are uint32_t and the tree is indexed by them. */
+constexpr uint64_t kMaxStamps = uint64_t{1} << 31;
+
+/** Fibonacci hashing: the mixed upper half of block * 2^64/phi. */
+inline size_t
+SlotOf(uint32_t block, size_t mask)
+{
+    return static_cast<size_t>(
+               (uint64_t{block} * 0x9E3779B97F4A7C15ull) >> 32) &
+           mask;
+}
+
+inline uint32_t
+LowBit(uint32_t i)
+{
+    return i & (~i + 1);
+}
+
+}  // namespace
+
 StackDistanceAnalyzer::StackDistanceAnalyzer(unsigned block_shift)
-    : block_shift_(block_shift)
+    : block_shift_(block_shift),
+      map_(kInitialSlots),
+      tree_(kInitialStamps, 0),
+      owner_(kInitialStamps, 0),
+      live_bits_(kInitialStamps / 64, 0),
+      distance_counts_(1, 0)
 {
     if (block_shift > 16)
         Fatal("block_shift too large: ", block_shift);
-    bit_.assign(2, 0);  // index 0 unused (1-based Fenwick tree)
-    mark_.assign(2, 0);
 }
 
-void
-StackDistanceAnalyzer::EnsureCapacity()
+StackDistanceAnalyzer::Slot&
+StackDistanceAnalyzer::Find(uint32_t block)
 {
-    if (time_ < bit_.size())
-        return;
-    // A Fenwick tree cannot simply be extended (its implicit range nodes
-    // would miss earlier counts), so rebuild from the mark array. Each
-    // doubling costs O(n log n); amortized O(log n) per access.
-    size_t n = bit_.size();
-    while (n <= time_)
-        n *= 2;
-    mark_.resize(n, 0);
-    bit_.assign(n, 0);
-    for (size_t pos = 1; pos < mark_.size(); ++pos) {
-        if (mark_[pos])
-            BitAdd(pos, +1);
+    const size_t mask = map_.size() - 1;
+    for (size_t i = SlotOf(block, mask);; i = (i + 1) & mask) {
+        Slot& slot = map_[i];
+        if (slot.stamp == 0 || slot.block == block)
+            return slot;
     }
 }
 
 void
-StackDistanceAnalyzer::BitAdd(size_t pos, int delta)
+StackDistanceAnalyzer::GrowMap()
 {
-    for (; pos < bit_.size(); pos += pos & (~pos + 1))
-        bit_[pos] += delta;
+    std::vector<Slot> old(map_.size() * 2);
+    old.swap(map_);
+    for (const Slot& slot : old) {
+        if (slot.stamp != 0)
+            Find(slot.block) = slot;
+    }
 }
 
-uint64_t
-StackDistanceAnalyzer::BitSumFrom(size_t pos) const
+void
+StackDistanceAnalyzer::TreeAdd(uint32_t stamp, int32_t delta)
 {
-    // Prefix sum 1..pos.
-    int64_t sum = 0;
-    for (; pos > 0; pos -= pos & (~pos + 1))
-        sum += bit_[pos];
-    return static_cast<uint64_t>(sum);
+    const uint32_t n = static_cast<uint32_t>(tree_.size());
+    for (; stamp < n; stamp += LowBit(stamp))
+        tree_[stamp] += delta;
+}
+
+uint32_t
+StackDistanceAnalyzer::TreePrefix(uint32_t stamp) const
+{
+    int32_t sum = 0;
+    for (; stamp > 0; stamp -= LowBit(stamp))
+        sum += tree_[stamp];
+    return static_cast<uint32_t>(sum);
+}
+
+void
+StackDistanceAnalyzer::Renumber()
+{
+    // The live stamps, oldest first, become 1..B: the stack order is all
+    // a stamp means, so the distances to come are unchanged.
+    uint32_t renumbered = 0;
+    for (uint32_t stamp = 1; stamp < next_stamp_; ++stamp) {
+        if ((live_bits_[stamp / 64] >> (stamp % 64) & 1) == 0)
+            continue;
+        const uint32_t block = owner_[stamp];
+        owner_[++renumbered] = block;
+        Find(block).stamp = renumbered;
+    }
+    next_stamp_ = renumbered + 1;
+
+    // Room for at least 4x the live stamps, the one about to be issued
+    // included, so the next renumbering is 3x as many accesses away.
+    uint64_t capacity = tree_.size();
+    while (capacity < 4 * uint64_t{next_stamp_})
+        capacity *= 2;
+    if (capacity > kMaxStamps)
+        Fatal("stack distance: too many distinct blocks (", renumbered,
+              ")");
+    owner_.resize(capacity);
+    live_bits_.assign(capacity / 64, 0);
+    tree_.assign(capacity, 0);
+    // Stamps 1..renumbered hold one block each; build the tree over them
+    // in linear time, each node passing its sum to its parent.
+    for (uint32_t stamp = 1; stamp <= renumbered; ++stamp) {
+        live_bits_[stamp / 64] |= uint64_t{1} << (stamp % 64);
+        tree_[stamp] = 1;
+    }
+    const uint32_t n = static_cast<uint32_t>(capacity);
+    for (uint32_t i = 1; i < n; ++i) {
+        const uint32_t parent = i + LowBit(i);
+        if (parent < n)
+            tree_[parent] += tree_[i];
+    }
+}
+
+uint32_t
+StackDistanceAnalyzer::NextStamp(uint32_t block)
+{
+    if (next_stamp_ == tree_.size())
+        Renumber();
+    const uint32_t stamp = next_stamp_++;
+    owner_[stamp] = block;
+    live_bits_[stamp / 64] |= uint64_t{1} << (stamp % 64);
+    TreeAdd(stamp, +1);
+    return stamp;
 }
 
 void
 StackDistanceAnalyzer::TouchBlock(uint32_t block)
 {
-    ++time_;
-    EnsureCapacity();
-
-    auto [it, inserted] = last_pos_.try_emplace(block, time_);
-    if (inserted) {
-        ++cold_misses_;
-    } else {
-        const uint64_t prev = it->second;
-        // Distinct blocks touched after `prev`: marks in (prev, time-1].
-        const uint64_t distance =
-            BitSumFrom(time_ - 1) - BitSumFrom(prev);
-        if (distance >= distance_counts_.size())
-            distance_counts_.resize(distance + 1, 0);
-        ++distance_counts_[distance];
-        BitAdd(prev, -1);
-        mark_[prev] = 0;
-        it->second = time_;
+    if (block == last_block_ && time_ > 0) {
+        // Re-touching the top of the stack reorders nothing.
+        ++time_;
+        ++distance_counts_[0];
+        return;
     }
-    BitAdd(time_, +1);
-    mark_[time_] = 1;
+    ++time_;
+    last_block_ = block;
+
+    Slot* slot = &Find(block);
+    if (slot->stamp == 0) {
+        ++cold_misses_;
+        ++live_;
+        if (2 * size_t{live_} > map_.size()) {
+            GrowMap();
+            slot = &Find(block);
+        }
+        // NextStamp may renumber, which looks blocks up through Find, so
+        // the slot must be taken first: any nonzero stamp marks it full.
+        *slot = {block, ~0u};
+        slot->stamp = NextStamp(block);
+        return;
+    }
+
+    const uint32_t prev = slot->stamp;
+    // Distinct blocks touched since: the live stamps newer than prev.
+    const uint64_t distance = live_ - TreePrefix(prev);
+    if (distance >= distance_counts_.size())
+        distance_counts_.resize(distance + 1, 0);
+    ++distance_counts_[distance];
+    // Retire prev before issuing the new stamp, so a renumbering in
+    // between sees one live stamp per block.
+    TreeAdd(prev, -1);
+    live_bits_[prev / 64] &= ~(uint64_t{1} << (prev % 64));
+    slot->stamp = NextStamp(block);
 }
 
 void

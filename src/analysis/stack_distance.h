@@ -13,13 +13,22 @@
  * touches). A fully-associative LRU cache of capacity C misses exactly on
  * accesses with distance >= C, plus all cold first touches.
  *
- * Implementation: Fenwick tree over access timestamps — O(N log N) time,
- * O(N + B) space for N accesses and B distinct blocks.
+ * Implementation (Olken 1981; PARDA, Niu et al., IPDPS 2012): every block
+ * holds a 32-bit stamp, its last access's place in time, and a Fenwick
+ * tree counts the live stamps (one per distinct block). An access's
+ * distance is the number of live stamps newer than its block's, one
+ * prefix query. Stamps are local: when they run out, the B live ones are
+ * renumbered 1..B in order and the tree is rebuilt in linear time, with
+ * a capacity of at least 4*B, so renumbering costs O(1) per access
+ * amortized. A re-touch of the block touched last is distance 0 and
+ * moves no stamp, which skips the tree for the commonest access of all.
+ * Blocks map to stamps through a flat open-addressing table.
+ *
+ * O(N log B) time and O(B) space for N accesses and B distinct blocks.
  */
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
@@ -41,7 +50,7 @@ class StackDistanceAnalyzer
 
     uint64_t total_accesses() const { return time_; }
     uint64_t cold_misses() const { return cold_misses_; }
-    uint64_t distinct_blocks() const { return last_pos_.size(); }
+    uint64_t distinct_blocks() const { return live_; }
 
     /**
      * Exact miss count of a fully-associative LRU cache holding
@@ -54,17 +63,33 @@ class StackDistanceAnalyzer
     uint64_t DistanceCount(uint64_t d) const;
 
   private:
-    void BitAdd(size_t pos, int delta);
-    uint64_t BitSumFrom(size_t pos) const;  // sum of (pos, end]
+    /** One block -> stamp entry; stamp 0 marks an empty slot (any
+     *  uint32_t is a valid block when block_shift is 0). */
+    struct Slot {
+        uint32_t block = 0;
+        uint32_t stamp = 0;
+    };
 
-    void EnsureCapacity();
+    /** The slot holding `block`, or the empty slot where it goes. */
+    Slot& Find(uint32_t block);
+    void GrowMap();
+
+    /** Issues the next stamp to `block`, renumbering first if full. */
+    uint32_t NextStamp(uint32_t block);
+    void Renumber();
+
+    void TreeAdd(uint32_t stamp, int32_t delta);
+    uint32_t TreePrefix(uint32_t stamp) const;  ///< live stamps <= stamp
 
     unsigned block_shift_;
     trace::RefFilter refs_;
-    std::vector<int32_t> bit_;   ///< Fenwick tree over timestamps
-    std::vector<uint8_t> mark_;  ///< which timestamps hold a block's
-                                 ///< most-recent access (rebuild source)
-    std::unordered_map<uint32_t, uint64_t> last_pos_;
+    std::vector<Slot> map_;         ///< power-of-two open addressing
+    std::vector<int32_t> tree_;     ///< Fenwick tree over stamps 1..cap-1
+    std::vector<uint32_t> owner_;   ///< stamp -> block
+    std::vector<uint64_t> live_bits_;  ///< which stamps are live
+    uint32_t next_stamp_ = 1;
+    uint32_t live_ = 0;             ///< distinct blocks = live stamps
+    uint32_t last_block_ = 0;       ///< block of the latest access
     std::vector<uint64_t> distance_counts_;
     uint64_t time_ = 0;
     uint64_t cold_misses_ = 0;

@@ -69,6 +69,8 @@ class MemVfs::MemReadableFile : public ReadableFile
         return n;
     }
 
+    util::StatusOr<uint64_t> Size() override { return bytes_.size(); }
+
   private:
     std::vector<uint8_t> bytes_;
     size_t pos_ = 0;

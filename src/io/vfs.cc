@@ -105,6 +105,14 @@ class RealReadableFile : public ReadableFile
         return RetryRead(fd_, data, len, path_);
     }
 
+    util::StatusOr<uint64_t> Size() override
+    {
+        struct stat st;
+        if (::fstat(fd_, &st) != 0)
+            return ErrnoStatus(errno, "fstat " + path_);
+        return static_cast<uint64_t>(st.st_size);
+    }
+
   private:
     int fd_;
     std::string path_;

@@ -34,7 +34,9 @@
  * actually needs: create/append/read a file, atomically publish a name
  * (rename), retire a name (unlink), and make either durable (Sync on the
  * file, DirSync on its directory entry). There is no seek: every format
- * in atum is append-only by design.
+ * in atum is append-only by design. ReadableFile::Size() sits beside
+ * them as a query, not an operation: a reader sizes its output with it,
+ * and fault schedules never see it.
  */
 
 #include <cstddef>
@@ -72,6 +74,14 @@ class ReadableFile
 
     /** Reads up to `len` bytes; returns the count read, 0 at end. */
     virtual util::StatusOr<size_t> Read(void* data, size_t len) = 0;
+
+    /**
+     * The file's length in bytes. A query, not an operation: it leaves
+     * the read position alone, and ChaosVfs neither counts nor fails it,
+     * so calling it moves no fault schedule. Readers use it only as a
+     * sizing hint; Read's end of file stays the truth.
+     */
+    virtual util::StatusOr<uint64_t> Size() = 0;
 };
 
 /** The filesystem operations the capture pipeline is allowed to use. */

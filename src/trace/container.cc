@@ -1,8 +1,11 @@
 #include "trace/container.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -62,26 +65,12 @@ Get64(const uint8_t* p)
            static_cast<uint64_t>(Get32(p + 4)) << 32;
 }
 
-constexpr size_t kNpos = static_cast<size_t>(-1);
-
 /**
  * Bound on consecutive kInterrupted results retried before giving up.
  * Real EINTRs are already absorbed by io/posix.cc, so hitting this means
  * a fault injector (or a pathological signal storm) is at work.
  */
 constexpr int kMaxInterrupts = 100;
-
-/** First offset >= `from` holding a chunk or footer marker, or kNpos. */
-size_t
-FindMarker(const std::vector<uint8_t>& b, size_t from)
-{
-    for (size_t i = from; i + 4 <= b.size(); ++i) {
-        const uint32_t m = Get32(&b[i]);
-        if (m == kAtf2ChunkMagic || m == kAtf2FooterMagic)
-            return i;
-    }
-    return kNpos;
-}
 
 /** The open-chunk buffer for `chunk_records`; Fatal on a bad capacity. */
 std::vector<uint8_t>
@@ -341,149 +330,293 @@ Atf2Writer::Seal()
 // ---------------------------------------------------------------------------
 // Tolerant scanner.
 
-ScanReport
-ScanTrace(io::ReadableFile& in, std::vector<Record>* out)
-{
-    ScanReport report;
-    std::vector<uint8_t> b;
-    uint8_t buf[64 << 10];
-    while (true) {
-        util::StatusOr<size_t> got = in.Read(buf, sizeof buf);
-        if (!got.ok()) {
-            report.issues.push_back(
-                {b.size(), "read failed: " + got.status().ToString()});
-            break;
-        }
-        if (*got == 0)
-            break;
-        b.insert(b.end(), buf, buf + *got);
-    }
-    report.file_bytes = b.size();
+namespace {
 
-    bool prefix_intact = report.issues.empty();
+// A verified payload is copied into the caller's records as one block,
+// which is only the records themselves on a little-endian host whose
+// Record is laid out as the 8 packed bytes.
+static_assert(std::endian::native == std::endian::little,
+              "the block load copies little-endian records as they are");
+static_assert(sizeof(Record) == kRecordBytes &&
+              std::is_trivially_copyable_v<Record> &&
+              std::is_standard_layout_v<Record>);
+static_assert(offsetof(Record, addr) == 0 && offsetof(Record, type) == 4 &&
+              offsetof(Record, flags) == 5 && offsetof(Record, info) == 6);
+
+/** The scanner's read size: one Read call per 64 KiB of file. */
+constexpr size_t kScanReadBytes = 64 << 10;
+/** The window's bound: one maximum chunk plus one read. */
+constexpr size_t kScanWindowMaxBytes =
+    kAtf2ChunkHeaderBytes + size_t{kAtf2MaxChunkRecords} * kRecordBytes +
+    kScanReadBytes;
+/** The window's first allocation: room for a few reads of small chunks
+ *  between compactions. */
+constexpr size_t kScanWindowInitialBytes = 4 * kScanReadBytes;
+constexpr uint64_t kNoMarker = ~uint64_t{0};
+
+/**
+ * The scanner's view of its input: the bytes from the scan position on,
+ * read in kScanReadBytes calls until a Read returns 0 or fails, the same
+ * calls a whole-file read makes. Bytes before the position are dropped,
+ * so the window holds at most one maximum chunk plus one read, whatever
+ * the file size.
+ */
+class ScanWindow
+{
+  public:
+    explicit ScanWindow(io::ReadableFile& in) : in_(in) {}
+
+    /**
+     * Drops the bytes before `pos` (which never moves back) and reads
+     * until [pos, pos + n) is resident or the input ends. Returns how
+     * many of those n bytes are resident; fewer than n means the input
+     * has ended, so end() is the file length.
+     */
+    size_t Need(uint64_t pos, size_t n)
+    {
+        keep_ = pos;
+        while (end_ < pos + n && ReadMore()) {
+        }
+        return end_ <= pos ? 0 : static_cast<size_t>(std::min<uint64_t>(
+                                     n, end_ - pos));
+    }
+
+    /** The resident byte at file offset `pos`. */
+    const uint8_t* At(uint64_t pos) const { return buf_.get() + (pos - base_); }
+
+    /** First offset >= `from` holding a chunk or footer marker, or
+     *  kNoMarker once the input has ended without one. */
+    uint64_t FindMarker(uint64_t from)
+    {
+        for (uint64_t i = from; Need(i, 4) == 4;) {
+            const uint8_t* p = At(i);
+            const size_t avail = static_cast<size_t>(end_ - i);
+            for (size_t j = 0; j + 4 <= avail; ++j) {
+                const uint32_t m = Get32(p + j);
+                if (m == kAtf2ChunkMagic || m == kAtf2FooterMagic)
+                    return i + j;
+            }
+            i += avail - 3;  // a marker may start in the last 3 bytes
+        }
+        return kNoMarker;
+    }
+
+    /** Reads and drops the rest of the input; returns its length. */
+    uint64_t ReadToEnd()
+    {
+        keep_ = end_;
+        while (ReadMore()) {
+            keep_ = end_;
+        }
+        return end_;
+    }
+
+    /** Bytes read so far; the file length once the input has ended. */
+    uint64_t end() const { return end_; }
+    /** The failed Read's status, or OK. */
+    const util::Status& read_status() const { return read_status_; }
+
+  private:
+    /** One kScanReadBytes Read into the window; false at end or failure. */
+    bool ReadMore()
+    {
+        if (ended_)
+            return false;
+        MakeRoom();
+        util::StatusOr<size_t> got =
+            in_.Read(buf_.get() + (end_ - base_), kScanReadBytes);
+        if (!got.ok() || *got == 0) {
+            ended_ = true;
+            if (!got.ok())
+                read_status_ = got.status();
+            return false;
+        }
+        end_ += *got;
+        return true;
+    }
+
+    /** Leaves room for one read after the resident bytes [keep_, end_). */
+    void MakeRoom()
+    {
+        if (cap_ - (end_ - base_) >= kScanReadBytes)
+            return;
+        const size_t kept = static_cast<size_t>(end_ - keep_);
+        const size_t want = kept + kScanReadBytes;
+        if (want > cap_) {
+            // Only a chunk bigger than the window so far gets here, and
+            // kept < one maximum chunk, so want <= kScanWindowMaxBytes.
+            const size_t cap = std::min(
+                std::max({want, 2 * cap_, kScanWindowInitialBytes}),
+                kScanWindowMaxBytes);
+            std::unique_ptr<uint8_t[]> grown(new uint8_t[cap]);
+            if (kept > 0)
+                std::memcpy(grown.get(), At(keep_), kept);
+            buf_ = std::move(grown);
+            cap_ = cap;
+        } else if (kept > 0) {
+            std::memmove(buf_.get(), At(keep_), kept);
+        }
+        base_ = keep_;
+    }
+
+    io::ReadableFile& in_;
+    std::unique_ptr<uint8_t[]> buf_;
+    size_t cap_ = 0;
+    uint64_t base_ = 0;  ///< file offset of buf_[0]
+    uint64_t keep_ = 0;  ///< first offset still wanted
+    uint64_t end_ = 0;   ///< file offset one past the last byte read
+    bool ended_ = false;
+    util::Status read_status_;
+};
+
+/** True when all `count` packed records at `p` are plausible. */
+bool
+AllPlausible(const uint8_t* p, uint32_t count)
+{
+    bool ok = true;
+    for (uint32_t i = 0; i < count; ++i)
+        ok &= IsPlausibleRecord(UnpackRecord(p + size_t{i} * kRecordBytes));
+    return ok;
+}
+
+/**
+ * The parse behind ScanTrace: walks the container through `w`, filling
+ * `report` (all but the read failure and file_bytes, which ScanTrace
+ * adds once the input has ended) and appending salvaged records to
+ * `out`.
+ */
+void
+ScanContainer(ScanWindow& w, io::ReadableFile& in, ScanReport& report,
+              std::vector<Record>* out)
+{
+    bool prefix_intact = true;
     auto issue = [&](uint64_t offset, std::string message) {
         report.issues.push_back({offset, std::move(message)});
         prefix_intact = false;
     };
 
     // ---- ATF2.
-    if (b.size() < sizeof kAtf2Magic ||
-        std::memcmp(b.data(), kAtf2Magic, sizeof kAtf2Magic) != 0) {
-        issue(0, b.empty() ? "empty file" : "unknown magic");
-        return report;
+    const size_t head = w.Need(0, kAtf2HeaderBytes);
+    if (head < sizeof kAtf2Magic ||
+        std::memcmp(w.At(0), kAtf2Magic, sizeof kAtf2Magic) != 0) {
+        issue(0, head == 0 ? "empty file" : "unknown magic");
+        return;
     }
     report.recognized = true;
-    if (b.size() < kAtf2HeaderBytes) {
-        issue(b.size(), "file ends inside the container header");
-        return report;
+    if (head < kAtf2HeaderBytes) {
+        issue(w.end(), "file ends inside the container header");
+        return;
     }
-    if (Get32(&b[28]) != util::Crc32c(b.data(), 28)) {
+    const uint8_t* h = w.At(0);
+    if (Get32(h + 28) != util::Crc32c(h, 28)) {
         // Header fields are untrusted, but chunks self-describe: keep going.
         issue(0, "container header CRC mismatch");
     } else {
-        const uint16_t version = Get16(&b[8]);
+        const uint16_t version = Get16(h + 8);
         if (version != kAtf2Version) {
             issue(8, "unsupported container version " +
                          std::to_string(version));
-            return report;
+            return;
         }
-        if (Get16(&b[10]) != kRecordBytes) {
+        if (Get16(h + 10) != kRecordBytes) {
             issue(10, "unsupported record size " +
-                          std::to_string(Get16(&b[10])));
-            return report;
+                          std::to_string(Get16(h + 10)));
+            return;
         }
     }
 
-    // No file holds more records than this, so `out` never regrows.
-    if (out != nullptr)
-        out->reserve(out->size() + b.size() / kRecordBytes);
+    // No file holds more records than this, so `out` is sized once.
+    if (out != nullptr) {
+        if (util::StatusOr<uint64_t> size = in.Size(); size.ok())
+            out->reserve(out->size() + *size / kRecordBytes);
+    }
 
-    size_t pos = kAtf2HeaderBytes;
-    while (pos < b.size()) {
-        if (b.size() - pos < 4) {
-            issue(pos, "trailing garbage (" +
-                           std::to_string(b.size() - pos) + " bytes)");
+    uint64_t pos = kAtf2HeaderBytes;
+    while (true) {
+        const size_t avail = w.Need(pos, 4);
+        if (avail == 0)
+            break;
+        if (avail < 4) {
+            issue(pos, "trailing garbage (" + std::to_string(avail) +
+                           " bytes)");
             break;
         }
-        const uint32_t magic = Get32(&b[pos]);
+        const uint32_t magic = Get32(w.At(pos));
 
         if (magic == kAtf2FooterMagic) {
-            if (b.size() - pos < kAtf2FooterBytes) {
+            if (w.Need(pos, kAtf2FooterBytes) < kAtf2FooterBytes) {
                 issue(pos, "file ends inside the footer");
                 break;
             }
-            if (Get32(&b[pos + 20]) != util::Crc32c(&b[pos], 20)) {
+            const uint8_t* f = w.At(pos);
+            if (Get32(f + 20) != util::Crc32c(f, 20)) {
                 issue(pos, "footer CRC mismatch");
-                const size_t next = FindMarker(b, pos + 1);
-                if (next == kNpos)
+                const uint64_t next = w.FindMarker(pos + 1);
+                if (next == kNoMarker)
                     break;
                 pos = next;
                 continue;
             }
             report.sealed = true;
-            const uint32_t footer_chunks = Get32(&b[pos + 4]);
-            report.footer_records = Get64(&b[pos + 8]);
-            if (report.issues.empty() && footer_chunks != report.chunks_ok)
+            const uint32_t footer_chunks = Get32(f + 4);
+            report.footer_records = Get64(f + 8);
+            // The chunk count is checked only on a file with no other
+            // issue, a failed read included, so read to the end first.
+            const uint64_t file_end = w.ReadToEnd();
+            if (report.issues.empty() && w.read_status().ok() &&
+                footer_chunks != report.chunks_ok)
                 issue(pos, "footer expects " +
                                std::to_string(footer_chunks) +
                                " chunks, file has " +
                                std::to_string(report.chunks_ok));
             pos += kAtf2FooterBytes;
-            if (pos != b.size())
+            if (pos != file_end)
                 issue(pos, "bytes after the footer (" +
-                               std::to_string(b.size() - pos) + ")");
+                               std::to_string(file_end - pos) + ")");
             break;
         }
 
         if (magic == kAtf2ChunkMagic) {
-            if (b.size() - pos < kAtf2ChunkHeaderBytes) {
+            if (w.Need(pos, kAtf2ChunkHeaderBytes) < kAtf2ChunkHeaderBytes) {
                 issue(pos, "file ends inside a chunk header");
                 break;
             }
-            if (Get32(&b[pos + 12]) != util::Crc32c(&b[pos], 12) ||
-                Get32(&b[pos + 4]) > kAtf2MaxChunkRecords) {
+            const uint8_t* c = w.At(pos);
+            if (Get32(c + 12) != util::Crc32c(c, 12) ||
+                Get32(c + 4) > kAtf2MaxChunkRecords) {
                 issue(pos, "chunk header CRC mismatch");
-                const size_t next = FindMarker(b, pos + 1);
-                if (next == kNpos)
+                const uint64_t next = w.FindMarker(pos + 1);
+                if (next == kNoMarker)
                     break;
                 pos = next;
                 continue;
             }
-            const uint32_t count = Get32(&b[pos + 4]);
-            const size_t payload =
-                static_cast<size_t>(count) * kRecordBytes;
-            if (b.size() - pos - kAtf2ChunkHeaderBytes < payload) {
+            const uint32_t count = Get32(c + 4);
+            const uint32_t payload_crc = Get32(c + 8);
+            const size_t payload = size_t{count} * kRecordBytes;
+            const size_t bytes = kAtf2ChunkHeaderBytes + payload;
+            if (w.Need(pos, bytes) < bytes) {
                 issue(pos,
                       "file ends inside a chunk payload (" +
-                          std::to_string(b.size() - pos -
+                          std::to_string(w.end() - pos -
                                          kAtf2ChunkHeaderBytes) +
                           " of " + std::to_string(payload) + " bytes)");
                 break;
             }
-            const uint8_t* records = &b[pos + kAtf2ChunkHeaderBytes];
-            bool good = Get32(&b[pos + 8]) == util::Crc32c(records, payload);
-            if (good) {
-                // Each record is unpacked once, for the check and for
-                // `out`; an implausible one takes back the whole chunk.
-                const size_t kept = out != nullptr ? out->size() : 0;
-                for (uint32_t i = 0; i < count; ++i) {
-                    const Record r = UnpackRecord(records + i * kRecordBytes);
-                    if (!IsPlausibleRecord(r)) {
-                        good = false;
-                        break;
-                    }
-                    if (out != nullptr)
-                        out->push_back(r);
-                }
-                if (!good) {
-                    if (out != nullptr)
-                        out->resize(kept);
-                    issue(pos, "chunk passes CRC but holds implausible "
-                               "records");
-                }
-            } else {
+            const uint8_t* records = w.At(pos + kAtf2ChunkHeaderBytes);
+            bool good = payload_crc == util::Crc32c(records, payload);
+            if (!good) {
                 issue(pos, "chunk payload CRC mismatch (" +
                                std::to_string(count) + " records lost)");
+            } else if (!AllPlausible(records, count)) {
+                // An implausible record takes back its whole chunk.
+                good = false;
+                issue(pos, "chunk passes CRC but holds implausible "
+                           "records");
+            } else if (out != nullptr && count > 0) {
+                const size_t kept = out->size();
+                out->resize(kept + count);
+                std::memcpy(out->data() + kept, records, payload);
             }
             if (good) {
                 ++report.chunks_ok;
@@ -493,21 +626,44 @@ ScanTrace(io::ReadableFile& in, std::vector<Record>* out)
             } else {
                 ++report.chunks_bad;
             }
-            pos += kAtf2ChunkHeaderBytes + payload;
+            pos += bytes;
             continue;
         }
 
         // Lost framing: resynchronize at the next marker (island salvage).
-        const size_t next = FindMarker(b, pos + 1);
-        if (next == kNpos) {
+        const uint64_t next = w.FindMarker(pos + 1);
+        if (next == kNoMarker) {
             issue(pos, "lost framing; no further chunk markers (" +
-                           std::to_string(b.size() - pos) +
+                           std::to_string(w.end() - pos) +
                            " bytes skipped)");
             break;
         }
         issue(pos, "lost framing; resynchronized after " +
                        std::to_string(next - pos) + " bytes");
         pos = next;
+    }
+}
+
+}  // namespace
+
+ScanReport
+ScanTrace(io::ReadableFile& in, std::vector<Record>* out)
+{
+    ScanReport report;
+    ScanWindow w(in);
+    ScanContainer(w, in, report, out);
+    // Whatever the parse stopped at, the whole file is read, so the
+    // read count and file_bytes do not depend on where the damage is.
+    report.file_bytes = w.ReadToEnd();
+    if (!w.read_status().ok()) {
+        // The parse saw a file that ends where the good bytes end. The
+        // failure is reported first, and no prefix counts as intact.
+        report.read_status = w.read_status();
+        report.issues.insert(
+            report.issues.begin(),
+            {report.file_bytes,
+             "read failed: " + report.read_status.ToString()});
+        report.valid_prefix_records = 0;
     }
     return report;
 }
@@ -562,6 +718,9 @@ LoadTrace(const std::string& path, io::Vfs& vfs)
 
     std::vector<Record> records;
     const ScanReport report = ScanTrace(**source, &records);
+    if (!report.read_status.ok())
+        return util::Status(report.read_status.code(),
+                            path + ": " + report.read_status.message());
     if (!report.recognized)
         return util::InvalidArgument("not an ATUM trace file: ", path);
     if (report.intact())

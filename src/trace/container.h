@@ -104,6 +104,7 @@ class FileByteSource : public io::ReadableFile
     FileByteSource& operator=(const FileByteSource&) = delete;
 
     util::StatusOr<size_t> Read(void* data, size_t len) override;
+    util::StatusOr<uint64_t> Size() override { return file_->Size(); }
 
   private:
     FileByteSource(std::unique_ptr<io::ReadableFile> file, std::string path);
@@ -239,6 +240,9 @@ struct ScanReport {
     /** Records recovered before the first tear (the guaranteed prefix). */
     uint64_t valid_prefix_records = 0;
     std::vector<ScanIssue> issues;
+    /** The failed Read's status (also issues[0]); OK when the whole file
+     *  was read. */
+    util::Status read_status;
 
     /** True when the file is complete and every checksum verified. */
     bool intact() const;
@@ -252,14 +256,24 @@ struct ScanReport {
  * chunk marker, and appends every salvageable record to `out` (which may
  * be null to verify only). Never terminates the process; all damage is
  * described in the returned report.
+ *
+ * The scan streams: it reads the whole file in 64 KiB Read calls (until
+ * one returns 0 or fails, wherever the damage is), and holds only the
+ * bytes from its position on, so its memory is bounded by one maximum
+ * chunk plus one read (~8.4 MB at most, ~256 KB for usual chunks) rather
+ * than by the file. A failed read is reported as issues[0] at the offset
+ * where the good bytes end, the parse sees a file that ends there, and
+ * no prefix counts as intact.
  */
 ScanReport ScanTrace(io::ReadableFile& in, std::vector<Record>* out);
 
 /**
  * Strictly loads a trace file: every record or a non-OK status (kNotFound
- * or kIoError when unreadable, kInvalidArgument when not a trace,
+ * or kIoError when unreadable — a failed Read returns its own status,
+ * wherever in the file it failed — kInvalidArgument when not a trace,
  * kDataLoss when damaged — the message then names the salvageable record
- * count).
+ * count). The scan sizes the output once from ReadableFile::Size() and
+ * copies each verified chunk into it as one block.
  */
 util::StatusOr<std::vector<Record>> LoadTrace(const std::string& path,
                                               io::Vfs& vfs = io::RealVfs());

@@ -236,6 +236,101 @@ TEST(StackDistance, MatchesFullyAssociativeLruSimulation)
     }
 }
 
+TEST(StackDistance, LoopLongerThanTheStampWindowRenumbers)
+{
+    // 300,000 accesses over 100,000 blocks fill the stamp space several
+    // times over, so every distance below is measured across renumberings.
+    constexpr uint32_t k = 100000;
+    StackDistanceAnalyzer sd(0);
+    for (int pass = 0; pass < 3; ++pass)
+        for (uint32_t b = 0; b < k; ++b)
+            sd.TouchBlock(b);
+    EXPECT_EQ(sd.total_accesses(), 3u * k);
+    EXPECT_EQ(sd.cold_misses(), k);
+    EXPECT_EQ(sd.distinct_blocks(), k);
+    EXPECT_EQ(sd.DistanceCount(k - 1), 2u * k);
+    EXPECT_EQ(sd.MissesForCapacity(k), k);
+    EXPECT_EQ(sd.MissesForCapacity(k - 1), 3u * k);
+}
+
+TEST(StackDistance, MillionAccessMixMatchesLruSimulation)
+{
+    // 1.2 M accesses over ~1,500 blocks use up the stamp space a few
+    // hundred times, so the distances cross many renumberings. The block
+    // count is kept small because the reference model scans every way of
+    // its set on each access; long distances are the loop test's job.
+    Rng rng(1986);
+    std::vector<uint32_t> blocks;
+    for (int i = 0; i < 1'200'000; ++i) {
+        uint32_t block;
+        switch (rng.Below(10)) {
+          case 0:
+          case 1:
+          case 2:
+            block = static_cast<uint32_t>(i % 8);  // hot loop
+            break;
+          case 3:
+          case 4:
+          case 5:
+            block = blocks.empty() ? 0 : blocks.back();  // repeat
+            break;
+          case 6:
+          case 7:
+          case 8:
+            block = 100 + static_cast<uint32_t>(i % 300);  // medium loop
+            break;
+          default:
+            block = 10000 + rng.Below(1200);  // random reuse
+        }
+        blocks.push_back(block);
+    }
+
+    StackDistanceAnalyzer sd(0);
+    for (uint32_t b : blocks)
+        sd.TouchBlock(b);
+    ASSERT_GT(sd.DistanceCount(0), 0u);
+    for (uint32_t capacity : {16u, 256u, 4096u, 65536u}) {
+        cache::Cache c({.size_bytes = capacity * 16,
+                        .block_bytes = 16,
+                        .assoc = 0});
+        for (uint32_t b : blocks)
+            c.Access(b * 16, false);
+        EXPECT_EQ(sd.MissesForCapacity(capacity), c.stats().misses)
+            << "capacity " << capacity;
+    }
+}
+
+TEST(StackDistance, ExtremeBlocksAtShiftZero)
+{
+    // Block 0 and block 0xFFFFFFFF are ordinary keys: neither may read
+    // as an empty slot or collide with the other.
+    StackDistanceAnalyzer sd(0);
+    for (uint32_t b : {0u, 0xFFFFFFFFu, 0u, 0xFFFFFFFFu, 0xFFFFFFFFu})
+        sd.TouchBlock(b);
+    EXPECT_EQ(sd.cold_misses(), 2u);
+    EXPECT_EQ(sd.distinct_blocks(), 2u);
+    EXPECT_EQ(sd.DistanceCount(1), 2u);
+    EXPECT_EQ(sd.DistanceCount(0), 1u);
+}
+
+TEST(StackDistance, RepeatAfterColdMissIsDistanceZero)
+{
+    // The distance-0 path: a repeat of the latest block moves nothing, so
+    // the next access to another block still sees the right distance.
+    StackDistanceAnalyzer sd(0);
+    sd.TouchBlock(5);
+    sd.TouchBlock(5);
+    sd.TouchBlock(5);
+    sd.TouchBlock(9);
+    sd.TouchBlock(5);
+    EXPECT_EQ(sd.total_accesses(), 5u);
+    EXPECT_EQ(sd.cold_misses(), 2u);
+    EXPECT_EQ(sd.DistanceCount(0), 2u);
+    EXPECT_EQ(sd.DistanceCount(1), 1u);
+    EXPECT_EQ(sd.MissesForCapacity(1), 3u);
+    EXPECT_EQ(sd.MissesForCapacity(2), 2u);
+}
+
 TEST(StackDistance, MissCountMonotoneInCapacity)
 {
     Rng rng(99);

@@ -6,16 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "atf2_scan_check.h"
 #include "io/chaos.h"
 #include "io/mem_vfs.h"
 #include "trace/container.h"
 #include "trace/record.h"
 #include "trace/sink.h"
+#include "util/crc32.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace atum::trace {
@@ -85,8 +90,7 @@ SealedContainer(uint32_t n)
 ScanReport
 Scan(const std::vector<uint8_t>& bytes, std::vector<Record>* out = nullptr)
 {
-    io::MemVfs vfs(io::MemVfs::Snapshot{{{kTrace, bytes}}});
-    return ScanFile(vfs, out);
+    return ScanBytes(bytes, out);
 }
 
 // With chunk_records = 4 the layout of a 10-record container is:
@@ -468,6 +472,341 @@ TEST(Container, LoadTraceOnDamagedFileIsDataLoss)
     EXPECT_EQ(islands.size(), 6u);
     EXPECT_EQ(report.records_salvaged, 6u);
     std::remove(path.c_str());
+}
+
+
+// ---------------------------------------------------------------------------
+// Read boundaries. The scanner reads its input in 64 KiB pieces, and every
+// container above fits in one of them. The cases below put truncations,
+// chunk headers, resync markers, oversized counts and read faults on and
+// around the read boundaries of two larger containers, and pin for each
+// the report text, the salvaged records and the number of reads.
+
+constexpr size_t kReadBytes = 64 << 10;
+
+/** CRC32C of `records` in their packed on-disk form. */
+uint32_t
+RecordsCrc(const std::vector<Record>& records)
+{
+    uint32_t crc = 0;
+    for (const Record& r : records) {
+        uint8_t packed[kRecordBytes];
+        PackRecord(r, packed);
+        crc = util::Crc32cExtend(crc, packed, sizeof packed);
+    }
+    return crc;
+}
+
+/** 25,000 records in 512-record chunks: 200,840 bytes, five reads. */
+std::vector<uint8_t>
+ManyChunkContainer()
+{
+    return Atf2Bytes(TestRecords(25000), {.chunk_records = 512});
+}
+
+/** One 20,000-record chunk: a 160,000-byte payload across three reads. */
+std::vector<uint8_t>
+OneChunkContainer()
+{
+    return Atf2Bytes(TestRecords(20000), {.chunk_records = 20000});
+}
+
+/** Offset of chunk `k` in ManyChunkContainer(). */
+constexpr size_t
+ManyChunkOffset(size_t k)
+{
+    return kAtf2HeaderBytes + k * (kAtf2ChunkHeaderBytes + 512 * 8);
+}
+
+/** `bytes` with `n` marker-free filler bytes inserted at `at`. */
+std::vector<uint8_t>
+WithFiller(std::vector<uint8_t> bytes, size_t at, size_t n)
+{
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(at), n, 0xA5);
+    return bytes;
+}
+
+/** A chunk header claiming `count` records, with a valid header CRC. */
+std::vector<uint8_t>
+ChunkHeader(uint32_t count)
+{
+    std::vector<uint8_t> h(kAtf2ChunkHeaderBytes, 0);
+    const uint32_t fields[3] = {kAtf2ChunkMagic, count, 0};
+    for (int i = 0; i < 3; ++i)
+        for (int j = 0; j < 4; ++j)
+            h[i * 4 + j] = static_cast<uint8_t>(fields[i] >> (8 * j));
+    const uint32_t crc = util::Crc32c(h.data(), 12);
+    for (int j = 0; j < 4; ++j)
+        h[12 + j] = static_cast<uint8_t>(crc >> (8 * j));
+    return h;
+}
+
+struct BoundaryCase {
+    std::string name;
+    std::vector<uint8_t> bytes;
+    std::string schedule;  ///< ChaosVfs schedule text for the reads
+};
+
+std::vector<BoundaryCase>
+BoundaryCases()
+{
+    const std::vector<uint8_t> many = ManyChunkContainer();
+    const std::vector<uint8_t> one = OneChunkContainer();
+    std::vector<BoundaryCase> cases;
+    cases.push_back({"intact/many", many, ""});
+    cases.push_back({"intact/one", one, ""});
+
+    const int deltas[] = {-16, -8, -1, 0, 1, 8, 16};
+    for (const auto& [label, full] :
+         {std::pair{"many", &many}, std::pair{"one", &one}}) {
+        for (size_t boundary = kReadBytes; boundary < full->size();
+             boundary += kReadBytes) {
+            for (int d : deltas) {
+                const size_t len = boundary + d;
+                cases.push_back({"cut-" + std::to_string(len) + "/" + label,
+                                 std::vector<uint8_t>(
+                                     full->begin(), full->begin() + len),
+                                 ""});
+            }
+        }
+    }
+
+    // Filler after the file header shifts every chunk: 3816 bytes put
+    // chunk 15's header across the first read boundary ([65528, 65544)).
+    cases.push_back({"header-straddles/many",
+                     WithFiller(many, kAtf2HeaderBytes, 3816), ""});
+    // ... and 65496 bytes do the same for the one big chunk, whose
+    // payload then spans four reads.
+    cases.push_back({"header-straddles/one",
+                     WithFiller(one, kAtf2HeaderBytes, 65496), ""});
+    // 3822 bytes put chunk 15's marker at [65534, 65538); a broken chunk
+    // 14 header makes the scanner find it by resynchronizing.
+    {
+        std::vector<uint8_t> b = WithFiller(many, kAtf2HeaderBytes, 3822);
+        b[ManyChunkOffset(14) + 3822 + 12] ^= 0xFF;
+        cases.push_back({"marker-straddles/many", std::move(b), ""});
+    }
+    cases.push_back({"filler-straddles/many",
+                     WithFiller(many, ManyChunkOffset(15), 5000), ""});
+
+    // Bytes after the footer, and after the last chunk of a file whose
+    // footer is gone.
+    cases.push_back({"tail-3/many", WithFiller(many, many.size(), 3), ""});
+    cases.push_back(
+        {"tail-70000/many", WithFiller(many, many.size(), 70000), ""});
+    {
+        std::vector<uint8_t> b(many.begin(), many.end() - kAtf2FooterBytes);
+        cases.push_back({"unsealed-tail-3/many",
+                         WithFiller(b, b.size(), 3), ""});
+        cases.push_back({"unsealed-tail-70000/many",
+                         WithFiller(b, b.size(), 70000), ""});
+    }
+    // A whole chunk gone: every chunk verifies, the footer count does not.
+    {
+        std::vector<uint8_t> b = many;
+        b.erase(b.begin() + ManyChunkOffset(20),
+                b.begin() + ManyChunkOffset(21));
+        cases.push_back({"dropped-chunk/many", std::move(b), ""});
+    }
+
+    // A header-valid chunk claiming the most records a scanner believes,
+    // and one claiming more.
+    for (const uint32_t count :
+         {kAtf2MaxChunkRecords, kAtf2MaxChunkRecords + 1}) {
+        std::vector<uint8_t> b = many;
+        const std::vector<uint8_t> h = ChunkHeader(count);
+        b.insert(b.begin() + ManyChunkOffset(4), h.begin(), h.end());
+        cases.push_back({"count-" + std::to_string(count) + "/many",
+                         std::move(b), ""});
+    }
+
+    // Read k fails, for every read of the file; interrupted reads are
+    // retried by FileByteSource.
+    for (int k = 1; k <= 5; ++k) {
+        for (const char* error : {"io", "intr"}) {
+            cases.push_back({"fail-read-" + std::to_string(k) + "-" +
+                                 error + "/many",
+                             many,
+                             "op fail-read " + std::to_string(k) + " " +
+                                 error + "\n"});
+        }
+    }
+    return cases;
+}
+
+struct BoundaryPin {
+    uint32_t report_crc;   ///< CRC32C of ScanReport::ToString()
+    uint32_t records_crc;  ///< RecordsCrc of the salvaged records
+    uint64_t records;
+    uint64_t reads;        ///< ChaosVfs read ops
+};
+
+TEST(Container, ScanAcrossReadBoundariesIsPinned)
+{
+    // Measured on the whole-file scanner this lock was written against.
+    const std::map<std::string, BoundaryPin> pins = {
+        {"intact/many", {0x05e5e80b, 0xf85c0913, 25000, 5}},
+        {"intact/one", {0xdb953816, 0x440e08ab, 20000, 4}},
+        {"cut-65520/many", {0xd6f2eb22, 0x13d09b7f, 7680, 2}},
+        {"cut-65528/many", {0x943af56e, 0x13d09b7f, 7680, 2}},
+        {"cut-65535/many", {0xd9f55149, 0x13d09b7f, 7680, 2}},
+        {"cut-65536/many", {0x0b4e8c16, 0x13d09b7f, 7680, 2}},
+        {"cut-65537/many", {0x47bdb339, 0x13d09b7f, 7680, 3}},
+        {"cut-65544/many", {0x2cd2a906, 0x13d09b7f, 7680, 3}},
+        {"cut-65552/many", {0x40456923, 0x13d09b7f, 7680, 3}},
+        {"cut-131056/many", {0xc7995e4a, 0x4bfbc0e7, 15872, 3}},
+        {"cut-131064/many", {0x9eea5de0, 0x4bfbc0e7, 15872, 3}},
+        {"cut-131071/many", {0xa6a6f894, 0x4bfbc0e7, 15872, 3}},
+        {"cut-131072/many", {0x1b20991c, 0x4bfbc0e7, 15872, 3}},
+        {"cut-131073/many", {0x705d4664, 0x4bfbc0e7, 15872, 4}},
+        {"cut-131080/many", {0x6bc0ca07, 0x4bfbc0e7, 15872, 4}},
+        {"cut-131088/many", {0x3e1aaad4, 0x4bfbc0e7, 15872, 4}},
+        {"cut-196592/many", {0xfde9e3d0, 0x8b26e0a5, 24064, 4}},
+        {"cut-196600/many", {0x9fa63f93, 0x8b26e0a5, 24064, 4}},
+        {"cut-196607/many", {0xaf841110, 0x8b26e0a5, 24064, 4}},
+        {"cut-196608/many", {0xe86d8774, 0x8b26e0a5, 24064, 4}},
+        {"cut-196609/many", {0x8310580c, 0x8b26e0a5, 24064, 5}},
+        {"cut-196616/many", {0x07c7c320, 0x8b26e0a5, 24064, 5}},
+        {"cut-196624/many", {0x641dedf5, 0x8b26e0a5, 24064, 5}},
+        {"cut-65520/one", {0xb484e342, 0x00000000, 0, 2}},
+        {"cut-65528/one", {0xf74ca29c, 0x00000000, 0, 2}},
+        {"cut-65535/one", {0x0965e9e3, 0x00000000, 0, 2}},
+        {"cut-65536/one", {0xe0df303a, 0x00000000, 0, 2}},
+        {"cut-65537/one", {0x777b967d, 0x00000000, 0, 3}},
+        {"cut-65544/one", {0x73820d4e, 0x00000000, 0, 3}},
+        {"cut-65552/one", {0xf7581d29, 0x00000000, 0, 3}},
+        {"cut-131056/one", {0xbe92d8b9, 0x00000000, 0, 3}},
+        {"cut-131064/one", {0x60737cb9, 0x00000000, 0, 3}},
+        {"cut-131071/one", {0x1c70cc87, 0x00000000, 0, 3}},
+        {"cut-131072/one", {0x39d31a46, 0x00000000, 0, 3}},
+        {"cut-131073/one", {0x605c0da9, 0x00000000, 0, 4}},
+        {"cut-131080/one", {0x6a097030, 0x00000000, 0, 4}},
+        {"cut-131088/one", {0xa65b474f, 0x00000000, 0, 4}},
+        {"header-straddles/many", {0x259ec841, 0xf85c0913, 25000, 5}},
+        {"header-straddles/one", {0x9695c1c0, 0x440e08ab, 20000, 5}},
+        {"marker-straddles/many", {0x5e751051, 0x5f96479c, 24488, 5}},
+        {"filler-straddles/many", {0x5a8f4ed7, 0xf85c0913, 25000, 5}},
+        {"tail-3/many", {0x733bb63f, 0xf85c0913, 25000, 5}},
+        {"tail-70000/many", {0x257836ca, 0xf85c0913, 25000, 6}},
+        {"unsealed-tail-3/many", {0x997a944d, 0xf85c0913, 25000, 5}},
+        {"unsealed-tail-70000/many", {0x6c917da9, 0xf85c0913, 25000, 6}},
+        {"dropped-chunk/many", {0x819a052a, 0x4ff7fd04, 24488, 5}},
+        {"count-1048576/many", {0x1bed8c1f, 0x66ea4d44, 2048, 5}},
+        {"count-1048577/many", {0xd65258d5, 0xf85c0913, 25000, 5}},
+        {"fail-read-1-io/many", {0xeec5f33f, 0x00000000, 0, 1}},
+        {"fail-read-1-intr/many", {0x05e5e80b, 0xf85c0913, 25000, 6}},
+        {"fail-read-2-io/many", {0x6a25fe14, 0x13d09b7f, 7680, 2}},
+        {"fail-read-2-intr/many", {0x05e5e80b, 0xf85c0913, 25000, 6}},
+        {"fail-read-3-io/many", {0x9fdba75d, 0x4bfbc0e7, 15872, 3}},
+        {"fail-read-3-intr/many", {0x05e5e80b, 0xf85c0913, 25000, 6}},
+        {"fail-read-4-io/many", {0x419d3180, 0x8b26e0a5, 24064, 4}},
+        {"fail-read-4-intr/many", {0x05e5e80b, 0xf85c0913, 25000, 6}},
+        {"fail-read-5-io/many", {0x612de669, 0xf85c0913, 25000, 5}},
+        {"fail-read-5-intr/many", {0x05e5e80b, 0xf85c0913, 25000, 6}},
+    };
+
+    for (const BoundaryCase& c : BoundaryCases()) {
+        std::vector<Record> back;
+        std::string report_text[2];
+        uint64_t reads = 0;
+        for (int pass = 0; pass < 2; ++pass) {
+            io::MemVfs mem(io::MemVfs::Snapshot{{{kTrace, c.bytes}}});
+            io::ChaosVfs vfs(mem, Schedule(c.schedule.c_str()));
+            report_text[pass] =
+                ScanFile(vfs, pass == 0 ? &back : nullptr).ToString();
+            reads = vfs.counts().reads;
+        }
+        EXPECT_EQ(report_text[0], report_text[1]) << c.name;
+
+        const BoundaryPin got{
+            util::Crc32c(report_text[0].data(), report_text[0].size()),
+            RecordsCrc(back), back.size(), reads};
+        const auto pin = pins.find(c.name);
+        const bool same = pin != pins.end() &&
+                          pin->second.report_crc == got.report_crc &&
+                          pin->second.records_crc == got.records_crc &&
+                          pin->second.records == got.records &&
+                          pin->second.reads == got.reads;
+        char row[160];
+        std::snprintf(row, sizeof row, "{\"%s\", {0x%08x, 0x%08x, %llu, %llu}},",
+                      c.name.c_str(), got.report_crc, got.records_crc,
+                      static_cast<unsigned long long>(got.records),
+                      static_cast<unsigned long long>(got.reads));
+        EXPECT_TRUE(same) << "pin row now reads\n        " << row << "\n"
+                          << report_text[0];
+    }
+}
+
+TEST(Container, LoadTraceReturnsTheFailedReadStatus)
+{
+    // An unreadable file is an I/O error (exit 3), not a foreign file or
+    // a damaged one (exit 4), wherever in the file the read fails.
+    const std::vector<uint8_t> bytes = ManyChunkContainer();
+    for (int k = 1; k <= 5; ++k) {
+        io::MemVfs mem(io::MemVfs::Snapshot{{{kTrace, bytes}}});
+        io::ChaosVfs vfs(
+            mem, Schedule(("op fail-read " + std::to_string(k) + " io\n")
+                              .c_str()));
+        const util::StatusOr<std::vector<Record>> loaded =
+            LoadTrace(kTrace, vfs);
+        ASSERT_FALSE(loaded.ok()) << "read " << k;
+        EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError)
+            << "read " << k << ": " << loaded.status().ToString();
+        EXPECT_EQ(util::ExitCodeFor(loaded.status()), util::kExitIo);
+    }
+}
+
+TEST(Container, ScanInvariantsHoldUnderSeededMutations)
+{
+    // Flips, truncations, splices and duplicated chunks of the many-chunk
+    // container; the same check the libFuzzer harness runs.
+    const std::vector<uint8_t> base = ManyChunkContainer();
+    const size_t chunk_bytes = ManyChunkOffset(1) - ManyChunkOffset(0);
+    for (uint64_t seed = 1; seed <= 5000; ++seed) {
+        Rng rng(seed);
+        std::vector<uint8_t> b = base;
+        for (uint32_t m = rng.Range(1, 3); m > 0; --m) {
+            const uint32_t size = static_cast<uint32_t>(b.size());
+            if (size == 0)
+                break;
+            switch (rng.Below(4)) {
+              case 0:  // flip up to 8 bytes
+                for (uint32_t i = rng.Range(1, 8); i > 0; --i)
+                    b[rng.Below(size)] ^=
+                        static_cast<uint8_t>(rng.Range(1, 255));
+                break;
+              case 1:  // truncate
+                b.resize(rng.Below(size));
+                break;
+              case 2: {  // splice a copied range in somewhere else
+                const uint32_t from = rng.Below(size);
+                const uint32_t len =
+                    std::min(rng.Range(1, 8192), size - from);
+                const std::vector<uint8_t> piece(b.begin() + from,
+                                                 b.begin() + from + len);
+                b.insert(b.begin() + rng.Below(size + 1), piece.begin(),
+                         piece.end());
+                break;
+              }
+              default: {  // duplicate a whole chunk at a chunk boundary
+                const size_t chunks = (base.size() - kAtf2HeaderBytes) /
+                                      chunk_bytes;
+                const size_t from =
+                    ManyChunkOffset(rng.Below(static_cast<uint32_t>(chunks)));
+                const size_t at =
+                    ManyChunkOffset(rng.Below(static_cast<uint32_t>(chunks)));
+                if (from + chunk_bytes > b.size() || at > b.size())
+                    break;
+                const std::vector<uint8_t> piece(b.begin() + from,
+                                                 b.begin() + from +
+                                                     chunk_bytes);
+                b.insert(b.begin() + at, piece.begin(), piece.end());
+              }
+            }
+        }
+        const std::string broken = CheckScanInvariants(b);
+        ASSERT_EQ(broken, "") << "seed " << seed;
+    }
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 //
 // --stats appends a dump of the process's metrics registry (replay.*
 // counters, per-config wall-time histogram...) after the analyses — a
-// quick look at what the replay engine actually did.
+// quick look at what the replay engine actually did. Each stage books
+// its wall time there as report.<stage>_us: load, cache, sweep, tlb,
+// working_sets and stack_distance, or scan under --verify/--salvage.
 //
 // --spans FILE exports the report's own span trace (load, each
 // analysis, every sweep config across the worker pool) as Chrome
@@ -190,6 +192,37 @@ ParseArgs(int argc, char** argv)
     return opts;
 }
 
+/** Books the scope's wall time as histogram `name` (microseconds). */
+class StageTimer
+{
+  public:
+    explicit StageTimer(const char* name)
+        : name_(name), start_(std::chrono::steady_clock::now())
+    {
+    }
+    ~StageTimer()
+    {
+        obs::Registry::Global().GetHistogram(name_).Add(
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count()));
+    }
+
+    StageTimer(const StageTimer&) = delete;
+    StageTimer& operator=(const StageTimer&) = delete;
+
+  private:
+    const char* name_;
+    std::chrono::steady_clock::time_point start_;
+};
+
+void
+PrintStats()
+{
+    std::printf("%s", obs::Registry::Global().Snapshot().ToText().c_str());
+}
+
 const char*
 TypeName(trace::RecordType type)
 {
@@ -239,8 +272,11 @@ RunSalvage(const Options& opts, io::Vfs& vfs)
         return util::ExitCodeFor(source.status());
     }
     std::vector<trace::Record> records;
-    const trace::ScanReport report = trace::ScanTrace(
-        **source, opts.salvage_out.empty() ? nullptr : &records);
+    const trace::ScanReport report = [&] {
+        StageTimer timer("report.scan_us");
+        return trace::ScanTrace(
+            **source, opts.salvage_out.empty() ? nullptr : &records);
+    }();
     std::printf("%s", report.ToString().c_str());
 
     if (!report.recognized)
@@ -271,30 +307,28 @@ RunSalvage(const Options& opts, io::Vfs& vfs)
 int
 Run(const Options& opts, io::Vfs& vfs)
 {
-    if (opts.verify || !opts.salvage_out.empty())
-        return RunSalvage(opts, vfs);
+    if (opts.verify || !opts.salvage_out.empty()) {
+        const int code = RunSalvage(opts, vfs);
+        if (opts.stats)
+            PrintStats();
+        return code;
+    }
     if (opts.crosscheck)
         return RunCrosscheck(opts, vfs);
 
-    const auto load_start = std::chrono::steady_clock::now();
-    ATUM_SPAN_NAMED(load_span, "report", "load");
-    load_span.set_detail(opts.path);
-    util::StatusOr<std::vector<trace::Record>> loaded =
-        trace::LoadTrace(opts.path, vfs);
-    load_span.Close();
+    util::StatusOr<std::vector<trace::Record>> loaded = [&] {
+        StageTimer timer("report.load_us");
+        ATUM_SPAN_NAMED(load_span, "report", "load");
+        load_span.set_detail(opts.path);
+        return trace::LoadTrace(opts.path, vfs);
+    }();
     if (!loaded.ok()) {
         std::fprintf(stderr, "atum-report: %s\n",
                      loaded.status().ToString().c_str());
         return util::ExitCodeFor(loaded.status());
     }
     const std::vector<trace::Record>& records = *loaded;
-    auto& reg = obs::Registry::Global();
-    reg.GetCounter("report.records").Set(records.size());
-    reg.GetHistogram("report.load_us")
-        .Add(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - load_start)
-                .count()));
+    obs::Registry::Global().GetCounter("report.records").Set(records.size());
 
     if (opts.head > 0) {
         for (size_t i = 0; i < opts.head && i < records.size(); ++i) {
@@ -316,6 +350,7 @@ Run(const Options& opts, io::Vfs& vfs)
 
     if (opts.have_cache) {
         ATUM_SPAN("report", "cache");
+        StageTimer timer("report.cache_us");
         cache::Cache c(opts.cache_config);
         cache::TraceCacheDriver driver(c, opts.driver_options);
         for (const auto& r : records)
@@ -329,6 +364,7 @@ Run(const Options& opts, io::Vfs& vfs)
     }
 
     if (!opts.sweep_configs.empty()) {
+        StageTimer timer("report.sweep_us");
         std::vector<replay::SweepConfig> jobs;
         for (const cache::CacheConfig& config : opts.sweep_configs)
             jobs.push_back(
@@ -352,6 +388,7 @@ Run(const Options& opts, io::Vfs& vfs)
 
     if (opts.tlb_entries > 0) {
         ATUM_SPAN("report", "tlb");
+        StageTimer timer("report.tlb_us");
         tlbsim::TlbSim sim({.entries = opts.tlb_entries});
         for (const auto& r : records)
             sim.Feed(r);
@@ -363,6 +400,7 @@ Run(const Options& opts, io::Vfs& vfs)
 
     if (opts.working_sets) {
         ATUM_SPAN("report", "working-sets");
+        StageTimer timer("report.working_sets_us");
         analysis::WorkingSetAnalyzer ws({100, 1000, 10000, 100000});
         for (const auto& r : records)
             ws.Feed(r);
@@ -378,6 +416,7 @@ Run(const Options& opts, io::Vfs& vfs)
 
     if (opts.stack_distance) {
         ATUM_SPAN("report", "stack-distance");
+        StageTimer timer("report.stack_distance_us");
         analysis::StackDistanceAnalyzer sd(4);
         for (const auto& r : records)
             sd.Feed(r);
@@ -409,8 +448,7 @@ Run(const Options& opts, io::Vfs& vfs)
     }
 
     if (opts.stats)
-        std::printf("%s",
-                    obs::Registry::Global().Snapshot().ToText().c_str());
+        PrintStats();
     return 0;
 }
 
