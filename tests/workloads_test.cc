@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 
 #include "core/atum_tracer.h"
 #include "core/session.h"
 #include "cpu/machine.h"
 #include "kernel/boot.h"
 #include "trace/sink.h"
+#include "util/crc32.h"
 #include "workloads/workloads.h"
 
 namespace atum::workloads {
@@ -323,6 +325,141 @@ TEST(Workloads, GoldenInstructionCounts)
         const RunOutcome out = RunOne(MakeWorkload(g.name));
         EXPECT_EQ(out.instructions, g.instructions) << g.name;
     }
+}
+
+/** Folds every record, packed as on disk, into one CRC32C in order. */
+class CrcSink : public trace::TraceSink
+{
+  public:
+    util::Status Append(const trace::Record& record) override
+    {
+        uint8_t bytes[trace::kRecordBytes];
+        trace::PackRecord(record, bytes);
+        crc_ = util::Crc32cExtend(crc_, bytes, sizeof bytes);
+        ++count_;
+        return util::OkStatus();
+    }
+    uint64_t count() const { return count_; }
+    uint32_t crc() const { return crc_; }
+
+  private:
+    uint64_t count_ = 0;
+    uint32_t crc_ = 0;
+};
+
+/** Everything a traced run leaves behind that the lock pins. */
+struct ExecutionDigest {
+    uint64_t records;
+    uint32_t crc;
+    uint64_t ucycles;
+    cpu::EventCounters ev;
+    uint64_t tb_lookups;
+    uint64_t tb_misses;
+
+    bool operator==(const ExecutionDigest&) const = default;
+};
+
+std::ostream&
+operator<<(std::ostream& os, const ExecutionDigest& d)
+{
+    return os << "{" << d.records << ", 0x" << std::hex << d.crc << std::dec
+              << ", " << d.ucycles << ", {" << d.ev.instructions << ", "
+              << d.ev.ifetches << ", " << d.ev.reads << ", " << d.ev.writes
+              << ", " << d.ev.pte_reads << ", " << d.ev.tlb_misses << ", "
+              << d.ev.tlb_fills << ", " << d.ev.exceptions << ", "
+              << d.ev.syscalls << ", " << d.ev.dma_bytes << "}, "
+              << d.tb_lookups << ", " << d.tb_misses << "}";
+}
+
+ExecutionDigest
+TracedDigest(const std::string& name)
+{
+    auto machine = SmallMachine();
+    CrcSink sink;
+    core::AtumTracer tracer(*machine, sink);
+    BootSystem(*machine, {MakeWorkload(name)});
+    const core::SessionResult result = core::RunSupervised(
+        *machine, tracer, {.max_instructions = 30'000'000});
+    EXPECT_TRUE(result.halted) << name;
+    EXPECT_EQ(result.records, sink.count()) << name;
+    return {sink.count(),
+            sink.crc(),
+            machine->ucycles(),
+            machine->event_counters(),
+            machine->mmu().tlb().lookups(),
+            machine->mmu().tlb().misses()};
+}
+
+TEST(Workloads, GoldenExecutionIsPinned)
+{
+    // Behaviour lock on the interpreter, MMU and patch: every guest at
+    // scale 1, traced with the default AtumTracer config. The record
+    // stream's CRC catches a reordered, added or changed record; ucycles
+    // catch a shifted micro-op cost; the event counters and the TB's
+    // lookup/miss tallies catch a changed reference path or a skipped
+    // LRU stamp (stamps decide evictions, so they reach the miss count).
+    // These values hold across rewrites of the hot path; update them
+    // only when guest-visible behaviour changes on purpose, and say why.
+    const struct {
+        const char* name;
+        ExecutionDigest digest;
+    } golden[] = {
+        {"matrix",
+         {86248, 0x9CAF2989, 6361283,
+          {69485, 74466, 9102, 2327, 149, 149, 143, 31, 2, 0},
+          84836, 141}},
+        {"sort",
+         {160190, 0x90451545, 11482339,
+          {144255, 133653, 14738, 11277, 209, 209, 204, 55, 2, 0},
+          157484, 202}},
+        {"listproc",
+         {147004, 0xC98F715A, 10386210,
+          {121222, 103365, 30277, 12598, 337, 337, 330, 49, 2, 0},
+          144416, 328}},
+        {"grep",
+         {276096, 0xB0456B4F, 19663304,
+          {194860, 211349, 51604, 12400, 298, 298, 282, 82, 2, 0},
+          272449, 280}},
+        {"hash",
+         {173215, 0x762D6F12, 12293227,
+          {119943, 120735, 26923, 22425, 1504, 1504, 1461, 84, 2, 0},
+          168304, 1456}},
+        {"fft",
+         {63014, 0x22003F8E, 4437661,
+          {50266, 51359, 5248, 6184, 92, 92, 88, 22, 2, 0},
+          62047, 86}},
+        {"editor",
+         {56986, 0x5B548132, 3942046,
+          {15279, 22056, 26048, 8785, 40, 40, 36, 11, 2, 0},
+          56640, 34}},
+        {"queuesim",
+         {31953, 0x3D30F4C8, 2166033,
+          {17128, 19573, 4347, 7737, 132, 132, 113, 26, 2, 0},
+          31408, 111}},
+        {"server",
+         {47912, 0xC96941A5, 3344516,
+          {21079, 27889, 10292, 8640, 50, 50, 50, 946, 939, 0},
+          43917, 49}},
+        {"iostorm",
+         {53025, 0x8FBB7185, 3806371,
+          {28467, 45005, 1370, 1337, 45, 45, 43, 93, 42, 20480},
+          47203, 41}},
+        {"forkwave",
+         {34530, 0x27030144, 2513801,
+          {19791, 29980, 1507, 2832, 62, 62, 62, 56, 50, 0},
+          33185, 49}},
+        {"tlbthrash",
+         {107791, 0x0B440658, 7568147,
+          {64971, 67905, 6660, 28657, 2166, 2166, 1974, 215, 2, 0},
+          102253, 1971}},
+        {"smc",
+         {7512, 0x715AC284, 517141,
+          {4367, 5990, 491, 991, 17, 17, 16, 4, 2, 0},
+          7403, 13}},
+    };
+    EXPECT_EQ(std::size(golden), AllWorkloadNames().size());
+    for (const auto& g : golden)
+        EXPECT_EQ(TracedDigest(g.name), g.digest) << g.name;
 }
 
 TEST(WorkloadsDeath, BadParametersAreFatal)
