@@ -1,4 +1,5 @@
 #include "cpu/machine.h"
+#include "cpu/machine_hot.h"
 
 #include "util/logging.h"
 

@@ -1,6 +1,7 @@
 #include <cstring>
 
 #include "cpu/machine.h"
+#include "cpu/machine_hot.h"
 #include "util/bitops.h"
 #include "util/logging.h"
 

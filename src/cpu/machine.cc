@@ -1,41 +1,13 @@
 #include "cpu/machine.h"
 
+#include "cpu/machine_hot.h"
 #include "obs/metrics.h"
-#include "obs/spans.h"
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace atum::cpu {
 
 using ucode::MemAccess;
 using ucode::MemAccessKind;
-using ucode::MicroOpKind;
-
-namespace {
-
-/**
- * Attributes the enclosing scope to `phase` iff the profiler has a
- * sampled window open. In unprofiled runs (and in -DATUM_TRACING=OFF
- * builds, where sampling() is constant false) this folds to nothing.
- */
-struct PhaseScope {
-    PhaseScope(obs::PhaseProfiler* profiler, obs::Phase phase)
-        : profiler_(profiler != nullptr && profiler->sampling() ? profiler
-                                                                : nullptr)
-    {
-        if (profiler_ != nullptr)
-            profiler_->Enter(phase);
-    }
-    ~PhaseScope()
-    {
-        if (profiler_ != nullptr)
-            profiler_->Exit();
-    }
-
-    obs::PhaseProfiler* profiler_;
-};
-
-}  // namespace
 
 uint32_t
 Psl::ToWord() const
@@ -244,105 +216,6 @@ Machine::WriteIpr(isa::Ipr ipr, uint32_t v)
     Panic("WriteIpr: bad processor register");
 }
 
-bool
-Machine::Translate(uint32_t va, bool write, uint32_t* pa)
-{
-    PhaseScope phase(profiler_, obs::Phase::kTranslate);
-    mmu::XlateResult res =
-        mmu_.Translate(va, write, psl_.cur_mode == CpuMode::kKernel);
-    AddCycles(res.ucycles);
-    if (res.status != mmu::XlateStatus::kOk) {
-        pending_fault_ = {true, res.status, va, write};
-        return false;
-    }
-    *pa = res.paddr;
-    return true;
-}
-
-bool
-Machine::MicroRead(uint32_t va, uint8_t size, MemAccessKind kind,
-                   uint32_t* out)
-{
-    uint32_t pa;
-    if (!Translate(va, false, &pa))
-        return false;
-
-    uint32_t value;
-    {
-        PhaseScope phase(profiler_, obs::Phase::kMemory);
-        const uint32_t last = va + size - 1;
-        if (AlignDown(va, kPageBytes) == AlignDown(last, kPageBytes)) {
-            value = size == 1   ? memory_.Read8(pa)
-                    : size == 2 ? memory_.Read16(pa)
-                                : memory_.Read32(pa);
-        } else {
-            // Unaligned access straddling a page boundary: translate each
-            // byte's page and assemble (the microcode did two bus cycles).
-            value = 0;
-            for (uint8_t i = 0; i < size; ++i) {
-                uint32_t pb;
-                if (!Translate(va + i, false, &pb))
-                    return false;
-                value |= static_cast<uint32_t>(memory_.Read8(pb)) << (8 * i);
-            }
-        }
-    }
-
-    AddCycles(ucode::CostOf(kind == MemAccessKind::kIFetch
-                                ? MicroOpKind::kIFetch
-                                : MicroOpKind::kDRead));
-    if (kind == MemAccessKind::kIFetch)
-        ++ev_.ifetches;
-    else
-        ++ev_.reads;
-    {
-        PhaseScope phase(profiler_, obs::Phase::kTracer);
-        AddCycles(control_store_.FireMemAccess(
-            MemAccess{va, pa, size, kind,
-                      psl_.cur_mode == CpuMode::kKernel}));
-    }
-    *out = value;
-    return true;
-}
-
-bool
-Machine::MicroWrite(uint32_t va, uint8_t size, uint32_t value)
-{
-    uint32_t pa;
-    if (!Translate(va, true, &pa))
-        return false;
-
-    {
-        PhaseScope phase(profiler_, obs::Phase::kMemory);
-        const uint32_t last = va + size - 1;
-        if (AlignDown(va, kPageBytes) == AlignDown(last, kPageBytes)) {
-            if (size == 1)
-                memory_.Write8(pa, static_cast<uint8_t>(value));
-            else if (size == 2)
-                memory_.Write16(pa, static_cast<uint16_t>(value));
-            else
-                memory_.Write32(pa, value);
-        } else {
-            for (uint8_t i = 0; i < size; ++i) {
-                uint32_t pb;
-                if (!Translate(va + i, true, &pb))
-                    return false;
-                memory_.Write8(pb, static_cast<uint8_t>(value >> (8 * i)));
-            }
-        }
-    }
-
-    AddCycles(ucode::CostOf(MicroOpKind::kDWrite));
-    ++ev_.writes;
-    {
-        PhaseScope phase(profiler_, obs::Phase::kTracer);
-        AddCycles(control_store_.FireMemAccess(
-            MemAccess{va, pa, size, MemAccessKind::kWrite,
-                      psl_.cur_mode == CpuMode::kKernel}));
-    }
-    return true;
-}
-
 void
 Machine::StartDma()
 {
@@ -369,22 +242,16 @@ Machine::StartDma()
 }
 
 bool
-Machine::FetchByte(uint8_t* out)
+Machine::RefillIBuf(uint32_t aligned)
 {
-    const uint32_t va = regs_[isa::kRegPc];
-    const uint32_t aligned = AlignDown(va, 4);
-    if (!ibuf_valid_ || ibuf_va_ != aligned) {
-        uint32_t word;
-        if (!MicroRead(aligned, 4, MemAccessKind::kIFetch, &word))
-            return false;
-        ibuf_va_ = aligned;
-        for (int i = 0; i < 4; ++i)
-            ibuf_bytes_[i] = static_cast<uint8_t>(word >> (8 * i));
-        ibuf_valid_ = true;
-        ++ibuf_refills_;
-    }
-    *out = ibuf_bytes_[va & 3];
-    regs_[isa::kRegPc] = va + 1;
+    uint32_t word;
+    if (!MicroRead(aligned, 4, MemAccessKind::kIFetch, &word))
+        return false;
+    ibuf_va_ = aligned;
+    for (int i = 0; i < 4; ++i)
+        ibuf_bytes_[i] = static_cast<uint8_t>(word >> (8 * i));
+    ibuf_valid_ = true;
+    ++ibuf_refills_;
     return true;
 }
 

@@ -215,15 +215,18 @@ class Machine
     void AddCycles(uint32_t c) { ucycles_ += c; }
     uint32_t BankedSpSlot(CpuMode mode_of_slot) const;
 
+    // --- inline, defined in cpu/machine_hot.h ---
     // Micro-level memory access. Returns false when a fault was recorded
     // in pending_fault_ (the caller aborts the instruction).
-    bool Translate(uint32_t va, bool write, uint32_t* pa);
-    bool MicroRead(uint32_t va, uint8_t size, ucode::MemAccessKind kind,
-                   uint32_t* out);
-    bool MicroWrite(uint32_t va, uint8_t size, uint32_t value);
+    inline bool Translate(uint32_t va, bool write, uint32_t* pa);
+    inline bool MicroRead(uint32_t va, uint8_t size,
+                          ucode::MemAccessKind kind, uint32_t* out);
+    inline bool MicroWrite(uint32_t va, uint8_t size, uint32_t value);
 
-    // Instruction-stream byte fetch through the prefetch buffer.
-    bool FetchByte(uint8_t* out);
+    // Instruction-stream byte fetch through the prefetch buffer; a miss
+    // calls RefillIBuf (machine.cc) to fetch the aligned longword.
+    inline bool FetchByte(uint8_t* out);
+    bool RefillIBuf(uint32_t aligned);
     void InvalidateIBuf() { ibuf_valid_ = false; }
 
     // DMA engine: copies immediately (the memory image is consistent at

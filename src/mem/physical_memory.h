@@ -12,7 +12,9 @@
  * out frames inside it.
  */
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/serialize.h"
@@ -23,6 +25,10 @@ namespace atum {
 /** VAX-style page/frame size: 512 bytes. */
 inline constexpr uint32_t kPageBytes = 512;
 inline constexpr uint32_t kPageShift = 9;
+
+// The scalar accessors copy host-order bytes; the guest is little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "PhysicalMemory needs a little-endian host");
 
 class PhysicalMemory
 {
@@ -39,24 +45,43 @@ class PhysicalMemory
     uint32_t size() const { return static_cast<uint32_t>(data_.size()); }
     uint32_t NumFrames() const { return size() / kPageBytes; }
 
-    /** Reads the byte at `pa`; out-of-range access is a Panic. */
-    uint8_t Read8(uint32_t pa) const;
-    /** Reads a little-endian 16-bit value; need not be aligned. */
-    uint16_t Read16(uint32_t pa) const;
-    /** Reads a little-endian 32-bit value; need not be aligned. */
-    uint32_t Read32(uint32_t pa) const;
+    // The accessors run on every guest reference and every trace record,
+    // so they are inline: a range check, then a byte copy. An
+    // out-of-range access is a Panic, raised out of line.
 
-    void Write8(uint32_t pa, uint8_t v);
-    void Write16(uint32_t pa, uint16_t v);
-    void Write32(uint32_t pa, uint32_t v);
+    /** Reads the byte at `pa`; out-of-range access is a Panic. */
+    uint8_t Read8(uint32_t pa) const { return Load<uint8_t>(pa); }
+    /** Reads a little-endian 16-bit value; need not be aligned. */
+    uint16_t Read16(uint32_t pa) const { return Load<uint16_t>(pa); }
+    /** Reads a little-endian 32-bit value; need not be aligned. */
+    uint32_t Read32(uint32_t pa) const { return Load<uint32_t>(pa); }
+
+    void Write8(uint32_t pa, uint8_t v) { Store(pa, v); }
+    void Write16(uint32_t pa, uint16_t v) { Store(pa, v); }
+    void Write32(uint32_t pa, uint32_t v) { Store(pa, v); }
 
     /** Copies `len` bytes out of memory starting at `pa`. */
-    void ReadBlock(uint32_t pa, void* dst, uint32_t len) const;
+    void ReadBlock(uint32_t pa, void* dst, uint32_t len) const
+    {
+        if (len == 0)
+            return;
+        CheckRange(pa, len);
+        std::memcpy(dst, data_.data() + pa, len);
+    }
     /** Copies `len` bytes into memory starting at `pa`. */
-    void WriteBlock(uint32_t pa, const void* src, uint32_t len);
+    void WriteBlock(uint32_t pa, const void* src, uint32_t len)
+    {
+        if (len == 0)
+            return;
+        CheckRange(pa, len);
+        std::memcpy(data_.data() + pa, src, len);
+    }
 
     /** Returns true iff [pa, pa+len) lies inside memory. */
-    bool Contains(uint32_t pa, uint32_t len = 1) const;
+    bool Contains(uint32_t pa, uint32_t len = 1) const
+    {
+        return pa < data_.size() && len <= data_.size() - pa;
+    }
 
     /**
      * Reserves `bytes` (page-multiple) at the top of memory, e.g. for the
@@ -82,7 +107,27 @@ class PhysicalMemory
     uint32_t NumUsableFrames() const { return reserved_base_ / kPageBytes; }
 
   private:
-    void CheckRange(uint32_t pa, uint32_t len) const;
+    void CheckRange(uint32_t pa, uint32_t len) const
+    {
+        if (!Contains(pa, len)) [[unlikely]]
+            OutOfRange(pa, len);
+    }
+    [[noreturn]] void OutOfRange(uint32_t pa, uint32_t len) const;
+
+    template <typename T>
+    T Load(uint32_t pa) const
+    {
+        CheckRange(pa, sizeof(T));
+        T v;
+        std::memcpy(&v, data_.data() + pa, sizeof v);
+        return v;
+    }
+    template <typename T>
+    void Store(uint32_t pa, T v)
+    {
+        CheckRange(pa, sizeof(T));
+        std::memcpy(data_.data() + pa, &v, sizeof v);
+    }
 
     std::vector<uint8_t> data_;
     uint32_t reserved_base_;

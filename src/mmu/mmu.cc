@@ -35,32 +35,6 @@ Mmu::GetRegion(Region r) const
 }
 
 XlateResult
-Mmu::Translate(uint32_t vaddr, bool write, bool kernel_mode)
-{
-    if (!enabled_)
-        return {XlateStatus::kOk, vaddr, 0, false};
-
-    const uint32_t vpn = vaddr >> kPageShift;
-    if (TlbEntry* e = tlb_.Lookup(vpn)) {
-        if (!kernel_mode && !e->user)
-            return {XlateStatus::kAcv, 0, 0, false};
-        if (write && !e->writable)
-            return {XlateStatus::kAcv, 0, 0, false};
-        if (write && !e->modified) {
-            // First write through a clean entry: re-walk so the PTE's
-            // modified bit is set in memory (extra page-table traffic,
-            // faithfully visible to the tracer).
-            tlb_.InvalidateVa(vaddr);
-            return Walk(vaddr, write, kernel_mode);
-        }
-        const uint32_t pa =
-            (e->pfn << kPageShift) | (vaddr & (kPageBytes - 1));
-        return {XlateStatus::kOk, pa, 0, false};
-    }
-    return Walk(vaddr, write, kernel_mode);
-}
-
-XlateResult
 Mmu::Walk(uint32_t vaddr, bool write, bool kernel_mode)
 {
     XlateResult res;

@@ -108,7 +108,30 @@ class Mmu
      * no state is modified except TB statistics. A write through a clean
      * mapping re-walks the table to set the PTE modified bit.
      */
-    XlateResult Translate(uint32_t vaddr, bool write, bool kernel_mode);
+    XlateResult Translate(uint32_t vaddr, bool write, bool kernel_mode)
+    {
+        // The TB-hit path is inline (every reference takes it); a miss,
+        // and the first write through a clean entry, go to Walk.
+        if (!enabled_)
+            return {XlateStatus::kOk, vaddr, 0, false};
+        const TlbEntry* e = tlb_.Lookup(vaddr >> kPageShift);
+        if (e == nullptr)
+            return Walk(vaddr, write, kernel_mode);
+        if (!kernel_mode && !e->user)
+            return {XlateStatus::kAcv, 0, 0, false};
+        if (write && !e->writable)
+            return {XlateStatus::kAcv, 0, 0, false};
+        if (write && !e->modified) {
+            // First write through a clean entry: re-walk so the PTE's
+            // modified bit is set in memory (extra page-table traffic,
+            // faithfully visible to the tracer).
+            tlb_.InvalidateVa(vaddr);
+            return Walk(vaddr, write, kernel_mode);
+        }
+        const uint32_t pa =
+            (e->pfn << kPageShift) | (vaddr & (kPageBytes - 1));
+        return {XlateStatus::kOk, pa, 0, false};
+    }
 
     Tlb& tlb() { return tlb_; }
     const Tlb& tlb() const { return tlb_; }

@@ -19,22 +19,6 @@ Tlb::Tlb(unsigned sets, unsigned ways) : sets_(sets), ways_(ways)
     entries_.resize(static_cast<size_t>(sets) * ways);
 }
 
-TlbEntry*
-Tlb::Lookup(uint32_t vpn)
-{
-    ++lookups_;
-    const unsigned set = vpn & (sets_ - 1);
-    for (unsigned w = 0; w < ways_; ++w) {
-        TlbEntry& e = entries_[static_cast<size_t>(set) * ways_ + w];
-        if (e.valid && e.vpn == vpn) {
-            e.lru = ++stamp_;
-            return &e;
-        }
-    }
-    ++misses_;
-    return nullptr;
-}
-
 TlbEntry&
 Tlb::VictimIn(unsigned set)
 {

@@ -38,8 +38,31 @@ class Tlb
      *  `sets` a power of two. Default geometry mimics a small-mini TB. */
     explicit Tlb(unsigned sets = 32, unsigned ways = 2);
 
-    /** Returns the matching valid entry or nullptr. Updates LRU on hit. */
-    TlbEntry* Lookup(uint32_t vpn);
+    /**
+     * Returns the matching valid entry or nullptr. Updates LRU on hit.
+     *
+     * Inline, because every translated reference makes one lookup. Its
+     * updates are machine state, not statistics: lookups, misses, the
+     * stamp and each entry's LRU are checkpointed, and the stamps decide
+     * which entry a later miss evicts, so they shape the TB-miss records
+     * in the trace. Any rewrite must keep this order: ++lookups_ first,
+     * then on a hit `e.lru = ++stamp_`, or on a miss ++misses_.
+     */
+    TlbEntry* Lookup(uint32_t vpn)
+    {
+        ++lookups_;
+        const unsigned set = vpn & (sets_ - 1);
+        TlbEntry* row = entries_.data() + static_cast<size_t>(set) * ways_;
+        for (unsigned w = 0; w < ways_; ++w) {
+            TlbEntry& e = row[w];
+            if (e.valid && e.vpn == vpn) {
+                e.lru = ++stamp_;
+                return &e;
+            }
+        }
+        ++misses_;
+        return nullptr;
+    }
 
     /** Installs a translation, evicting the set's LRU entry if needed. */
     void Insert(const TlbEntry& entry);

@@ -81,18 +81,34 @@ std::atomic<uint64_t> g_generation{1};
 
 thread_local SpanRing* t_ring = nullptr;
 thread_local uint64_t t_ring_generation = 0;
+/**
+ * SetCurrentThreadName's name, kept until the thread's ring exists; short
+ * enough that "name-tid" always fits SpanRing::thread_name.
+ */
+thread_local char t_thread_name[20] = {0};
+
+/** This thread's ring, or null when it has none since the last reset. */
+SpanRing* CurrentRing()
+{
+    return t_ring_generation == g_generation.load(std::memory_order_relaxed)
+               ? t_ring
+               : nullptr;
+}
 
 SpanRing* RingForThisThread()
 {
-    if (t_ring != nullptr &&
-        t_ring_generation == g_generation.load(std::memory_order_relaxed))
-        return t_ring;
+    if (SpanRing* ring = CurrentRing())
+        return ring;
     SpanCollector& collector = Collector();
     std::lock_guard<std::mutex> lock(collector.mu);
     auto ring = std::make_unique<SpanRing>(collector.ring_log2);
     ring->tid = collector.next_tid++;
-    std::snprintf(ring->thread_name, sizeof ring->thread_name,
-                  ring->tid == 1 ? "main" : "thread-%u", ring->tid);
+    if (t_thread_name[0] != '\0')
+        std::snprintf(ring->thread_name, sizeof ring->thread_name, "%s-%u",
+                      t_thread_name, ring->tid);
+    else
+        std::snprintf(ring->thread_name, sizeof ring->thread_name,
+                      ring->tid == 1 ? "main" : "thread-%u", ring->tid);
     t_ring = ring.get();
     t_ring_generation = g_generation.load(std::memory_order_relaxed);
     collector.rings.push_back(std::move(ring));
@@ -120,9 +136,13 @@ bool SpansEnabled()
 
 void SetCurrentThreadName(const char* name)
 {
-    SpanRing* ring = RingForThisThread();
-    std::snprintf(ring->thread_name, sizeof ring->thread_name, "%s-%u",
-                  name, ring->tid);
+    // Rings outlive their threads, so a ring is made only when the thread
+    // records its first span: a pool worker that records none, because
+    // spans are off, then costs no memory however many pools come and go.
+    std::snprintf(t_thread_name, sizeof t_thread_name, "%s", name);
+    if (SpanRing* ring = CurrentRing())
+        std::snprintf(ring->thread_name, sizeof ring->thread_name, "%s-%u",
+                      name, ring->tid);
 }
 
 void RecordSpan(const char* category, const char* name, uint64_t start_ns,

@@ -132,7 +132,10 @@ const char* PhaseName(Phase phase);
 void SetSpansEnabled(bool enabled);
 bool SpansEnabled();
 
-/** Names the calling thread in exports ("pool-worker", "serve-conn"). */
+/**
+ * Names the calling thread in exports ("pool-worker", "serve-conn"). A
+ * thread that records no span has no ring and does not appear.
+ */
 void SetCurrentThreadName(const char* name);
 
 /** Records a completed span ending now-ish; called by ~ScopedSpan. */

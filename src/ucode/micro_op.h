@@ -16,7 +16,9 @@
  * which is how the ATUM slowdown (paper: ~20x) is modelled and measured.
  */
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace atum::ucode {
 
@@ -39,8 +41,39 @@ enum class MicroOpKind : uint8_t {
     kNumKinds,
 };
 
+/**
+ * Micro-cycles per micro-op, indexed by MicroOpKind. Loosely calibrated
+ * to mid-80s microcoded minis: memory micro-ops dominate, multiply/divide
+ * and the context/exception sequences are multi-cycle. Absolute values
+ * only matter relative to the tracing patch cost (AtumTracer's
+ * cost-per-record), which T2 sweeps.
+ */
+inline constexpr uint32_t kMicroOpCost[] = {
+    1,   // kDispatch
+    1,   // kSpecifier
+    2,   // kIFetch
+    2,   // kDRead
+    2,   // kDWrite
+    4,   // kPteRead
+    1,   // kAlu
+    16,  // kMulDiv
+    2,   // kShift
+    12,  // kExcDispatch
+    8,   // kRei
+    4,   // kCall
+    10,  // kCtxSave
+    12,  // kCtxLoad
+};
+static_assert(std::size(kMicroOpCost) ==
+                  static_cast<size_t>(MicroOpKind::kNumKinds),
+              "one cost per micro-op kind");
+
 /** Returns the cost of one micro-op of the given kind, in micro-cycles. */
-uint32_t CostOf(MicroOpKind kind);
+constexpr uint32_t
+CostOf(MicroOpKind kind)
+{
+    return kMicroOpCost[static_cast<size_t>(kind)];
+}
 
 /** Classification of an architectural memory reference. */
 enum class MemAccessKind : uint8_t {

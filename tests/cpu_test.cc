@@ -595,6 +595,33 @@ TEST_F(CpuTest, CaselOutOfRangeFallsPastTable)
     EXPECT_EQ(m().reg(5), 77u);
 }
 
+TEST_F(CpuTest, CaselTableReadIsTheOnlyIFetchThatIsNoRefill)
+{
+    // cpu.ev.ifetches counts every i-stream reference: the prefetch
+    // refills, plus the displacement-table word an in-range CASEL reads.
+    // An out-of-range CASEL skips its table and reads nothing.
+    Assembler a(kCodeBase);
+    a.Emit(Opcode::kMovl, {Imm(1), R(1)});  // in range
+    a.Emit(Opcode::kCasel, {R(1), Imm(0), Imm(1)});
+    a.Byte(4);
+    a.Byte(0);  // case 0 -> +4, past the table
+    a.Byte(4);
+    a.Byte(0);  // case 1 -> +4
+    a.Emit(Opcode::kMovl, {Imm(7), R(2)});  // out of range
+    a.Emit(Opcode::kCasel, {R(2), Imm(0), Imm(1)});
+    a.Byte(0);
+    a.Byte(0);
+    a.Byte(0);
+    a.Byte(0);  // 2-entry table, never read
+    a.Emit(Opcode::kHalt);
+    assembler::Program p = a.Finish();
+    machine_->memory().WriteBlock(p.origin, p.bytes.data(), p.size());
+    machine_->set_pc(p.origin);
+    ASSERT_EQ(machine_->Run(100).reason, Machine::StopReason::kHalted);
+    EXPECT_EQ(m().event_counters().instructions, 5u);
+    EXPECT_EQ(m().event_counters().ifetches - m().ibuf_refills(), 1u);
+}
+
 TEST_F(CpuTest, InsqueRemqueMaintainDoublyLinkedQueue)
 {
     // Header at kDataBase (self-linked); entries at +0x20 and +0x40.

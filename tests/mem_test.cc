@@ -73,6 +73,26 @@ TEST(PhysicalMemoryDeath, OutOfRangePanics)
     EXPECT_DEATH(mem.Read32(0xffffffff), "out of range");
 }
 
+TEST(PhysicalMemoryDeath, EveryAccessorChecksItsRange)
+{
+    // The accessors are inline; each must still reach the same panic,
+    // both for an access ending one byte past the end and for a pa at
+    // the top of the address space.
+    PhysicalMemory mem(kPageBytes);
+    uint8_t buf[4] = {};
+    const char* msg = "physical access out of range";
+    EXPECT_DEATH(mem.Read16(kPageBytes - 1), msg);
+    EXPECT_DEATH(mem.Read16(0xffffffff), msg);
+    EXPECT_DEATH(mem.Write8(kPageBytes, 1), msg);
+    EXPECT_DEATH(mem.Write8(0xffffffff, 1), msg);
+    EXPECT_DEATH(mem.Write16(kPageBytes - 1, 1), msg);
+    EXPECT_DEATH(mem.Write16(0xffffffff, 1), msg);
+    EXPECT_DEATH(mem.ReadBlock(kPageBytes - 3, buf, sizeof buf), msg);
+    EXPECT_DEATH(mem.ReadBlock(0xffffffff, buf, sizeof buf), msg);
+    EXPECT_DEATH(mem.WriteBlock(kPageBytes - 3, buf, sizeof buf), msg);
+    EXPECT_DEATH(mem.WriteBlock(0xffffffff, buf, sizeof buf), msg);
+}
+
 TEST(PhysicalMemoryDeath, BadSizeIsFatal)
 {
     EXPECT_DEATH(PhysicalMemory(0), "page multiple");

@@ -138,6 +138,22 @@ TEST_F(SpansTest, MultiThreadCollectionIsExactAfterJoin)
     EXPECT_EQ(producers, kThreads);
 }
 
+TEST_F(SpansTest, ANamedThreadThatRecordsNothingMakesNoRing)
+{
+    // Rings outlive their threads. A ring per named pool worker would
+    // grow a process that keeps making pools by one ring per worker,
+    // even with spans off; a ring is made at the first span instead.
+    std::thread([] { SetCurrentThreadName("idle"); }).join();
+    std::thread([] {
+        SetCurrentThreadName("busy");
+        RecordInstant("cat", "mark");
+    }).join();
+    const SpanDump dump = CollectSpans();
+    ASSERT_EQ(dump.threads.size(), 1u);
+    EXPECT_EQ(dump.threads[0].second, "busy-1");
+    EXPECT_EQ(dump.events.size(), 1u);
+}
+
 TEST_F(SpansTest, ChromeJsonGoldenSchema)
 {
     RecordSpan("tracer", "drain", 2000, 1500, "ep1", "records", 42,
