@@ -73,6 +73,8 @@ expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --sweep 16:16:1,,
 expect_exit 2 "$BUILD/tools/atum-capture" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-capture"
+expect_exit 2 "$BUILD/tools/atum-capture" --out "$TMP/u.atum" --buffer-kb abc
+expect_exit 2 "$BUILD/tools/atum-capture" --out "$TMP/u.atum" --scale -1
 expect_exit 3 "$BUILD/tools/atum-report" "$TMP/absent.atum"
 expect_exit 3 "$BUILD/tools/atum-capture" --out "$TMP/no/such/dir/t.atum"
 printf 'garbage!' > "$TMP/junk.bin"
@@ -136,6 +138,37 @@ cmp "$TMP/ref.atum" "$TMP/crash.atum" || {
 }
 expect_exit 0 "$BUILD/tools/atum-report" "$TMP/crash.atum" --verify
 grep -q "status:  intact" "$TMP/out.txt"
+
+# Spent budget: a capture stopped by --max-instructions takes its final
+# checkpoint with 0 instructions left. Resuming it runs no instruction
+# and replays only the final drain and seal, so a resumed copy of the
+# trace is byte-identical to the original. The continued series stays in
+# the checkpoint's own (dotted) directory.
+mkdir "$TMP/run.d"
+expect_exit 1 "$BUILD/tools/atum-capture" --out "$TMP/run.d/b.atum" \
+    --workloads grep --scale 1 --buffer-kb 16 --max-instructions 50000 \
+    --checkpoint "$TMP/run.d/b"
+latest=$(ls "$TMP"/run.d/b.*.atck | sort | tail -n 1)
+cp "$TMP/run.d/b.atum" "$TMP/run.d/c.atum"
+expect_exit 1 "$BUILD/tools/atum-capture" --resume "$latest" \
+    --out "$TMP/run.d/c.atum"
+grep -q "instructions=0 " "$TMP/out.txt"
+cmp "$TMP/run.d/b.atum" "$TMP/run.d/c.atum" || {
+    echo "FAIL: resuming a spent budget changed the trace" >&2
+    exit 1
+}
+grep -q "checkpoint=$TMP/run.d/b\.[0-9]*\.atck" "$TMP/out.txt"
+# A checkpoint renamed out of its series starts one next to the trace,
+# never a series named after the directory.
+cp "$latest" "$TMP/run.d/latest.atck"
+cp "$TMP/run.d/b.atum" "$TMP/run.d/d.atum"
+expect_exit 1 "$BUILD/tools/atum-capture" \
+    --resume "$TMP/run.d/latest.atck" --out "$TMP/run.d/d.atum"
+grep -q "checkpoint=$TMP/run.d/d.atum.ckpt\.[0-9]*\.atck" "$TMP/out.txt"
+if ls "$TMP"/run.*.atck > /dev/null 2>&1; then
+    echo "FAIL: resumed series left its directory" >&2
+    exit 1
+fi
 
 # Graceful SIGTERM: the capture stops at a drain boundary, seals the
 # trace, writes a final checkpoint, and exits 5 (interrupted, resumable).

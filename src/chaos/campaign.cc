@@ -91,7 +91,6 @@ struct CaptureOutcome {
     uint64_t tracer_lost = 0;
     bool end_degraded = false;
     uint32_t ckpts_written = 0;
-    uint64_t next_seq = 1;
 };
 
 CaptureOutcome
@@ -132,7 +131,6 @@ RunCapture(const CampaignSpec& spec, io::ChaosVfs& vfs)
     out.tracer_lost = tracer.lost_records();
     out.end_degraded = tracer.degraded();
     out.ckpts_written = rotator.written();
-    out.next_seq = rotator.next_sequence();
     return out;
 }
 
@@ -312,16 +310,9 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
                 std::chrono::steady_clock::now() - recovery_start)
                 .count());
     };
-    const core::CheckpointRotator paths(kCkptBase, spec.keep_checkpoints);
-    std::unique_ptr<core::Checkpoint> found;
-    for (uint64_t seq = cap.next_seq; seq-- > 1 && !found;) {
-        util::StatusOr<core::Checkpoint> ckpt =
-            core::Checkpoint::Load(paths.PathFor(seq), rebooted);
-        if (ckpt.ok() && ckpt->meta().has_sink_state)
-            found = std::make_unique<core::Checkpoint>(std::move(*ckpt));
-    }
-
-    if (found == nullptr) {
+    util::StatusOr<core::Checkpoint> found =
+        core::FindNewestCheckpoint(kCkptBase, rebooted);
+    if (!found.ok()) {
         if (cap.ckpts_written > 0) {
             r.Fail("durable-checkpoint",
                    "session counted " + std::to_string(cap.ckpts_written) +
@@ -345,35 +336,21 @@ RecoverAfterCut(const CampaignSpec& spec, SeedResult& r,
     // I2 — the checkpoint names a trace high-water mark that SaveState
     // made durable *before* the checkpoint was published; resume must
     // find the trace at (or past) it.
-    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::OpenResumed(kTracePath, found->sink_state(),
-                                     rebooted);
-    if (!sink.ok()) {
+    util::StatusOr<core::ResumedCapture> resumed =
+        core::ResumeCapture(*found, kTracePath, rebooted);
+    if (!resumed.ok()) {
         r.Fail("durable-checkpoint",
-               "loadable checkpoint but the trace cannot be resumed: " +
-                   sink.status().ToString());
-        return;
-    }
-
-    cpu::Machine machine(found->meta().machine_config);
-    core::AtumTracer tracer(machine, **sink, found->meta().tracer_config);
-    if (util::Status s = found->RestoreMachine(machine); !s.ok()) {
-        r.Fail("durable-checkpoint",
-               "machine restore failed: " + s.ToString());
-        return;
-    }
-    if (util::Status s = found->RestoreTracer(tracer); !s.ok()) {
-        r.Fail("durable-checkpoint",
-               "tracer restore failed: " + s.ToString());
+               "loadable checkpoint but the capture cannot be resumed: " +
+                   resumed.status().ToString());
         return;
     }
     stop_recovery_clock();  // ready to continue the capture
 
-    uint64_t remaining = found->meta().instructions_remaining;
-    if (remaining == 0 || remaining == UINT64_MAX)
-        remaining = spec.max_instructions;
-    (void)core::RunSupervised(machine, tracer, {.max_instructions = remaining});
-    const util::Status close_status = (*sink)->Close();
+    core::AtumTracer& tracer = *resumed->tracer;
+    (void)core::RunSupervised(
+        *resumed->machine, tracer,
+        {.max_instructions = resumed->instructions_remaining});
+    const util::Status close_status = resumed->sink->Close();
 
     util::StatusOr<TraceFacts> facts = ScanUniverse(rebooted);
     if (!facts.ok()) {

@@ -1,16 +1,40 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "util/crc32.h"
+#include "util/parse.h"
 #include "util/serialize.h"
 
 namespace atum::core {
 
 namespace {
+
+/** Every checkpoint of a rotation series is named BASE.NNNNNN.atck. */
+constexpr char kSeriesSuffix[] = ".atck";
+
+using SeriesName = std::pair<std::string, uint64_t>;  // BASE, NNNNNN
+
+std::optional<SeriesName>
+SplitSeriesPath(std::string_view path)
+{
+    if (!path.ends_with(kSeriesSuffix))
+        return std::nullopt;
+    path.remove_suffix(sizeof kSeriesSuffix - 1);
+    const size_t dot = path.rfind('.');
+    if (dot == std::string_view::npos)
+        return std::nullopt;
+    util::StatusOr<uint64_t> seq = util::ParseUint(path.substr(dot + 1));
+    if (!seq.ok())
+        return std::nullopt;
+    return SeriesName(path.substr(0, dot), *seq);
+}
 
 // -- little-endian helpers over raw frame buffers ---------------------------
 
@@ -477,7 +501,8 @@ std::string
 CheckpointRotator::PathFor(uint64_t seq) const
 {
     char suffix[32];
-    std::snprintf(suffix, sizeof suffix, ".%06" PRIu64 ".atck", seq);
+    std::snprintf(suffix, sizeof suffix, ".%06" PRIu64 "%s", seq,
+                  kSeriesSuffix);
     return base_ + suffix;
 }
 
@@ -502,6 +527,75 @@ CheckpointRotator::Write(CheckpointMeta meta, const cpu::Machine& machine,
         (void)vfs_->Unlink(PathFor(seq_ - 1 - keep_));
     }
     return util::OkStatus();
+}
+
+std::optional<std::string>
+CheckpointSeriesBase(const std::string& path)
+{
+    const std::optional<SeriesName> split = SplitSeriesPath(path);
+    return split ? std::optional(split->first) : std::nullopt;
+}
+
+util::StatusOr<Checkpoint>
+FindNewestCheckpoint(const std::string& base, io::Vfs& vfs)
+{
+    util::StatusOr<std::vector<std::string>> names =
+        vfs.ListDir(io::DirOf(base));
+    if (!names.ok())
+        return names.status();
+    // ListDir returns basenames; base's own spelling of its directory
+    // turns one back into the path PathFor wrote.
+    const size_t stem = base.find_last_of('/') + 1;
+    std::vector<std::pair<uint64_t, std::string>> series;
+    for (const std::string& name : *names) {
+        const std::optional<SeriesName> split = SplitSeriesPath(name);
+        if (split && split->first == base.substr(stem))
+            series.emplace_back(split->second, base.substr(0, stem) + name);
+    }
+    std::sort(series.rbegin(), series.rend());
+    for (const std::pair<uint64_t, std::string>& entry : series) {
+        util::StatusOr<Checkpoint> ckpt = Checkpoint::Load(entry.second, vfs);
+        // A damaged newest checkpoint is expected after a crash; the one
+        // before it is the durable truth.
+        if (ckpt.ok() && ckpt->meta().has_sink_state)
+            return ckpt;
+    }
+    return util::NotFound("no loadable checkpoint in series ", base);
+}
+
+util::StatusOr<ResumedCapture>
+ResumeCapture(const Checkpoint& checkpoint, const std::string& trace_path,
+              io::Vfs& vfs)
+{
+    const CheckpointMeta& meta = checkpoint.meta();
+    if (!meta.has_sink_state)
+        return util::DataLoss("checkpoint carries no trace-sink state; "
+                              "nothing to resume into");
+    ResumedCapture capture;
+    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
+        trace::FileSink::OpenResumed(trace_path, checkpoint.sink_state(),
+                                     vfs);
+    if (!sink.ok())
+        return util::Status(sink.status().code(),
+                            "reopening " + trace_path + ": " +
+                                sink.status().message());
+    capture.sink = std::move(*sink);
+
+    // Construction order matters: the tracer's buffer reservation must
+    // exist before the memory image is restored over it, and both must
+    // match the geometry recorded in the checkpoint meta.
+    capture.machine = std::make_unique<cpu::Machine>(meta.machine_config);
+    capture.tracer = std::make_unique<AtumTracer>(
+        *capture.machine, *capture.sink, meta.tracer_config);
+    util::Status status = checkpoint.RestoreMachine(*capture.machine);
+    if (status.ok())
+        status = checkpoint.RestoreTracer(*capture.tracer);
+    if (!status.ok())
+        return util::Status(status.code(),
+                            "restoring the capture: " + status.message());
+    capture.next_sequence = meta.sequence + 1;
+    capture.instructions_remaining = meta.instructions_remaining;
+    return capture;
 }
 
 }  // namespace atum::core

@@ -41,6 +41,8 @@
  */
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +50,7 @@
 #include "cpu/machine.h"
 #include "io/vfs.h"
 #include "trace/container.h"
+#include "trace/sink.h"
 #include "util/status.h"
 
 namespace atum::core {
@@ -82,7 +85,11 @@ struct CheckpointMeta {
     uint64_t sequence = 0;
     /** Machine::icount() when the checkpoint was taken. */
     uint64_t instructions = 0;
-    /** Step budget (core/session.h) remaining at checkpoint time. */
+    /**
+     * Step budget (core/session.h) remaining at checkpoint time, which a
+     * resume runs as saved: 0 means spent, so the resumed run executes no
+     * instruction and only replays the final drain and seal.
+     */
     uint64_t instructions_remaining = 0;
     /** Informational: the trace file this checkpoint belongs to. */
     std::string trace_path;
@@ -123,8 +130,9 @@ void SetCheckpointDirSyncForTest(bool enabled);
 
 /**
  * A parsed, CRC-verified checkpoint. Two-phase restore: Load (or Read)
- * parses and verifies; the caller then builds a Machine/AtumTracer from
- * meta().machine_config / meta().tracer_config and restores into them.
+ * parses and verifies; ResumeCapture (below) then builds a Machine and
+ * AtumTracer from meta().machine_config / meta().tracer_config and
+ * restores into them.
  */
 class Checkpoint
 {
@@ -186,6 +194,44 @@ class CheckpointRotator
     uint32_t written_ = 0;
     std::string last_path_;
 };
+
+/**
+ * The inverse of CheckpointRotator::PathFor: the series base of a
+ * `base.NNNNNN.atck` path, or nullopt when the path is not one (the
+ * part between the last two dots is not all digits).
+ */
+std::optional<std::string> CheckpointSeriesBase(const std::string& path);
+
+/**
+ * The newest checkpoint of the series `base` that loads and carries
+ * trace-sink state; its sequence is meta().sequence. The series is found
+ * by listing `base`'s directory, so a damaged newest checkpoint (expected
+ * after a crash) yields the one before it. kNotFound when none survives.
+ */
+util::StatusOr<Checkpoint> FindNewestCheckpoint(const std::string& base,
+                                                io::Vfs& vfs = io::RealVfs());
+
+/** A capture continued from a checkpoint, ready for RunSupervised. */
+struct ResumedCapture {
+    // Declared so that destruction runs tracer, machine, sink.
+    std::unique_ptr<trace::FileSink> sink;
+    std::unique_ptr<cpu::Machine> machine;
+    std::unique_ptr<AtumTracer> tracer;
+    /** The sequence the continued rotation series writes next. */
+    uint64_t next_sequence = 1;
+    /** meta().instructions_remaining, as saved: 0 means spent. */
+    uint64_t instructions_remaining = 0;
+};
+
+/**
+ * The one resume path: reopens the trace at `trace_path` at the
+ * checkpoint's high-water mark, builds the machine and tracer from the
+ * meta configs, and restores both. Any failure comes back as a Status;
+ * what to do about it is the caller's policy.
+ */
+util::StatusOr<ResumedCapture> ResumeCapture(const Checkpoint& checkpoint,
+                                             const std::string& trace_path,
+                                             io::Vfs& vfs = io::RealVfs());
 
 }  // namespace atum::core
 

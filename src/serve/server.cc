@@ -337,8 +337,7 @@ ServeCore::ResolveInterruptedLocked(uint64_t id, Job& job)
     //     intact prefix and finish the job as "salvaged";
     //  3. nothing durable -> re-queue for a fresh run (nothing was
     //     promised, nothing is lost).
-    uint64_t seq = 0;
-    if (LoadNewestCheckpoint(id, &seq) != nullptr) {
+    if (core::FindNewestCheckpoint(CheckpointBase(id), vfs_).ok()) {
         ReadmitRecoveredLocked(id, job);
         return;
     }
@@ -364,49 +363,6 @@ ServeCore::ResolveInterruptedLocked(uint64_t id, Job& job)
         }
     }
     ReadmitRecoveredLocked(id, job);
-}
-
-std::unique_ptr<core::Checkpoint>
-ServeCore::LoadNewestCheckpoint(uint64_t id, uint64_t* seq) const
-{
-    *seq = 0;
-    util::StatusOr<std::vector<std::string>> names =
-        vfs_.ListDir(config_.dir);
-    if (!names.ok())
-        return nullptr;
-
-    // job-<id>.ckpt.NNNNNN.atck, newest sequence first.
-    const std::string prefix = "job-" + std::to_string(id) + ".ckpt.";
-    const std::string suffix = ".atck";
-    std::vector<uint64_t> seqs;
-    for (const std::string& name : *names) {
-        if (name.size() <= prefix.size() + suffix.size() ||
-            name.compare(0, prefix.size(), prefix) != 0 ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        const std::string digits = name.substr(
-            prefix.size(), name.size() - prefix.size() - suffix.size());
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        seqs.push_back(std::strtoull(digits.c_str(), nullptr, 10));
-    }
-    std::sort(seqs.rbegin(), seqs.rend());
-
-    const core::CheckpointRotator paths(CheckpointBase(id),
-                                        config_.keep_checkpoints, 1, vfs_);
-    for (uint64_t s : seqs) {
-        util::StatusOr<core::Checkpoint> ckpt =
-            core::Checkpoint::Load(paths.PathFor(s), vfs_);
-        if (ckpt.ok() && ckpt->meta().has_sink_state) {
-            *seq = s;
-            return std::make_unique<core::Checkpoint>(std::move(*ckpt));
-        }
-        // A damaged newest checkpoint is expected after a crash; the one
-        // before it is the durable truth.
-    }
-    return nullptr;
 }
 
 std::string
@@ -854,37 +810,19 @@ ServeCore::RunJob(uint64_t id)
     tconfig.buffer_bytes = config_.buffer_bytes;
 
     const std::string trace_path = TracePath(id);
-    std::unique_ptr<trace::FileSink> sink;
-    std::unique_ptr<cpu::Machine> machine;
-    std::unique_ptr<core::AtumTracer> tracer;
-    uint64_t remaining = spec.quota.max_instructions;
-    uint64_t next_seq = 1;
+    core::ResumedCapture capture;  // resumed below, or a fresh run
+    capture.instructions_remaining = spec.quota.max_instructions;
     bool resumed = false;
-
-    uint64_t found_seq = 0;
-    if (std::unique_ptr<core::Checkpoint> found =
-            LoadNewestCheckpoint(id, &found_seq)) {
-        util::StatusOr<std::unique_ptr<trace::FileSink>> rsink =
-            trace::FileSink::OpenResumed(trace_path, found->sink_state(),
-                                         vfs_);
-        if (rsink.ok()) {
+    if (util::StatusOr<core::Checkpoint> found =
+            core::FindNewestCheckpoint(CheckpointBase(id), vfs_);
+        found.ok()) {
+        util::StatusOr<core::ResumedCapture> continued =
+            core::ResumeCapture(*found, trace_path, vfs_);
+        if (continued.ok()) {
+            capture = std::move(*continued);
             mconfig = found->meta().machine_config;
             tconfig = found->meta().tracer_config;
-            machine = std::make_unique<cpu::Machine>(mconfig);
-            tracer = std::make_unique<core::AtumTracer>(*machine, **rsink,
-                                                        tconfig);
-            if (found->RestoreMachine(*machine).ok() &&
-                found->RestoreTracer(*tracer).ok()) {
-                sink = std::move(*rsink);
-                resumed = true;
-                remaining = found->meta().instructions_remaining;
-                if (remaining == 0 || remaining == UINT64_MAX)
-                    remaining = spec.quota.max_instructions;
-                next_seq = found->meta().sequence + 1;
-            } else {
-                machine.reset();
-                tracer.reset();
-            }
+            resumed = true;
         }
     }
 
@@ -903,23 +841,24 @@ ServeCore::RunJob(uint64_t id)
                    nullptr, 0, false);
             return;
         }
-        sink = std::move(*fresh);
-        machine = std::make_unique<cpu::Machine>(mconfig);
-        tracer =
-            std::make_unique<core::AtumTracer>(*machine, *sink, tconfig);
+        capture.sink = std::move(*fresh);
+        capture.machine = std::make_unique<cpu::Machine>(mconfig);
+        capture.tracer = std::make_unique<core::AtumTracer>(
+            *capture.machine, *capture.sink, tconfig);
         kernel::BootSystem(
-            *machine, {workloads::MakeWorkload(spec.workload, spec.scale)});
+            *capture.machine,
+            {workloads::MakeWorkload(spec.workload, spec.scale)});
     }
 
     core::CheckpointRotator rotator(CheckpointBase(id),
-                                    config_.keep_checkpoints, next_seq,
-                                    vfs_);
+                                    config_.keep_checkpoints,
+                                    capture.next_sequence, vfs_);
     obs::Registry job_registry;  // Set() publishing must not cross jobs
-    trace::FileSink* sink_ptr = sink.get();
+    trace::FileSink* sink_ptr = capture.sink.get();
     const uint64_t byte_quota = spec.quota.max_trace_bytes;
 
     core::SupervisorOptions sup;
-    sup.max_instructions = remaining;
+    sup.max_instructions = capture.instructions_remaining;
     sup.watchdog_ucycles = config_.watchdog_ucycles;
     sup.deadline_ms = spec.quota.deadline_ms;
     sup.stop_flag = &job->stop_flag;
@@ -944,8 +883,8 @@ ServeCore::RunJob(uint64_t id)
     };
 
     const core::SessionResult result =
-        core::RunSupervised(*machine, *tracer, sup);
-    const util::Status close_status = sink->Close();
+        core::RunSupervised(*capture.machine, *capture.tracer, sup);
+    const util::Status close_status = capture.sink->Close();
 
     std::string outcome;
     std::string detail;

@@ -59,10 +59,6 @@
 #include "serve/protocol.h"
 #include "util/status.h"
 
-namespace atum::core {
-class Checkpoint;
-}
-
 namespace atum::serve {
 
 /** Where a job is in its lifecycle. */
@@ -217,14 +213,6 @@ class ServeCore
 
     /** Resume / salvage / re-run decision for a crash-interrupted job. */
     void ResolveInterruptedLocked(uint64_t id, Job& job);
-
-    /**
-     * Newest loadable checkpoint (with sink state) of job `id`, found by
-     * listing the serve directory — never by trusting an inventory that
-     * may itself be stale. Null when none survives.
-     */
-    std::unique_ptr<core::Checkpoint> LoadNewestCheckpoint(
-        uint64_t id, uint64_t* seq) const;
 
     std::string StatusJsonLocked() const;
 

@@ -15,33 +15,24 @@ namespace atum::trace {
 namespace {
 
 void
-Put16(std::vector<uint8_t>& out, uint16_t v)
+Set16(uint8_t* p, uint16_t v)
 {
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-Put32(std::vector<uint8_t>& out, uint32_t v)
-{
-    Put16(out, static_cast<uint16_t>(v));
-    Put16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void
-Put64(std::vector<uint8_t>& out, uint64_t v)
-{
-    Put32(out, static_cast<uint32_t>(v));
-    Put32(out, static_cast<uint32_t>(v >> 32));
+    p[0] = static_cast<uint8_t>(v);
+    p[1] = static_cast<uint8_t>(v >> 8);
 }
 
 void
 Set32(uint8_t* p, uint32_t v)
 {
-    p[0] = static_cast<uint8_t>(v);
-    p[1] = static_cast<uint8_t>(v >> 8);
-    p[2] = static_cast<uint8_t>(v >> 16);
-    p[3] = static_cast<uint8_t>(v >> 24);
+    Set16(p, static_cast<uint16_t>(v));
+    Set16(p + 2, static_cast<uint16_t>(v >> 16));
+}
+
+void
+Set64(uint8_t* p, uint64_t v)
+{
+    Set32(p, static_cast<uint32_t>(v));
+    Set32(p + 4, static_cast<uint32_t>(v >> 32));
 }
 
 uint16_t
@@ -243,18 +234,16 @@ Atf2Writer::Start()
 {
     if (started_)
         return util::OkStatus();
-    std::vector<uint8_t> header;
-    header.insert(header.end(), kAtf2Magic, kAtf2Magic + sizeof kAtf2Magic);
-    Put16(header, kAtf2Version);
-    Put16(header, static_cast<uint16_t>(kRecordBytes));
-    Put32(header, options_.chunk_records);
-    Put32(header, 0);  // flags, reserved
-    Put64(header, 0);  // reserved
-    Put32(header, util::Crc32c(header.data(), header.size()));
-    util::Status status = out_.Write(header.data(), header.size());
+    uint8_t header[kAtf2HeaderBytes] = {};  // flags and reserved stay 0
+    std::memcpy(header, kAtf2Magic, sizeof kAtf2Magic);
+    Set16(header + 8, kAtf2Version);
+    Set16(header + 10, static_cast<uint16_t>(kRecordBytes));
+    Set32(header + 12, options_.chunk_records);
+    Set32(header + 28, util::Crc32c(header, 28));
+    util::Status status = out_.Write(header, sizeof header);
     if (status.ok()) {
         started_ = true;
-        bytes_written_ += header.size();
+        bytes_written_ += sizeof header;
     }
     return status;
 }
@@ -314,13 +303,12 @@ Atf2Writer::Seal()
     status = FlushChunk();
     if (!status.ok())
         return status;
-    std::vector<uint8_t> footer;
-    Put32(footer, kAtf2FooterMagic);
-    Put32(footer, chunks_);
-    Put64(footer, records_);
-    Put32(footer, 0);  // reserved
-    Put32(footer, util::Crc32c(footer.data(), footer.size()));
-    status = out_.Write(footer.data(), footer.size());
+    uint8_t footer[kAtf2FooterBytes] = {};  // reserved stays 0
+    Set32(footer, kAtf2FooterMagic);
+    Set32(footer + 4, chunks_);
+    Set64(footer + 8, records_);
+    Set32(footer + 20, util::Crc32c(footer, 20));
+    status = out_.Write(footer, sizeof footer);
     if (!status.ok())
         return status;
     sealed_ = true;

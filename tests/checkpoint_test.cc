@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -540,6 +541,75 @@ TEST(CheckpointRotatorTest, KeepsOnlyTheRetentionWindow)
     EXPECT_TRUE(Checkpoint::Load(rotator.PathFor(5)).ok());
     std::remove(rotator.PathFor(4).c_str());
     std::remove(rotator.PathFor(5).c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Series helpers: the inverse of PathFor and the search a resume starts
+// from.
+
+TEST(CheckpointSeries, BaseIsTheInverseOfPathFor)
+{
+    EXPECT_EQ(core::CheckpointSeriesBase("run.d/t.000003.atck"), "run.d/t");
+    EXPECT_EQ(core::CheckpointSeriesBase(
+                  CheckpointRotator("a.b/c.ckpt", 1).PathFor(1234567)),
+              "a.b/c.ckpt");
+    // Not a series name: the part between the last two dots must be
+    // digits, and a dotted directory is not a sequence.
+    EXPECT_EQ(core::CheckpointSeriesBase("run.d/latest.atck"), std::nullopt);
+    EXPECT_EQ(core::CheckpointSeriesBase("t.00x003.atck"), std::nullopt);
+    EXPECT_EQ(core::CheckpointSeriesBase("t.-00003.atck"), std::nullopt);
+    EXPECT_EQ(core::CheckpointSeriesBase("t..atck"), std::nullopt);
+    EXPECT_EQ(core::CheckpointSeriesBase("t.000003.atck.tmp"),
+              std::nullopt);
+    EXPECT_EQ(core::CheckpointSeriesBase(".atck"), std::nullopt);
+}
+
+TEST(CheckpointSeries, DamagedNewestYieldsTheOneBefore)
+{
+    Machine machine(MixConfig());
+    trace::VectorSink sink;
+    AtumTracer tracer(machine, sink, SmallBufferConfig());
+    CheckpointMeta meta;
+    meta.machine_config = MixConfig();
+    meta.tracer_config = SmallBufferConfig();
+    trace::Atf2ResumeState sink_state;
+    sink_state.file_bytes = 32;
+
+    io::MemVfs vfs;
+    CheckpointRotator rotator("run.d/t", 3, 1, vfs);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(rotator.Write(meta, machine, tracer, &sink_state).ok());
+    // A newer checkpoint without sink state has nothing to resume into,
+    // and another series in the same directory is not this one.
+    ASSERT_TRUE(rotator.Write(meta, machine, tracer, nullptr).ok());
+    CheckpointRotator other("run.d/u", 3, 9, vfs);
+    ASSERT_TRUE(other.Write(meta, machine, tracer, &sink_state).ok());
+
+    util::StatusOr<Checkpoint> found =
+        core::FindNewestCheckpoint("run.d/t", vfs);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found->meta().sequence, 3u);
+
+    std::vector<uint8_t> bytes = vfs.ReadAll(rotator.PathFor(3)).value();
+    bytes[bytes.size() / 2] ^= 0xFF;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out =
+        vfs.Create(rotator.PathFor(3));
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE((*out)->Write(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE((*out)->Close().ok());
+
+    found = core::FindNewestCheckpoint("run.d/t", vfs);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found->meta().sequence, 2u);
+}
+
+TEST(CheckpointSeries, NoCheckpointIsNotFound)
+{
+    io::MemVfs vfs;
+    ASSERT_TRUE(vfs.Create("run.d/t.atum").ok());
+    ASSERT_TRUE(vfs.Create("run.d/t.000001.atck.tmp").ok());
+    EXPECT_EQ(core::FindNewestCheckpoint("run.d/t", vfs).status().code(),
+              util::StatusCode::kNotFound);
 }
 
 /** A sink that refuses everything — the permanently broken disk. */

@@ -749,6 +749,58 @@ TEST(ServeCore, KillRestartFinishesInterruptedJobExactlyOnce)
     EXPECT_EQ(finished, 1);
 }
 
+// A daemon killed after a job's final checkpoint but before its kFinished
+// record resumes that checkpoint's spent budget: no instruction runs
+// again, only the final drain and seal, so the job keeps its records.
+TEST(ServeCore, KillAfterFinalCheckpointDoesNotRerunTheBudget)
+{
+    io::MemVfs vfs;
+    uint64_t id = 0;
+    uint64_t records = 0;
+    {
+        obs::Registry registry;
+        ServeCore core(DrillConfig(), vfs, &registry);
+        ASSERT_TRUE(core.Start().ok());
+        id = SubmitOk(core);
+        ASSERT_TRUE(core.RunNextQueuedJob());
+        const std::vector<JobInfo> jobs = core.Jobs();
+        const JobInfo* job = FindJob(jobs, id);
+        ASSERT_NE(job, nullptr);
+        ASSERT_EQ(job->outcome, "done");
+        ASSERT_GT(job->records, 0u);
+        records = job->records;
+        // No Shutdown(): the core is dropped like a SIGKILLed process.
+    }
+    // The kill landed before the kFinished record was journaled.
+    std::vector<JournalRecord> kept;
+    for (const JournalRecord& record :
+         ScanJournalBytes(ReadAll(vfs, "serve.journal"), nullptr, nullptr))
+        if (record.kind != JournalKind::kFinished)
+            kept.push_back(record);
+    ASSERT_TRUE(vfs.Unlink("serve.journal").ok());
+    {
+        util::StatusOr<std::unique_ptr<JobJournal>> journal =
+            JobJournal::Open("serve.journal", vfs);
+        ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+        for (const JournalRecord& record : kept)
+            ASSERT_TRUE((*journal)->Append(record).ok());
+    }
+
+    obs::Registry registry;
+    ServeCore core(DrillConfig(), vfs, &registry);
+    ASSERT_TRUE(core.Start().ok());
+    while (core.RunNextQueuedJob()) {
+    }
+    const std::vector<JobInfo> jobs = core.Jobs();
+    const JobInfo* job = FindJob(jobs, id);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->state, JobState::kDone) << job->detail;
+    EXPECT_TRUE(job->resumed);
+    EXPECT_EQ(job->instructions, 0u);
+    EXPECT_EQ(job->records, records);
+    core.Shutdown();
+}
+
 // A job journaled done must never run again on restart (J2), and a
 // queued-but-never-started job must be re-admitted and finished (J1).
 TEST(ServeCore, RestartRunsQueuedButNeverFinishedJobs)

@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "util/bitops.h"
 #include "util/crc32.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -61,6 +63,28 @@ TEST(Bitops, SignExtend)
     EXPECT_EQ(SignExtend(0xffff, 16), -1);
     EXPECT_EQ(SignExtend(0x8000, 16), -32768);
     EXPECT_EQ(SignExtend(5, 16), 5);
+}
+
+TEST(ParseUint, DigitsThatFitOnly)
+{
+    EXPECT_EQ(util::ParseUint("0").value(), 0u);
+    EXPECT_EQ(util::ParseUint("007").value(), 7u);
+    EXPECT_EQ(util::ParseUint("18446744073709551615").value(), UINT64_MAX);
+    EXPECT_EQ(util::ParseUint("4294967295", UINT32_MAX).value(), UINT32_MAX);
+    for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "0x10", "1e3",
+                            "18446744073709551616"})
+        EXPECT_EQ(util::ParseUint(bad).status().code(),
+                  util::StatusCode::kInvalidArgument)
+            << "'" << bad << "'";
+    EXPECT_FALSE(util::ParseUint("4294967296", UINT32_MAX).ok());
+}
+
+TEST(SplitCommas, KeepsEmptyFields)
+{
+    using Parts = std::vector<std::string>;
+    EXPECT_EQ(util::SplitCommas("a,,b"), (Parts{"a", "", "b"}));
+    EXPECT_EQ(util::SplitCommas("a,"), (Parts{"a", ""}));
+    EXPECT_EQ(util::SplitCommas(""), (Parts{""}));
 }
 
 TEST(Rng, DeterministicForSeed)

@@ -48,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +67,7 @@
 #include "trace/stats.h"
 #include "util/build_info.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/signals.h"
 #include "util/status.h"
 #include "workloads/workloads.h"
@@ -114,21 +116,16 @@ struct Options {
     std::string trace_out;  // Chrome trace-event span export ("" = off)
 };
 
-std::vector<std::string>
-SplitCommas(const std::string& s)
+/** A numeric flag's value: decimal digits that fit `Field` and `max`. */
+template <typename Field>
+Field
+ParseUint(const std::string& arg, const std::string& value,
+          uint64_t max = std::numeric_limits<Field>::max())
 {
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
+    util::StatusOr<uint64_t> parsed = util::ParseUint(value, max);
+    if (!parsed.ok())
+        UsageError(arg, " ", parsed.status().message());
+    return static_cast<Field>(*parsed);
 }
 
 Options
@@ -145,48 +142,44 @@ ParseArgs(int argc, char** argv)
         if (arg == "--out")
             opts.out = next();
         else if (arg == "--workloads")
-            opts.workload_names = SplitCommas(next());
+            opts.workload_names = util::SplitCommas(next());
         else if (arg == "--scale")
-            opts.scale = std::strtoul(next().c_str(), nullptr, 0);
+            opts.scale = ParseUint<uint32_t>(arg, next());
         else if (arg == "--timer")
-            opts.timer = std::strtoul(next().c_str(), nullptr, 0);
-        else if (arg == "--mem-mb")
-            opts.mem_mb = std::strtoul(next().c_str(), nullptr, 0);
+            opts.timer = ParseUint<uint32_t>(arg, next());
+        else if (arg == "--mem-mb")  // shifted into a 32-bit byte count
+            opts.mem_mb = ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 20);
         else if (arg == "--buffer-kb")
-            opts.buffer_kb = std::strtoul(next().c_str(), nullptr, 0);
+            opts.buffer_kb =
+                ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 10);
         else if (arg == "--pool-frames")
-            opts.pool_frames = std::strtoul(next().c_str(), nullptr, 0);
+            opts.pool_frames = ParseUint<uint32_t>(arg, next());
         else if (arg == "--pipeline")
-            opts.pipeline = std::strtoul(next().c_str(), nullptr, 0);
-        else if (arg == "--user-only")
-            opts.user_only_pid = std::strtoul(next().c_str(), nullptr, 0);
+            opts.pipeline = ParseUint<uint32_t>(arg, next());
+        else if (arg == "--user-only")  // a 16-bit guest PID
+            opts.user_only_pid = ParseUint<uint32_t>(arg, next(), UINT16_MAX);
         else if (arg == "--max-instructions")
-            opts.max_instructions =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.max_instructions = ParseUint<uint64_t>(arg, next());
         else if (arg == "--resume")
             opts.resume = next();
         else if (arg == "--checkpoint")
             opts.checkpoint = next();
         else if (arg == "--checkpoint-every")
-            opts.checkpoint_every =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.checkpoint_every = ParseUint<uint64_t>(arg, next());
         else if (arg == "--checkpoint-keep")
-            opts.checkpoint_keep = std::strtoul(next().c_str(), nullptr, 0);
+            opts.checkpoint_keep = ParseUint<uint32_t>(arg, next());
         else if (arg == "--watchdog")
-            opts.watchdog_ucycles =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.watchdog_ucycles = ParseUint<uint64_t>(arg, next());
         else if (arg == "--deadline-ms")
-            opts.deadline_ms = std::strtoull(next().c_str(), nullptr, 0);
+            opts.deadline_ms = ParseUint<uint64_t>(arg, next());
         else if (arg == "--kill-after-fills")
-            opts.kill_after_fills =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.kill_after_fills = ParseUint<uint64_t>(arg, next());
         else if (arg == "--trace-out")
             opts.trace_out = next();
         else if (arg == "--metrics-out")
             opts.metrics_out = next();
         else if (arg == "--metrics-interval-ms")
-            opts.metrics_interval_ms =
-                std::strtoull(next().c_str(), nullptr, 0);
+            opts.metrics_interval_ms = ParseUint<uint64_t>(arg, next());
         else if (arg == "--wedge-demo")
             opts.wedge_demo = true;
         else if (arg == "--record-opcodes")
@@ -274,25 +267,6 @@ BootWedge(cpu::Machine& machine)
         machine.memory().Write32(4 * v, kBadPc);
     machine.memory().Write8(kBadPc, 0xFF);  // unassigned opcode
     machine.set_pc(kBadPc);
-}
-
-/** Builds the supervisor options shared by fresh and resumed captures. */
-core::SupervisorOptions
-MakeSupervision(const Options& opts, core::CheckpointRotator* rotator,
-                trace::FileSink* sink, const core::CheckpointMeta& meta,
-                uint64_t max_instructions)
-{
-    core::SupervisorOptions sup;
-    sup.max_instructions = max_instructions;
-    sup.watchdog_ucycles = opts.watchdog_ucycles;
-    sup.deadline_ms = opts.deadline_ms;
-    sup.stop_flag = &g_stop;
-    sup.checkpoints = rotator;
-    sup.checkpoint_every_fills = opts.checkpoint_every;
-    sup.file_sink = rotator ? sink : nullptr;
-    sup.meta = meta;
-    sup.kill_after_fills = opts.kill_after_fills;
-    return sup;
 }
 
 /** Flat key/value capture configuration for the run manifest. */
@@ -412,72 +386,26 @@ OpenEmitter(const Options& opts)
                                    obs::Registry::Global(), eopts);
 }
 
+/**
+ * The supervised tail shared by fresh and resumed captures: metrics
+ * emitter, flight-dump path, phase profiler, the run itself and Finish.
+ */
 int
-RunResumed(const Options& opts, uint64_t started_ms)
+Supervise(const Options& opts, cpu::Machine& machine,
+          core::AtumTracer& tracer, trace::FileSink& sink,
+          core::CheckpointRotator* rotator, const core::CheckpointMeta& meta,
+          uint64_t max_instructions, uint64_t started_ms)
 {
-    util::StatusOr<core::Checkpoint> ckpt =
-        core::Checkpoint::Load(opts.resume);
-    if (!ckpt.ok()) {
-        std::fprintf(stderr, "atum-capture: loading %s: %s\n",
-                     opts.resume.c_str(),
-                     ckpt.status().ToString().c_str());
-        return util::ExitCodeFor(ckpt.status());
-    }
-    const core::CheckpointMeta& meta = ckpt->meta();
-    if (!meta.has_sink_state) {
-        std::fprintf(stderr,
-                     "atum-capture: %s carries no trace-sink state; "
-                     "nothing to resume into\n",
-                     opts.resume.c_str());
-        return util::kExitCorrupt;
-    }
-    const std::string out =
-        opts.out.empty() ? meta.trace_path : opts.out;
-
-    util::StatusOr<std::unique_ptr<trace::FileSink>> sink =
-        trace::FileSink::OpenResumed(out, ckpt->sink_state());
-    if (!sink.ok()) {
-        std::fprintf(stderr, "atum-capture: reopening %s: %s\n",
-                     out.c_str(), sink.status().ToString().c_str());
-        return util::ExitCodeFor(sink.status());
-    }
-
-    // Construction order matters: the tracer's buffer reservation must
-    // exist before the memory image is restored over it, and both must
-    // match the geometry recorded in the checkpoint meta.
-    cpu::Machine machine(meta.machine_config);
-    core::AtumTracer tracer(machine, **sink, meta.tracer_config);
-    util::Status status = ckpt->RestoreMachine(machine);
-    if (status.ok())
-        status = ckpt->RestoreTracer(tracer);
-    if (!status.ok()) {
-        std::fprintf(stderr, "atum-capture: restoring %s: %s\n",
-                     opts.resume.c_str(), status.ToString().c_str());
-        return util::ExitCodeFor(status);
-    }
-
-    // Continue the original rotation series: a checkpoint path looks like
-    // BASE.NNNNNN.atck, so the base is recoverable from --resume itself
-    // when --checkpoint is not repeated.
-    std::string base = opts.checkpoint;
-    if (base.empty()) {
-        base = opts.resume;
-        const size_t dot = base.rfind(".atck");
-        size_t seq_dot = std::string::npos;
-        if (dot != std::string::npos)
-            seq_dot = base.find_last_of('.', dot - 1);
-        if (seq_dot != std::string::npos && seq_dot + 1 < dot)
-            base = base.substr(0, seq_dot);
-        else
-            base = out + ".ckpt";
-    }
-    core::CheckpointRotator rotator(base, opts.checkpoint_keep,
-                                    meta.sequence + 1);
-    core::CheckpointMeta next_meta = meta;
-    next_meta.trace_path = out;
-    core::SupervisorOptions sup =
-        MakeSupervision(opts, &rotator, sink->get(), next_meta,
-                        meta.instructions_remaining);
+    core::SupervisorOptions sup;
+    sup.max_instructions = max_instructions;
+    sup.watchdog_ucycles = opts.watchdog_ucycles;
+    sup.deadline_ms = opts.deadline_ms;
+    sup.stop_flag = &g_stop;
+    sup.checkpoints = rotator;
+    sup.checkpoint_every_fills = opts.checkpoint_every;
+    sup.file_sink = rotator ? &sink : nullptr;
+    sup.meta = meta;
+    sup.kill_after_fills = opts.kill_after_fills;
 
     util::StatusOr<std::unique_ptr<obs::StatsEmitter>> emitter =
         OpenEmitter(opts);
@@ -489,7 +417,7 @@ RunResumed(const Options& opts, uint64_t started_ms)
     }
     sup.emitter = emitter->get();
 
-    const std::string flight_path = out + ".flight.json";
+    const std::string flight_path = meta.trace_path + ".flight.json";
     obs::flight::SetDumpPath(flight_path.c_str());
     obs::flight::InstallCrashHandler();
     obs::PhaseProfiler profiler;
@@ -497,8 +425,45 @@ RunResumed(const Options& opts, uint64_t started_ms)
 
     const core::SessionResult result =
         core::RunSupervised(machine, tracer, sup);
-    return Finish(opts, result, machine, **sink, out, started_ms,
+    return Finish(opts, result, machine, sink, meta.trace_path, started_ms,
                   &profiler);
+}
+
+int
+RunResumed(const Options& opts, uint64_t started_ms)
+{
+    util::StatusOr<core::Checkpoint> ckpt =
+        core::Checkpoint::Load(opts.resume);
+    if (!ckpt.ok()) {
+        std::fprintf(stderr, "atum-capture: loading %s: %s\n",
+                     opts.resume.c_str(),
+                     ckpt.status().ToString().c_str());
+        return util::ExitCodeFor(ckpt.status());
+    }
+    core::CheckpointMeta meta = ckpt->meta();
+    if (!opts.out.empty())
+        meta.trace_path = opts.out;
+    util::StatusOr<core::ResumedCapture> resumed =
+        core::ResumeCapture(*ckpt, meta.trace_path);
+    if (!resumed.ok()) {
+        std::fprintf(stderr, "atum-capture: resuming %s: %s\n",
+                     opts.resume.c_str(),
+                     resumed.status().ToString().c_str());
+        return util::ExitCodeFor(resumed.status());
+    }
+
+    // Continue the original rotation series; its base is recoverable
+    // from --resume itself when --checkpoint is not repeated.
+    const std::string base =
+        !opts.checkpoint.empty()
+            ? opts.checkpoint
+            : core::CheckpointSeriesBase(opts.resume)
+                  .value_or(meta.trace_path + ".ckpt");
+    core::CheckpointRotator rotator(base, opts.checkpoint_keep,
+                                    resumed->next_sequence);
+    return Supervise(opts, *resumed->machine, *resumed->tracer,
+                     *resumed->sink, &rotator, meta,
+                     resumed->instructions_remaining, started_ms);
 }
 
 int
@@ -563,30 +528,8 @@ Run(const Options& opts)
         rotator = std::make_unique<core::CheckpointRotator>(
             opts.checkpoint, opts.checkpoint_keep);
 
-    core::SupervisorOptions sup =
-        MakeSupervision(opts, rotator.get(), sink->get(), meta,
-                        opts.max_instructions);
-
-    util::StatusOr<std::unique_ptr<obs::StatsEmitter>> emitter =
-        OpenEmitter(opts);
-    if (!emitter.ok()) {
-        std::fprintf(stderr, "atum-capture: opening %s: %s\n",
-                     opts.metrics_out.c_str(),
-                     emitter.status().ToString().c_str());
-        return util::ExitCodeFor(emitter.status());
-    }
-    sup.emitter = emitter->get();
-
-    const std::string flight_path = opts.out + ".flight.json";
-    obs::flight::SetDumpPath(flight_path.c_str());
-    obs::flight::InstallCrashHandler();
-    obs::PhaseProfiler profiler;
-    sup.profiler = &profiler;
-
-    const core::SessionResult result =
-        core::RunSupervised(machine, tracer, sup);
-    return Finish(opts, result, machine, **sink, opts.out, started_ms,
-                  &profiler);
+    return Supervise(opts, machine, tracer, **sink, rotator.get(), meta,
+                     opts.max_instructions, started_ms);
 }
 
 }  // namespace

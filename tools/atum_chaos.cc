@@ -71,6 +71,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -81,6 +82,7 @@
 #include "obs/flight.h"
 #include "util/build_info.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/status.h"
 
 namespace atum {
@@ -113,31 +115,16 @@ struct Options {
     chaos::NetCampaignSpec net_spec;
 };
 
-std::vector<std::string>
-SplitCommas(const std::string& s)
+/** A numeric flag's value: decimal digits that fit `Field` and `max`. */
+template <typename Field>
+Field
+ParseUint(const std::string& arg, const std::string& value,
+          uint64_t max = std::numeric_limits<Field>::max())
 {
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= s.size()) {
-        const size_t comma = s.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(s.substr(start));
-            break;
-        }
-        out.push_back(s.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-uint64_t
-ParseUint(const std::string& arg, const std::string& value)
-{
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
-        UsageError(arg, " wants a number, got '", value, "'");
-    return v;
+    util::StatusOr<uint64_t> parsed = util::ParseUint(value, max);
+    if (!parsed.ok())
+        UsageError(arg, " ", parsed.status().message());
+    return static_cast<Field>(*parsed);
 }
 
 Options
@@ -155,11 +142,11 @@ ParseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--campaign")
-            opts.campaigns = SplitCommas(next());
+            opts.campaigns = util::SplitCommas(next());
         else if (arg == "--seeds")
-            opts.seeds = ParseUint(arg, next());
+            opts.seeds = ParseUint<uint64_t>(arg, next());
         else if (arg == "--first-seed")
-            opts.first_seed = ParseUint(arg, next());
+            opts.first_seed = ParseUint<uint64_t>(arg, next());
         else if (arg == "--replay")
             opts.replay = next();
         else if (arg == "--probe")
@@ -171,36 +158,25 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--fuzz-protocol")
             opts.fuzz = true;
         else if (arg == "--submits")
-            opts.net_spec.submits =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+            opts.net_spec.submits = ParseUint<uint32_t>(arg, next());
         else if (arg == "--attempts")
-            opts.net_spec.max_attempts =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+            opts.net_spec.max_attempts = ParseUint<uint32_t>(arg, next());
         else if (arg == "--jobs") {
-            opts.serve_spec.jobs =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+            opts.serve_spec.jobs = ParseUint<uint32_t>(arg, next());
             jobs_set = true;
         }
         else if (arg == "--tenants")
             opts.serve_spec.tenants = opts.net_spec.tenants =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+                ParseUint<uint32_t>(arg, next());
         else if (arg == "--sweeps") {
             // Bare --sweeps enables the default sweep mix; a following
             // number sets how many sweeps each drill submits.
             opts.serve_spec.sweeps = 2;
-            if (i + 1 < argc && argv[i + 1][0] != '-' &&
-                argv[i + 1][0] != '\0') {
-                char* end = nullptr;
-                const unsigned long long v =
-                    std::strtoull(argv[i + 1], &end, 10);
-                if (end != argv[i + 1] && *end == '\0') {
-                    opts.serve_spec.sweeps = static_cast<uint32_t>(v);
-                    ++i;
-                }
-            }
+            if (i + 1 < argc && util::ParseUint(argv[i + 1], UINT32_MAX).ok())
+                opts.serve_spec.sweeps = ParseUint<uint32_t>(arg, argv[++i]);
         } else if (arg == "--sweep-configs")
             opts.serve_spec.sweep_configs =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+                ParseUint<uint32_t>(arg, next());
         else if (arg == "--out-dir")
             opts.out_dir = next();
         else if (arg == "--no-minimize")
@@ -214,30 +190,31 @@ ParseArgs(int argc, char** argv)
                 opts.net_spec.workload = next();
         else if (arg == "--scale")
             opts.spec.scale = opts.serve_spec.scale = opts.net_spec.scale =
-                static_cast<uint32_t>(ParseUint(arg, next()));
+                ParseUint<uint32_t>(arg, next());
         else if (arg == "--max-instructions") {
             opts.spec.max_instructions = opts.serve_spec.max_instructions =
-                opts.net_spec.max_instructions = ParseUint(arg, next());
+                opts.net_spec.max_instructions =
+                    ParseUint<uint64_t>(arg, next());
             max_instructions_set = true;
         } else if (arg == "--buffer-kb") {
             opts.spec.buffer_bytes = opts.serve_spec.buffer_bytes =
                 opts.net_spec.buffer_bytes =
-                    static_cast<uint32_t>(ParseUint(arg, next())) << 10;
+                    ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 10) << 10;
             buffer_set = true;
         }
         else if (arg == "--chunk-records")
             opts.spec.chunk_records = opts.serve_spec.chunk_records =
                 opts.net_spec.chunk_records =
-                    static_cast<uint32_t>(ParseUint(arg, next()));
+                    ParseUint<uint32_t>(arg, next());
         else if (arg == "--checkpoint-every")
             opts.spec.checkpoint_every_fills =
                 opts.serve_spec.checkpoint_every_fills =
                     opts.net_spec.checkpoint_every_fills =
-                        ParseUint(arg, next());
+                        ParseUint<uint64_t>(arg, next());
         else if (arg == "--checkpoint-keep")
             opts.spec.keep_checkpoints = opts.serve_spec.keep_checkpoints =
                 opts.net_spec.keep_checkpoints =
-                    static_cast<uint32_t>(ParseUint(arg, next()));
+                    ParseUint<uint32_t>(arg, next());
         else if (arg == "--version") {
             std::printf("%s\n", util::VersionString("atum-chaos").c_str());
             std::exit(util::kExitOk);

@@ -62,6 +62,7 @@
 #include "trace/sink.h"
 #include "trace/stats.h"
 #include "util/logging.h"
+#include "util/parse.h"
 #include "util/signals.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -116,18 +117,10 @@ std::vector<cache::CacheConfig>
 ParseSweepSpecs(const std::string& specs)
 {
     std::vector<cache::CacheConfig> configs;
-    size_t start = 0;
-    while (start <= specs.size()) {
-        const size_t comma = specs.find(',', start);
-        const std::string spec =
-            specs.substr(start, comma == std::string::npos ? std::string::npos
-                                                           : comma - start);
+    for (const std::string& spec : util::SplitCommas(specs)) {
         if (spec.empty())
             UsageError("empty spec in --sweep '", specs, "'");
         configs.push_back(ParseCacheSpec(spec));
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
     }
     return configs;
 }
