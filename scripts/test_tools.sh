@@ -251,11 +251,16 @@ expect_exit 0 "$BUILD/tools/atum-capture" --out "$TMP/m.atum" \
 [ -s "$TMP/m.atum.run.json" ] || { echo "FAIL: RUN.json missing" >&2; exit 1; }
 
 # atum-report --stats appends the aggregate counter table, with each
-# stage's wall time (report.<stage>_us), the scan's under --verify too.
+# stage's wall time (report.<stage>_us), the scan's under --verify too,
+# and writes the same registry to <trace>.report.json.
 expect_exit 0 "$BUILD/tools/atum-report" "$TMP/m.atum" --stats \
-    --stack-distance
+    --stack-distance --sweep 16:16:1
 grep -q "report.records" "$TMP/out.txt"
 grep -q "report.stack_distance_us" "$TMP/out.txt"
+[ -s "$TMP/m.atum.report.json" ] || {
+    echo "FAIL: report.json missing" >&2; exit 1; }
+grep -q '"report.sweep_us"' "$TMP/m.atum.report.json" || {
+    echo "FAIL: report.json lacks report.sweep_us" >&2; exit 1; }
 expect_exit 0 "$BUILD/tools/atum-report" "$TMP/m.atum" --verify --stats
 grep -q "report.scan_us" "$TMP/out.txt"
 

@@ -1,7 +1,5 @@
 #include "analysis/parallel_profiles.h"
 
-#include <map>
-
 #include "analysis/stack_distance.h"
 #include "replay/thread_pool.h"
 #include "trace/ref_filter.h"
@@ -14,26 +12,33 @@ std::vector<ProcessProfile>
 PerProcessStackProfiles(const std::vector<Record>& records,
                         const ProcessProfileOptions& options, unsigned jobs)
 {
-    // Serial split: per-pid block substreams, in trace order.
-    std::map<uint16_t, std::vector<uint32_t>> substreams;
-    trace::RefFilter refs({.include_kernel = options.include_kernel});
+    const trace::RefFilter::Options filter{.include_kernel =
+                                               options.include_kernel};
+    // Serial pass: which pids have references at all.
+    std::vector<bool> seen(size_t{1} << 16);
+    trace::RefFilter refs(filter);
     for (const Record& r : records) {
         if (refs.Classify(r) == trace::RefFilter::kRef)
-            substreams[refs.PidOf(r)].push_back(r.addr >>
-                                                options.block_shift);
+            seen[refs.PidOf(r)] = true;
+    }
+    std::vector<ProcessProfile> profiles;
+    for (size_t pid = 0; pid < seen.size(); ++pid) {
+        if (seen[pid])
+            profiles.emplace_back().pid = static_cast<uint16_t>(pid);
     }
 
-    std::vector<ProcessProfile> profiles(substreams.size());
+    // One task per pid, each scanning the shared records for its own.
     replay::ThreadPool pool(jobs);
-    std::size_t slot = 0;
-    for (const auto& [pid, blocks] : substreams) {
-        ProcessProfile* out = &profiles[slot++];
-        out->pid = pid;
-        const std::vector<uint32_t>* stream = &blocks;
-        pool.Submit([out, stream, &options] {
-            StackDistanceAnalyzer sd(0);  // stream is already blocks
-            for (uint32_t block : *stream)
-                sd.TouchBlock(block);
+    for (ProcessProfile& profile : profiles) {
+        ProcessProfile* out = &profile;
+        pool.Submit([out, &records, &options, filter] {
+            trace::RefFilter mine(filter);
+            StackDistanceAnalyzer sd(0);  // fed blocks, not addresses
+            for (const Record& r : records) {
+                if (mine.Classify(r) == trace::RefFilter::kRef &&
+                    mine.PidOf(r) == out->pid)
+                    sd.TouchBlock(r.addr >> options.block_shift);
+            }
             out->accesses = sd.total_accesses();
             out->cold_misses = sd.cold_misses();
             out->distinct_blocks = sd.distinct_blocks();

@@ -4,11 +4,12 @@
 /**
  * @file
  * Per-process stack-distance profiles, computed in parallel. A cheap
- * serial pass splits the trace into per-process reference substreams
- * (kernel references group under pid 0, the shared system space); each
- * substream then gets its own StackDistanceAnalyzer on a worker thread.
- * Processes are independent streams, so the parallel result is
- * bit-identical to profiling each substream serially.
+ * serial pass finds the processes with references (kernel references
+ * group under pid 0, the shared system space); then one worker task per
+ * process scans the shared, read-only records with its own RefFilter and
+ * feeds that process's references to its own StackDistanceAnalyzer, so
+ * no substream is copied out. Processes are independent streams, so the
+ * parallel result is bit-identical to profiling each one serially.
  */
 
 #include <cstdint>

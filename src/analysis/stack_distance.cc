@@ -1,15 +1,19 @@
 #include "analysis/stack_distance.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/logging.h"
 
 namespace atum::analysis {
 
 namespace {
 
-/** First capacities: one analyzer per process is common, so start small. */
+/** First capacities: one analyzer per process is common, so start small
+ *  (one live-bit word). */
 constexpr uint32_t kInitialStamps = 64;
 constexpr size_t kInitialSlots = 64;
-/** Stamps are uint32_t and the tree is indexed by them. */
+/** Stamps are uint32_t, and owner_ and the live bits are indexed by them. */
 constexpr uint64_t kMaxStamps = uint64_t{1} << 31;
 
 /** Fibonacci hashing: the mixed upper half of block * 2^64/phi. */
@@ -32,7 +36,7 @@ LowBit(uint32_t i)
 StackDistanceAnalyzer::StackDistanceAnalyzer(unsigned block_shift)
     : block_shift_(block_shift),
       map_(kInitialSlots),
-      tree_(kInitialStamps, 0),
+      tree_(kInitialStamps / 64 + 1, 0),
       owner_(kInitialStamps, 0),
       live_bits_(kInitialStamps / 64, 0),
       distance_counts_(1, 0)
@@ -67,16 +71,48 @@ void
 StackDistanceAnalyzer::TreeAdd(uint32_t stamp, int32_t delta)
 {
     const uint32_t n = static_cast<uint32_t>(tree_.size());
-    for (; stamp < n; stamp += LowBit(stamp))
-        tree_[stamp] += delta;
+    for (uint32_t i = stamp / 64 + 1; i < n; i += LowBit(i))
+        tree_[i] += delta;
+}
+
+void
+StackDistanceAnalyzer::TreeMove(uint32_t from, uint32_t to)
+{
+    // -1 up from's path and +1 up to's; where the paths meet, the two
+    // cancel, so climb the lower one until they do (or both leave).
+    const uint32_t n = static_cast<uint32_t>(tree_.size());
+    uint32_t i = from / 64 + 1;
+    uint32_t j = to / 64 + 1;
+    while (i != j && std::min(i, j) < n) {
+        if (i < j) {
+            --tree_[i];
+            i += LowBit(i);
+        } else {
+            ++tree_[j];
+            j += LowBit(j);
+        }
+    }
 }
 
 uint32_t
-StackDistanceAnalyzer::TreePrefix(uint32_t stamp) const
+StackDistanceAnalyzer::NewerThan(uint32_t stamp) const
 {
-    int32_t sum = 0;
-    for (; stamp > 0; stamp -= LowBit(stamp))
-        sum += tree_[stamp];
+    // The live bits above stamp in its own word, then the words after it
+    // up to the newest stamp's: a Fenwick range sum, whose two prefix
+    // paths stop where they meet.
+    const uint32_t word = stamp / 64;
+    int32_t sum =
+        std::popcount(live_bits_[word] & ~uint64_t{1} << (stamp % 64));
+    uint32_t a = word + 1;
+    uint32_t b = (next_stamp_ - 1) / 64 + 1;
+    while (b > a) {
+        sum += tree_[b];
+        b -= LowBit(b);
+    }
+    while (a > b) {
+        sum -= tree_[a];
+        a -= LowBit(a);
+    }
     return static_cast<uint32_t>(sum);
 }
 
@@ -97,7 +133,7 @@ StackDistanceAnalyzer::Renumber()
 
     // Room for at least 4x the live stamps, the one about to be issued
     // included, so the next renumbering is 3x as many accesses away.
-    uint64_t capacity = tree_.size();
+    uint64_t capacity = owner_.size();
     while (capacity < 4 * uint64_t{next_stamp_})
         capacity *= 2;
     if (capacity > kMaxStamps)
@@ -105,15 +141,14 @@ StackDistanceAnalyzer::Renumber()
               ")");
     owner_.resize(capacity);
     live_bits_.assign(capacity / 64, 0);
-    tree_.assign(capacity, 0);
-    // Stamps 1..renumbered hold one block each; build the tree over them
-    // in linear time, each node passing its sum to its parent.
-    for (uint32_t stamp = 1; stamp <= renumbered; ++stamp) {
+    tree_.assign(capacity / 64 + 1, 0);
+    // Stamps 1..renumbered hold one block each; build the tree over their
+    // words in linear time, each node passing its sum to its parent.
+    for (uint32_t stamp = 1; stamp <= renumbered; ++stamp)
         live_bits_[stamp / 64] |= uint64_t{1} << (stamp % 64);
-        tree_[stamp] = 1;
-    }
-    const uint32_t n = static_cast<uint32_t>(capacity);
+    const uint32_t n = static_cast<uint32_t>(tree_.size());
     for (uint32_t i = 1; i < n; ++i) {
+        tree_[i] += std::popcount(live_bits_[i - 1]);
         const uint32_t parent = i + LowBit(i);
         if (parent < n)
             tree_[parent] += tree_[i];
@@ -121,14 +156,20 @@ StackDistanceAnalyzer::Renumber()
 }
 
 uint32_t
-StackDistanceAnalyzer::NextStamp(uint32_t block)
+StackDistanceAnalyzer::NextStamp(uint32_t block, uint32_t retired)
 {
-    if (next_stamp_ == tree_.size())
+    if (next_stamp_ == owner_.size()) {
+        // The rebuilt tree already leaves out retired, whose bit is clear.
         Renumber();
+        retired = 0;
+    }
     const uint32_t stamp = next_stamp_++;
     owner_[stamp] = block;
     live_bits_[stamp / 64] |= uint64_t{1} << (stamp % 64);
-    TreeAdd(stamp, +1);
+    if (retired == 0)
+        TreeAdd(stamp, +1);
+    else
+        TreeMove(retired, stamp);
     return stamp;
 }
 
@@ -161,15 +202,14 @@ StackDistanceAnalyzer::TouchBlock(uint32_t block)
 
     const uint32_t prev = slot->stamp;
     // Distinct blocks touched since: the live stamps newer than prev.
-    const uint64_t distance = live_ - TreePrefix(prev);
+    const uint64_t distance = NewerThan(prev);
     if (distance >= distance_counts_.size())
         distance_counts_.resize(distance + 1, 0);
     ++distance_counts_[distance];
-    // Retire prev before issuing the new stamp, so a renumbering in
+    // Retire prev's bit before issuing the new stamp, so a renumbering in
     // between sees one live stamp per block.
-    TreeAdd(prev, -1);
     live_bits_[prev / 64] &= ~(uint64_t{1} << (prev % 64));
-    slot->stamp = NextStamp(block);
+    slot->stamp = NextStamp(block, prev);
 }
 
 void

@@ -24,26 +24,6 @@ CacheConfig::ToString() const
     return os.str();
 }
 
-void
-Cache::Fill(uint32_t block, uint64_t tag_extra)
-{
-    const uint32_t set = block & (sets_ - 1);
-    uint64_t tag = (block >> Log2Floor(sets_)) | tag_extra;
-    Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return;  // already resident: nothing to prefetch
-    }
-    Line& victim = Victim(set);
-    if (victim.valid && victim.dirty)
-        ++stats_.writebacks;
-    victim.valid = true;
-    victim.dirty = false;
-    victim.tag = tag;
-    victim.stamp = ++tick_;
-    ++stats_.prefetch_fills;
-}
-
 util::Status
 ValidateConfig(const CacheConfig& config)
 {
@@ -74,93 +54,72 @@ Cache::Cache(const CacheConfig& config)
     if (util::Status status = ValidateConfig(config); !status.ok())
         Fatal(status.message());
     const uint32_t blocks = config.size_bytes / config.block_bytes;
-    const uint32_t assoc = config.assoc == 0 ? blocks : config.assoc;
-    sets_ = blocks / assoc;
-    config_.assoc = assoc;
+    assoc_ = config.assoc == 0 ? blocks : config.assoc;
+    config_.assoc = assoc_;
+    const uint32_t sets = blocks / assoc_;
+    set_mask_ = sets - 1;
+    set_shift_ = Log2Floor(sets);
     block_shift_ = Log2Floor(config.block_bytes);
+    lru_ = config.replacement == Replacement::kLru;
+    write_back_ = config.write_back;
+    write_allocate_ = config.write_allocate;
+    pid_tags_ = config.pid_tags;
+    prefetch_ = config.prefetch_next_on_miss;
     lines_.resize(blocks);
 }
 
 Cache::Line&
 Cache::Victim(uint32_t set)
 {
-    Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
-    for (uint32_t w = 0; w < config_.assoc; ++w)
-        if (!base[w].valid)
+    Line* base = SetBase(set);
+    for (uint32_t w = 0; w < assoc_; ++w)
+        if ((base[w].key & kValid) == 0)
             return base[w];
     switch (config_.replacement) {
       case Replacement::kLru:
       case Replacement::kFifo: {
         Line* victim = base;
-        for (uint32_t w = 1; w < config_.assoc; ++w)
+        for (uint32_t w = 1; w < assoc_; ++w)
             if (base[w].stamp < victim->stamp)
                 victim = &base[w];
         return *victim;
       }
       case Replacement::kRandom:
-        return base[rng_.Below(config_.assoc)];
+        return base[rng_.Below(assoc_)];
     }
     Panic("bad replacement policy");
 }
 
 bool
-Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
-              uint32_t* writeback_addr)
+Cache::Miss(uint32_t block, uint64_t tag, bool is_write,
+            uint32_t* writeback_addr)
 {
-    ++stats_.accesses;
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
-
-    const uint32_t block = addr >> block_shift_;
-    const uint32_t set = block & (sets_ - 1);
-    uint64_t tag = block >> Log2Floor(sets_);
-    if (config_.pid_tags)
-        tag |= static_cast<uint64_t>(pid) << 32;
-
-    Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            if (config_.replacement == Replacement::kLru)
-                line.stamp = ++tick_;
-            if (is_write) {
-                if (config_.write_back)
-                    line.dirty = true;
-                // Write-through: the write also goes to memory; the block
-                // stays clean.
-            }
-            return true;
-        }
-    }
-
     ++stats_.misses;
     if (is_write)
         ++stats_.write_misses;
     else
         ++stats_.read_misses;
 
-    if (is_write && !config_.write_allocate)
+    if (is_write && !write_allocate_)
         return false;  // write miss bypasses the cache
 
+    const uint32_t set = block & set_mask_;
     Line& victim = Victim(set);
-    if (victim.valid && victim.dirty) {
+    if ((victim.key & (kValid | kDirty)) == (kValid | kDirty)) {
         ++stats_.writebacks;
         if (writeback_addr != nullptr) {
             // Reconstruct the victim's block address (pid bits excluded).
-            const uint32_t victim_block =
-                (static_cast<uint32_t>(victim.tag) << Log2Floor(sets_)) |
-                set;
-            *writeback_addr = victim_block << block_shift_;
+            const auto victim_tag =
+                static_cast<uint32_t>(victim.key >> kTagShift);
+            *writeback_addr = ((victim_tag << set_shift_) | set)
+                              << block_shift_;
         }
     }
-    victim.valid = true;
-    victim.dirty = is_write && config_.write_back;
-    victim.tag = tag;
+    victim.key = tag << kTagShift | kValid |
+                 (is_write && write_back_ ? kDirty : 0);
     victim.stamp = ++tick_;
 
-    if (config_.prefetch_next_on_miss) {
+    if (prefetch_) {
         // One-block lookahead: bring in the sequentially next block too.
         Fill(block + 1, tag & ~0xffffffffull);  // same pid tag bits
     }
@@ -168,16 +127,34 @@ Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
 }
 
 void
+Cache::Fill(uint32_t block, uint64_t tag_extra)
+{
+    const uint32_t set = block & set_mask_;
+    const uint64_t tag = (block >> set_shift_) | tag_extra;
+    const uint64_t want = tag << kTagShift | kValid;
+    Line* base = SetBase(set);
+    for (uint32_t w = 0; w < assoc_; ++w) {
+        if ((base[w].key & ~kDirty) == want)
+            return;  // already resident: nothing to prefetch
+    }
+    Line& victim = Victim(set);
+    if ((victim.key & (kValid | kDirty)) == (kValid | kDirty))
+        ++stats_.writebacks;
+    victim.key = want;
+    victim.stamp = ++tick_;
+    ++stats_.prefetch_fills;
+}
+
+void
 Cache::Flush()
 {
     ++stats_.flushes;
     for (Line& line : lines_) {
-        if (line.valid) {
+        if (line.key & kValid) {
             ++stats_.flushed_blocks;
-            if (line.dirty)
+            if (line.key & kDirty)
                 ++stats_.writebacks;
-            line.valid = false;
-            line.dirty = false;
+            line.key = 0;
         }
     }
 }

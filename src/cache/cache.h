@@ -93,28 +93,80 @@ class Cache
 
     const CacheConfig& config() const { return config_; }
     const CacheStats& stats() const { return stats_; }
-    uint32_t num_sets() const { return sets_; }
+    uint32_t num_sets() const { return set_mask_ + 1; }
 
   private:
-    void Fill(uint32_t block, uint64_t tag_extra);
-
+    /**
+     * One cache line in 16 bytes. `key` packs the tag (pid bits
+     * included) above a dirty and a valid bit, so a hit is one compare
+     * of the key with its dirty bit masked off.
+     */
     struct Line {
-        bool valid = false;
-        bool dirty = false;
-        uint64_t tag = 0;
+        uint64_t key = 0;
         uint64_t stamp = 0;  ///< LRU stamp or FIFO fill order
     };
+    static constexpr uint64_t kValid = 1;
+    static constexpr uint64_t kDirty = 2;
+    static constexpr unsigned kTagShift = 2;
 
+    Line* SetBase(uint32_t set)
+    {
+        return &lines_[static_cast<size_t>(set) * assoc_];
+    }
+
+    /** The miss path of Access: victim choice, writeback and fill. */
+    bool Miss(uint32_t block, uint64_t tag, bool is_write,
+              uint32_t* writeback_addr);
+    void Fill(uint32_t block, uint64_t tag_extra);
     Line& Victim(uint32_t set);
 
     CacheConfig config_;
-    uint32_t sets_;
+    uint32_t assoc_;      ///< ways per set (a fully-associative cache: all)
+    uint32_t set_mask_;   ///< sets - 1
+    unsigned set_shift_;  ///< log2(sets): block -> tag
     unsigned block_shift_;
+    bool lru_;
+    bool write_back_;
+    bool write_allocate_;
+    bool pid_tags_;
+    bool prefetch_;
     std::vector<Line> lines_;
     uint64_t tick_ = 0;
     Rng rng_;
     CacheStats stats_;
 };
+
+inline bool
+Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
+              uint32_t* writeback_addr)
+{
+    ++stats_.accesses;
+    if (is_write)
+        ++stats_.writes;
+    else
+        ++stats_.reads;
+
+    const uint32_t block = addr >> block_shift_;
+    uint64_t tag = block >> set_shift_;
+    if (pid_tags_)
+        tag |= static_cast<uint64_t>(pid) << 32;
+
+    const uint64_t want = tag << kTagShift | kValid;
+    Line* base = SetBase(block & set_mask_);
+    for (uint32_t w = 0; w < assoc_; ++w) {
+        Line& line = base[w];
+        if ((line.key & ~kDirty) == want) {
+            if (lru_)
+                line.stamp = ++tick_;
+            // Write-through: the write also goes to memory; the block
+            // stays clean.
+            if (is_write && write_back_)
+                line.key |= kDirty;
+            return true;
+        }
+    }
+    return Miss(block, tag, is_write, writeback_addr);
+}
 
 }  // namespace atum::cache
 

@@ -46,7 +46,13 @@ class TraceCacheDriver
      * borrowed and must outlive the driver.
      */
     explicit TraceCacheDriver(Cache& unified, const DriverOptions& options,
-                              Cache* icache = nullptr);
+                              Cache* icache = nullptr)
+        : dcache_(unified),
+          icache_(icache),
+          flush_on_switch_(options.flush_on_switch),
+          refs_(RefFilterFor(options))
+    {
+    }
 
     /** Feeds one record (records must arrive in trace order). */
     void Feed(const trace::Record& record);
@@ -64,6 +70,34 @@ class TraceCacheDriver
     uint64_t fed_ = 0;
     uint64_t filtered_ = 0;
 };
+
+inline void
+TraceCacheDriver::Feed(const trace::Record& record)
+{
+    switch (refs_.Classify(record)) {
+      case trace::RefFilter::kMarker:
+        return;
+      case trace::RefFilter::kSwitch:
+        if (flush_on_switch_) {
+            dcache_.Flush();
+            if (icache_ != nullptr)
+                icache_->Flush();
+        }
+        return;
+      case trace::RefFilter::kFiltered:
+        ++filtered_;
+        return;
+      case trace::RefFilter::kRef:
+        break;
+    }
+    const uint16_t pid = refs_.PidOf(record);
+    const bool is_write = record.type == trace::RecordType::kWrite;
+    if (record.type == trace::RecordType::kIFetch && icache_ != nullptr)
+        icache_->Access(record.addr, false, pid);
+    else
+        dcache_.Access(record.addr, is_write, pid);
+    ++fed_;
+}
 
 }  // namespace atum::cache
 

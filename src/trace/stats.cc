@@ -19,13 +19,23 @@ TraceStats::Accumulate(const Record& record)
         ++mem_refs_;
         if (record.kernel())
             ++kernel_refs_;
-        ++refs_by_pid_[current_pid_];
         ++refs_since_switch_;
     } else if (record.type == RecordType::kCtxSwitch) {
+        if (refs_since_switch_ != 0)
+            refs_by_pid_[current_pid_] += refs_since_switch_;
         switch_interval_refs_.Add(refs_since_switch_);
         refs_since_switch_ = 0;
         current_pid_ = record.info;
     }
+}
+
+std::map<uint16_t, uint64_t>
+TraceStats::refs_by_pid() const
+{
+    std::map<uint16_t, uint64_t> refs = refs_by_pid_;
+    if (refs_since_switch_ != 0)
+        refs[current_pid_] += refs_since_switch_;
+    return refs;
 }
 
 uint64_t

@@ -38,10 +38,7 @@ class TraceStats
 
     /** Memory references attributed to each pid (kernel refs under the
      *  pid that was running; pid 0 = before the first switch / kernel). */
-    const std::map<uint16_t, uint64_t>& refs_by_pid() const
-    {
-        return refs_by_pid_;
-    }
+    std::map<uint16_t, uint64_t> refs_by_pid() const;
 
     /** Histogram of memory references between context switches. */
     const Log2Histogram& switch_interval_refs() const
@@ -57,6 +54,8 @@ class TraceStats
     uint64_t by_type_[static_cast<size_t>(RecordType::kNumTypes)] = {};
     uint64_t mem_refs_ = 0;
     uint64_t kernel_refs_ = 0;
+    /** Per-pid counts up to the latest switch; the running pid's refs
+     *  since then are refs_since_switch_, folded in at the next switch. */
     std::map<uint16_t, uint64_t> refs_by_pid_;
     uint16_t current_pid_ = 0;
     uint64_t refs_since_switch_ = 0;

@@ -6,6 +6,7 @@
  * Small bit-manipulation helpers shared across the simulator.
  */
 
+#include <bit>
 #include <cstdint>
 
 namespace atum {
@@ -17,14 +18,11 @@ IsPowerOfTwo(uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Returns floor(log2(v)); v must be nonzero. */
+/** Returns floor(log2(v)), and 0 for v == 0. */
 constexpr unsigned
 Log2Floor(uint64_t v)
 {
-    unsigned r = 0;
-    while (v >>= 1)
-        ++r;
-    return r;
+    return v == 0 ? 0 : static_cast<unsigned>(std::bit_width(v)) - 1;
 }
 
 /** Rounds `v` down to a multiple of power-of-two `align`. */

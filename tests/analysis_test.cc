@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "analysis/compare.h"
 #include "analysis/mix.h"
 #include "analysis/stack_distance.h"
@@ -344,6 +347,117 @@ TEST(StackDistance, MissCountMonotoneInCapacity)
         prev = m;
     }
     EXPECT_EQ(sd.MissesForCapacity(1u << 20), sd.cold_misses());
+}
+
+/** Stack distances by brute force: an LRU stack, most recent first. */
+class LruStackOracle
+{
+  public:
+    void Touch(uint32_t block)
+    {
+        const auto it = std::find(stack_.begin(), stack_.end(), block);
+        if (it == stack_.end()) {
+            ++cold_;
+        } else {
+            const size_t d = static_cast<size_t>(it - stack_.begin());
+            if (d >= counts_.size())
+                counts_.resize(d + 1, 0);
+            ++counts_[d];
+            stack_.erase(it);
+        }
+        stack_.insert(stack_.begin(), block);
+    }
+
+    uint64_t cold() const { return cold_; }
+    uint64_t distinct() const { return stack_.size(); }
+    uint64_t Count(size_t d) const
+    {
+        return d < counts_.size() ? counts_[d] : 0;
+    }
+
+  private:
+    std::vector<uint32_t> stack_;
+    std::vector<uint64_t> counts_;
+    uint64_t cold_ = 0;
+};
+
+/**
+ * `length` accesses over at most `distinct` blocks `top - i` (i <
+ * distinct): a full loop, random picks, repeats and a short hot loop,
+ * so the live stamps pass every word boundary and many renumberings.
+ */
+std::vector<uint32_t>
+OracleStream(uint32_t distinct, size_t length, uint32_t top, uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<uint32_t> blocks;
+    for (size_t i = 0; i < length; ++i) {
+        uint32_t index;
+        switch (rng.Below(6)) {
+          case 0:
+          case 1:
+            index = static_cast<uint32_t>(i % distinct);
+            break;
+          case 2:
+            index = rng.Below(distinct);
+            break;
+          case 3:
+            index = rng.Below(std::min(distinct, 8u));
+            break;
+          default:
+            blocks.push_back(blocks.empty() ? top : blocks.back());
+            continue;
+        }
+        blocks.push_back(top - index);
+    }
+    return blocks;
+}
+
+void
+ExpectMatchesOracle(const StackDistanceAnalyzer& sd,
+                    const LruStackOracle& oracle, uint32_t distinct)
+{
+    EXPECT_EQ(sd.cold_misses(), oracle.cold()) << distinct;
+    EXPECT_EQ(sd.distinct_blocks(), oracle.distinct()) << distinct;
+    for (size_t d = 0; d <= distinct + 1; ++d)
+        ASSERT_EQ(sd.DistanceCount(d), oracle.Count(d))
+            << "distinct " << distinct << " d " << d;
+}
+
+TEST(StackDistance, MatchesBruteForceLruStack)
+{
+    // Live-stamp counts around the 64-stamp word edges (the first
+    // capacity is one word), and 40 accesses per block so every stream
+    // crosses renumberings.
+    for (uint32_t distinct : {63u, 64u, 65u, 127u, 128u, 129u, 700u}) {
+        const std::vector<uint32_t> blocks =
+            OracleStream(distinct, 40 * size_t{distinct}, 5000, distinct);
+        StackDistanceAnalyzer sd(4);
+        LruStackOracle oracle;
+        for (uint32_t block : blocks) {
+            sd.TouchBlock(block);
+            oracle.Touch(block);
+        }
+        EXPECT_EQ(sd.total_accesses(), blocks.size());
+        ExpectMatchesOracle(sd, oracle, distinct);
+    }
+}
+
+TEST(StackDistance, MatchesBruteForceLruStackAtTheTopOfMemory)
+{
+    // block_shift 0 through Feed: addresses are blocks, up to 0xffffffff.
+    for (uint32_t distinct : {64u, 65u, 128u}) {
+        const std::vector<uint32_t> blocks = OracleStream(
+            distinct, 40 * size_t{distinct}, 0xffffffffu, 7 * distinct);
+        StackDistanceAnalyzer sd(0);
+        LruStackOracle oracle;
+        for (uint32_t block : blocks) {
+            sd.Feed(Ref(block));
+            oracle.Touch(block);
+        }
+        EXPECT_EQ(sd.total_accesses(), blocks.size());
+        ExpectMatchesOracle(sd, oracle, distinct);
+    }
 }
 
 TEST(StackDistanceDeath, ZeroCapacityIsFatal)

@@ -3,11 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/cache.h"
 #include "cache/hierarchy.h"
 #include "cache/write_buffer.h"
 #include "cache/trace_driver.h"
 #include "trace/record.h"
+#include "util/bitops.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 namespace atum::cache {
@@ -454,6 +459,237 @@ TEST(Prefetch, ConfigStringMentionsObl)
     Cache c({.size_bytes = 4096, .block_bytes = 16, .assoc = 1,
              .prefetch_next_on_miss = true});
     EXPECT_NE(c.config().ToString().find("obl"), std::string::npos);
+}
+
+
+// --- differential test against the reference model -------------------------
+
+/**
+ * The reference model: the straightforward cache the packed-line Cache
+ * replaced (one struct per line with separate valid and dirty flags, the
+ * set count's log taken per access). Cache must match it access for
+ * access.
+ */
+class ReferenceCache
+{
+  public:
+    explicit ReferenceCache(const CacheConfig& config)
+        : config_(config), rng_(0x1badcafe)
+    {
+        const uint32_t blocks = config.size_bytes / config.block_bytes;
+        const uint32_t assoc = config.assoc == 0 ? blocks : config.assoc;
+        sets_ = blocks / assoc;
+        config_.assoc = assoc;
+        block_shift_ = Log2Floor(config.block_bytes);
+        lines_.resize(blocks);
+    }
+
+    bool Access(uint32_t addr, bool is_write, uint16_t pid,
+                uint32_t* writeback_addr)
+    {
+        ++stats_.accesses;
+        if (is_write)
+            ++stats_.writes;
+        else
+            ++stats_.reads;
+
+        const uint32_t block = addr >> block_shift_;
+        const uint32_t set = block & (sets_ - 1);
+        uint64_t tag = block >> Log2Floor(sets_);
+        if (config_.pid_tags)
+            tag |= static_cast<uint64_t>(pid) << 32;
+
+        Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
+        for (uint32_t w = 0; w < config_.assoc; ++w) {
+            Line& line = base[w];
+            if (line.valid && line.tag == tag) {
+                if (config_.replacement == Replacement::kLru)
+                    line.stamp = ++tick_;
+                if (is_write && config_.write_back)
+                    line.dirty = true;
+                return true;
+            }
+        }
+
+        ++stats_.misses;
+        if (is_write)
+            ++stats_.write_misses;
+        else
+            ++stats_.read_misses;
+
+        if (is_write && !config_.write_allocate)
+            return false;
+
+        Line& victim = Victim(set);
+        if (victim.valid && victim.dirty) {
+            ++stats_.writebacks;
+            if (writeback_addr != nullptr) {
+                const uint32_t victim_block =
+                    (static_cast<uint32_t>(victim.tag) << Log2Floor(sets_)) |
+                    set;
+                *writeback_addr = victim_block << block_shift_;
+            }
+        }
+        victim.valid = true;
+        victim.dirty = is_write && config_.write_back;
+        victim.tag = tag;
+        victim.stamp = ++tick_;
+
+        if (config_.prefetch_next_on_miss)
+            Fill(block + 1, tag & ~0xffffffffull);
+        return false;
+    }
+
+    void Flush()
+    {
+        ++stats_.flushes;
+        for (Line& line : lines_) {
+            if (line.valid) {
+                ++stats_.flushed_blocks;
+                if (line.dirty)
+                    ++stats_.writebacks;
+                line.valid = false;
+                line.dirty = false;
+            }
+        }
+    }
+
+    const CacheStats& stats() const { return stats_; }
+
+  private:
+    struct Line {
+        bool valid = false;
+        bool dirty = false;
+        uint64_t tag = 0;
+        uint64_t stamp = 0;
+    };
+
+    void Fill(uint32_t block, uint64_t tag_extra)
+    {
+        const uint32_t set = block & (sets_ - 1);
+        uint64_t tag = (block >> Log2Floor(sets_)) | tag_extra;
+        Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
+        for (uint32_t w = 0; w < config_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == tag)
+                return;
+        }
+        Line& victim = Victim(set);
+        if (victim.valid && victim.dirty)
+            ++stats_.writebacks;
+        victim.valid = true;
+        victim.dirty = false;
+        victim.tag = tag;
+        victim.stamp = ++tick_;
+        ++stats_.prefetch_fills;
+    }
+
+    Line& Victim(uint32_t set)
+    {
+        Line* base = &lines_[static_cast<size_t>(set) * config_.assoc];
+        for (uint32_t w = 0; w < config_.assoc; ++w)
+            if (!base[w].valid)
+                return base[w];
+        switch (config_.replacement) {
+          case Replacement::kLru:
+          case Replacement::kFifo: {
+            Line* victim = base;
+            for (uint32_t w = 1; w < config_.assoc; ++w)
+                if (base[w].stamp < victim->stamp)
+                    victim = &base[w];
+            return *victim;
+          }
+          case Replacement::kRandom:
+            return base[rng_.Below(config_.assoc)];
+        }
+        Panic("bad replacement policy");
+    }
+
+    CacheConfig config_;
+    uint32_t sets_;
+    unsigned block_shift_;
+    std::vector<Line> lines_;
+    uint64_t tick_ = 0;
+    Rng rng_;
+    CacheStats stats_;
+};
+
+/** Every CacheStats field, for one-line comparison. */
+std::vector<uint64_t>
+StatFields(const CacheStats& s)
+{
+    return {s.accesses,   s.misses,     s.reads,          s.read_misses,
+            s.writes,     s.write_misses, s.writebacks,   s.flushes,
+            s.flushed_blocks, s.prefetch_fills};
+}
+
+/** The next address of a stream that revisits a hot region, aliases
+ *  across sets, wanders at random, and runs into the top of memory. */
+uint32_t
+NextAddr(Rng& rng)
+{
+    switch (rng.Below(8)) {
+      case 0:
+      case 1:
+      case 2:
+        return rng.Below(1024);                     // hot, fits the cache
+      case 3:
+      case 4:
+        return rng.Below(16) * 4096 + rng.Below(64);  // aliases a set
+      case 5:
+        return 0xffffffffu - rng.Below(256);        // OBL runs off the top
+      default:
+        return rng.Next32();
+    }
+}
+
+TEST(Cache, MatchesReferenceModel)
+{
+    // The grid: assoc 1/2/4/full x LRU/FIFO/random x write-back/through
+    // x allocate/no-allocate x pid tags x OBL prefetch, one seeded stream
+    // each, with flushes mixed in.
+    static constexpr uint32_t kAssocs[] = {1, 2, 4, 0};
+    static constexpr Replacement kPolicies[] = {
+        Replacement::kLru, Replacement::kFifo, Replacement::kRandom};
+    static constexpr uint16_t kPids[] = {0, 1, 2, 7, 0xffff};
+    for (uint32_t i = 0; i < 4 * 3 * 2 * 2 * 2 * 2; ++i) {
+        const CacheConfig config{.size_bytes = 512,
+                                 .block_bytes = 16,
+                                 .assoc = kAssocs[i % 4],
+                                 .replacement = kPolicies[i / 4 % 3],
+                                 .write_allocate = (i / 12 & 1) != 0,
+                                 .write_back = (i / 24 & 1) != 0,
+                                 .pid_tags = (i / 48 & 1) != 0,
+                                 .prefetch_next_on_miss = (i / 96 & 1) != 0};
+        const std::string label =
+            config.ToString() + " policy " +
+            std::to_string(static_cast<int>(config.replacement)) +
+            (config.write_allocate ? " allocate" : " no-allocate");
+        Cache cache(config);
+        ReferenceCache reference(config);
+        Rng rng(1000 + i);
+        for (int step = 0; step < 4000; ++step) {
+            if (rng.Below(250) == 0) {
+                cache.Flush();
+                reference.Flush();
+            } else {
+                const uint32_t addr = NextAddr(rng);
+                const bool is_write = rng.Below(5) < 2;
+                const uint16_t pid = kPids[rng.Below(5)];
+                const bool ask_writeback = rng.Below(2) == 0;
+                uint32_t got_wb = 0xdeadbeef;
+                uint32_t want_wb = 0xdeadbeef;
+                const bool hit = cache.Access(
+                    addr, is_write, pid, ask_writeback ? &got_wb : nullptr);
+                const bool want_hit = reference.Access(
+                    addr, is_write, pid, ask_writeback ? &want_wb : nullptr);
+                ASSERT_EQ(hit, want_hit) << label << " step " << step;
+                ASSERT_EQ(got_wb, want_wb) << label << " step " << step;
+            }
+            ASSERT_EQ(StatFields(cache.stats()),
+                      StatFields(reference.stats()))
+                << label << " step " << step;
+        }
+    }
 }
 
 }  // namespace

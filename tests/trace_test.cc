@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "trace/compress.h"
@@ -194,6 +195,32 @@ TEST(Stats, TracksPidAttribution)
     EXPECT_EQ(stats.refs_by_pid().at(1), 2u);
     EXPECT_EQ(stats.refs_by_pid().at(2), 1u);
     EXPECT_EQ(stats.switch_interval_refs().count(), 2u);
+}
+
+TEST(Stats, CopiesKeepCountingPerPid)
+{
+    // A copy taken between switches carries the running pid's pending
+    // count, and both copies go on counting on their own.
+    ucode::MemAccess a;
+    a.size = 4;
+    a.kind = ucode::MemAccessKind::kRead;
+    TraceStats stats;
+    stats.Accumulate(MakeCtxSwitch(3, 0));
+    stats.Accumulate(FromMemAccess(a));
+    stats.Accumulate(MakeCtxSwitch(4, 0));
+    stats.Accumulate(FromMemAccess(a));
+    TraceStats copy = stats;
+    stats.Accumulate(FromMemAccess(a));
+    copy.Accumulate(MakeCtxSwitch(3, 0));
+    copy.Accumulate(FromMemAccess(a));
+    copy.Accumulate(FromMemAccess(a));
+
+    const std::map<uint16_t, uint64_t> want_stats = {{3, 1}, {4, 2}};
+    const std::map<uint16_t, uint64_t> want_copy = {{3, 3}, {4, 1}};
+    EXPECT_EQ(stats.refs_by_pid(), want_stats);
+    EXPECT_EQ(copy.refs_by_pid(), want_copy);
+    EXPECT_EQ(stats.mem_refs(), 3u);
+    EXPECT_EQ(copy.mem_refs(), 4u);
 }
 
 TEST(Stats, ToStringMentionsCounts)

@@ -39,6 +39,20 @@ TEST(Bitops, Log2Floor)
     EXPECT_EQ(Log2Floor(1ull << 33), 33u);
 }
 
+TEST(Bitops, Log2FloorAtEveryPowerOfTwo)
+{
+    static_assert(Log2Floor(0) == 0);
+    static_assert(Log2Floor(UINT64_MAX) == 63);
+    EXPECT_EQ(Log2Floor(0), 0u);
+    EXPECT_EQ(Log2Floor(1), 0u);
+    for (unsigned k = 1; k < 64; ++k) {
+        const uint64_t p = uint64_t{1} << k;
+        EXPECT_EQ(Log2Floor(p), k) << "2^" << k;
+        EXPECT_EQ(Log2Floor(p - 1), k - 1) << "2^" << k << "-1";
+    }
+    EXPECT_EQ(Log2Floor(UINT64_MAX), 63u);
+}
+
 TEST(Bitops, Align)
 {
     EXPECT_EQ(AlignDown(513, 512), 512u);

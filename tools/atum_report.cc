@@ -16,6 +16,8 @@
 // quick look at what the replay engine actually did. Each stage books
 // its wall time there as report.<stage>_us: load, cache, sweep, tlb,
 // working_sets and stack_distance, or scan under --verify/--salvage.
+// The same registry is also written as a run manifest to
+// <trace>.report.json (the RUN.json schema), so the times outlive the run.
 //
 // --spans FILE exports the report's own span trace (load, each
 // analysis, every sweep config across the worker pool) as Chrome
@@ -44,6 +46,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/crosscheck.h"
@@ -55,6 +58,7 @@
 #include "io/vfs.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
+#include "obs/stats_emitter.h"
 #include "replay/sweep.h"
 #include "util/build_info.h"
 #include "tlbsim/tlb_sim.h"
@@ -445,11 +449,69 @@ Run(const Options& opts, io::Vfs& vfs)
     return 0;
 }
 
-/** Runs the report, then exports its span trace if --spans asked. */
+/** The analyses `opts` asked for, as the manifest's config block. */
+std::vector<std::pair<std::string, std::string>>
+ManifestConfig(const Options& opts)
+{
+    std::vector<std::pair<std::string, std::string>> config;
+    if (opts.verify)
+        config.emplace_back("verify", "1");
+    if (!opts.salvage_out.empty())
+        config.emplace_back("salvage", opts.salvage_out);
+    if (opts.crosscheck)
+        config.emplace_back("crosscheck", "1");
+    if (opts.have_cache)
+        config.emplace_back("cache", opts.cache_config.ToString());
+    std::string sweep;
+    for (const cache::CacheConfig& c : opts.sweep_configs) {
+        if (!sweep.empty())
+            sweep += ',';
+        sweep += c.ToString();
+    }
+    if (!sweep.empty())
+        config.emplace_back("sweep", sweep);
+    if (opts.tlb_entries > 0)
+        config.emplace_back("tlb_entries", std::to_string(opts.tlb_entries));
+    if (opts.working_sets)
+        config.emplace_back("working_sets", "1");
+    if (opts.stack_distance)
+        config.emplace_back("stack_distance", "1");
+    config.emplace_back("jobs", std::to_string(opts.jobs));
+    return config;
+}
+
+/** Writes <trace>.report.json: the --stats registry, stage times
+ *  included, as a run manifest. A failure is a warning only. */
+void
+WriteReportManifest(const Options& opts, uint64_t started_ms, int code,
+                    io::Vfs& vfs)
+{
+    obs::RunManifest manifest;
+    manifest.tool = "atum-report";
+    manifest.version = util::kGitDescribe;
+    manifest.build_type = util::kBuildType;
+    manifest.trace_path = opts.path;
+    manifest.started_ms = started_ms;
+    manifest.ended_ms = obs::WallClockMs();
+    manifest.exit_code = code;
+    manifest.stop_cause = "completed";
+    manifest.config = ManifestConfig(opts);
+    manifest.finals = obs::Registry::Global().Snapshot();
+    const util::Status status =
+        obs::WriteRunManifest(opts.path + ".report.json", manifest, vfs);
+    if (!status.ok())
+        Warn("writing report manifest: ", status.ToString());
+}
+
+/** Runs the report, writes its manifest if --stats asked, then exports
+ *  its span trace if --spans asked. */
 int
 RunAndExport(const Options& opts, io::Vfs& vfs)
 {
+    const uint64_t started_ms = obs::WallClockMs();
     const int code = Run(opts, vfs);
+    if (opts.stats)
+        WriteReportManifest(opts, started_ms, code, vfs);
     if (!opts.spans_out.empty()) {
         const util::Status status =
             obs::WriteSpansFile(opts.spans_out, "atum-report", vfs);
