@@ -69,10 +69,10 @@ BenchConfig()
 }
 
 /** The three simulator kinds, cycled so the burst exercises each. */
-serve::SweepConfigSpec
+replay::ConfigSpec
 ConfigFor(uint32_t i)
 {
-    serve::SweepConfigSpec spec;
+    replay::ConfigSpec spec;
     switch (i % 3) {
       case 0:
         spec.kind = "cache";
@@ -106,7 +106,7 @@ RequestId(serve::ServeCore& core, const serve::Request& request)
 
 uint64_t
 SubmitSweep(serve::ServeCore& core, uint64_t of,
-            const std::vector<serve::SweepConfigSpec>& configs)
+            const std::vector<replay::ConfigSpec>& configs)
 {
     serve::Request request;
     request.op = serve::RequestOp::kSweep;
@@ -164,7 +164,7 @@ Run()
     table.AddRow({"row p99", Table::Fmt(row_p99, 0), "us"});
 
     // -- 2. wide-sweep throughput ------------------------------------------
-    std::vector<serve::SweepConfigSpec> wide;
+    std::vector<replay::ConfigSpec> wide;
     for (uint32_t i = 0; i < kWideConfigs; ++i)
         wide.push_back(ConfigFor(i));
     const uint64_t sweep = SubmitSweep(core, capture, wide);

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
-#include "analysis/compare.h"
 #include "common.h"
+#include "replay/sweep.h"
 #include "util/table.h"
 
 namespace atum {
@@ -24,31 +24,32 @@ Run()
     opts.flush_on_switch = true;
 
     const std::vector<uint32_t> blocks = {4, 8, 16, 32, 64, 128};
-    const auto points =
-        analysis::SweepBlockSize(full.records, blocks, base, opts);
+    std::vector<replay::SweepConfig> jobs;
+    for (uint32_t block : blocks) {
+        cache::CacheConfig c = base;
+        c.block_bytes = block;
+        jobs.push_back(replay::MakeCacheJob(c, opts));
+    }
+    const std::vector<replay::SweepResult> results =
+        replay::SweepRunner().Run(full.records, jobs);
 
     std::printf("F2: miss rate vs block size (64K direct-mapped, "
                 "full-system trace)\n\n");
     Table table({"block", "miss%", "misses", "traffic(B/ref)"});
     bench::BenchReport report("f2_miss_vs_blocksize");
     for (size_t i = 0; i < blocks.size(); ++i) {
-        const auto stats =
-            analysis::SimulateCache(full.records, [&] {
-                cache::CacheConfig c = base;
-                c.block_bytes = blocks[i];
-                return c;
-            }(), opts);
+        const cache::CacheStats& stats = results[i].cache_stats;
         // Memory traffic: every miss moves a block (plus writebacks).
         const double traffic =
             static_cast<double>((stats.misses + stats.writebacks)) *
             blocks[i] / static_cast<double>(stats.accesses);
-        report.Add("miss_rate", 100.0 * points[i].miss_rate, "%",
+        report.Add("miss_rate", 100.0 * stats.MissRate(), "%",
                    {{"block_bytes", std::to_string(blocks[i])}});
         report.Add("traffic", traffic, "B/ref",
                    {{"block_bytes", std::to_string(blocks[i])}});
         table.AddRow({
             std::to_string(blocks[i]) + "B",
-            Table::Fmt(100.0 * points[i].miss_rate, 2),
+            Table::Fmt(100.0 * stats.MissRate(), 2),
             std::to_string(stats.misses),
             Table::Fmt(traffic, 2),
         });

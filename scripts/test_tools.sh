@@ -67,10 +67,42 @@ diff -u "$SRC/tests/golden/sweep_16_64.txt" "$TMP/sweep.txt"
 grep -q "16K/16B/1w/wb.*ok" "$TMP/sweep_bad.txt"
 grep -q "invalid-argument" "$TMP/sweep_bad.txt"
 
+# One grammar for every model flag: the machine's own 32x2 TB sweeps
+# beside a cache, and the model flags apply to every cache job wherever
+# they stand on the line.
+expect_exit 0 "$BUILD/tools/atum-report" "$TMP/t.atum" \
+    --sweep 'tlb:entries=64:ways=2,16:16:1'
+grep -q "^tlb 64e .* ok$" "$TMP/out.txt"
+grep -q "^16K/16B/1w/wb .* ok$" "$TMP/out.txt"
+"$BUILD/tools/atum-report" "$TMP/t.atum" --pid-tags --cache 16:16:1 \
+    | grep "^cache " > "$TMP/pid_first.txt"
+"$BUILD/tools/atum-report" "$TMP/t.atum" --cache 16:16:1 --pid-tags \
+    | grep "^cache " > "$TMP/pid_last.txt"
+grep -q "^cache 16K/16B/1w/wb/pid:" "$TMP/pid_first.txt"
+cmp "$TMP/pid_first.txt" "$TMP/pid_last.txt"
+expect_exit 0 "$BUILD/tools/atum-report" "$TMP/t.atum" --pid-tags \
+    --sweep 16:16:1
+grep -q "^16K/16B/1w/wb/pid .* ok$" "$TMP/out.txt"
+
 # Exit-code contract: 2 usage, 3 missing input, 4 unrecognized input.
 expect_exit 2 "$BUILD/tools/atum-report"
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --sweep 16:16:1,,
+# A malformed spec or number, or a bad --cache/--tlb geometry, is a usage
+# error found before the trace is read.
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --cache 17:16:1
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --cache 16:16:-1
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --tlb 3
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --jobs abc
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --head -5
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/absent.atum" --cache 17:16:1
+expect_exit 2 "$BUILD/tools/atum-disasm" --kernel --mem-mb
+expect_exit 2 "$BUILD/tools/atum-disasm" --workload sort --scale 0x2
+expect_exit 2 "$BUILD/tools/atum-top" --once "$TMP/absent.jsonl" \
+    --interval-ms x
+expect_exit 2 "$BUILD/tools/atum-serve" --dir "$TMP/srv" --workers 0x2
+expect_exit 2 "$BUILD/tools/atum-submit" --socket "$TMP/s.sock" --id -1 \
+    status
 expect_exit 2 "$BUILD/tools/atum-capture" --no-such-flag
 expect_exit 2 "$BUILD/tools/atum-capture"
 expect_exit 2 "$BUILD/tools/atum-capture" --out "$TMP/u.atum" --buffer-kb abc

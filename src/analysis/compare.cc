@@ -20,48 +20,6 @@ SimulateCache(const std::vector<trace::Record>& records,
     return c.stats();
 }
 
-std::vector<SweepPoint>
-SweepCacheSize(const std::vector<trace::Record>& records,
-               const std::vector<uint32_t>& sizes, CacheConfig base,
-               const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t size : sizes) {
-        base.size_bytes = size;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({size, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
-std::vector<SweepPoint>
-SweepBlockSize(const std::vector<trace::Record>& records,
-               const std::vector<uint32_t>& blocks, CacheConfig base,
-               const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t block : blocks) {
-        base.block_bytes = block;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({block, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
-std::vector<SweepPoint>
-SweepAssociativity(const std::vector<trace::Record>& records,
-                   const std::vector<uint32_t>& assocs, CacheConfig base,
-                   const DriverOptions& options)
-{
-    std::vector<SweepPoint> out;
-    for (uint32_t assoc : assocs) {
-        base.assoc = assoc;
-        const auto stats = SimulateCache(records, base, options);
-        out.push_back({assoc, stats.MissRate(), stats.accesses});
-    }
-    return out;
-}
-
 SampledStats
 SetSampledMissRate(const std::vector<trace::Record>& records,
                    const CacheConfig& config, const DriverOptions& options,

@@ -22,31 +22,6 @@ cache::CacheStats SimulateCache(const std::vector<trace::Record>& records,
                                 const cache::CacheConfig& config,
                                 const cache::DriverOptions& options);
 
-/** One sweep point: a configuration and its resulting miss rate. */
-struct SweepPoint {
-    uint32_t param = 0;  ///< the swept value (size, block, assoc, ...)
-    double miss_rate = 0.0;
-    uint64_t accesses = 0;
-};
-
-/** Sweeps cache size (bytes) with other parameters fixed. */
-std::vector<SweepPoint> SweepCacheSize(
-    const std::vector<trace::Record>& records,
-    const std::vector<uint32_t>& sizes, cache::CacheConfig base,
-    const cache::DriverOptions& options);
-
-/** Sweeps block size (bytes) with other parameters fixed. */
-std::vector<SweepPoint> SweepBlockSize(
-    const std::vector<trace::Record>& records,
-    const std::vector<uint32_t>& blocks, cache::CacheConfig base,
-    const cache::DriverOptions& options);
-
-/** Sweeps associativity with other parameters fixed. */
-std::vector<SweepPoint> SweepAssociativity(
-    const std::vector<trace::Record>& records,
-    const std::vector<uint32_t>& assocs, cache::CacheConfig base,
-    const cache::DriverOptions& options);
-
 /** Result of a set-sampled simulation (see SetSampledMissRate). */
 struct SampledStats {
     uint64_t sampled_accesses = 0;

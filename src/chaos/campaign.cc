@@ -419,13 +419,13 @@ MakeServePlan(const ServeCampaignSpec& spec, uint64_t seed)
  * impossible geometry (non-power-of-two block) when the plan injects a
  * bad row — the sweep must isolate it, not die of it.
  */
-std::vector<serve::SweepConfigSpec>
+std::vector<replay::ConfigSpec>
 SweepConfigsFor(const ServeCampaignSpec& spec, uint32_t s, bool inject_bad)
 {
-    std::vector<serve::SweepConfigSpec> configs;
+    std::vector<replay::ConfigSpec> configs;
     const uint32_t n = spec.sweep_configs > 0 ? spec.sweep_configs : 1;
     for (uint32_t j = 0; j < n; ++j) {
-        serve::SweepConfigSpec config;
+        replay::ConfigSpec config;
         switch ((s + j) % 3) {
           case 0:
             config.kind = "cache";
@@ -448,7 +448,7 @@ SweepConfigsFor(const ServeCampaignSpec& spec, uint32_t s, bool inject_bad)
         configs.push_back(config);
     }
     if (inject_bad) {
-        serve::SweepConfigSpec& bad = configs[s % n];
+        replay::ConfigSpec& bad = configs[s % n];
         bad.kind = "cache";
         bad.block = 24;  // not a power of two: fails ValidateConfig
         bad.label = "bad-geometry";

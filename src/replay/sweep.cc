@@ -45,6 +45,20 @@ MakeTlbJob(const tlbsim::TlbSimConfig& tlb, std::string label)
     return job;
 }
 
+uint64_t
+SweepResult::Accesses() const
+{
+    switch (kind) {
+      case SweepConfig::Kind::kCache:
+        return cache_stats.accesses;
+      case SweepConfig::Kind::kHierarchy:
+        return hierarchy_accesses;
+      case SweepConfig::Kind::kTlb:
+        return tlb_stats.accesses;
+    }
+    return 0;
+}
+
 double
 SweepResult::MissRate() const
 {
@@ -59,9 +73,6 @@ SweepResult::MissRate() const
     return 0.0;
 }
 
-namespace {
-
-/** Geometry checks for every simulator the job would construct. */
 util::Status
 ValidateJob(const SweepConfig& config)
 {
@@ -84,6 +95,8 @@ ValidateJob(const SweepConfig& config)
     }
     return util::InvalidArgument("unknown sweep job kind");
 }
+
+namespace {
 
 /**
  * Watches the slice-boundary stop conditions for one config's replay.

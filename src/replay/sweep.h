@@ -85,9 +85,15 @@ struct SweepResult {
     // kTlb
     tlbsim::TlbSimStats tlb_stats;
 
-    /** The job's headline miss rate, whatever its kind. */
+    /** The job's reference count and headline miss rate, whatever its
+     *  kind. */
+    uint64_t Accesses() const;
     double MissRate() const;
 };
+
+/** Geometry checks for every simulator the job would construct: a job
+ *  that passes replays without Fatal. */
+util::Status ValidateJob(const SweepConfig& config);
 
 /**
  * Slice-boundary controls for one config's replay. The record loop

@@ -72,7 +72,7 @@ SerializeJournalRecord(const JournalRecord& record)
             w.KeyValue("retries", record.sweep_retries);
             w.Key("configs");
             w.BeginArray();
-            for (const SweepConfigSpec& spec : record.configs)
+            for (const replay::ConfigSpec& spec : record.configs)
                 spec.WriteJson(w);
             w.EndArray();
         }
@@ -139,8 +139,8 @@ ParseJournalRecord(const std::string& payload)
             return util::DataLoss(
                 "sweep submission record without a sane config list");
         for (const util::JsonValue& entry : configs.AsArray()) {
-            util::StatusOr<SweepConfigSpec> spec =
-                ParseSweepConfigSpec(entry);
+            util::StatusOr<replay::ConfigSpec> spec =
+                replay::ParseConfigSpec(entry);
             if (!spec.ok())
                 return util::DataLoss("sweep submission config: ",
                                       spec.status().message());

@@ -66,7 +66,7 @@ struct JournalRecord {
     // Sweep submissions carry their whole replay spec, so recovery can
     // resume a half-done sweep from the journal alone.
     uint64_t sweep_of = 0;
-    std::vector<SweepConfigSpec> configs;
+    std::vector<replay::ConfigSpec> configs;
     uint64_t sweep_timeout_ms = 0;
     uint64_t sweep_retries = 1;
 
@@ -74,7 +74,7 @@ struct JournalRecord {
     // The per-config completion record: fsynced before the row is ever
     // reported (S4), and the high-water mark a restarted daemon resumes
     // the sweep from (S5). `row` holds the canonical result-row JSON
-    // (serve/sweep_spec.h) byte-for-byte.
+    // (SweepRowJson in serve/protocol.h) byte-for-byte.
     uint32_t config_index = 0;
     std::string row;
 

@@ -147,8 +147,8 @@ ParseRequest(const std::string& payload)
                                          kMaxSweepConfigs,
                                          " configs per job");
         for (const util::JsonValue& entry : configs.AsArray()) {
-            util::StatusOr<SweepConfigSpec> spec =
-                ParseSweepConfigSpec(entry);
+            util::StatusOr<replay::ConfigSpec> spec =
+                replay::ParseConfigSpec(entry);
             if (!spec.ok())
                 return spec.status();
             req.sweep_configs.push_back(std::move(*spec));
@@ -207,7 +207,7 @@ SerializeRequest(const Request& request)
         w.KeyValue("retries", request.sweep_retries);
         w.Key("configs");
         w.BeginArray();
-        for (const SweepConfigSpec& spec : request.sweep_configs)
+        for (const replay::ConfigSpec& spec : request.sweep_configs)
             spec.WriteJson(w);
         w.EndArray();
         break;
@@ -265,6 +265,48 @@ ResponseStatus(const std::string& payload)
     if (code == "failed-precondition")
         return util::FailedPrecondition(error);
     return util::InternalError(error);
+}
+
+std::string
+SweepRowJson(uint32_t config_index, uint64_t records,
+             const replay::ConfigSpec& spec, const replay::SweepResult& result)
+{
+    util::JsonWriter w;
+    w.BeginObject();
+    w.KeyValue("config", config_index);
+    w.KeyValue("kind", spec.kind);
+    w.KeyValue("label", result.label);
+    w.KeyValue("records", records);
+    if (!result.status.ok()) {
+        w.KeyValue("status",
+                   util::StatusCodeName(result.status.code()));
+        w.KeyValue("error", result.status.message());
+        w.EndObject();
+        return w.TakeStr();
+    }
+    w.KeyValue("status", "ok");
+    w.KeyValue("accesses", result.Accesses());
+    switch (result.kind) {
+      case replay::SweepConfig::Kind::kCache:
+        w.KeyValue("misses", result.cache_stats.misses);
+        w.KeyValue("fed", result.fed);
+        w.KeyValue("filtered", result.filtered);
+        break;
+      case replay::SweepConfig::Kind::kHierarchy:
+        w.KeyValue("l1i_misses", result.l1i_stats.misses);
+        w.KeyValue("l1d_misses", result.l1d_stats.misses);
+        w.KeyValue("l2_misses", result.l2_stats.misses);
+        w.KeyValue("memory_accesses", result.memory_accesses);
+        w.KeyValue("amat", result.amat);
+        break;
+      case replay::SweepConfig::Kind::kTlb:
+        w.KeyValue("misses", result.tlb_stats.misses);
+        w.KeyValue("flushes", result.tlb_stats.flushes);
+        break;
+    }
+    w.KeyValue("miss_rate", result.MissRate());
+    w.EndObject();
+    return w.TakeStr();
 }
 
 }  // namespace atum::serve

@@ -38,10 +38,15 @@
 #include <string>
 #include <vector>
 
-#include "serve/sweep_spec.h"
+#include "replay/config_spec.h"
+#include "replay/sweep.h"
 #include "util/status.h"
 
 namespace atum::serve {
+
+/** Hard bound on configs per sweep: keeps the submission's journal
+ *  record far below the journal's record-size sanity limit. */
+inline constexpr uint32_t kMaxSweepConfigs = 64;
 
 /** The one protocol version this daemon speaks. */
 inline constexpr char kProtocolVersion[] = "atum-serve-v1";
@@ -113,7 +118,7 @@ struct Request {
     std::string client_token;
     // -- sweep -------------------------------------------------------------
     uint64_t sweep_of = 0;  ///< finished capture job whose trace to replay
-    std::vector<SweepConfigSpec> sweep_configs;
+    std::vector<replay::ConfigSpec> sweep_configs;
     uint64_t sweep_timeout_ms = 0;  ///< per-config wall budget; 0 = off
     uint64_t sweep_retries = 1;     ///< extra attempts per retryable row
     // -- status / cancel ---------------------------------------------------
@@ -140,6 +145,19 @@ std::string ErrorResponse(const util::Status& status);
  * frame is not a valid response at all.
  */
 util::Status ResponseStatus(const std::string& payload);
+
+/**
+ * The canonical result row for one finished sweep config: the exact
+ * bytes journaled, streamed into the status file, and compared
+ * bit-for-bit by the S4/S5 drills, so the daemon, the recovery path and
+ * the chaos checker share this one function. `records` is the
+ * input-trace record count the config replayed (the input fingerprint
+ * recovery uses to detect a trace that changed underneath journaled
+ * rows).
+ */
+std::string SweepRowJson(uint32_t config_index, uint64_t records,
+                         const replay::ConfigSpec& spec,
+                         const replay::SweepResult& result);
 
 }  // namespace atum::serve
 

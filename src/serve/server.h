@@ -97,10 +97,10 @@ struct JobInfo {
     uint64_t sweep_of = 0;  ///< the finished job whose trace is replayed
     uint64_t sweep_timeout_ms = 0;
     uint64_t sweep_retries = 1;
-    std::vector<SweepConfigSpec> configs;
+    std::vector<replay::ConfigSpec> configs;
     uint32_t configs_done = 0;    ///< rows finished ok
     uint32_t configs_failed = 0;  ///< rows isolated as failed
-    /** Canonical result row per config (sweep_spec.h), "" while pending.
+    /** Canonical result row per config (SweepRowJson), "" while pending.
      *  Mergeable partial results: rows fill in as configs finish, and a
      *  restarted daemon re-fills journaled rows byte-identically. */
     std::vector<std::string> sweep_rows;

@@ -124,6 +124,20 @@ TEST(Compare, SimulateCacheCountsFilteredStream)
     EXPECT_EQ(stats.misses, 1u);
 }
 
+/** Miss rate of `records` through `base` with one field set per value. */
+std::vector<double>
+MissRates(const std::vector<Record>& records, cache::CacheConfig base,
+          uint32_t cache::CacheConfig::*field,
+          const std::vector<uint32_t>& values)
+{
+    std::vector<double> rates;
+    for (uint32_t value : values) {
+        base.*field = value;
+        rates.push_back(SimulateCache(records, base, {}).MissRate());
+    }
+    return rates;
+}
+
 TEST(Compare, SweepCacheSizeIsMonotoneForLoopingTrace)
 {
     // A looping footprint larger than the small cache but smaller than the
@@ -133,14 +147,15 @@ TEST(Compare, SweepCacheSizeIsMonotoneForLoopingTrace)
         for (uint32_t a = 0; a < 8192; a += 16)
             records.push_back(Ref(a));
     cache::CacheConfig base{.block_bytes = 16, .assoc = 1};
-    const auto points =
-        SweepCacheSize(records, {1024, 4096, 16384}, base, {});
-    ASSERT_EQ(points.size(), 3u);
-    EXPECT_GE(points[0].miss_rate, points[1].miss_rate);
-    EXPECT_GE(points[1].miss_rate, points[2].miss_rate);
+    const std::vector<double> rates =
+        MissRates(records, base, &cache::CacheConfig::size_bytes,
+                  {1024, 4096, 16384});
+    ASSERT_EQ(rates.size(), 3u);
+    EXPECT_GE(rates[0], rates[1]);
+    EXPECT_GE(rates[1], rates[2]);
     // Only cold misses remain once the footprint fits: 512 blocks out of
     // 25600 accesses = 0.02.
-    EXPECT_LE(points[2].miss_rate, 0.02 + 1e-9);
+    EXPECT_LE(rates[2], 0.02 + 1e-9);
 }
 
 TEST(Compare, SweepBlockSizeHelpsSequentialTrace)
@@ -149,10 +164,11 @@ TEST(Compare, SweepBlockSizeHelpsSequentialTrace)
     for (uint32_t a = 0; a < 65536; a += 4)
         records.push_back(Ref(a));
     cache::CacheConfig base{.size_bytes = 16384, .assoc = 1};
-    const auto points = SweepBlockSize(records, {4, 16, 64}, base, {});
+    const std::vector<double> rates = MissRates(
+        records, base, &cache::CacheConfig::block_bytes, {4, 16, 64});
     // Sequential scan: bigger blocks mean fewer misses.
-    EXPECT_GT(points[0].miss_rate, points[1].miss_rate);
-    EXPECT_GT(points[1].miss_rate, points[2].miss_rate);
+    EXPECT_GT(rates[0], rates[1]);
+    EXPECT_GT(rates[1], rates[2]);
 }
 
 TEST(Compare, SweepAssociativityFixesConflicts)
@@ -164,9 +180,10 @@ TEST(Compare, SweepAssociativityFixesConflicts)
         records.push_back(Ref(0x1000));
     }
     cache::CacheConfig base{.size_bytes = 4096, .block_bytes = 16};
-    const auto points = SweepAssociativity(records, {1, 2}, base, {});
-    EXPECT_GT(points[0].miss_rate, 0.9);
-    EXPECT_LT(points[1].miss_rate, 0.1);
+    const std::vector<double> rates =
+        MissRates(records, base, &cache::CacheConfig::assoc, {1, 2});
+    EXPECT_GT(rates[0], 0.9);
+    EXPECT_LT(rates[1], 0.1);
 }
 
 

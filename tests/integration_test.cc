@@ -127,11 +127,15 @@ TEST(Integration, MissRateFallsWithCacheSize)
     CacheConfig base{.block_bytes = 16, .assoc = 1};
     DriverOptions opts;
     opts.flush_on_switch = true;
-    const auto points = analysis::SweepCacheSize(
-        MixTrace(), {2048, 8192, 32768, 131072}, base, opts);
-    for (size_t i = 1; i < points.size(); ++i)
-        EXPECT_LE(points[i].miss_rate, points[i - 1].miss_rate + 1e-9);
-    EXPECT_GT(points.front().miss_rate, points.back().miss_rate);
+    std::vector<double> rates;
+    for (uint32_t size : {2048u, 8192u, 32768u, 131072u}) {
+        base.size_bytes = size;
+        rates.push_back(
+            analysis::SimulateCache(MixTrace(), base, opts).MissRate());
+    }
+    for (size_t i = 1; i < rates.size(); ++i)
+        EXPECT_LE(rates[i], rates[i - 1] + 1e-9);
+    EXPECT_GT(rates.front(), rates.back());
 }
 
 TEST(Integration, SystemReferencesEnlargeWorkingSet)

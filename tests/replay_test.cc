@@ -1,6 +1,7 @@
-// Unit tests for the parallel replay engine: thread pool semantics and
-// the determinism contract (N threads == 1 thread == the legacy serial
-// loop, bit for bit).
+// Unit tests for the parallel replay engine: thread pool semantics, the
+// determinism contract (N threads == 1 thread == the legacy serial loop,
+// bit for bit), and the replay-config grammar (ConfigSpec.*, also run in
+// the quick lane as ctest replay_config_spec).
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,11 @@
 #include "analysis/compare.h"
 #include "analysis/parallel_profiles.h"
 #include "analysis/stack_distance.h"
+#include "replay/config_spec.h"
 #include "replay/sweep.h"
 #include "replay/thread_pool.h"
 #include "trace/record.h"
+#include "util/json.h"
 #include "util/rng.h"
 
 namespace atum::replay {
@@ -284,23 +287,22 @@ TEST(SweepRunner, DeterministicAcrossThreadCounts)
 
 TEST(SweepRunner, MatchesLegacyAnalysisSweep)
 {
-    // The SweepRunner must agree with analysis::SweepCacheSize, the
-    // serial helper the benches used before the parallel engine.
+    // The SweepRunner must agree with analysis::SimulateCache, a plain
+    // serial cache loop that shares no code with the replay engine.
     const std::vector<Record> records = SyntheticTrace(10000);
     cache::CacheConfig base{.block_bytes = 16, .assoc = 1};
     const std::vector<uint32_t> sizes = {1024, 4096, 16384, 65536};
-    const auto legacy =
-        analysis::SweepCacheSize(records, sizes, base, {});
-
+    std::vector<cache::CacheStats> legacy;
     std::vector<SweepConfig> jobs;
     for (uint32_t size : sizes) {
         base.size_bytes = size;
+        legacy.push_back(analysis::SimulateCache(records, base, {}));
         jobs.push_back(MakeCacheJob(base, {}));
     }
     const auto results = SweepRunner(4).Run(records, jobs);
     for (size_t i = 0; i < sizes.size(); ++i) {
         EXPECT_EQ(results[i].cache_stats.accesses, legacy[i].accesses) << i;
-        EXPECT_EQ(results[i].MissRate(), legacy[i].miss_rate) << i;
+        EXPECT_EQ(results[i].MissRate(), legacy[i].MissRate()) << i;
     }
 }
 
@@ -418,6 +420,161 @@ TEST(PerProcessProfiles, KernelExclusionDropsPidZero)
         analysis::PerProcessStackProfiles(records, options, 2);
     for (const auto& p : profiles)
         EXPECT_NE(p.pid, 0);
+}
+
+/** The spec as its canonical JSON, or "error" when it did not parse. */
+std::string
+SpecJson(util::StatusOr<ConfigSpec> spec)
+{
+    if (!spec.ok()) {
+        EXPECT_EQ(spec.status().code(), util::StatusCode::kInvalidArgument);
+        return "error";
+    }
+    util::JsonWriter w;
+    spec->WriteJson(w);
+    return w.TakeStr();
+}
+
+TEST(ConfigSpec, TextGrammarTable)
+{
+    struct Case {
+        const char* text;
+        const char* only_kind;  ///< "" = any kind, as --sweep takes
+        const char* want;       ///< canonical JSON, or "error"
+    };
+    const Case kCases[] = {
+        // The alias, for --cache and --sweep alike.
+        {"16:16:1", "",
+         R"({"kind":"cache","size_kb":16,"block":16,"assoc":1})"},
+        {"64:32:0", "cache",
+         R"({"kind":"cache","size_kb":64,"block":32,"assoc":0})"},
+        // All three kinds.
+        {"cache:size_kb=128:assoc=2", "",
+         R"({"kind":"cache","size_kb":128,"block":16,"assoc":2})"},
+        {"hierarchy:size_kb=256:block=32", "",
+         R"({"kind":"hierarchy","size_kb":256,"block":32,"assoc":1})"},
+        {"tlb:entries=64:ways=2", "",
+         R"({"kind":"tlb","entries":64,"ways":2})"},
+        {"tlb:entries=64:ways=2", "tlb",
+         R"({"kind":"tlb","entries":64,"ways":2})"},
+        {"cache:label=l1:block=32", "",
+         R"({"kind":"cache","label":"l1","size_kb":64,"block":32,"assoc":1})"},
+        {"cache:size_kb=4194303", "",
+         R"({"kind":"cache","size_kb":4194303,"block":16,"assoc":1})"},
+        // --tlb N is tlb:entries=N; nowhere else is a bare count a spec.
+        {"32", "tlb", R"({"kind":"tlb","entries":32,"ways":0})"},
+        {"32", "", "error"},
+        {"32", "cache", "error"},
+        // Wrong kind for the flag.
+        {"tlb:entries=64", "cache", "error"},
+        {"hierarchy:size_kb=256", "cache", "error"},
+        {"16:16:1", "tlb", "error"},
+        // Geometry is judged at replay time, not here.
+        {"17:16:1", "cache",
+         R"({"kind":"cache","size_kb":17,"block":16,"assoc":1})"},
+        {"cache:block=24", "",
+         R"({"kind":"cache","size_kb":64,"block":24,"assoc":1})"},
+        // Trailing garbage, signs, hex and the wrong field count.
+        {"16:16:1junk", "", "error"},
+        {"16:16:-1", "", "error"},
+        {"cache:block=0x20", "", "error"},
+        {"cache:block=+32", "", "error"},
+        {"16:16", "", "error"},
+        {"16:16:1:4", "", "error"},
+        // Empty fields.
+        {"", "", "error"},
+        {"16::1", "", "error"},
+        {"cache::block=32", "", "error"},
+        {"cache:block=", "", "error"},
+        {"cache:=32", "", "error"},
+        {"cache:", "", "error"},
+        // Unknown kinds and keys.
+        {"bogus:size_kb=1", "", "error"},
+        {"cache:no_such_knob=1", "", "error"},
+        {"cache:size_kb", "", "error"},
+    };
+    for (const Case& c : kCases)
+        EXPECT_EQ(SpecJson(ParseConfigSpecText(c.text, c.only_kind)), c.want)
+            << "text '" << c.text << "' only_kind '" << c.only_kind << "'";
+}
+
+// `size_kb << 10` must fit the 32-bit byte count: 4194320 KiB once
+// wrapped to 16 KiB and replayed a 16K cache without a word.
+TEST(ConfigSpec, TextRejectsSizeThatWrapsTheByteCount)
+{
+    EXPECT_EQ(SpecJson(ParseConfigSpecText("cache:size_kb=4194320")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseConfigSpecText("hierarchy:size_kb=4194304")),
+              "error");
+}
+
+// A value past 32 bits once truncated (4294967312 -> 16).
+TEST(ConfigSpec, TextRejectsValueOver32Bits)
+{
+    EXPECT_EQ(SpecJson(ParseConfigSpecText("cache:size_kb=4294967312")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseConfigSpecText("tlb:entries=4294967312")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseConfigSpecText("cache:assoc=4294967295")),
+              R"({"kind":"cache","size_kb":64,"block":16,"assoc":4294967295})");
+}
+
+util::StatusOr<ConfigSpec>
+ParseJsonSpec(const std::string& text)
+{
+    util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(text);
+    EXPECT_TRUE(doc.ok()) << text;
+    return ParseConfigSpec(*doc);
+}
+
+TEST(ConfigSpec, JsonRejectsSizeThatWrapsTheByteCount)
+{
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"cache","size_kb":4194320})")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"cache","size_kb":4194303})")),
+              R"({"kind":"cache","size_kb":4194303,"block":16,"assoc":1})");
+}
+
+TEST(ConfigSpec, JsonRejectsValueOver32Bits)
+{
+    EXPECT_EQ(
+        SpecJson(ParseJsonSpec(R"({"kind":"cache","size_kb":4294967312})")),
+        "error");
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"tlb","entries":4294967312})")),
+              "error");
+}
+
+TEST(ConfigSpec, JsonRejectsFraction)
+{
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"cache","assoc":1.5})")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"tlb","ways":-1})")),
+              "error");
+    EXPECT_EQ(SpecJson(ParseJsonSpec(R"({"kind":"tlb","ways":"2"})")),
+              "error");
+}
+
+TEST(ConfigSpec, JsonRoundTripsAndBuildsTheJob)
+{
+    util::StatusOr<ConfigSpec> spec =
+        ParseConfigSpecText("tlb:entries=64:ways=2:label=machine-tb");
+    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
+    const std::string json = SpecJson(spec);
+    EXPECT_EQ(SpecJson(ParseJsonSpec(json)), json);
+
+    const SweepConfig job = spec->ToReplayConfig();
+    EXPECT_EQ(job.kind, SweepConfig::Kind::kTlb);
+    EXPECT_EQ(job.tlb.entries, 64u);
+    EXPECT_EQ(job.tlb.ways, 2u);
+    EXPECT_EQ(job.label, "machine-tb");
+    EXPECT_TRUE(ValidateJob(job).ok());
+
+    const SweepConfig cache = ParseConfigSpecText("16:16:1")->ToReplayConfig();
+    EXPECT_EQ(cache.kind, SweepConfig::Kind::kCache);
+    EXPECT_EQ(cache.cache.size_bytes, 16u << 10);
+    EXPECT_EQ(cache.label, "16K/16B/1w/wb");
+    EXPECT_FALSE(
+        ValidateJob(ParseConfigSpecText("17:16:1")->ToReplayConfig()).ok());
 }
 
 }  // namespace

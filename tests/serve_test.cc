@@ -222,11 +222,11 @@ TEST(Protocol, SweepRequestRoundTrip)
     request.sweep_of = 7;
     request.sweep_timeout_ms = 1500;
     request.sweep_retries = 2;
-    SweepConfigSpec cache;
+    replay::ConfigSpec cache;
     cache.kind = "cache";
     cache.size_kb = 128;
     cache.assoc = 2;
-    SweepConfigSpec tlb;
+    replay::ConfigSpec tlb;
     tlb.kind = "tlb";
     tlb.entries = 32;
     tlb.ways = 4;
@@ -245,35 +245,6 @@ TEST(Protocol, SweepRequestRoundTrip)
     EXPECT_EQ(parsed->sweep_configs[1].kind, "tlb");
     EXPECT_EQ(parsed->sweep_configs[1].entries, 32u);
     EXPECT_EQ(parsed->sweep_configs[1].ways, 4u);
-}
-
-TEST(SweepSpec, ParsesCompactTextForm)
-{
-    util::StatusOr<SweepConfigSpec> spec =
-        ParseSweepConfigSpecText("cache:size_kb=128:assoc=2");
-    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    EXPECT_EQ(spec->kind, "cache");
-    EXPECT_EQ(spec->size_kb, 128u);
-    EXPECT_EQ(spec->assoc, 2u);
-
-    spec = ParseSweepConfigSpecText("tlb:entries=32:ways=4");
-    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    EXPECT_EQ(spec->kind, "tlb");
-    EXPECT_EQ(spec->entries, 32u);
-    EXPECT_EQ(spec->ways, 4u);
-
-    spec = ParseSweepConfigSpecText("hierarchy:size_kb=256:block=32");
-    ASSERT_TRUE(spec.ok()) << spec.status().ToString();
-    EXPECT_EQ(spec->kind, "hierarchy");
-    EXPECT_EQ(spec->size_kb, 256u);
-    EXPECT_EQ(spec->block, 32u);
-
-    EXPECT_FALSE(ParseSweepConfigSpecText("").ok());
-    EXPECT_FALSE(ParseSweepConfigSpecText("bogus:size_kb=1").ok());
-    EXPECT_FALSE(ParseSweepConfigSpecText("cache:no_such_knob=1").ok());
-    // Geometry is judged per-row at replay time, not at parse time: a
-    // nonsensical block size parses fine and becomes one failed row.
-    EXPECT_TRUE(ParseSweepConfigSpecText("cache:block=24").ok());
 }
 
 TEST(Protocol, ErrorResponseRoundTripsStatusCode)
@@ -446,10 +417,10 @@ TEST(JobJournal, SweepRecordsRoundTripAndSurviveCorruptionMatrix)
     submitted.sweep_of = 4;
     submitted.sweep_timeout_ms = 250;
     submitted.sweep_retries = 2;
-    SweepConfigSpec cache;
+    replay::ConfigSpec cache;
     cache.kind = "cache";
     cache.size_kb = 32;
-    SweepConfigSpec tlb;
+    replay::ConfigSpec tlb;
     tlb.kind = "tlb";
     tlb.entries = 16;
     submitted.configs = {cache, tlb};
@@ -870,17 +841,17 @@ TEST(ServeCore, ByteQuotaStopsARunawayTrace)
 // ---------------------------------------------------------------------------
 // Replay sweeps through the ServeCore.
 
-std::vector<SweepConfigSpec>
+std::vector<replay::ConfigSpec>
 ThreeSweepConfigs()
 {
-    SweepConfigSpec cache;
+    replay::ConfigSpec cache;
     cache.kind = "cache";
     cache.size_kb = 8;
     cache.assoc = 2;
-    SweepConfigSpec hierarchy;
+    replay::ConfigSpec hierarchy;
     hierarchy.kind = "hierarchy";
     hierarchy.size_kb = 32;
-    SweepConfigSpec tlb;
+    replay::ConfigSpec tlb;
     tlb.kind = "tlb";
     tlb.entries = 16;
     tlb.ways = 4;
@@ -889,7 +860,7 @@ ThreeSweepConfigs()
 
 uint64_t
 SweepOk(ServeCore& core, uint64_t of,
-        const std::vector<SweepConfigSpec>& configs)
+        const std::vector<replay::ConfigSpec>& configs)
 {
     Request request;
     request.op = RequestOp::kSweep;
@@ -990,7 +961,7 @@ TEST(ServeCore, SweepIsolatesBadConfigToOneFailedRow)
 
     const uint64_t capture = SubmitOk(core);
     ASSERT_TRUE(core.RunNextQueuedJob());
-    std::vector<SweepConfigSpec> configs = ThreeSweepConfigs();
+    std::vector<replay::ConfigSpec> configs = ThreeSweepConfigs();
     configs[1].kind = "cache";
     configs[1].block = 24;  // not a power of two: ValidateConfig rejects
     const uint64_t sweep = SweepOk(core, capture, configs);

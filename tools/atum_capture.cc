@@ -48,11 +48,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli.h"
 #include "core/atum_tracer.h"
 #include "core/checkpoint.h"
 #include "core/session.h"
@@ -76,16 +76,6 @@ namespace atum {
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
-
-/** Command-line mistakes exit with the usage code, not Fatal's 1. */
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-capture: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
 
 struct Options {
     std::string out;
@@ -116,98 +106,77 @@ struct Options {
     std::string trace_out;  // Chrome trace-event span export ("" = off)
 };
 
-/** A numeric flag's value: decimal digits that fit `Field` and `max`. */
-template <typename Field>
-Field
-ParseUint(const std::string& arg, const std::string& value,
-          uint64_t max = std::numeric_limits<Field>::max())
-{
-    util::StatusOr<uint64_t> parsed = util::ParseUint(value, max);
-    if (!parsed.ok())
-        UsageError(arg, " ", parsed.status().message());
-    return static_cast<Field>(*parsed);
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
+    cli::ArgReader args("atum-capture", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--out")
-            opts.out = next();
+            opts.out = args.Value();
         else if (arg == "--workloads")
-            opts.workload_names = util::SplitCommas(next());
+            opts.workload_names = util::SplitCommas(args.Value());
         else if (arg == "--scale")
-            opts.scale = ParseUint<uint32_t>(arg, next());
+            opts.scale = args.Uint<uint32_t>();
         else if (arg == "--timer")
-            opts.timer = ParseUint<uint32_t>(arg, next());
+            opts.timer = args.Uint<uint32_t>();
         else if (arg == "--mem-mb")  // shifted into a 32-bit byte count
-            opts.mem_mb = ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 20);
+            opts.mem_mb = args.Uint<uint32_t>(UINT32_MAX >> 20);
         else if (arg == "--buffer-kb")
-            opts.buffer_kb =
-                ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 10);
+            opts.buffer_kb = args.Uint<uint32_t>(UINT32_MAX >> 10);
         else if (arg == "--pool-frames")
-            opts.pool_frames = ParseUint<uint32_t>(arg, next());
+            opts.pool_frames = args.Uint<uint32_t>();
         else if (arg == "--pipeline")
-            opts.pipeline = ParseUint<uint32_t>(arg, next());
+            opts.pipeline = args.Uint<uint32_t>();
         else if (arg == "--user-only")  // a 16-bit guest PID
-            opts.user_only_pid = ParseUint<uint32_t>(arg, next(), UINT16_MAX);
+            opts.user_only_pid = args.Uint<uint32_t>(UINT16_MAX);
         else if (arg == "--max-instructions")
-            opts.max_instructions = ParseUint<uint64_t>(arg, next());
+            opts.max_instructions = args.Uint<uint64_t>();
         else if (arg == "--resume")
-            opts.resume = next();
+            opts.resume = args.Value();
         else if (arg == "--checkpoint")
-            opts.checkpoint = next();
+            opts.checkpoint = args.Value();
         else if (arg == "--checkpoint-every")
-            opts.checkpoint_every = ParseUint<uint64_t>(arg, next());
+            opts.checkpoint_every = args.Uint<uint64_t>();
         else if (arg == "--checkpoint-keep")
-            opts.checkpoint_keep = ParseUint<uint32_t>(arg, next());
+            opts.checkpoint_keep = args.Uint<uint32_t>();
         else if (arg == "--watchdog")
-            opts.watchdog_ucycles = ParseUint<uint64_t>(arg, next());
+            opts.watchdog_ucycles = args.Uint<uint64_t>();
         else if (arg == "--deadline-ms")
-            opts.deadline_ms = ParseUint<uint64_t>(arg, next());
+            opts.deadline_ms = args.Uint<uint64_t>();
         else if (arg == "--kill-after-fills")
-            opts.kill_after_fills = ParseUint<uint64_t>(arg, next());
+            opts.kill_after_fills = args.Uint<uint64_t>();
         else if (arg == "--trace-out")
-            opts.trace_out = next();
+            opts.trace_out = args.Value();
         else if (arg == "--metrics-out")
-            opts.metrics_out = next();
+            opts.metrics_out = args.Value();
         else if (arg == "--metrics-interval-ms")
-            opts.metrics_interval_ms = ParseUint<uint64_t>(arg, next());
+            opts.metrics_interval_ms = args.Uint<uint64_t>();
         else if (arg == "--wedge-demo")
             opts.wedge_demo = true;
         else if (arg == "--record-opcodes")
             opts.record_opcodes = true;
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-capture").c_str());
-            std::exit(util::kExitOk);
-        }
         else
-            UsageError("unknown argument: ", arg,
-                       " (see the header comment for usage)");
+            args.Fail("unknown argument: ", arg,
+                      " (see the header comment for usage)");
     }
     if (opts.resume.empty() && opts.out.empty())
-        UsageError("--out is required");
+        args.Fail("--out is required");
     if (!opts.resume.empty() && opts.user_only_pid != 0)
-        UsageError("--resume continues an ATUM capture; "
-                   "--user-only has no checkpoint support");
+        args.Fail("--resume continues an ATUM capture; "
+                  "--user-only has no checkpoint support");
     if (!opts.resume.empty() && opts.wedge_demo)
-        UsageError("--wedge-demo and --resume are mutually exclusive");
+        args.Fail("--wedge-demo and --resume are mutually exclusive");
     if (opts.checkpoint_every == 0)
-        UsageError("--checkpoint-every must be at least 1");
+        args.Fail("--checkpoint-every must be at least 1");
     if (opts.user_only_pid != 0 &&
         (!opts.checkpoint.empty() || opts.watchdog_ucycles != 0))
-        UsageError("--user-only does not support checkpoint/watchdog "
-                   "supervision");
+        args.Fail("--user-only does not support checkpoint/watchdog "
+                  "supervision");
     if (opts.user_only_pid != 0 && !opts.metrics_out.empty())
-        UsageError("--metrics-out needs the supervised ATUM capture loop; "
-                   "--user-only runs unsupervised");
+        args.Fail("--metrics-out needs the supervised ATUM capture loop; "
+                  "--user-only runs unsupervised");
     return opts;
 }
 

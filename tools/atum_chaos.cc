@@ -71,31 +71,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "cli.h"
 #include "chaos/campaign.h"
 #include "io/chaos.h"
 #include "io/vfs.h"
 #include "obs/flight.h"
-#include "util/build_info.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/status.h"
 
 namespace atum {
 namespace {
-
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-chaos: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
 
 struct Options {
     std::vector<std::string> campaigns;
@@ -115,18 +105,6 @@ struct Options {
     chaos::NetCampaignSpec net_spec;
 };
 
-/** A numeric flag's value: decimal digits that fit `Field` and `max`. */
-template <typename Field>
-Field
-ParseUint(const std::string& arg, const std::string& value,
-          uint64_t max = std::numeric_limits<Field>::max())
-{
-    util::StatusOr<uint64_t> parsed = util::ParseUint(value, max);
-    if (!parsed.ok())
-        UsageError(arg, " ", parsed.status().message());
-    return static_cast<Field>(*parsed);
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
@@ -134,21 +112,17 @@ ParseArgs(int argc, char** argv)
     bool jobs_set = false;
     bool max_instructions_set = false;
     bool buffer_set = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
+    cli::ArgReader args("atum-chaos", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--campaign")
-            opts.campaigns = util::SplitCommas(next());
+            opts.campaigns = util::SplitCommas(args.Value());
         else if (arg == "--seeds")
-            opts.seeds = ParseUint<uint64_t>(arg, next());
+            opts.seeds = args.Uint<uint64_t>();
         else if (arg == "--first-seed")
-            opts.first_seed = ParseUint<uint64_t>(arg, next());
+            opts.first_seed = args.Uint<uint64_t>();
         else if (arg == "--replay")
-            opts.replay = next();
+            opts.replay = args.Value();
         else if (arg == "--probe")
             opts.probe = true;
         else if (arg == "--serve")
@@ -158,27 +132,27 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--fuzz-protocol")
             opts.fuzz = true;
         else if (arg == "--submits")
-            opts.net_spec.submits = ParseUint<uint32_t>(arg, next());
+            opts.net_spec.submits = args.Uint<uint32_t>();
         else if (arg == "--attempts")
-            opts.net_spec.max_attempts = ParseUint<uint32_t>(arg, next());
+            opts.net_spec.max_attempts = args.Uint<uint32_t>();
         else if (arg == "--jobs") {
-            opts.serve_spec.jobs = ParseUint<uint32_t>(arg, next());
+            opts.serve_spec.jobs = args.Uint<uint32_t>();
             jobs_set = true;
         }
         else if (arg == "--tenants")
             opts.serve_spec.tenants = opts.net_spec.tenants =
-                ParseUint<uint32_t>(arg, next());
+                args.Uint<uint32_t>();
         else if (arg == "--sweeps") {
             // Bare --sweeps enables the default sweep mix; a following
             // number sets how many sweeps each drill submits.
             opts.serve_spec.sweeps = 2;
-            if (i + 1 < argc && util::ParseUint(argv[i + 1], UINT32_MAX).ok())
-                opts.serve_spec.sweeps = ParseUint<uint32_t>(arg, argv[++i]);
+            if (const char* count = args.Peek();
+                count != nullptr && util::ParseUint(count, UINT32_MAX).ok())
+                opts.serve_spec.sweeps = args.Uint<uint32_t>();
         } else if (arg == "--sweep-configs")
-            opts.serve_spec.sweep_configs =
-                ParseUint<uint32_t>(arg, next());
+            opts.serve_spec.sweep_configs = args.Uint<uint32_t>();
         else if (arg == "--out-dir")
-            opts.out_dir = next();
+            opts.out_dir = args.Value();
         else if (arg == "--no-minimize")
             opts.minimize = false;
         else if (arg == "--minimize")
@@ -187,40 +161,34 @@ ParseArgs(int argc, char** argv)
             opts.verbose = true;
         else if (arg == "--workload")
             opts.spec.workload = opts.serve_spec.workload =
-                opts.net_spec.workload = next();
+                opts.net_spec.workload = args.Value();
         else if (arg == "--scale")
             opts.spec.scale = opts.serve_spec.scale = opts.net_spec.scale =
-                ParseUint<uint32_t>(arg, next());
+                args.Uint<uint32_t>();
         else if (arg == "--max-instructions") {
             opts.spec.max_instructions = opts.serve_spec.max_instructions =
-                opts.net_spec.max_instructions =
-                    ParseUint<uint64_t>(arg, next());
+                opts.net_spec.max_instructions = args.Uint<uint64_t>();
             max_instructions_set = true;
         } else if (arg == "--buffer-kb") {
             opts.spec.buffer_bytes = opts.serve_spec.buffer_bytes =
                 opts.net_spec.buffer_bytes =
-                    ParseUint<uint32_t>(arg, next(), UINT32_MAX >> 10) << 10;
+                    args.Uint<uint32_t>(UINT32_MAX >> 10) << 10;
             buffer_set = true;
         }
         else if (arg == "--chunk-records")
             opts.spec.chunk_records = opts.serve_spec.chunk_records =
-                opts.net_spec.chunk_records =
-                    ParseUint<uint32_t>(arg, next());
+                opts.net_spec.chunk_records = args.Uint<uint32_t>();
         else if (arg == "--checkpoint-every")
             opts.spec.checkpoint_every_fills =
                 opts.serve_spec.checkpoint_every_fills =
                     opts.net_spec.checkpoint_every_fills =
-                        ParseUint<uint64_t>(arg, next());
+                        args.Uint<uint64_t>();
         else if (arg == "--checkpoint-keep")
             opts.spec.keep_checkpoints = opts.serve_spec.keep_checkpoints =
-                opts.net_spec.keep_checkpoints =
-                    ParseUint<uint32_t>(arg, next());
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-chaos").c_str());
-            std::exit(util::kExitOk);
-        } else {
-            UsageError("unknown argument: ", arg,
-                       " (see the header of tools/atum_chaos.cc)");
+                opts.net_spec.keep_checkpoints = args.Uint<uint32_t>();
+        else {
+            args.Fail("unknown argument: ", arg,
+                      " (see the header of tools/atum_chaos.cc)");
         }
     }
     if (opts.serve && opts.serve_spec.sweeps > 0) {
@@ -236,7 +204,7 @@ ParseArgs(int argc, char** argv)
             opts.serve_spec.buffer_bytes = 8u << 10;
     }
     if (opts.serve && opts.net)
-        UsageError("--serve and --net are mutually exclusive");
+        args.Fail("--serve and --net are mutually exclusive");
     if (opts.replay.empty() && opts.campaigns.empty() && !opts.probe &&
         !opts.fuzz) {
         // Bare --serve --sweeps and bare --net work out of the box with
@@ -248,13 +216,13 @@ ParseArgs(int argc, char** argv)
             opts.campaigns = {"net-flaky", "net-cut",   "net-flip",
                               "net-stall", "net-dup", "net-kill"};
         else
-            UsageError("--campaign, --replay, --probe or "
-                       "--fuzz-protocol is required");
+            args.Fail("--campaign, --replay, --probe or "
+                      "--fuzz-protocol is required");
     }
     if (!opts.replay.empty() && !opts.campaigns.empty())
-        UsageError("--campaign and --replay are mutually exclusive");
+        args.Fail("--campaign and --replay are mutually exclusive");
     if (opts.seeds == 0)
-        UsageError("--seeds must be at least 1");
+        args.Fail("--seeds must be at least 1");
     return opts;
 }
 

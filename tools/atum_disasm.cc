@@ -5,6 +5,8 @@
 //   atum-disasm --kernel [--mem-mb 4]
 //   atum-disasm --version
 //
+// A missing value, a malformed number or an unknown flag exits 2.
+//
 // Linear sweep; data regions (CASEL tables, embedded constants) stop the
 // sweep at the first undecodable byte, which is reported.
 
@@ -12,11 +14,11 @@
 #include <cstdlib>
 #include <string>
 
+#include "cli.h"
 #include "isa/decoder.h"
 #include "isa/disassembler.h"
 #include "kernel/kernel_builder.h"
 #include "kernel/layout.h"
-#include "util/build_info.h"
 #include "util/logging.h"
 #include "util/signals.h"
 #include "workloads/workloads.h"
@@ -58,27 +60,19 @@ Run(int argc, char** argv)
     uint32_t scale = 1;
     bool kernel = false;
     uint32_t mem_mb = 4;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                Fatal(arg, " requires a value");
-            return argv[++i];
-        };
+    cli::ArgReader args("atum-disasm", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--workload")
-            workload = next();
+            workload = args.Value();
         else if (arg == "--scale")
-            scale = std::strtoul(next().c_str(), nullptr, 0);
+            scale = args.Uint<uint32_t>();
         else if (arg == "--kernel")
             kernel = true;
-        else if (arg == "--mem-mb")
-            mem_mb = std::strtoul(next().c_str(), nullptr, 0);
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-disasm").c_str());
-            return 0;
-        }
+        else if (arg == "--mem-mb")  // shifted into a 32-bit byte count
+            mem_mb = args.Uint<uint32_t>(UINT32_MAX >> 20);
         else
-            Fatal("unknown argument: ", arg);
+            args.Fail("unknown argument: ", arg);
     }
 
     if (kernel) {
@@ -88,7 +82,7 @@ Run(int argc, char** argv)
         return 0;
     }
     if (workload.empty())
-        Fatal("usage: atum-disasm --workload NAME | --kernel");
+        args.Fail("usage: atum-disasm --workload NAME | --kernel");
     Disassemble(workloads::MakeWorkload(workload, scale).program);
     return 0;
 }

@@ -1,15 +1,24 @@
 // atum-report: analyze a captured trace file.
 //
 // Usage:
-//   atum-report trace.atum [--head N] [--cache SIZE_KB:BLOCK:ASSOC]
+//   atum-report trace.atum [--head N] [--cache SPEC] [--tlb SPEC]
 //                [--sweep SPEC,SPEC,...] [--jobs N]
 //                [--flush-on-switch] [--pid-tags] [--no-kernel]
-//                [--tlb ENTRIES] [--working-sets] [--stack-distance]
+//                [--working-sets] [--stack-distance]
 //                [--stats] [--spans SPANS.json]
 //   atum-report trace.atf --verify
 //   atum-report trace.atf --salvage repaired.atf
 //   atum-report trace.atf --crosscheck [--prefix]
 //   atum-report --version
+//
+// A SPEC is one replay config (replay/config_spec.h, docs/SERVE.md):
+// `kind[:key=value]...` for a cache, hierarchy or tlb, or
+// SIZE_KB:BLOCK:ASSOC for a cache. --cache takes a cache spec, --tlb a
+// tlb spec or a bare entry count, --sweep any mix, replayed concurrently
+// (--jobs workers), one row per config in input order. --flush-on-switch,
+// --pid-tags and --no-kernel apply to every cache, in any order. A bad
+// spec or --cache/--tlb geometry exits 2 before the trace is read; a bad
+// --sweep geometry fails its own row.
 //
 // --stats appends a dump of the process's metrics registry (replay.*
 // counters, per-config wall-time histogram...) after the analyses — a
@@ -24,9 +33,7 @@
 // trace-event JSON for Perfetto / chrome://tracing (docs/TRACING.md).
 //
 // Default output is the trace-characterization summary (T1-style). Each
-// additional flag appends the corresponding analysis. --sweep replays
-// every listed cache spec over the trace concurrently (--jobs workers)
-// and prints one table row per config, in input order.
+// additional flag appends the corresponding analysis.
 //
 // --verify runs the tolerant container scanner and prints its damage
 // report without analyzing anything; --salvage additionally writes every
@@ -45,7 +52,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,15 +62,14 @@
 #include "analysis/parallel_profiles.h"
 #include "analysis/stack_distance.h"
 #include "analysis/working_set.h"
-#include "cache/cache.h"
-#include "cache/trace_driver.h"
+#include "cli.h"
 #include "io/vfs.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
 #include "obs/stats_emitter.h"
+#include "replay/config_spec.h"
 #include "replay/sweep.h"
 #include "util/build_info.h"
-#include "tlbsim/tlb_sim.h"
 #include "trace/container.h"
 #include "trace/sink.h"
 #include "trace/stats.h"
@@ -77,12 +85,11 @@ namespace {
 struct Options {
     std::string path;
     uint32_t head = 0;
-    bool have_cache = false;
-    cache::CacheConfig cache_config;
+    std::optional<replay::SweepConfig> cache;  ///< --cache: one cache job
+    std::optional<replay::SweepConfig> tlb;    ///< --tlb: one TLB job
+    std::vector<replay::SweepConfig> sweep;    ///< --sweep: jobs of any kind
     cache::DriverOptions driver_options;
-    std::vector<cache::CacheConfig> sweep_configs;
     uint32_t jobs = 0;  ///< replay workers; 0 = one per hardware thread
-    uint32_t tlb_entries = 0;
     bool working_sets = false;
     bool stack_distance = false;
     bool verify = false;        ///< scan and report damage, nothing else
@@ -94,69 +101,42 @@ struct Options {
     std::string spans_out;      ///< Chrome trace-event export ("" = off)
 };
 
-/** Command-line mistakes exit with the usage code, not Fatal's 1. */
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-report: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
-
-cache::CacheConfig
-ParseCacheSpec(const std::string& spec)
-{
-    cache::CacheConfig config;
-    unsigned size_kb = 0, block = 0, assoc = 0;
-    if (std::sscanf(spec.c_str(), "%u:%u:%u", &size_kb, &block, &assoc) != 3)
-        UsageError("bad --cache spec '", spec, "', want SIZE_KB:BLOCK:ASSOC");
-    config.size_bytes = size_kb << 10;
-    config.block_bytes = block;
-    config.assoc = assoc;
-    return config;
-}
-
-std::vector<cache::CacheConfig>
-ParseSweepSpecs(const std::string& specs)
-{
-    std::vector<cache::CacheConfig> configs;
-    for (const std::string& spec : util::SplitCommas(specs)) {
-        if (spec.empty())
-            UsageError("empty spec in --sweep '", specs, "'");
-        configs.push_back(ParseCacheSpec(spec));
-    }
-    return configs;
-}
-
 Options
 ParseArgs(int argc, char** argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
+    cli::ArgReader args("atum-report", argc, argv);
+    const auto spec = [&args](const std::string& text,
+                              std::string_view only_kind = {}) {
+        util::StatusOr<replay::ConfigSpec> parsed =
+            replay::ParseConfigSpecText(text, only_kind);
+        if (!parsed.ok())
+            args.Fail(args.arg(), " ", parsed.status().message());
+        return *parsed;
+    };
+    std::optional<replay::ConfigSpec> cache_spec, tlb_spec;
+    std::vector<replay::ConfigSpec> sweep_specs;
+    bool pid_tags = false;
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--head")
-            opts.head = std::strtoul(next().c_str(), nullptr, 0);
-        else if (arg == "--cache") {
-            opts.cache_config = ParseCacheSpec(next());
-            opts.have_cache = true;
-        } else if (arg == "--sweep")
-            opts.sweep_configs = ParseSweepSpecs(next());
-        else if (arg == "--jobs")
-            opts.jobs = std::strtoul(next().c_str(), nullptr, 0);
+            opts.head = args.Uint<uint32_t>();
+        else if (arg == "--cache")
+            cache_spec = spec(args.Value(), "cache");
+        else if (arg == "--sweep") {
+            sweep_specs.clear();
+            for (const std::string& text : util::SplitCommas(args.Value()))
+                sweep_specs.push_back(spec(text));
+        } else if (arg == "--jobs")
+            opts.jobs = args.Uint<uint32_t>();
         else if (arg == "--flush-on-switch")
             opts.driver_options.flush_on_switch = true;
         else if (arg == "--pid-tags")
-            opts.cache_config.pid_tags = true;
+            pid_tags = true;
         else if (arg == "--no-kernel")
             opts.driver_options.include_kernel = false;
         else if (arg == "--tlb")
-            opts.tlb_entries = std::strtoul(next().c_str(), nullptr, 0);
+            tlb_spec = spec(args.Value(), "tlb");
         else if (arg == "--working-sets")
             opts.working_sets = true;
         else if (arg == "--stack-distance")
@@ -164,7 +144,7 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--verify")
             opts.verify = true;
         else if (arg == "--salvage")
-            opts.salvage_out = next();
+            opts.salvage_out = args.Value();
         else if (arg == "--stats")
             opts.stats = true;
         else if (arg == "--crosscheck")
@@ -172,20 +152,39 @@ ParseArgs(int argc, char** argv)
         else if (arg == "--prefix")
             opts.prefix = true;
         else if (arg == "--manifest")
-            opts.manifest = next();
+            opts.manifest = args.Value();
         else if (arg == "--spans")
-            opts.spans_out = next();
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-report").c_str());
-            std::exit(util::kExitOk);
-        }
+            opts.spans_out = args.Value();
         else if (!arg.empty() && arg[0] != '-')
             opts.path = arg;
         else
-            UsageError("unknown argument: ", arg);
+            args.Fail("unknown argument: ", arg);
     }
     if (opts.path.empty())
-        UsageError("usage: atum-report TRACE [options]");
+        args.Fail("usage: atum-report TRACE [options]");
+
+    // The model flags apply to every cache job, whatever the flag order.
+    const auto to_job = [&](const replay::ConfigSpec& s) {
+        replay::SweepConfig job = s.ToReplayConfig();
+        if (job.kind != replay::SweepConfig::Kind::kCache)
+            return job;
+        job.cache.pid_tags = pid_tags;
+        return replay::MakeCacheJob(job.cache, opts.driver_options, s.label);
+    };
+    for (const replay::ConfigSpec& s : sweep_specs)
+        opts.sweep.push_back(to_job(s));
+    // A single model's bad geometry is a usage error before the trace is
+    // read; a sweep isolates it in its row instead.
+    const auto checked = [&](const char* flag, const replay::ConfigSpec& s) {
+        replay::SweepConfig job = to_job(s);
+        if (util::Status status = replay::ValidateJob(job); !status.ok())
+            args.Fail(flag, " ", status.message());
+        return job;
+    };
+    if (cache_spec)
+        opts.cache = checked("--cache", *cache_spec);
+    if (tlb_spec)
+        opts.tlb = checked("--tlb", *tlb_spec);
     return opts;
 }
 
@@ -345,54 +344,62 @@ Run(const Options& opts, io::Vfs& vfs)
     }
     std::printf("%s\n", stats.ToString().c_str());
 
-    if (opts.have_cache) {
+    // --cache and --tlb passed ValidateJob, so a failed replay is internal.
+    const auto replay_one = [&records](const replay::SweepConfig& job) {
+        replay::SweepResult result = replay::ReplayOne(records, job);
+        if (!result.status.ok())
+            Fatal(job.label, ": ", result.status.ToString());
+        return result;
+    };
+
+    if (opts.cache) {
         ATUM_SPAN("report", "cache");
         StageTimer timer("report.cache_us");
-        cache::Cache c(opts.cache_config);
-        cache::TraceCacheDriver driver(c, opts.driver_options);
-        for (const auto& r : records)
-            driver.Feed(r);
+        const cache::CacheStats stats = replay_one(*opts.cache).cache_stats;
+        // The line names the resolved way count ("1024w", not "full").
+        cache::CacheConfig shown = opts.cache->cache;
+        if (shown.assoc == 0)
+            shown.assoc = shown.size_bytes / shown.block_bytes;
         std::printf("cache %s: accesses=%llu miss-rate=%.3f%% "
                     "writebacks=%llu\n",
-                    c.config().ToString().c_str(),
-                    static_cast<unsigned long long>(c.stats().accesses),
-                    100.0 * c.stats().MissRate(),
-                    static_cast<unsigned long long>(c.stats().writebacks));
+                    shown.ToString().c_str(),
+                    static_cast<unsigned long long>(stats.accesses),
+                    100.0 * stats.MissRate(),
+                    static_cast<unsigned long long>(stats.writebacks));
     }
 
-    if (!opts.sweep_configs.empty()) {
+    if (!opts.sweep.empty()) {
         StageTimer timer("report.sweep_us");
-        std::vector<replay::SweepConfig> jobs;
-        for (const cache::CacheConfig& config : opts.sweep_configs)
-            jobs.push_back(
-                replay::MakeCacheJob(config, opts.driver_options));
         const replay::SweepRunner runner(opts.jobs);
         const std::vector<replay::SweepResult> results =
-            runner.Run(records, jobs);
+            runner.Run(records, opts.sweep);
         std::printf("sweep: %zu configs\n", results.size());
         Table table({"cache", "accesses", "miss%", "writebacks", "status"});
         for (const replay::SweepResult& r : results) {
+            const bool is_cache = r.kind == replay::SweepConfig::Kind::kCache;
             table.AddRow({
                 r.label,
-                std::to_string(r.cache_stats.accesses),
-                Table::Fmt(100.0 * r.cache_stats.MissRate(), 3),
-                std::to_string(r.cache_stats.writebacks),
+                std::to_string(r.Accesses()),
+                Table::Fmt(100.0 * r.MissRate(), 3),
+                is_cache ? std::to_string(r.cache_stats.writebacks) : "-",
                 r.status.ok() ? "ok" : r.status.ToString(),
             });
         }
         std::printf("%s\n", table.ToString().c_str());
     }
 
-    if (opts.tlb_entries > 0) {
+    if (opts.tlb) {
         ATUM_SPAN("report", "tlb");
         StageTimer timer("report.tlb_us");
-        tlbsim::TlbSim sim({.entries = opts.tlb_entries});
-        for (const auto& r : records)
-            sim.Feed(r);
-        std::printf("tlb %u entries: accesses=%llu miss-rate=%.3f%%\n",
-                    opts.tlb_entries,
-                    static_cast<unsigned long long>(sim.stats().accesses),
-                    100.0 * sim.stats().MissRate());
+        const tlbsim::TlbSimStats stats = replay_one(*opts.tlb).tlb_stats;
+        const tlbsim::TlbSimConfig& tlb = opts.tlb->tlb;
+        std::string geometry = std::to_string(tlb.entries) + " entries";
+        if (tlb.ways != 0)
+            geometry += ", " + std::to_string(tlb.ways) + "-way";
+        std::printf("tlb %s: accesses=%llu miss-rate=%.3f%%\n",
+                    geometry.c_str(),
+                    static_cast<unsigned long long>(stats.accesses),
+                    100.0 * stats.MissRate());
     }
 
     if (opts.working_sets) {
@@ -460,18 +467,23 @@ ManifestConfig(const Options& opts)
         config.emplace_back("salvage", opts.salvage_out);
     if (opts.crosscheck)
         config.emplace_back("crosscheck", "1");
-    if (opts.have_cache)
-        config.emplace_back("cache", opts.cache_config.ToString());
+    if (opts.cache)
+        config.emplace_back("cache", opts.cache->label);
     std::string sweep;
-    for (const cache::CacheConfig& c : opts.sweep_configs) {
+    for (const replay::SweepConfig& job : opts.sweep) {
         if (!sweep.empty())
             sweep += ',';
-        sweep += c.ToString();
+        sweep += job.label;
     }
     if (!sweep.empty())
         config.emplace_back("sweep", sweep);
-    if (opts.tlb_entries > 0)
-        config.emplace_back("tlb_entries", std::to_string(opts.tlb_entries));
+    if (opts.tlb) {
+        config.emplace_back("tlb_entries",
+                            std::to_string(opts.tlb->tlb.entries));
+        if (opts.tlb->tlb.ways != 0)
+            config.emplace_back("tlb_ways",
+                                std::to_string(opts.tlb->tlb.ways));
+    }
     if (opts.working_sets)
         config.emplace_back("working_sets", "1");
     if (opts.stack_distance)

@@ -58,6 +58,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "cli.h"
 #include "io/posix.h"
 #include "io/stream.h"
 #include "obs/flight.h"
@@ -65,7 +66,6 @@
 #include "obs/spans.h"
 #include "serve/server.h"
 #include "serve/socket.h"
-#include "util/build_info.h"
 #include "util/logging.h"
 #include "util/signals.h"
 #include "util/status.h"
@@ -74,15 +74,6 @@ namespace atum {
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
-
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-serve: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
 
 struct Options {
     serve::ServeConfig config;
@@ -96,67 +87,52 @@ ParseArgs(int argc, char** argv)
 {
     Options opts;
     opts.config.dir.clear();
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
-        auto next_u64 = [&] {
-            return std::strtoull(next().c_str(), nullptr, 0);
-        };
+    cli::ArgReader args("atum-serve", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--dir")
-            opts.config.dir = next();
+            opts.config.dir = args.Value();
         else if (arg == "--socket")
-            opts.socket_path = next();
+            opts.socket_path = args.Value();
         else if (arg == "--workers")
-            opts.config.workers = static_cast<unsigned>(next_u64());
+            opts.config.workers = args.Uint<unsigned>();
         else if (arg == "--max-queue")
-            opts.config.admission.max_queue_depth =
-                static_cast<uint32_t>(next_u64());
+            opts.config.admission.max_queue_depth = args.Uint<uint32_t>();
         else if (arg == "--max-per-tenant")
-            opts.config.admission.max_per_tenant =
-                static_cast<uint32_t>(next_u64());
+            opts.config.admission.max_per_tenant = args.Uint<uint32_t>();
         else if (arg == "--default-max-instructions")
-            opts.config.admission.default_max_instructions = next_u64();
+            opts.config.admission.default_max_instructions =
+                args.Uint<uint64_t>();
         else if (arg == "--max-instructions-cap")
-            opts.config.admission.max_instructions_cap = next_u64();
+            opts.config.admission.max_instructions_cap = args.Uint<uint64_t>();
         else if (arg == "--max-trace-bytes-cap")
-            opts.config.admission.max_trace_bytes_cap = next_u64();
+            opts.config.admission.max_trace_bytes_cap = args.Uint<uint64_t>();
         else if (arg == "--watchdog-ucycles")
-            opts.config.watchdog_ucycles = next_u64();
+            opts.config.watchdog_ucycles = args.Uint<uint64_t>();
         else if (arg == "--checkpoint-every-fills")
-            opts.config.checkpoint_every_fills = next_u64();
+            opts.config.checkpoint_every_fills = args.Uint<uint64_t>();
         else if (arg == "--keep-checkpoints")
-            opts.config.keep_checkpoints =
-                static_cast<uint32_t>(next_u64());
+            opts.config.keep_checkpoints = args.Uint<uint32_t>();
         else if (arg == "--max-connections")
-            opts.governor.max_connections =
-                static_cast<uint32_t>(next_u64());
+            opts.governor.max_connections = args.Uint<uint32_t>();
         else if (arg == "--max-conns-per-tenant")
-            opts.governor.max_per_tenant =
-                static_cast<uint32_t>(next_u64());
+            opts.governor.max_per_tenant = args.Uint<uint32_t>();
         else if (arg == "--conn-idle-ms")
-            opts.governor.idle_timeout_ms = next_u64();
+            opts.governor.idle_timeout_ms = args.Uint<uint64_t>();
         else if (arg == "--trace-out")
-            opts.trace_out = next();
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-serve").c_str());
-            std::exit(util::kExitOk);
-        }
+            opts.trace_out = args.Value();
         else
-            UsageError("unknown argument: ", arg);
+            args.Fail("unknown argument: ", arg);
     }
     if (opts.config.dir.empty())
-        UsageError("usage: atum-serve --dir DIR [--socket PATH] "
-                   "[--workers N] [--max-queue N] ...");
+        args.Fail("usage: atum-serve --dir DIR [--socket PATH] "
+                  "[--workers N] [--max-queue N] ...");
     if (opts.config.workers == 0)
-        UsageError("--workers must be >= 1 (0 is the in-process drill "
-                   "mode, not a daemon)");
+        args.Fail("--workers must be >= 1 (0 is the in-process drill "
+                  "mode, not a daemon)");
     if (opts.governor.max_connections == 0 ||
         opts.governor.max_per_tenant == 0)
-        UsageError("connection caps must be >= 1");
+        args.Fail("connection caps must be >= 1");
     if (opts.socket_path.empty())
         opts.socket_path = opts.config.dir + "/serve.sock";
     return opts;

@@ -35,7 +35,9 @@
 // to evict it with a structured unavailable answer.
 //
 // `sweep` replays a finished capture's trace across many simulator
-// configs. Each --config is the compact form `kind[:key=val]...`, e.g.
+// configs. Each --config is one spec in the replay-config grammar
+// (replay/config_spec.h): `kind[:key=val]...` or the cache alias
+// `SIZE_KB:BLOCK:ASSOC`, e.g.
 //   --config cache:size_kb=128:assoc=2 --config tlb:entries=32:ways=4
 // With --wait, each config's result row streams to stdout as a JSONL
 // line the moment the daemon completes (and journals) it — a sweep
@@ -72,12 +74,13 @@
 
 #include <unistd.h>
 
+#include "cli.h"
 #include "io/posix.h"
 #include "io/stream.h"
 
+#include "replay/config_spec.h"
 #include "serve/protocol.h"
 #include "serve/socket.h"
-#include "util/build_info.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/signals.h"
@@ -85,15 +88,6 @@
 
 namespace atum {
 namespace {
-
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-submit: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
 
 struct Options {
     std::string socket_path;
@@ -134,65 +128,54 @@ ParseArgs(int argc, char** argv)
 {
     Options opts;
     bool have_op = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
-        auto next_u64 = [&] {
-            return std::strtoull(next().c_str(), nullptr, 0);
-        };
+    cli::ArgReader args("atum-submit", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--socket")
-            opts.socket_path = next();
+            opts.socket_path = args.Value();
         else if (arg == "--tenant")
-            opts.request.tenant = next();
+            opts.request.tenant = args.Value();
         else if (arg == "--workload")
-            opts.request.workload = next();
+            opts.request.workload = args.Value();
         else if (arg == "--scale")
-            opts.request.scale = static_cast<uint32_t>(next_u64());
+            opts.request.scale = args.Uint<uint32_t>();
         else if (arg == "--max-instructions")
-            opts.request.quota.max_instructions = next_u64();
+            opts.request.quota.max_instructions = args.Uint<uint64_t>();
         else if (arg == "--max-trace-bytes")
-            opts.request.quota.max_trace_bytes = next_u64();
+            opts.request.quota.max_trace_bytes = args.Uint<uint64_t>();
         else if (arg == "--deadline-ms")
-            opts.request.quota.deadline_ms = next_u64();
+            opts.request.quota.deadline_ms = args.Uint<uint64_t>();
         else if (arg == "--id") {
-            opts.request.id = next_u64();
+            opts.request.id = args.Uint<uint64_t>();
             opts.request.has_id = true;
         }
         else if (arg == "--wait")
             opts.wait = true;
         else if (arg == "--wait-timeout-ms")
-            opts.wait_timeout_ms = next_u64();
+            opts.wait_timeout_ms = args.Uint<uint64_t>();
         else if (arg == "--of")
-            opts.request.sweep_of = next_u64();
+            opts.request.sweep_of = args.Uint<uint64_t>();
         else if (arg == "--config") {
-            util::StatusOr<serve::SweepConfigSpec> spec =
-                serve::ParseSweepConfigSpecText(next());
+            util::StatusOr<replay::ConfigSpec> spec =
+                replay::ParseConfigSpecText(args.Value());
             if (!spec.ok())
-                UsageError("--config: ", spec.status().message());
+                args.Fail("--config: ", spec.status().message());
             opts.request.sweep_configs.push_back(std::move(*spec));
         }
         else if (arg == "--sweep-timeout-ms")
-            opts.request.sweep_timeout_ms = next_u64();
+            opts.request.sweep_timeout_ms = args.Uint<uint64_t>();
         else if (arg == "--sweep-retries")
-            opts.request.sweep_retries = next_u64();
+            opts.request.sweep_retries = args.Uint<uint64_t>();
         else if (arg == "--token")
-            opts.request.client_token = next();
+            opts.request.client_token = args.Value();
         else if (arg == "--retries")
-            opts.retries = static_cast<uint32_t>(next_u64());
+            opts.retries = args.Uint<uint32_t>();
         else if (arg == "--retry-base-ms")
-            opts.retry_base_ms = next_u64();
+            opts.retry_base_ms = args.Uint<uint64_t>();
         else if (arg == "--retry-budget-ms")
-            opts.retry_budget_ms = next_u64();
+            opts.retry_budget_ms = args.Uint<uint64_t>();
         else if (arg == "--hold-ms")
-            opts.hold_ms = next_u64();
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-submit").c_str());
-            std::exit(util::kExitOk);
-        }
+            opts.hold_ms = args.Uint<uint64_t>();
         else if (!have_op && !arg.empty() && arg[0] != '-') {
             have_op = true;
             if (arg == "ping")
@@ -214,25 +197,25 @@ ParseArgs(int argc, char** argv)
             else if (arg == "probe-slow")
                 opts.probe_slow = true;
             else
-                UsageError("unknown operation: ", arg);
+                args.Fail("unknown operation: ", arg);
         }
         else
-            UsageError("unknown argument: ", arg);
+            args.Fail("unknown argument: ", arg);
     }
     if (opts.socket_path.empty())
-        UsageError("usage: atum-submit --socket PATH "
-                   "submit|status|cancel|ping|metrics|drain [flags]");
+        args.Fail("usage: atum-submit --socket PATH "
+                  "submit|status|cancel|ping|metrics|drain [flags]");
     if (!have_op)
-        UsageError("an operation is required "
-                   "(submit|sweep|status|cancel|ping|metrics|drain)");
+        args.Fail("an operation is required "
+                  "(submit|sweep|status|cancel|ping|metrics|drain)");
     if (opts.request.op == serve::RequestOp::kCancel &&
         !opts.request.has_id)
-        UsageError("cancel requires --id");
+        args.Fail("cancel requires --id");
     if (opts.request.op == serve::RequestOp::kSweep) {
         if (opts.request.sweep_of == 0)
-            UsageError("sweep requires --of (the finished job id)");
+            args.Fail("sweep requires --of (the finished job id)");
         if (opts.request.sweep_configs.empty())
-            UsageError("sweep requires at least one --config SPEC");
+            args.Fail("sweep requires at least one --config SPEC");
     }
     if (opts.request.op == serve::RequestOp::kSubmit &&
         !opts.probe_garbage && !opts.probe_slow) {

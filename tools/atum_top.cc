@@ -38,8 +38,8 @@
 #include <thread>
 #include <vector>
 
+#include "cli.h"
 #include "io/vfs.h"
-#include "util/build_info.h"
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/signals.h"
@@ -49,16 +49,6 @@ namespace atum {
 namespace {
 
 volatile std::sig_atomic_t g_stop = 0;
-
-/** Command-line mistakes exit with the usage code, not Fatal's 1. */
-template <typename... Args>
-[[noreturn]] void
-UsageError(Args&&... args)
-{
-    std::fprintf(stderr, "atum-top: %s\n",
-                 internal::StrCat(std::forward<Args>(args)...).c_str());
-    std::exit(util::kExitUsage);
-}
 
 struct Options {
     std::string path;
@@ -71,33 +61,25 @@ Options
 ParseArgs(int argc, char** argv)
 {
     Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc)
-                UsageError(arg, " requires a value");
-            return argv[++i];
-        };
+    cli::ArgReader args("atum-top", argc, argv);
+    while (args.Next()) {
+        const std::string& arg = args.arg();
         if (arg == "--interval-ms")
-            opts.interval_ms = std::strtoull(next().c_str(), nullptr, 0);
+            opts.interval_ms = args.Uint<uint64_t>();
         else if (arg == "--once")
             opts.once = true;
         else if (arg == "--serve") {
             opts.serve = true;
-            opts.path = next();
-        }
-        else if (arg == "--version") {
-            std::printf("%s\n", util::VersionString("atum-top").c_str());
-            std::exit(util::kExitOk);
+            opts.path = args.Value();
         }
         else if (!arg.empty() && arg[0] != '-')
             opts.path = arg;
         else
-            UsageError("unknown argument: ", arg);
+            args.Fail("unknown argument: ", arg);
     }
     if (opts.path.empty())
-        UsageError("usage: atum-top METRICS.jsonl | --serve DIR "
-                   "[--interval-ms N] [--once]");
+        args.Fail("usage: atum-top METRICS.jsonl | --serve DIR "
+                  "[--interval-ms N] [--once]");
     return opts;
 }
 
