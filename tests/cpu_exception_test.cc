@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "assembler/assembler.h"
@@ -205,6 +206,306 @@ TEST_F(ExceptionTest, ReservedOperandVectors)
     EXPECT_EQ(m().memory().Read32(kMark0), 77u);
 }
 
+// --- Operand-specifier legality -----------------------------------------
+//
+// One hand-assembled instruction per case, run on a fresh machine with
+// r1 = 0, r2 = kSpecData and a small data image around kSpecData. Every
+// SCB vector points at its own stub, which stores the vector number at
+// kMark0 and halts, so a case asserts either the vector taken (with the
+// rolled-back registers and the restart PC on the kernel stack) or the
+// operand value and the register side effects of a completed instruction.
+
+constexpr uint32_t kSpecCode = 0x1000;
+constexpr uint32_t kSpecData = 0x6000;
+constexpr uint32_t kSpecStubs = 0x2000;
+constexpr uint32_t kNoVector = 0xffffffffu;
+
+struct SpecCase {
+    std::string name;
+    std::vector<uint8_t> code;  ///< one instruction; zero bytes (HALT) follow
+    uint32_t vector;            ///< ExcVector taken, or kNoVector
+    uint32_t r1;
+    uint32_t r2;
+    uint32_t mem_addr = 0;      ///< a longword to check, if nonzero
+    uint32_t mem_value = 0;
+};
+
+std::vector<uint8_t>
+Bytes(std::initializer_list<uint32_t> parts)
+{
+    std::vector<uint8_t> out;
+    for (uint32_t p : parts)
+        out.push_back(static_cast<uint8_t>(p));
+    return out;
+}
+
+std::vector<uint8_t>
+Le32(uint32_t v)
+{
+    return Bytes({v, v >> 8, v >> 16, v >> 24});
+}
+
+std::vector<uint8_t>
+Cat(std::initializer_list<std::vector<uint8_t>> parts)
+{
+    std::vector<uint8_t> out;
+    for (const auto& p : parts)
+        out.insert(out.end(), p.begin(), p.end());
+    return out;
+}
+
+uint8_t
+Op(Opcode op)
+{
+    return static_cast<uint8_t>(op);
+}
+
+uint8_t
+Sp(isa::AddrMode mode, unsigned reg)
+{
+    return isa::SpecifierByte(mode, reg);
+}
+
+void
+RunSpecCase(const SpecCase& c)
+{
+    SCOPED_TRACE(c.name);
+    Machine::Config config;
+    config.mem_bytes = 256 * kPageBytes;
+    Machine m(config);
+    m.WriteIpr(isa::Ipr::kScbb, kScb);
+    m.WriteIpr(isa::Ipr::kKsp, kKernelStackTop);
+    for (uint32_t v = 0; v < static_cast<uint32_t>(ExcVector::kNumVectors);
+         ++v) {
+        Assembler stub(kSpecStubs + 0x10 * v);
+        stub.Emit(Opcode::kMovl, {Imm(v), Abs(kMark0)});
+        stub.Emit(Opcode::kHalt);
+        const Program p = stub.Finish();
+        m.memory().WriteBlock(p.origin, p.bytes.data(), p.size());
+        m.memory().Write32(kScb + 4 * v, p.origin);
+    }
+    m.memory().Write32(kMark0, kNoVector);
+    m.memory().Write32(kSpecData - 4, 0xa0a1a2a3);
+    m.memory().Write32(kSpecData, 0x11223344);
+    m.memory().Write32(kSpecData + 4, 0x55667788);
+    m.memory().Write32(kSpecData + 8, kSpecData + 0x10);  // a pointer
+    m.memory().Write32(kSpecData + 0x10, 0x99aabbcc);
+    m.memory().WriteBlock(kSpecCode, c.code.data(), c.code.size());
+    m.set_reg(1, 0);
+    m.set_reg(2, kSpecData);
+    m.set_pc(kSpecCode);
+
+    ASSERT_EQ(m.Run(100).reason, Machine::StopReason::kHalted);
+    EXPECT_EQ(m.memory().Read32(kMark0), c.vector);
+    if (c.vector != kNoVector) {
+        // The fault frame restarts the instruction itself.
+        EXPECT_EQ(m.reg(isa::kRegSp), kKernelStackTop - 8);
+        EXPECT_EQ(m.memory().Read32(kKernelStackTop - 8), kSpecCode);
+    } else {
+        EXPECT_EQ(m.pc(), kSpecCode + c.code.size() + 1);  // past the HALT
+    }
+    EXPECT_EQ(m.reg(1), c.r1);
+    EXPECT_EQ(m.reg(2), c.r2);
+    if (c.mem_addr != 0) {
+        EXPECT_EQ(m.memory().Read32(c.mem_addr), c.mem_value);
+    }
+}
+
+TEST(SpecifierLegality, EveryModeAndAccessClass)
+{
+    using isa::AddrMode;
+    constexpr uint32_t kRo = static_cast<uint32_t>(ExcVector::kReservedOperand);
+    constexpr uint32_t kNone = kNoVector;
+    constexpr uint32_t d = kSpecData;
+    const uint8_t r1 = Sp(AddrMode::kReg, 1);
+    const uint8_t movl = Op(Opcode::kMovl);
+    const uint8_t movb = Op(Opcode::kMovb);
+    const uint8_t movw = Op(Opcode::kMovw);
+    const uint8_t clrl = Op(Opcode::kClrl);
+    const uint8_t incl = Op(Opcode::kIncl);
+    const uint8_t moval = Op(Opcode::kMoval);
+
+    // Read (movl/movb/movw SPEC, r1), write (clrl SPEC), modify
+    // (incl SPEC) and address (moval SPEC, r1) for each mode.
+    std::vector<SpecCase> cases = {
+        // Rn: no address.
+        {"reg/read", Bytes({movl, Sp(AddrMode::kReg, 2), r1}), kNone, d, d},
+        {"reg/write", Bytes({clrl, Sp(AddrMode::kReg, 2)}), kNone, 0, 0},
+        {"reg/modify", Bytes({incl, Sp(AddrMode::kReg, 2)}), kNone, 0, d + 1},
+        {"reg/address", Bytes({moval, Sp(AddrMode::kReg, 2), r1}), kRo, 0, d},
+        {"reg/read-byte-merges",
+         Bytes({movb, Sp(AddrMode::kRegDef, 2), Sp(AddrMode::kReg, 2)}),
+         kNone, 0, (d & ~0xffu) | 0x44},
+
+        // (Rn)
+        {"regdef/read", Bytes({movl, Sp(AddrMode::kRegDef, 2), r1}), kNone,
+         0x11223344, d},
+        {"regdef/write", Bytes({clrl, Sp(AddrMode::kRegDef, 2)}), kNone, 0, d,
+         d, 0},
+        {"regdef/modify", Bytes({incl, Sp(AddrMode::kRegDef, 2)}), kNone, 0,
+         d, d, 0x11223345},
+        {"regdef/address", Bytes({moval, Sp(AddrMode::kRegDef, 2), r1}),
+         kNone, d, d},
+
+        // (Rn)+ steps by the operand size, once, for every access class.
+        {"autoinc/read-long", Bytes({movl, Sp(AddrMode::kAutoInc, 2), r1}),
+         kNone, 0x11223344, d + 4},
+        {"autoinc/read-byte", Bytes({movb, Sp(AddrMode::kAutoInc, 2), r1}),
+         kNone, 0x44, d + 1},
+        {"autoinc/read-word", Bytes({movw, Sp(AddrMode::kAutoInc, 2), r1}),
+         kNone, 0x3344, d + 2},
+        {"autoinc/write", Bytes({clrl, Sp(AddrMode::kAutoInc, 2)}), kNone, 0,
+         d + 4, d, 0},
+        {"autoinc/modify", Bytes({incl, Sp(AddrMode::kAutoInc, 2)}), kNone, 0,
+         d + 4, d, 0x11223345},
+        {"autoinc/address", Bytes({moval, Sp(AddrMode::kAutoInc, 2), r1}),
+         kNone, d, d + 4},
+        {"autoinc-pc/read", Bytes({movl, Sp(AddrMode::kAutoInc, 15), r1}),
+         kRo, 0, d},
+        {"autoinc-pc/write", Bytes({clrl, Sp(AddrMode::kAutoInc, 15)}), kRo,
+         0, d},
+        {"autoinc-pc/modify", Bytes({incl, Sp(AddrMode::kAutoInc, 15)}), kRo,
+         0, d},
+        {"autoinc-pc/address", Bytes({moval, Sp(AddrMode::kAutoInc, 15), r1}),
+         kRo, 0, d},
+
+        // -(Rn)
+        {"autodec/read-long", Bytes({movl, Sp(AddrMode::kAutoDec, 2), r1}),
+         kNone, 0xa0a1a2a3, d - 4},
+        {"autodec/read-byte", Bytes({movb, Sp(AddrMode::kAutoDec, 2), r1}),
+         kNone, 0xa0, d - 1},
+        {"autodec/read-word", Bytes({movw, Sp(AddrMode::kAutoDec, 2), r1}),
+         kNone, 0xa0a1, d - 2},
+        {"autodec/write", Bytes({clrl, Sp(AddrMode::kAutoDec, 2)}), kNone, 0,
+         d - 4, d - 4, 0},
+        {"autodec/modify", Bytes({incl, Sp(AddrMode::kAutoDec, 2)}), kNone, 0,
+         d - 4, d - 4, 0xa0a1a2a4},
+        {"autodec/address", Bytes({moval, Sp(AddrMode::kAutoDec, 2), r1}),
+         kNone, d - 4, d - 4},
+        {"autodec-pc/read", Bytes({movl, Sp(AddrMode::kAutoDec, 15), r1}),
+         kRo, 0, d},
+        {"autodec-pc/write", Bytes({clrl, Sp(AddrMode::kAutoDec, 15)}), kRo,
+         0, d},
+        {"autodec-pc/modify", Bytes({incl, Sp(AddrMode::kAutoDec, 15)}), kRo,
+         0, d},
+        {"autodec-pc/address", Bytes({moval, Sp(AddrMode::kAutoDec, 15), r1}),
+         kRo, 0, d},
+
+        // d8(Rn), sign-extended; PC-based uses the PC past the displacement.
+        {"disp8/read", Bytes({movl, Sp(AddrMode::kDisp8, 2), 4, r1}), kNone,
+         0x55667788, d},
+        {"disp8/read-negative", Bytes({movl, Sp(AddrMode::kDisp8, 2), 0xfc, r1}),
+         kNone, 0xa0a1a2a3, d},
+        {"disp8/write", Bytes({clrl, Sp(AddrMode::kDisp8, 2), 4}), kNone, 0, d,
+         d + 4, 0},
+        {"disp8/modify", Bytes({incl, Sp(AddrMode::kDisp8, 2), 4}), kNone, 0,
+         d, d + 4, 0x55667789},
+        {"disp8/address", Bytes({moval, Sp(AddrMode::kDisp8, 2), 4, r1}),
+         kNone, d + 4, d},
+        {"disp8-pc/address", Bytes({moval, Sp(AddrMode::kDisp8, 15), 0x10, r1}),
+         kNone, kSpecCode + 3 + 0x10, d},
+
+        // d32(Rn)
+        {"disp32/read",
+         Cat({Bytes({movl, Sp(AddrMode::kDisp32, 2)}), Le32(8), Bytes({r1})}),
+         kNone, d + 0x10, d},
+        {"disp32/write", Cat({Bytes({clrl, Sp(AddrMode::kDisp32, 2)}), Le32(4)}),
+         kNone, 0, d, d + 4, 0},
+        {"disp32/modify",
+         Cat({Bytes({incl, Sp(AddrMode::kDisp32, 2)}), Le32(4)}), kNone, 0, d,
+         d + 4, 0x55667789},
+        {"disp32/address",
+         Cat({Bytes({moval, Sp(AddrMode::kDisp32, 2)}), Le32(0x100),
+              Bytes({r1})}),
+         kNone, d + 0x100, d},
+        {"disp32-pc/address",
+         Cat({Bytes({moval, Sp(AddrMode::kDisp32, 15)}), Le32(0x20),
+              Bytes({r1})}),
+         kNone, kSpecCode + 6 + 0x20, d},
+
+        // @d32(Rn): one indirection through memory.
+        {"disp32def/read",
+         Cat({Bytes({movl, Sp(AddrMode::kDisp32Def, 2)}), Le32(8),
+              Bytes({r1})}),
+         kNone, 0x99aabbcc, d},
+        {"disp32def/write",
+         Cat({Bytes({clrl, Sp(AddrMode::kDisp32Def, 2)}), Le32(8)}), kNone, 0,
+         d, d + 0x10, 0},
+        {"disp32def/modify",
+         Cat({Bytes({incl, Sp(AddrMode::kDisp32Def, 2)}), Le32(8)}), kNone, 0,
+         d, d + 0x10, 0x99aabbcd},
+        {"disp32def/address",
+         Cat({Bytes({moval, Sp(AddrMode::kDisp32Def, 2)}), Le32(8),
+              Bytes({r1})}),
+         kNone, d + 0x10, d},
+
+        // #literal: read only; the extension is operand-sized.
+        {"imm/read-long",
+         Cat({Bytes({movl, Sp(AddrMode::kImm, 0)}), Le32(0xdeadbeef),
+              Bytes({r1})}),
+         kNone, 0xdeadbeef, d},
+        {"imm/read-byte", Bytes({movb, Sp(AddrMode::kImm, 0), 0x7f, r1}),
+         kNone, 0x7f, d},
+        {"imm/read-word", Bytes({movw, Sp(AddrMode::kImm, 0), 0x34, 0x12, r1}),
+         kNone, 0x1234, d},
+        {"imm/write", Cat({Bytes({clrl, Sp(AddrMode::kImm, 0)}), Le32(1)}),
+         kRo, 0, d},
+        {"imm/modify", Cat({Bytes({incl, Sp(AddrMode::kImm, 0)}), Le32(1)}),
+         kRo, 0, d},
+        {"imm/address",
+         Cat({Bytes({moval, Sp(AddrMode::kImm, 0)}), Le32(1), Bytes({r1})}),
+         kRo, 0, d},
+
+        // @#address
+        {"abs/read",
+         Cat({Bytes({movl, Sp(AddrMode::kAbs, 0)}), Le32(d + 4), Bytes({r1})}),
+         kNone, 0x55667788, d},
+        {"abs/write", Cat({Bytes({clrl, Sp(AddrMode::kAbs, 0)}), Le32(d + 4)}),
+         kNone, 0, d, d + 4, 0},
+        {"abs/modify", Cat({Bytes({incl, Sp(AddrMode::kAbs, 0)}), Le32(d + 4)}),
+         kNone, 0, d, d + 4, 0x55667789},
+        {"abs/address",
+         Cat({Bytes({moval, Sp(AddrMode::kAbs, 0)}), Le32(d + 4),
+              Bytes({r1})}),
+         kNone, d + 4, d},
+
+        // An earlier operand's autoincrement/decrement and its memory read
+        // are rolled back when a later specifier faults.
+        {"rollback/autoinc-then-reserved-mode",
+         Bytes({movl, Sp(AddrMode::kAutoInc, 2), 0x92}), kRo, 0, d},
+        {"rollback/autoinc-then-imm-write",
+         Cat({Bytes({movl, Sp(AddrMode::kAutoInc, 2), Sp(AddrMode::kImm, 0)}),
+              Le32(5)}),
+         kRo, 0, d},
+        {"rollback/autodec-then-imm-modify",
+         Cat({Bytes({Op(Opcode::kAddl2), Sp(AddrMode::kAutoDec, 2),
+                     Sp(AddrMode::kImm, 0)}),
+              Le32(1)}),
+         kRo, 0, d, d - 4, 0xa0a1a2a3},
+        {"rollback/autoinc-then-autoinc-pc",
+         Bytes({Op(Opcode::kAddl3), Sp(AddrMode::kAutoInc, 2),
+                Sp(AddrMode::kAutoInc, 2), Sp(AddrMode::kAutoInc, 15)}),
+         kRo, 0, d},
+        {"rollback/autoinc-then-reg-address",
+         Bytes({Op(Opcode::kMovc3), Sp(AddrMode::kAutoInc, 2),
+                Sp(AddrMode::kReg, 3), Sp(AddrMode::kReg, 4)}),
+         kRo, 0, d},
+    };
+
+    // Mode bits 9..15 are reserved for every access class.
+    for (unsigned mode = isa::kNumAddrModes; mode < 16; ++mode) {
+        const uint8_t spec = static_cast<uint8_t>(mode << 4 | 2);
+        const std::string m = "mode" + std::to_string(mode);
+        cases.push_back({m + "/read", Bytes({movl, spec, r1}), kRo, 0, d});
+        cases.push_back({m + "/write", Bytes({clrl, spec}), kRo, 0, d});
+        cases.push_back({m + "/modify", Bytes({incl, spec}), kRo, 0, d});
+        cases.push_back({m + "/address", Bytes({moval, spec, r1}), kRo, 0, d});
+    }
+
+    for (const SpecCase& c : cases)
+        RunSpecCase(c);
+}
+
 TEST_F(ExceptionTest, DivideByZeroTraps)
 {
     DefaultVectors();
@@ -252,6 +553,95 @@ TEST_F(ExceptionTest, TimerInterruptFiresAndReturns)
     m().set_pc(0x1000);
     ASSERT_EQ(m().Run(100000).reason, Machine::StopReason::kHalted);
     EXPECT_GE(m().memory().Read32(kMark0), 15u);
+}
+
+TEST(InterruptPriority, PendingLatchesDeliverByIplMask)
+{
+    constexpr uint32_t kHandlers = 0x2000;
+    const ExcVector kDma = ExcVector::kDmaDone;
+    const ExcVector kTimer = ExcVector::kTimer;
+    const ExcVector kSoft = ExcVector::kSoftware;
+
+    // At each IPL, the interrupts deliverable there (in priority order),
+    // then those left pending, delivered once IPL drops to 0.
+    struct Level {
+        uint8_t ipl;
+        std::vector<ExcVector> delivered;
+        std::vector<ExcVector> still_pending;
+    };
+    const std::vector<Level> levels = {
+        {0, {kDma, kTimer, kSoft}, {}},
+        {4, {kDma, kTimer}, {kSoft}},
+        {20, {kDma}, {kTimer, kSoft}},
+        {21, {}, {kDma, kTimer, kSoft}},
+    };
+
+    for (const Level& level : levels) {
+        SCOPED_TRACE("ipl " + std::to_string(level.ipl));
+        Machine::Config config;
+        config.mem_bytes = 256 * kPageBytes;
+        Machine m(config);
+        m.WriteIpr(isa::Ipr::kScbb, kScb);
+        m.WriteIpr(isa::Ipr::kKsp, kKernelStackTop);
+        // Every handler and the main code are NOPs: a step either takes
+        // one interrupt (landing on its handler) or retires one NOP.
+        for (uint32_t a = 0; a < 0x100; ++a) {
+            m.memory().Write8(0x1000 + a, static_cast<uint8_t>(Opcode::kNop));
+            m.memory().Write8(kHandlers + a,
+                              static_cast<uint8_t>(Opcode::kNop));
+        }
+        for (uint32_t v = 0; v < static_cast<uint32_t>(ExcVector::kNumVectors);
+             ++v) {
+            m.memory().Write32(kScb + 4 * v, kHandlers + 0x10 * v);
+        }
+        auto handler_of = [&](ExcVector v) {
+            return kHandlers + 0x10 * static_cast<uint32_t>(v);
+        };
+
+        // Latch all three at IPL 31: a software request now, a clock
+        // tick after the first instruction, DMA completion after nine.
+        m.psl().ipl = 31;
+        m.set_pc(0x1000);
+        m.WriteIpr(isa::Ipr::kSirr, 1);
+        m.WriteIpr(isa::Ipr::kIcr, 1);
+        m.WriteIpr(isa::Ipr::kIccs, 1);
+        m.WriteIpr(isa::Ipr::kDmaSrc, 0x6000);
+        m.WriteIpr(isa::Ipr::kDmaDst, 0x6100);
+        m.WriteIpr(isa::Ipr::kDmaLen, 4);
+        m.WriteIpr(isa::Ipr::kDmaCtl, 1);
+        for (int i = 0; i < 12; ++i) {
+            m.StepOne();
+            ASSERT_FALSE(m.LastStepFaulted());
+        }
+        ASSERT_EQ(m.ReadIpr(isa::Ipr::kDmaCtl), 0u);  // transfer complete
+        m.WriteIpr(isa::Ipr::kIccs, 0);  // stop the clock; its latch stays
+        const uint64_t icount = m.icount();
+
+        // Deliveries at this level: each raises IPL to 31, so the test
+        // drops it back before every step, until a step retires a NOP.
+        for (ExcVector v : level.delivered) {
+            m.psl().ipl = level.ipl;
+            m.StepOne();
+            ASSERT_TRUE(m.LastStepFaulted());
+            EXPECT_EQ(m.pc(), handler_of(v));
+        }
+        m.psl().ipl = level.ipl;
+        m.StepOne();
+        EXPECT_FALSE(m.LastStepFaulted());
+        EXPECT_EQ(m.icount(), icount + 1);  // deliveries retire nothing
+
+        // What stayed pending is delivered at IPL 0, highest first.
+        for (ExcVector v : level.still_pending) {
+            m.psl().ipl = 0;
+            m.StepOne();
+            ASSERT_TRUE(m.LastStepFaulted());
+            EXPECT_EQ(m.pc(), handler_of(v));
+        }
+        m.psl().ipl = 0;
+        m.StepOne();
+        EXPECT_FALSE(m.LastStepFaulted());
+        EXPECT_EQ(m.icount(), icount + 2);
+    }
 }
 
 TEST_F(ExceptionTest, PageFaultRestartRollsBackAutoincrement)
