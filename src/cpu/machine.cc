@@ -35,6 +35,7 @@ Psl::FromWord(uint32_t w)
 Machine::Machine(const Config& config)
     : memory_(config.mem_bytes),
       mmu_(memory_, control_store_, config.tlb_sets, config.tlb_ways),
+      opcode_gates_(isa::OpcodeGates()),
       icr_reload_(config.timer_reload),
       icr_count_(config.timer_reload)
 {
@@ -59,12 +60,6 @@ Machine::set_reg(unsigned n, uint32_t v)
     regs_[n] = v;
     if (n == isa::kRegPc)
         InvalidateIBuf();
-}
-
-void
-Machine::set_pc(uint32_t pc)
-{
-    set_reg(isa::kRegPc, pc);
 }
 
 uint32_t
@@ -262,7 +257,10 @@ Machine::StepOne()
         return;
     last_step_faulted_ = false;
 
-    if (CheckInterrupts())
+    // The latches are tested here, inline; CheckInterrupts applies the
+    // IPL mask and priority only when one of them is set.
+    if ((dma_pending_ || timer_pending_ || software_pending_) &&
+        CheckInterrupts())
         return;  // interrupt dispatch consumed this step
 
     ExecuteInstruction();

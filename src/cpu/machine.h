@@ -118,7 +118,11 @@ class Machine
     uint32_t reg(unsigned n) const;
     void set_reg(unsigned n, uint32_t v);
     uint32_t pc() const { return regs_[isa::kRegPc]; }
-    void set_pc(uint32_t pc);
+    void set_pc(uint32_t pc)
+    {
+        regs_[isa::kRegPc] = pc;
+        InvalidateIBuf();
+    }
 
     Psl& psl() { return psl_; }
     const Psl& psl() const { return psl_; }
@@ -247,12 +251,12 @@ class Machine
     // --- implemented in executor.cc ---
     void ExecuteInstruction();
 
-    friend class Executor;        ///< the instruction executor (executor.cc)
-    friend class ExecutorAccess;  ///< test-only backdoor
+    friend class Executor;  ///< the instruction executor (executor.cc)
 
     PhysicalMemory memory_;
     ucode::ControlStore control_store_;
     mmu::Mmu mmu_;
+    const uint8_t* const opcode_gates_;  ///< isa::OpcodeGates()
 
     uint32_t regs_[isa::kNumRegs] = {};
     Psl psl_;

@@ -15,6 +15,21 @@
  * Out of line stay the slow paths: the prefetch refill
  * (Machine::RefillIBuf), the TB-miss walk (mmu::Mmu::Walk), the
  * physical-memory range panic and the patch routines themselves.
+ *
+ * The rest of the per-instruction work is fixed at compile time too, so
+ * no step makes an out-of-line call it does not need:
+ *  - executor.cc's operand helpers (Read, Write, Modify, Address and the
+ *    Locate/Load/Store halves) are templates on the data type, inlined
+ *    into each Dispatch case with these primitives. A read operand is one
+ *    call that decodes the specifier and reads it. The access checks
+ *    (reserved operand for an immediate outside a read, for a register
+ *    as an address) and the operand size are constants at each call.
+ *  - Dispatch gates an opcode with one byte of isa::OpcodeGates(), whose
+ *    pointer the Machine keeps, not through isa::GetInstrInfo.
+ *  - StepOne tests the three interrupt latches inline and calls
+ *    CheckInterrupts only when one is set.
+ *  - set_pc is inline (machine.h), and the patch's record builders
+ *    trace::FromMemAccess and MakeFlags are inline (trace/record.h).
  */
 
 #include "cpu/machine.h"

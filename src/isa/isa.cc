@@ -120,6 +120,7 @@ MakeEntries()
 
 struct Tables {
     std::array<InstrInfo, 256> info;
+    std::array<uint8_t, 256> gates{};
     std::vector<Opcode> assigned;
 
     Tables()
@@ -132,6 +133,8 @@ struct Tables {
                 Panic("duplicate opcode 0x", std::hex, idx);
             info[idx] = InstrInfo{e.mnemonic, std::move(e.operands),
                                   e.privileged, true};
+            gates[idx] = static_cast<uint8_t>(
+                kGateValid | (e.privileged ? kGatePrivileged : 0));
             assigned.push_back(e.op);
         }
     }
@@ -150,6 +153,12 @@ const InstrInfo&
 GetInstrInfo(Opcode op)
 {
     return GetTables().info[static_cast<size_t>(op)];
+}
+
+const uint8_t*
+OpcodeGates()
+{
+    return GetTables().gates.data();
 }
 
 const std::vector<Opcode>&

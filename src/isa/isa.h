@@ -180,6 +180,18 @@ inline const InstrInfo& GetInstrInfo(uint8_t raw)
     return GetInstrInfo(static_cast<Opcode>(raw));
 }
 
+/** Bits of an opcode's entry in the OpcodeGates() table. */
+inline constexpr uint8_t kGateValid = 0x1;       ///< an assigned opcode
+inline constexpr uint8_t kGatePrivileged = 0x2;  ///< legal in kernel mode only
+
+/**
+ * The execution gate of every opcode byte, as one flat 256-entry table
+ * of kGate* bits: GetInstrInfo's `valid` and `privileged`, built with it
+ * from the same opcode list. The interpreter keeps this pointer, so its
+ * gate check on every dispatch is a single byte load.
+ */
+const uint8_t* OpcodeGates();
+
 /** Returns all assigned opcodes (for table-driven tests). */
 const std::vector<Opcode>& AllOpcodes();
 

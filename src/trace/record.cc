@@ -4,51 +4,10 @@
 
 namespace atum::trace {
 
-uint8_t
-MakeFlags(bool kernel, uint8_t size_bytes)
+void
+PanicBadAccessSize(uint8_t size_bytes)
 {
-    uint8_t log2_size;
-    switch (size_bytes) {
-      case 1:
-        log2_size = 0;
-        break;
-      case 2:
-        log2_size = 1;
-        break;
-      case 4:
-        log2_size = 2;
-        break;
-      default:
-        Panic("unsupported access size ", unsigned{size_bytes});
-    }
-    return static_cast<uint8_t>((kernel ? kFlagKernel : 0) |
-                                (log2_size << 1));
-}
-
-Record
-FromMemAccess(const ucode::MemAccess& access)
-{
-    Record r;
-    r.addr = access.vaddr;
-    switch (access.kind) {
-      case ucode::MemAccessKind::kIFetch:
-        r.type = RecordType::kIFetch;
-        break;
-      case ucode::MemAccessKind::kRead:
-        r.type = RecordType::kRead;
-        break;
-      case ucode::MemAccessKind::kWrite:
-        r.type = RecordType::kWrite;
-        break;
-      case ucode::MemAccessKind::kPte:
-        r.type = RecordType::kPte;
-        break;
-      case ucode::MemAccessKind::kDma:
-        r.type = RecordType::kDma;
-        break;
-    }
-    r.flags = MakeFlags(access.kernel, access.size);
-    return r;
+    Panic("unsupported access size ", unsigned{size_bytes});
 }
 
 Record

@@ -59,11 +59,60 @@ struct Record {
 /** Serialized record size in the trace buffer and trace files. */
 inline constexpr uint32_t kRecordBytes = 8;
 
+/** Panics: `size_bytes` is not an access size (1, 2 or 4). */
+[[noreturn]] void PanicBadAccessSize(uint8_t size_bytes);
+
+// MakeFlags and FromMemAccess run on the patch path, once per traced
+// reference, so they are inline; the bad-size panic stays out of line.
+
 /** Builds the flags byte. */
-uint8_t MakeFlags(bool kernel, uint8_t size_bytes);
+inline uint8_t
+MakeFlags(bool kernel, uint8_t size_bytes)
+{
+    uint8_t log2_size;
+    switch (size_bytes) {
+      case 1:
+        log2_size = 0;
+        break;
+      case 2:
+        log2_size = 1;
+        break;
+      case 4:
+        log2_size = 2;
+        break;
+      default:
+        PanicBadAccessSize(size_bytes);
+    }
+    return static_cast<uint8_t>((kernel ? kFlagKernel : 0) |
+                                (log2_size << 1));
+}
 
 /** Converts a microcode-level memory access into a trace record. */
-Record FromMemAccess(const ucode::MemAccess& access);
+inline Record
+FromMemAccess(const ucode::MemAccess& access)
+{
+    Record r;
+    r.addr = access.vaddr;
+    switch (access.kind) {
+      case ucode::MemAccessKind::kIFetch:
+        r.type = RecordType::kIFetch;
+        break;
+      case ucode::MemAccessKind::kRead:
+        r.type = RecordType::kRead;
+        break;
+      case ucode::MemAccessKind::kWrite:
+        r.type = RecordType::kWrite;
+        break;
+      case ucode::MemAccessKind::kPte:
+        r.type = RecordType::kPte;
+        break;
+      case ucode::MemAccessKind::kDma:
+        r.type = RecordType::kDma;
+        break;
+    }
+    r.flags = MakeFlags(access.kernel, access.size);
+    return r;
+}
 
 /** Builds a context-switch marker record. */
 Record MakeCtxSwitch(uint16_t pid, uint32_t pcb_pa);

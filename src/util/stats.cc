@@ -1,54 +1,8 @@
 #include "util/stats.h"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
-#include "util/logging.h"
-
 namespace atum {
-
-void
-RunningStats::Add(double x)
-{
-    if (count_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    sum_sq_ += x * x;
-}
-
-double
-RunningStats::mean() const
-{
-    return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double
-RunningStats::min() const
-{
-    return count_ == 0 ? 0.0 : min_;
-}
-
-double
-RunningStats::max() const
-{
-    return count_ == 0 ? 0.0 : max_;
-}
-
-double
-RunningStats::stddev() const
-{
-    if (count_ < 2)
-        return 0.0;
-    const double n = static_cast<double>(count_);
-    const double var = std::max(0.0, sum_sq_ / n - (sum_ / n) * (sum_ / n));
-    return std::sqrt(var);
-}
 
 void
 Log2Histogram::Add(uint64_t x)
@@ -82,19 +36,6 @@ Log2Histogram::ToString() const
         os << "[" << lo << ", " << hi << "]: " << buckets_[i] << "\n";
     }
     return os.str();
-}
-
-void
-CounterSet::Add(const std::string& name, uint64_t delta)
-{
-    counters_[name] += delta;
-}
-
-uint64_t
-CounterSet::Get(const std::string& name) const
-{
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
 }
 
 }  // namespace atum

@@ -3,39 +3,14 @@
 
 /**
  * @file
- * Lightweight statistics accumulators used by the trace analyzers and the
- * benchmark harnesses.
+ * The power-of-two histogram behind the trace statistics (trace/stats.h).
  */
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 namespace atum {
-
-/** Accumulates count/mean/min/max/stddev of a stream of samples. */
-class RunningStats
-{
-  public:
-    /** Adds one sample. */
-    void Add(double x);
-
-    uint64_t count() const { return count_; }
-    double mean() const;
-    double min() const;
-    double max() const;
-    /** Population standard deviation; 0 with fewer than two samples. */
-    double stddev() const;
-    double sum() const { return sum_; }
-
-  private:
-    uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sum_sq_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * A power-of-two bucketed histogram for positive integer samples (for
@@ -58,26 +33,6 @@ class Log2Histogram
   private:
     std::vector<uint64_t> buckets_;
     uint64_t count_ = 0;
-};
-
-/** A named counter set, rendered sorted by name (used by trace stats). */
-class CounterSet
-{
-  public:
-    /** Adds `delta` to counter `name`, creating it at zero if absent. */
-    void Add(const std::string& name, uint64_t delta = 1);
-
-    /** Returns the counter value, or 0 if never touched. */
-    uint64_t Get(const std::string& name) const;
-
-    /** All counters, sorted by name. */
-    const std::map<std::string, uint64_t>& counters() const
-    {
-        return counters_;
-    }
-
-  private:
-    std::map<std::string, uint64_t> counters_;
 };
 
 }  // namespace atum

@@ -61,22 +61,4 @@ Table::ToString() const
     return os.str();
 }
 
-std::string
-Table::ToCsv() const
-{
-    std::ostringstream os;
-    auto emit_row = [&](const std::vector<std::string>& row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
-            if (c + 1 < row.size())
-                os << ",";
-        }
-        os << "\n";
-    };
-    emit_row(headers_);
-    for (const auto& row : rows_)
-        emit_row(row);
-    return os.str();
-}
-
 }  // namespace atum

@@ -35,9 +35,6 @@ class Table
     /** Renders with space-aligned columns and a header separator line. */
     std::string ToString() const;
 
-    /** Renders as comma-separated values (header row first). */
-    std::string ToCsv() const;
-
     size_t NumRows() const { return rows_.size(); }
 
   private:

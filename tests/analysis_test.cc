@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/compare.h"
-#include "analysis/mix.h"
 #include "analysis/stack_distance.h"
 #include "analysis/working_set.h"
 #include "mem/physical_memory.h"
@@ -87,29 +86,6 @@ TEST(PageOfHelper, UsesPageShift)
     EXPECT_EQ(PageOf(Ref(0)), 0u);
     EXPECT_EQ(PageOf(Ref(kPageBytes)), 1u);
     EXPECT_EQ(PageOf(Ref(kPageBytes - 1)), 0u);
-}
-
-TEST(Footprint, SplitsKernelAndUser)
-{
-    FootprintAnalyzer fp;
-    fp.Feed(MakeCtxSwitch(1, 0));
-    fp.Feed(Ref(0x0000));
-    fp.Feed(Ref(0x0200));
-    fp.Feed(Ref(0x80000000, /*kernel=*/true));
-    fp.Feed(MakeCtxSwitch(2, 0));
-    fp.Feed(Ref(0x0000));  // same page, different process
-    EXPECT_EQ(fp.total_pages(), 3u);
-    EXPECT_EQ(fp.user_pages(), 2u);
-    EXPECT_EQ(fp.kernel_pages(), 1u);
-    EXPECT_EQ(fp.per_pid().at(1).size(), 2u);
-    EXPECT_EQ(fp.per_pid().at(2).size(), 1u);
-}
-
-TEST(Footprint, PteExcluded)
-{
-    FootprintAnalyzer fp;
-    fp.Feed(Ref(0x3000, true, RecordType::kPte));
-    EXPECT_EQ(fp.total_pages(), 0u);
 }
 
 TEST(Compare, SimulateCacheCountsFilteredStream)

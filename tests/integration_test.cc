@@ -17,7 +17,6 @@
 
 #include "analysis/compare.h"
 #include "cache/hierarchy.h"
-#include "analysis/mix.h"
 #include "analysis/working_set.h"
 #include "core/atum_tracer.h"
 #include "core/session.h"
@@ -148,21 +147,6 @@ TEST(Integration, SystemReferencesEnlargeWorkingSet)
             user.Feed(r);
     }
     EXPECT_GT(full.AverageWorkingSet(0), user.AverageWorkingSet(0));
-}
-
-TEST(Integration, KernelAndUserFootprintsAreDisjointRegions)
-{
-    analysis::FootprintAnalyzer fp;
-    for (const Record& r : MixTrace())
-        fp.Feed(r);
-    EXPECT_GT(fp.kernel_pages(), 0u);
-    EXPECT_GT(fp.user_pages(), 0u);
-    // Kernel page numbers can coincide numerically with user ones (PCB
-    // references are physical), so the split can overlap slightly.
-    EXPECT_LE(fp.total_pages(), fp.kernel_pages() + fp.user_pages());
-    EXPECT_GE(fp.total_pages(),
-              std::max(fp.kernel_pages(), fp.user_pages()));
-    EXPECT_EQ(fp.per_pid().size(), 3u);  // three processes
 }
 
 TEST(Integration, TlbMissesRiseWithOsAndSwitches)

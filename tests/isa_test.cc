@@ -35,6 +35,19 @@ TEST(IsaTables, PrivilegedFlags)
     EXPECT_FALSE(GetInstrInfo(Opcode::kChmk).privileged);
 }
 
+TEST(IsaTables, OpcodeGatesMatchInstrInfo)
+{
+    const uint8_t* gates = OpcodeGates();
+    for (unsigned raw = 0; raw < 256; ++raw) {
+        const InstrInfo& info = GetInstrInfo(static_cast<uint8_t>(raw));
+        const uint8_t want = static_cast<uint8_t>(
+            (info.valid ? kGateValid : 0) |
+            (info.valid && info.privileged ? kGatePrivileged : 0));
+        EXPECT_EQ(gates[raw], want) << "opcode 0x" << std::hex << raw;
+    }
+    EXPECT_EQ(OpcodeGates(), gates);  // one table, built once
+}
+
 TEST(IsaTables, BranchShapes)
 {
     const InstrInfo& sob = GetInstrInfo(Opcode::kSobgtr);

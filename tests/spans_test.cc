@@ -30,6 +30,8 @@ ParseOrDie(const std::string& text)
     return parsed.ok() ? *parsed : util::JsonValue();
 }
 
+#if ATUM_TRACING_ENABLED
+
 /** Deterministic profiler clock: every read advances 100 ns. */
 uint64_t g_fake_ns = 0;
 uint64_t
@@ -37,8 +39,6 @@ FakeClock()
 {
     return g_fake_ns += 100;
 }
-
-#if ATUM_TRACING_ENABLED
 
 class SpansTest : public ::testing::Test
 {

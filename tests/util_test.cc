@@ -152,26 +152,6 @@ TEST(Rng, BelowZeroPanics)
     EXPECT_DEATH(r.Below(0), "bound 0");
 }
 
-TEST(RunningStats, Empty)
-{
-    RunningStats s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, Basic)
-{
-    RunningStats s;
-    for (double v : {2.0, 4.0, 6.0})
-        s.Add(v);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 6.0);
-    EXPECT_NEAR(s.stddev(), 1.632993, 1e-5);
-}
-
 TEST(Log2Histogram, Buckets)
 {
     Log2Histogram h;
@@ -187,17 +167,6 @@ TEST(Log2Histogram, Buckets)
     EXPECT_EQ(h.BucketCount(5), 0u);
 }
 
-TEST(CounterSet, AddAndGet)
-{
-    CounterSet c;
-    c.Add("a");
-    c.Add("a", 4);
-    c.Add("b");
-    EXPECT_EQ(c.Get("a"), 5u);
-    EXPECT_EQ(c.Get("b"), 1u);
-    EXPECT_EQ(c.Get("missing"), 0u);
-}
-
 TEST(Table, Render)
 {
     Table t({"name", "value"});
@@ -207,13 +176,6 @@ TEST(Table, Render)
     EXPECT_NE(s.find("name"), std::string::npos);
     EXPECT_NE(s.find("longer"), std::string::npos);
     EXPECT_EQ(t.NumRows(), 2u);
-}
-
-TEST(Table, Csv)
-{
-    Table t({"a", "b"});
-    t.AddRow({"1", "2"});
-    EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
 }
 
 TEST(Table, FmtPrecision)
