@@ -12,8 +12,10 @@
 #include "core/session.h"
 #include "cpu/machine.h"
 #include "kernel/boot.h"
+#include "obs/spans.h"
 #include "trace/sink.h"
 #include "util/crc32.h"
+#include "util/serialize.h"
 #include "workloads/workloads.h"
 
 namespace atum::workloads {
@@ -371,17 +373,20 @@ operator<<(std::ostream& os, const ExecutionDigest& d)
               << d.tb_lookups << ", " << d.tb_misses << "}";
 }
 
+/** Traces `programs` to the end under a default AtumTracer. */
 ExecutionDigest
-TracedDigest(const std::string& name)
+TracedDigest(const std::vector<GuestProgram>& programs,
+             obs::PhaseProfiler* profiler = nullptr)
 {
     auto machine = SmallMachine();
     CrcSink sink;
     core::AtumTracer tracer(*machine, sink);
-    BootSystem(*machine, {MakeWorkload(name)});
+    BootSystem(*machine, programs);
     const core::SessionResult result = core::RunSupervised(
-        *machine, tracer, {.max_instructions = 30'000'000});
-    EXPECT_TRUE(result.halted) << name;
-    EXPECT_EQ(result.records, sink.count()) << name;
+        *machine, tracer,
+        {.max_instructions = 30'000'000, .profiler = profiler});
+    EXPECT_TRUE(result.halted);
+    EXPECT_EQ(result.records, sink.count());
     return {sink.count(),
             sink.crc(),
             machine->ucycles(),
@@ -459,7 +464,89 @@ TEST(Workloads, GoldenExecutionIsPinned)
     };
     EXPECT_EQ(std::size(golden), AllWorkloadNames().size());
     for (const auto& g : golden)
-        EXPECT_EQ(TracedDigest(g.name), g.digest) << g.name;
+        EXPECT_EQ(TracedDigest({MakeWorkload(g.name)}), g.digest) << g.name;
+}
+
+TEST(Workloads, PhaseProfilerDoesNotChangeExecution)
+{
+    // With a PhaseProfiler attached, every reference takes the profiled,
+    // out-of-line instantiation of Translate/MicroRead/MicroWrite
+    // (cpu/machine_hot.h); without one, the inline unprofiled copy. The
+    // two must drive the same machine. A multiprogrammed mix of compute
+    // and adversarial guests is traced both ways; the profiler samples
+    // one window in four, so references run with the window open and
+    // closed.
+    const std::vector<GuestProgram> mix = {
+        MakeWorkload("matrix"), MakeWorkload("grep"),
+        MakeWorkload("tlbthrash"), MakeWorkload("iostorm"),
+        MakeWorkload("smc")};
+    obs::PhaseProfiler profiler(/*sample_shift=*/2);
+    const ExecutionDigest profiled = TracedDigest(mix, &profiler);
+    EXPECT_EQ(profiled, TracedDigest(mix));
+    // A build with tracing compiled out has a profiler that never samples.
+    EXPECT_EQ(profiler.samples() > 0, ATUM_TRACING_ENABLED != 0);
+}
+
+TEST(Workloads, TracingDoesNotPerturbAnyGuest)
+{
+    // The paper's claim that the patched machine runs software exactly as
+    // before, record by record, for every guest. A lead machine runs the
+    // guest untraced on the traced memory layout (its tracer reserves the
+    // buffer but is never attached) and is saved at three cuts. Each cut
+    // is restored into a fresh traced machine that runs to the next cut,
+    // and the segments' records, joined in order, must equal one traced
+    // run from boot. This also shows that Machine::Save/Restore carry all
+    // the state that shapes the trace, at any step.
+    //
+    // ucycles are not compared: the untraced lead charges no patch cost
+    // and no drain pauses, and nothing the guest sees depends on them.
+    constexpr uint64_t kSegments = 4;
+    for (const std::string& name : AllWorkloadNames()) {
+        SCOPED_TRACE(name);
+        auto whole = SmallMachine();
+        CrcSink whole_sink;
+        core::AtumTracer whole_tracer(*whole, whole_sink);
+        BootSystem(*whole, {MakeWorkload(name)});
+        const uint64_t steps =
+            core::RunSupervised(*whole, whole_tracer,
+                                {.max_instructions = 30'000'000})
+                .instructions;
+        ASSERT_TRUE(whole->halted());
+
+        auto lead = SmallMachine();
+        CrcSink unused;
+        core::AtumTracer layout(*lead, unused);
+        BootSystem(*lead, {MakeWorkload(name)});
+
+        CrcSink joined;
+        std::unique_ptr<Machine> segment;
+        uint64_t done = 0;
+        for (uint64_t k = 1; k <= kSegments; ++k) {
+            const uint64_t cut = steps * k / kSegments;
+            util::StateWriter state;
+            ASSERT_TRUE(lead->Save(state).ok());
+            if (k < kSegments)
+                core::RunUntraced(*lead, cut - done);
+
+            segment = SmallMachine();
+            core::AtumTracer tracer(*segment, joined);
+            util::StateReader reader(state.bytes());
+            ASSERT_TRUE(segment->Restore(reader).ok());
+            const core::SessionResult result = core::RunSupervised(
+                *segment, tracer, {.max_instructions = cut - done});
+            EXPECT_EQ(result.instructions, cut - done) << "segment " << k;
+            done = cut;
+        }
+        EXPECT_TRUE(segment->halted());
+        EXPECT_EQ(joined.count(), whole_sink.count());
+        EXPECT_EQ(joined.crc(), whole_sink.crc());
+        EXPECT_EQ(segment->icount(), whole->icount());
+        EXPECT_TRUE(segment->event_counters() == whole->event_counters());
+        EXPECT_EQ(segment->mmu().tlb().lookups(),
+                  whole->mmu().tlb().lookups());
+        EXPECT_EQ(segment->mmu().tlb().misses(), whole->mmu().tlb().misses());
+        EXPECT_EQ(segment->console_output(), whole->console_output());
+    }
 }
 
 TEST(WorkloadsDeath, BadParametersAreFatal)
