@@ -51,6 +51,19 @@ AtumTracer::Detach()
     attached_ = false;
 }
 
+uint8_t
+AtumTracer::splices() const
+{
+    uint8_t points = ucode::kSpliceMemAccess | ucode::kSpliceContextSwitch;
+    if (config_.record_tlb_miss)
+        points |= ucode::kSpliceTlbMiss;
+    if (config_.record_exceptions)
+        points |= ucode::kSpliceExceptionDispatch;
+    if (config_.record_opcodes)
+        points |= ucode::kSpliceDecode;
+    return points;
+}
+
 uint32_t
 AtumTracer::OnMemAccess(const MemAccess& access)
 {
@@ -70,24 +83,18 @@ AtumTracer::OnContextSwitch(uint16_t pid, uint32_t pcb_pa)
 uint32_t
 AtumTracer::OnTlbMiss(uint32_t vaddr, bool kernel)
 {
-    if (!config_.record_tlb_miss)
-        return 0;
     return Append(trace::MakeTlbMiss(vaddr, kernel));
 }
 
 uint32_t
 AtumTracer::OnExceptionDispatch(uint8_t vector)
 {
-    if (!config_.record_exceptions)
-        return 0;
     return Append(trace::MakeException(vector));
 }
 
 uint32_t
 AtumTracer::OnDecode(uint32_t pc, uint8_t opcode, bool kernel)
 {
-    if (!config_.record_opcodes)
-        return 0;
     return Append(trace::MakeOpcode(pc, opcode, kernel));
 }
 

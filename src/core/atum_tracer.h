@@ -167,8 +167,10 @@ class AtumTracer : public ucode::Patch
     }
 
   private:
-    // The ucode::Patch micro-routines: each applies its record_* filter,
-    // then appends one record.
+    // The ucode::Patch micro-routines. splices() leaves out the points
+    // whose record_* flag is off; OnMemAccess applies the ifetch and PTE
+    // filters itself. Each spliced routine appends one record.
+    uint8_t splices() const override;
     uint32_t OnMemAccess(const ucode::MemAccess& access) override;
     uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
     uint32_t OnTlbMiss(uint32_t vaddr, bool kernel) override;

@@ -59,6 +59,11 @@ class UserOnlyTracer : public ucode::Patch
 
   private:
     // ucode::Patch: keep the target's user references; track the pid.
+    // Those are the only two points it splices.
+    uint8_t splices() const override
+    {
+        return ucode::kSpliceMemAccess | ucode::kSpliceContextSwitch;
+    }
     uint32_t OnMemAccess(const ucode::MemAccess& access) override;
     uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
 

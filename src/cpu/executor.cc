@@ -1292,7 +1292,8 @@ Executor::Dispatch(Opcode op)
           static_cast<unsigned>(op));
 }
 
-void
+// Run is inlined into StepOne below, so a step calls Dispatch directly.
+[[gnu::always_inline]] inline void
 Executor::Run()
 {
     std::memcpy(m_.journal_regs_, m_.regs_, sizeof m_.regs_);
@@ -1352,13 +1353,37 @@ Executor::Run()
 }
 
 void
-Machine::ExecuteInstruction()
+Machine::StepOne()
 {
-    Executor ex(*this);
-    ex.Run();
+    if (halted_)
+        return;
+    last_step_faulted_ = false;
+
+    // The latches are tested here, inline; CheckInterrupts applies the
+    // IPL mask and priority only when one of them is set.
+    if ((dma_pending_ || timer_pending_ || software_pending_) &&
+        CheckInterrupts())
+        return;  // interrupt dispatch consumed this step
+
+    Executor(*this).Run();
     // Faulted executions count as steps too, so Run() always terminates
     // and the interval timer keeps advancing even in fault storms.
     ++icount_;
+
+    // Interval timer counts retired instructions (deterministic w.r.t.
+    // the instruction stream, so tracing does not perturb scheduling).
+    if ((iccs_ & 1) && !halted_) {
+        if (--icr_count_ == 0) {
+            icr_count_ = icr_reload_;
+            timer_pending_ = true;
+        }
+    }
+
+    // DMA completion countdown, same deterministic clock.
+    if (dma_delay_ > 0 && !halted_) {
+        if (--dma_delay_ == 0)
+            dma_pending_ = true;
+    }
 }
 
 }  // namespace atum::cpu

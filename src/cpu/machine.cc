@@ -237,6 +237,19 @@ Machine::StartDma()
 }
 
 bool
+Machine::MicroReadProfiled(uint32_t va, uint8_t size, MemAccessKind kind,
+                           uint32_t* out)
+{
+    return MicroRead<true>(va, size, kind, out);
+}
+
+bool
+Machine::MicroWriteProfiled(uint32_t va, uint8_t size, uint32_t value)
+{
+    return MicroWrite<true>(va, size, value);
+}
+
+bool
 Machine::RefillIBuf(uint32_t aligned)
 {
     uint32_t word;
@@ -248,37 +261,6 @@ Machine::RefillIBuf(uint32_t aligned)
     ibuf_valid_ = true;
     ++ibuf_refills_;
     return true;
-}
-
-void
-Machine::StepOne()
-{
-    if (halted_)
-        return;
-    last_step_faulted_ = false;
-
-    // The latches are tested here, inline; CheckInterrupts applies the
-    // IPL mask and priority only when one of them is set.
-    if ((dma_pending_ || timer_pending_ || software_pending_) &&
-        CheckInterrupts())
-        return;  // interrupt dispatch consumed this step
-
-    ExecuteInstruction();
-
-    // Interval timer counts retired instructions (deterministic w.r.t.
-    // the instruction stream, so tracing does not perturb scheduling).
-    if ((iccs_ & 1) && !halted_) {
-        if (--icr_count_ == 0) {
-            icr_count_ = icr_reload_;
-            timer_pending_ = true;
-        }
-    }
-
-    // DMA completion countdown, same deterministic clock.
-    if (dma_delay_ > 0 && !halted_) {
-        if (--dma_delay_ == 0)
-            dma_pending_ = true;
-    }
 }
 
 void

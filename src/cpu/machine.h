@@ -148,7 +148,11 @@ class Machine
      */
     RunResult Run(uint64_t max_instructions);
 
-    /** Executes one instruction or takes one pending interrupt: a step. */
+    /**
+     * Executes one instruction or takes one pending interrupt: a step.
+     * Implemented in executor.cc, where the instruction's set-up and
+     * abort handling inline into it.
+     */
     void StepOne();
 
     bool halted() const { return halted_; }
@@ -178,10 +182,12 @@ class Machine
 
     /**
      * Attaches the sampling phase profiler (obs/spans.h) driven by the
-     * supervised run loop. While the profiler has a sampled window open,
-     * Translate/MicroRead/MicroWrite attribute their time to the
-     * translate/memory/tracer phases; outside a window (and with no
-     * profiler, the default) the hot path pays one pointer test.
+     * supervised run loop. While one is attached, every reference takes
+     * the profiled, out-of-line instantiation of Translate/MicroRead/
+     * MicroWrite, which attributes its time to the translate/memory/
+     * tracer phases when the profiler has a sampled window open. With no
+     * profiler (the default) the inline reference path pays one pointer
+     * test and carries no profiler code (cpu/machine_hot.h).
      */
     void SetPhaseProfiler(obs::PhaseProfiler* profiler)
     {
@@ -221,11 +227,20 @@ class Machine
 
     // --- inline, defined in cpu/machine_hot.h ---
     // Micro-level memory access. Returns false when a fault was recorded
-    // in pending_fault_ (the caller aborts the instruction).
+    // in pending_fault_ (the caller aborts the instruction). Callers use
+    // the default, unprofiled instantiation; it hands the reference to
+    // the profiled one while a PhaseProfiler is attached.
+    template <bool kProfiled = false>
     inline bool Translate(uint32_t va, bool write, uint32_t* pa);
+    template <bool kProfiled = false>
     inline bool MicroRead(uint32_t va, uint8_t size,
                           ucode::MemAccessKind kind, uint32_t* out);
+    template <bool kProfiled = false>
     inline bool MicroWrite(uint32_t va, uint8_t size, uint32_t value);
+    // The profiled instantiations, out of line (machine.cc).
+    bool MicroReadProfiled(uint32_t va, uint8_t size,
+                           ucode::MemAccessKind kind, uint32_t* out);
+    bool MicroWriteProfiled(uint32_t va, uint8_t size, uint32_t value);
 
     // Instruction-stream byte fetch through the prefetch buffer; a miss
     // calls RefillIBuf (machine.cc) to fetch the aligned longword.
@@ -247,9 +262,6 @@ class Machine
     void DoRei();
     void SwitchMode(CpuMode new_mode);
     void PushKernel(uint32_t value);  ///< push during dispatch; double fault panics
-
-    // --- implemented in executor.cc ---
-    void ExecuteInstruction();
 
     friend class Executor;  ///< the instruction executor (executor.cc)
 

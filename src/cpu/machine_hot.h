@@ -12,9 +12,24 @@
  * forgets it gets an "inline function used but never defined" warning
  * (an error under -Werror), never a silent one-definition-rule break.
  *
- * Out of line stay the slow paths: the prefetch refill
- * (Machine::RefillIBuf), the TB-miss walk (mmu::Mmu::Walk), the
- * physical-memory range panic and the patch routines themselves.
+ * Translate, MicroRead and MicroWrite are one template body each on a
+ * compile-time `kProfiled` flag:
+ *  - The unprofiled instantiation, the default, carries no profiler code.
+ *    It is forced inline into its callers together with the TB-hit path
+ *    of mmu::Mmu::Translate, mmu::Tlb::Lookup and the PhysicalMemory
+ *    accessors. So a prefetch refill reaches the TB and memory with no
+ *    call, and an operand read makes one: the memory-mode decode
+ *    (executor.cc's MemAddress), which then reads inline.
+ *  - The profiled instantiation wraps the translate, memory and tracer
+ *    work in PhaseScopes. It is out of line in machine.cc
+ *    (MicroReadProfiled, MicroWriteProfiled), and the unprofiled body
+ *    branches to it only while a PhaseProfiler is attached
+ *    (SetPhaseProfiler), so a sampled run keeps its phase split.
+ *
+ * Out of line stay the slow paths: the TB-miss walk (mmu::Mmu::Walk),
+ * the physical-memory range panic, the patch routines themselves and the
+ * profiled instantiation. The prefetch refill (Machine::RefillIBuf) is
+ * out of line too, but makes no call on its TB hit.
  *
  * The rest of the per-instruction work is fixed at compile time too, so
  * no step makes an out-of-line call it does not need:
@@ -26,8 +41,10 @@
  *    as an address) and the operand size are constants at each call.
  *  - Dispatch gates an opcode with one byte of isa::OpcodeGates(), whose
  *    pointer the Machine keeps, not through isa::GetInstrInfo.
- *  - StepOne tests the three interrupt latches inline and calls
- *    CheckInterrupts only when one is set.
+ *  - StepOne, with the instruction's set-up and abort handling
+ *    (Executor::Run), is one function in executor.cc: it tests the three
+ *    interrupt latches inline, calls CheckInterrupts only when one is
+ *    set, and calls Dispatch. A step is RunLoop → StepOne → Dispatch.
  *  - set_pc is inline (machine.h), and the patch's record builders
  *    trace::FromMemAccess and MakeFlags are inline (trace/record.h).
  */
@@ -40,13 +57,18 @@ namespace atum::cpu {
 
 /**
  * Attributes the enclosing scope to `phase` iff the profiler has a
- * sampled window open. In unprofiled runs (and in -DATUM_TRACING=OFF
- * builds, where sampling() is constant false) this folds to nothing.
+ * sampled window open. Only the profiled instantiation has one; the
+ * unprofiled PhaseScope is empty and folds to nothing.
  */
+template <bool kProfiled>
 struct PhaseScope {
+    PhaseScope(obs::PhaseProfiler*, obs::Phase) {}
+};
+
+template <>
+struct PhaseScope<true> {
     PhaseScope(obs::PhaseProfiler* profiler, obs::Phase phase)
-        : profiler_(profiler != nullptr && profiler->sampling() ? profiler
-                                                                : nullptr)
+        : profiler_(profiler->sampling() ? profiler : nullptr)
     {
         if (profiler_ != nullptr)
             profiler_->Enter(phase);
@@ -74,10 +96,11 @@ Machine::FetchByte(uint8_t* out)
     return true;
 }
 
-inline bool
+template <bool kProfiled>
+[[gnu::always_inline]] inline bool
 Machine::Translate(uint32_t va, bool write, uint32_t* pa)
 {
-    PhaseScope phase(profiler_, obs::Phase::kTranslate);
+    PhaseScope<kProfiled> phase(profiler_, obs::Phase::kTranslate);
     mmu::XlateResult res =
         mmu_.Translate(va, write, psl_.cur_mode == CpuMode::kKernel);
     AddCycles(res.ucycles);
@@ -89,22 +112,27 @@ Machine::Translate(uint32_t va, bool write, uint32_t* pa)
     return true;
 }
 
-inline bool
+template <bool kProfiled>
+[[gnu::always_inline]] inline bool
 Machine::MicroRead(uint32_t va, uint8_t size, ucode::MemAccessKind kind,
                    uint32_t* out)
 {
     using ucode::MemAccessKind;
     using ucode::MicroOpKind;
 
+    if constexpr (!kProfiled) {
+        if (profiler_ != nullptr) [[unlikely]]
+            return MicroReadProfiled(va, size, kind, out);
+    }
+
     uint32_t pa;
-    if (!Translate(va, false, &pa))
+    if (!Translate<kProfiled>(va, false, &pa))
         return false;
 
     uint32_t value;
     {
-        PhaseScope phase(profiler_, obs::Phase::kMemory);
-        const uint32_t last = va + size - 1;
-        if (AlignDown(va, kPageBytes) == AlignDown(last, kPageBytes)) {
+        PhaseScope<kProfiled> phase(profiler_, obs::Phase::kMemory);
+        if ((va & (kPageBytes - 1)) + size <= kPageBytes) {
             value = size == 1   ? memory_.Read8(pa)
                     : size == 2 ? memory_.Read16(pa)
                                 : memory_.Read32(pa);
@@ -114,7 +142,7 @@ Machine::MicroRead(uint32_t va, uint8_t size, ucode::MemAccessKind kind,
             value = 0;
             for (uint8_t i = 0; i < size; ++i) {
                 uint32_t pb;
-                if (!Translate(va + i, false, &pb))
+                if (!Translate<kProfiled>(va + i, false, &pb))
                     return false;
                 value |= static_cast<uint32_t>(memory_.Read8(pb)) << (8 * i);
             }
@@ -129,7 +157,7 @@ Machine::MicroRead(uint32_t va, uint8_t size, ucode::MemAccessKind kind,
     else
         ++ev_.reads;
     {
-        PhaseScope phase(profiler_, obs::Phase::kTracer);
+        PhaseScope<kProfiled> phase(profiler_, obs::Phase::kTracer);
         AddCycles(control_store_.FireMemAccess(ucode::MemAccess{
             va, pa, size, kind, psl_.cur_mode == CpuMode::kKernel}));
     }
@@ -137,17 +165,22 @@ Machine::MicroRead(uint32_t va, uint8_t size, ucode::MemAccessKind kind,
     return true;
 }
 
-inline bool
+template <bool kProfiled>
+[[gnu::always_inline]] inline bool
 Machine::MicroWrite(uint32_t va, uint8_t size, uint32_t value)
 {
+    if constexpr (!kProfiled) {
+        if (profiler_ != nullptr) [[unlikely]]
+            return MicroWriteProfiled(va, size, value);
+    }
+
     uint32_t pa;
-    if (!Translate(va, true, &pa))
+    if (!Translate<kProfiled>(va, true, &pa))
         return false;
 
     {
-        PhaseScope phase(profiler_, obs::Phase::kMemory);
-        const uint32_t last = va + size - 1;
-        if (AlignDown(va, kPageBytes) == AlignDown(last, kPageBytes)) {
+        PhaseScope<kProfiled> phase(profiler_, obs::Phase::kMemory);
+        if ((va & (kPageBytes - 1)) + size <= kPageBytes) {
             if (size == 1)
                 memory_.Write8(pa, static_cast<uint8_t>(value));
             else if (size == 2)
@@ -157,7 +190,7 @@ Machine::MicroWrite(uint32_t va, uint8_t size, uint32_t value)
         } else {
             for (uint8_t i = 0; i < size; ++i) {
                 uint32_t pb;
-                if (!Translate(va + i, true, &pb))
+                if (!Translate<kProfiled>(va + i, true, &pb))
                     return false;
                 memory_.Write8(pb, static_cast<uint8_t>(value >> (8 * i)));
             }
@@ -167,7 +200,7 @@ Machine::MicroWrite(uint32_t va, uint8_t size, uint32_t value)
     AddCycles(ucode::CostOf(ucode::MicroOpKind::kDWrite));
     ++ev_.writes;
     {
-        PhaseScope phase(profiler_, obs::Phase::kTracer);
+        PhaseScope<kProfiled> phase(profiler_, obs::Phase::kTracer);
         AddCycles(control_store_.FireMemAccess(
             ucode::MemAccess{va, pa, size, ucode::MemAccessKind::kWrite,
                              psl_.cur_mode == CpuMode::kKernel}));

@@ -46,19 +46,37 @@ class PhysicalMemory
     uint32_t NumFrames() const { return size() / kPageBytes; }
 
     // The accessors run on every guest reference and every trace record,
-    // so they are inline: a range check, then a byte copy. An
+    // so they are forced inline: a range check, then a byte copy. An
     // out-of-range access is a Panic, raised out of line.
 
     /** Reads the byte at `pa`; out-of-range access is a Panic. */
-    uint8_t Read8(uint32_t pa) const { return Load<uint8_t>(pa); }
+    [[gnu::always_inline]] uint8_t Read8(uint32_t pa) const
+    {
+        return Load<uint8_t>(pa);
+    }
     /** Reads a little-endian 16-bit value; need not be aligned. */
-    uint16_t Read16(uint32_t pa) const { return Load<uint16_t>(pa); }
+    [[gnu::always_inline]] uint16_t Read16(uint32_t pa) const
+    {
+        return Load<uint16_t>(pa);
+    }
     /** Reads a little-endian 32-bit value; need not be aligned. */
-    uint32_t Read32(uint32_t pa) const { return Load<uint32_t>(pa); }
+    [[gnu::always_inline]] uint32_t Read32(uint32_t pa) const
+    {
+        return Load<uint32_t>(pa);
+    }
 
-    void Write8(uint32_t pa, uint8_t v) { Store(pa, v); }
-    void Write16(uint32_t pa, uint16_t v) { Store(pa, v); }
-    void Write32(uint32_t pa, uint32_t v) { Store(pa, v); }
+    [[gnu::always_inline]] void Write8(uint32_t pa, uint8_t v)
+    {
+        Store(pa, v);
+    }
+    [[gnu::always_inline]] void Write16(uint32_t pa, uint16_t v)
+    {
+        Store(pa, v);
+    }
+    [[gnu::always_inline]] void Write32(uint32_t pa, uint32_t v)
+    {
+        Store(pa, v);
+    }
 
     /** Copies `len` bytes out of memory starting at `pa`. */
     void ReadBlock(uint32_t pa, void* dst, uint32_t len) const
@@ -78,7 +96,8 @@ class PhysicalMemory
     }
 
     /** Returns true iff [pa, pa+len) lies inside memory. */
-    bool Contains(uint32_t pa, uint32_t len = 1) const
+    [[gnu::always_inline]] bool Contains(uint32_t pa,
+                                         uint32_t len = 1) const
     {
         return pa < data_.size() && len <= data_.size() - pa;
     }
@@ -107,7 +126,7 @@ class PhysicalMemory
     uint32_t NumUsableFrames() const { return reserved_base_ / kPageBytes; }
 
   private:
-    void CheckRange(uint32_t pa, uint32_t len) const
+    [[gnu::always_inline]] void CheckRange(uint32_t pa, uint32_t len) const
     {
         if (!Contains(pa, len)) [[unlikely]]
             OutOfRange(pa, len);
@@ -115,7 +134,7 @@ class PhysicalMemory
     [[noreturn]] void OutOfRange(uint32_t pa, uint32_t len) const;
 
     template <typename T>
-    T Load(uint32_t pa) const
+    [[gnu::always_inline]] T Load(uint32_t pa) const
     {
         CheckRange(pa, sizeof(T));
         T v;
@@ -123,7 +142,7 @@ class PhysicalMemory
         return v;
     }
     template <typename T>
-    void Store(uint32_t pa, T v)
+    [[gnu::always_inline]] void Store(uint32_t pa, T v)
     {
         CheckRange(pa, sizeof(T));
         std::memcpy(data_.data() + pa, &v, sizeof v);

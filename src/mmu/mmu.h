@@ -107,11 +107,14 @@ class Mmu
      * Translates `vaddr` for an access of the given intent. On kTnv/kAcv
      * no state is modified except TB statistics. A write through a clean
      * mapping re-walks the table to set the PTE modified bit.
+     *
+     * The TB-hit path is forced inline (every reference takes it, and
+     * the interpreter's reference path inlines it, cpu/machine_hot.h); a
+     * miss, and the first write through a clean entry, go to Walk.
      */
-    XlateResult Translate(uint32_t vaddr, bool write, bool kernel_mode)
+    [[gnu::always_inline]] XlateResult
+    Translate(uint32_t vaddr, bool write, bool kernel_mode)
     {
-        // The TB-hit path is inline (every reference takes it); a miss,
-        // and the first write through a clean entry, go to Walk.
         if (!enabled_)
             return {XlateStatus::kOk, vaddr, 0, false};
         const TlbEntry* e = tlb_.Lookup(vaddr >> kPageShift);

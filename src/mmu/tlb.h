@@ -47,8 +47,9 @@ class Tlb
      * which entry a later miss evicts, so they shape the TB-miss records
      * in the trace. Any rewrite must keep this order: ++lookups_ first,
      * then on a hit `e.lru = ++stamp_`, or on a miss ++misses_.
+     * Forced inline with Mmu::Translate's TB-hit path.
      */
-    TlbEntry* Lookup(uint32_t vpn)
+    [[gnu::always_inline]] TlbEntry* Lookup(uint32_t vpn)
     {
         ++lookups_;
         const unsigned set = vpn & (sets_ - 1);

@@ -19,8 +19,9 @@
  * budgets count those steps (core/session.h).
  *
  * At most one patch is installed at a time. ATUM's tracer is a single
- * patch covering every point it records; a point the patch does not
- * override costs nothing.
+ * patch covering every point it records. A patch names the points it
+ * splices (Patch::splices); a point it leaves out costs the executor one
+ * pointer test and no call.
  */
 
 #include <cstdint>
@@ -28,6 +29,16 @@
 #include "ucode/micro_op.h"
 
 namespace atum::ucode {
+
+/** The splice points, one bit each in Patch::splices(). */
+enum SplicePoint : uint8_t {
+    kSpliceMemAccess = 1u << 0,
+    kSpliceContextSwitch = 1u << 1,
+    kSpliceTlbMiss = 1u << 2,
+    kSpliceExceptionDispatch = 1u << 3,
+    kSpliceDecode = 1u << 4,
+    kSpliceAll = (1u << 5) - 1,
+};
 
 /**
  * A set of patch micro-routines, one virtual method per splice point. Each
@@ -38,6 +49,14 @@ class Patch
 {
   public:
     virtual ~Patch() = default;
+
+    /**
+     * The points this patch splices, a mask of SplicePoint bits read once
+     * by ControlStore::Install. A point left out is never called, so a
+     * patch leaves out every point whose routine would only return 0.
+     * The default splices them all.
+     */
+    virtual uint8_t splices() const { return kSpliceAll; }
 
     /** Every architectural memory reference. */
     virtual uint32_t OnMemAccess(const MemAccess&) { return 0; }
@@ -69,41 +88,51 @@ class ControlStore
     ControlStore& operator=(const ControlStore&) = delete;
 
     /**
-     * Splices `patch` in at every point; Fatal if a patch is already
-     * installed. `patch` must stay alive until Remove().
+     * Splices `patch` in at the points it names (Patch::splices); Fatal if
+     * a patch is already installed. `patch` must stay alive until
+     * Remove().
      */
     void Install(Patch& patch);
     /** Removes the installed patch (no-op when none). */
-    void Remove() { patch_ = nullptr; }
+    void Remove();
     bool installed() const { return patch_ != nullptr; }
 
     /**
      * Splice-point entries, called by the executor. Each returns the extra
-     * micro-cycles consumed by the patch (0 when unpatched).
+     * micro-cycles consumed by the patch (0 when the point is unpatched).
      */
     uint32_t FireMemAccess(const MemAccess& access)
     {
-        return patch_ ? patch_->OnMemAccess(access) : 0;
+        return mem_access_ ? mem_access_->OnMemAccess(access) : 0;
     }
     uint32_t FireContextSwitch(uint16_t pid, uint32_t pcb_pa)
     {
-        return patch_ ? patch_->OnContextSwitch(pid, pcb_pa) : 0;
+        return context_switch_ ? context_switch_->OnContextSwitch(pid, pcb_pa)
+                               : 0;
     }
     uint32_t FireTlbMiss(uint32_t vaddr, bool kernel)
     {
-        return patch_ ? patch_->OnTlbMiss(vaddr, kernel) : 0;
+        return tlb_miss_ ? tlb_miss_->OnTlbMiss(vaddr, kernel) : 0;
     }
     uint32_t FireExceptionDispatch(uint8_t vector)
     {
-        return patch_ ? patch_->OnExceptionDispatch(vector) : 0;
+        return exception_dispatch_
+                   ? exception_dispatch_->OnExceptionDispatch(vector)
+                   : 0;
     }
     uint32_t FireDecode(uint32_t pc, uint8_t opcode, bool kernel)
     {
-        return patch_ ? patch_->OnDecode(pc, opcode, kernel) : 0;
+        return decode_ ? decode_->OnDecode(pc, opcode, kernel) : 0;
     }
 
   private:
-    Patch* patch_ = nullptr;
+    Patch* patch_ = nullptr;  ///< the installed patch
+    // The installed patch at each point it splices, null at the others.
+    Patch* mem_access_ = nullptr;
+    Patch* context_switch_ = nullptr;
+    Patch* tlb_miss_ = nullptr;
+    Patch* exception_dispatch_ = nullptr;
+    Patch* decode_ = nullptr;
 };
 
 }  // namespace atum::ucode

@@ -119,6 +119,29 @@ TEST(ControlStore, PointNotOverriddenReturnsZero)
     EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
 }
 
+TEST(ControlStore, PointLeftOutOfSplicesIsNeverCalled)
+{
+    // FakePatch overrides OnTlbMiss and OnDecode, but this one splices
+    // only the memory-access and context-switch points, so neither
+    // override runs and both points read as unpatched.
+    struct TwoPointPatch : FakePatch {
+        uint8_t splices() const override
+        {
+            return kSpliceMemAccess | kSpliceContextSwitch;
+        }
+    };
+    ControlStore cs;
+    TwoPointPatch patch;
+    cs.Install(patch);
+    EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 16u);
+    EXPECT_EQ(cs.FireContextSwitch(7, 0x4000), 2u);
+    EXPECT_EQ(cs.FireTlbMiss(0x8000, true), 0u);
+    EXPECT_EQ(patch.miss_vaddr, 0u);
+    EXPECT_EQ(cs.FireDecode(0x1234, 0x10, true), 0u);
+    EXPECT_EQ(patch.decode_pc, 0u);
+    EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
+}
+
 TEST(ControlStore, RemoveRestoresZero)
 {
     ControlStore cs;
