@@ -22,8 +22,19 @@ AtumTracer::AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
 {
     if (config_.buffer_bytes < trace::kRecordBytes)
         Fatal("trace buffer too small: ", config_.buffer_bytes);
-    buf_base_ = machine_.memory().ReserveTop(config_.buffer_bytes);
-    buf_bytes_ = config_.buffer_bytes;
+    buf_.base = machine_.memory().ReserveTop(config_.buffer_bytes);
+    buf_.bytes = config_.buffer_bytes;
+    buf_.cost_per_record = config_.cost_per_record;
+    const auto bit = [](ucode::MemAccessKind kind) {
+        return static_cast<uint8_t>(1u << static_cast<unsigned>(kind));
+    };
+    buf_.kinds = bit(ucode::MemAccessKind::kRead) |
+                 bit(ucode::MemAccessKind::kWrite) |
+                 bit(ucode::MemAccessKind::kDma);
+    if (config_.record_ifetch)
+        buf_.kinds |= bit(ucode::MemAccessKind::kIFetch);
+    if (config_.record_pte)
+        buf_.kinds |= bit(ucode::MemAccessKind::kPte);
 }
 
 AtumTracer::~AtumTracer()
@@ -67,9 +78,9 @@ AtumTracer::splices() const
 uint32_t
 AtumTracer::OnMemAccess(const MemAccess& access)
 {
-    if (access.kind == ucode::MemAccessKind::kIFetch && !config_.record_ifetch)
-        return 0;
-    if (access.kind == ucode::MemAccessKind::kPte && !config_.record_pte)
+    // The control store's in-line append, for the one record it leaves
+    // to this routine: the record that fills the buffer.
+    if ((buf_.kinds & (1u << static_cast<unsigned>(access.kind))) == 0)
         return 0;
     return Append(trace::FromMemAccess(access));
 }
@@ -103,16 +114,17 @@ AtumTracer::Append(const Record& record)
 {
     // The patch micro-routine: pack the record and store it into the
     // reserved region with physical writes, then bump the buffer head.
+    // ucode::ControlStore::FireMemAccess is the in-line copy of it.
     uint8_t bytes[trace::kRecordBytes];
     trace::PackRecord(record, bytes);
-    machine_.memory().WriteBlock(buf_base_ + head_, bytes, sizeof bytes);
-    head_ += trace::kRecordBytes;
-    ++records_;
+    machine_.memory().WriteBlock(buf_.base + buf_.head, bytes, sizeof bytes);
+    buf_.head += trace::kRecordBytes;
+    ++buf_.records;
 
-    uint32_t cost = config_.cost_per_record;
-    if (head_ + trace::kRecordBytes > buf_bytes_)
+    uint32_t cost = buf_.cost_per_record;
+    if (buf_.head + trace::kRecordBytes > buf_.bytes)
         cost += Drain();
-    overhead_ucycles_ += cost;
+    buf_.overhead_ucycles += cost;
     return cost;
 }
 
@@ -121,17 +133,18 @@ AtumTracer::DeliverRange(uint32_t* delivered, uint32_t total)
 {
     // The machine is "frozen" while the host reads the buffer back out of
     // physical memory — the console extraction step of the paper. It is
-    // read a slice at a time, one block copy per slice.
+    // read a slice at a time, one block copy per slice. A packed record
+    // is a Record as it is (trace/record.h asserts the layout), so the
+    // copy is the unpack.
     constexpr uint32_t kSliceRecords = 512;
-    uint8_t slice[kSliceRecords * trace::kRecordBytes];
+    Record slice[kSliceRecords];
     while (*delivered < total) {
         const uint32_t n = std::min(kSliceRecords, total - *delivered);
         machine_.memory().ReadBlock(
-            buf_base_ + *delivered * trace::kRecordBytes, slice,
+            buf_.base + *delivered * trace::kRecordBytes, slice,
             n * trace::kRecordBytes);
         for (uint32_t i = 0; i < n; ++i) {
-            util::Status status = sink_.Append(
-                trace::UnpackRecord(slice + i * trace::kRecordBytes));
+            util::Status status = sink_.Append(slice[i]);
             if (!status.ok())
                 return status;
             ++*delivered;  // a failed Append consumed nothing; resume here
@@ -162,8 +175,8 @@ AtumTracer::TryRecover()
 uint32_t
 AtumTracer::Drain()
 {
-    const uint32_t total = head_ / trace::kRecordBytes;
-    head_ = 0;
+    const uint32_t total = buf_.head / trace::kRecordBytes;
+    buf_.head = 0;
     ++buffer_fills_;
 
     if (degraded_ && !TryRecover()) {
@@ -235,7 +248,7 @@ AtumTracer::Drain()
 util::Status
 AtumTracer::Flush()
 {
-    if (head_ != 0) {
+    if (buf_.head != 0) {
         // The machine has already stopped: the final extraction pause is
         // not charged (matches the pre-Status accounting).
         (void)Drain();
@@ -255,9 +268,9 @@ AtumTracer::Flush()
 void
 AtumTracer::PublishMetrics(obs::Registry& reg) const
 {
-    reg.GetCounter("tracer.records").Set(records_);
+    reg.GetCounter("tracer.records").Set(buf_.records);
     reg.GetCounter("tracer.buffer_fills").Set(buffer_fills_);
-    reg.GetCounter("tracer.overhead_ucycles").Set(overhead_ucycles_);
+    reg.GetCounter("tracer.overhead_ucycles").Set(buf_.overhead_ucycles);
     reg.GetCounter("tracer.lost_records").Set(lost_records_);
     reg.GetCounter("tracer.loss_events").Set(loss_events_);
     reg.GetCounter("tracer.enospc_events").Set(enospc_events_);
@@ -269,13 +282,13 @@ AtumTracer::PublishMetrics(obs::Registry& reg) const
 util::Status
 AtumTracer::Save(util::StateWriter& w) const
 {
-    w.U32(buf_base_);
-    w.U32(buf_bytes_);
-    w.U32(head_);
+    w.U32(buf_.base);
+    w.U32(buf_.bytes);
+    w.U32(buf_.head);
     w.Bool(attached_);
-    w.U64(records_);
+    w.U64(buf_.records);
     w.U64(buffer_fills_);
-    w.U64(overhead_ucycles_);
+    w.U64(buf_.overhead_ucycles);
     w.Bool(degraded_);
     w.U64(lost_records_);
     w.U32(loss_events_);
@@ -291,15 +304,15 @@ AtumTracer::Restore(util::StateReader& r)
 {
     const uint32_t base = r.U32();
     const uint32_t bytes = r.U32();
-    if (r.ok() && (base != buf_base_ || bytes != buf_bytes_))
+    if (r.ok() && (base != buf_.base || bytes != buf_.bytes))
         r.Fail(util::DataLoss(
             "checkpoint tracer buffer at ", base, "+", bytes,
-            " does not match this tracer's reservation at ", buf_base_, "+",
-            buf_bytes_, " (was the tracer built from the checkpoint meta?)"));
+            " does not match this tracer's reservation at ", buf_.base, "+",
+            buf_.bytes, " (was the tracer built from the checkpoint meta?)"));
     const uint32_t head = r.U32();
-    if (r.ok() && (head > buf_bytes_ || head % trace::kRecordBytes != 0))
+    if (r.ok() && (head > buf_.bytes || head % trace::kRecordBytes != 0))
         r.Fail(util::DataLoss("checkpoint buffer cursor ", head,
-                              " outside the ", buf_bytes_, "-byte buffer"));
+                              " outside the ", buf_.bytes, "-byte buffer"));
     // The saved attach flag is informational only: microcode patches are
     // live objects on this process's control store, so the caller (not
     // the checkpoint) decides when to Attach() the restored tracer.
@@ -317,10 +330,10 @@ AtumTracer::Restore(util::StateReader& r)
     if (!r.ok())
         return r.status();
 
-    head_ = head;
-    records_ = records;
+    buf_.head = head;
+    buf_.records = records;
     buffer_fills_ = fills;
-    overhead_ucycles_ = overhead;
+    buf_.overhead_ucycles = overhead;
     degraded_ = degraded;
     lost_records_ = lost;
     loss_events_ = loss_events;

@@ -10,7 +10,10 @@
  *      guest kernel's frame allocator, exactly like the 8200 setup),
  *   2. patches the control store's splice points with micro-routines that
  *      append 8-byte records to that buffer with *physical* stores,
- *      charging `cost_per_record` micro-cycles each (the tracing slowdown),
+ *      charging `cost_per_record` micro-cycles each (the tracing slowdown);
+ *      the memory-reference routine, the one that runs on every
+ *      reference, is a store the control store makes in line
+ *      (ucode::RecordBuffer),
  *   3. when the buffer fills, "freezes" the machine (a pause charged in
  *      micro-cycles), drains the records to a host-side TraceSink, and
  *      resumes — the paper's console-extraction cycle.
@@ -123,10 +126,10 @@ class AtumTracer : public ucode::Patch
     util::Status Restore(util::StateReader& r);
 
     // -- capture statistics ------------------------------------------------
-    uint64_t records() const { return records_; }
+    uint64_t records() const { return buf_.records; }
     uint64_t buffer_fills() const { return buffer_fills_; }
     /** Micro-cycles charged to the machine by tracing (patch + drains). */
-    uint64_t overhead_ucycles() const { return overhead_ucycles_; }
+    uint64_t overhead_ucycles() const { return buf_.overhead_ucycles; }
 
     // -- loss accounting ---------------------------------------------------
     /** True while the sink is refusing records (counting-only capture). */
@@ -142,10 +145,13 @@ class AtumTracer : public ucode::Patch
     /** The failure that triggered the most recent degrade. */
     const util::Status& last_drain_error() const { return last_drain_error_; }
 
-    uint32_t buffer_base() const { return buf_base_; }
-    uint32_t buffer_bytes() const { return buf_bytes_; }
+    uint32_t buffer_base() const { return buf_.base; }
+    uint32_t buffer_bytes() const { return buf_.bytes; }
     /** Records currently sitting in the (undrained) buffer. */
-    uint32_t buffered_records() const { return head_ / trace::kRecordBytes; }
+    uint32_t buffered_records() const
+    {
+        return buf_.head / trace::kRecordBytes;
+    }
 
     /**
      * Publishes capture tallies into `reg` as `tracer.*` counters and
@@ -168,9 +174,12 @@ class AtumTracer : public ucode::Patch
 
   private:
     // The ucode::Patch micro-routines. splices() leaves out the points
-    // whose record_* flag is off; OnMemAccess applies the ifetch and PTE
-    // filters itself. Each spliced routine appends one record.
+    // whose record_* flag is off. The memory-access routine runs in line
+    // in the control store (record_buffer), which applies the ifetch and
+    // PTE filters and calls OnMemAccess only for the record that fills
+    // the buffer. Each spliced routine appends one record.
     uint8_t splices() const override;
+    ucode::RecordBuffer* record_buffer() override { return &buf_; }
     uint32_t OnMemAccess(const ucode::MemAccess& access) override;
     uint32_t OnContextSwitch(uint16_t pid, uint32_t pcb_pa) override;
     uint32_t OnTlbMiss(uint32_t vaddr, bool kernel) override;
@@ -187,13 +196,11 @@ class AtumTracer : public ucode::Patch
     cpu::Machine& machine_;
     trace::TraceSink& sink_;
     AtumConfig config_;
-    uint32_t buf_base_;
-    uint32_t buf_bytes_;
-    uint32_t head_ = 0;
+    /** The reserved region, its head and the records/overhead tallies,
+     *  shared with the control store's in-line appends. */
+    ucode::RecordBuffer buf_;
     bool attached_ = false;
-    uint64_t records_ = 0;
     uint64_t buffer_fills_ = 0;
-    uint64_t overhead_ucycles_ = 0;
     bool degraded_ = false;
     uint64_t lost_records_ = 0;
     uint32_t loss_events_ = 0;

@@ -169,11 +169,12 @@ RunLoop(cpu::Machine& machine, AtumTracer* tracer,
         options.emitter->Emit("start");
     }
 
-    // The profiler rides along for the whole supervised run: the machine
-    // attributes translate/memory/tracer time and the tracer its drains
-    // while a sampled window is open.
+    // The tracer keeps the profiler for the whole run, so every drain is
+    // timed exactly. The machine gets it only while a sampled window is
+    // open: then its references take the profiled path and attribute
+    // translate/memory/tracer time, and the other windows run the inline
+    // unprofiled path.
     if (profiler != nullptr) {
-        machine.SetPhaseProfiler(profiler);
         if (tracer)
             tracer->SetPhaseProfiler(profiler);
         profiler->BeginRun();
@@ -193,9 +194,15 @@ RunLoop(cpu::Machine& machine, AtumTracer* tracer,
             // The sampled window covers the instruction *and* its
             // supervision checks; the remainder outside nested phases is
             // the dispatch cost the rewrite PR wants to shrink.
-            if (profiler != nullptr)
-                profiler->BeginSample();
-            machine.StepOne();
+            const bool sampled =
+                profiler != nullptr && profiler->BeginSample();
+            if (sampled) {
+                machine.SetPhaseProfiler(profiler);
+                machine.StepOne();
+                machine.SetPhaseProfiler(nullptr);
+            } else {
+                machine.StepOne();
+            }
             ++executed;
             if (!machine.LastStepFaulted())
                 last_progress_ucycles = machine.ucycles();
@@ -287,7 +294,6 @@ RunLoop(cpu::Machine& machine, AtumTracer* tracer,
         options.emitter->Emit("final");
     if (profiler != nullptr) {
         profiler->EndRun();
-        machine.SetPhaseProfiler(nullptr);
         if (tracer)
             tracer->SetPhaseProfiler(nullptr);
     }

@@ -34,6 +34,7 @@ Psl::FromWord(uint32_t w)
 
 Machine::Machine(const Config& config)
     : memory_(config.mem_bytes),
+      control_store_(memory_),
       mmu_(memory_, control_store_, config.tlb_sets, config.tlb_ways),
       opcode_gates_(isa::OpcodeGates()),
       icr_reload_(config.timer_reload),

@@ -182,7 +182,8 @@ class Machine
 
     /**
      * Attaches the sampling phase profiler (obs/spans.h) driven by the
-     * supervised run loop. While one is attached, every reference takes
+     * supervised run loop, which attaches it only for the steps its
+     * sampled windows cover. While one is attached, every reference takes
      * the profiled, out-of-line instantiation of Translate/MicroRead/
      * MicroWrite, which attributes its time to the translate/memory/
      * tracer phases when the profiler has a sampled window open. With no

@@ -24,12 +24,24 @@
  *    work in PhaseScopes. It is out of line in machine.cc
  *    (MicroReadProfiled, MicroWriteProfiled), and the unprofiled body
  *    branches to it only while a PhaseProfiler is attached
- *    (SetPhaseProfiler), so a sampled run keeps its phase split.
+ *    (SetPhaseProfiler). The run loop attaches one only for the step a
+ *    sampled window covers, so a sampled run keeps its phase split and
+ *    runs its other steps inline.
+ *  - The patch's share of a reference is inline too. Under ATUM's tracer
+ *    ucode::ControlStore::FireMemAccess, forced inline, packs the record
+ *    (trace::PackMemAccess, header-inline) and stores it into the
+ *    reserved region, bumps the head and the tallies, and returns the
+ *    patch cost. A traced reference thus costs one 8-byte store and no
+ *    call. Only the store that fills the buffer calls out, through
+ *    ControlStore::CallMemAccessPatch, and the tracer drains.
  *
  * Out of line stay the slow paths: the TB-miss walk (mmu::Mmu::Walk),
- * the physical-memory range panic, the patch routines themselves and the
- * profiled instantiation. The prefetch refill (Machine::RefillIBuf) is
- * out of line too, but makes no call on its TB hit.
+ * the physical-memory range panic, the patch routines themselves (the
+ * buffer-filling store, the other splice points, a patch with no record
+ * buffer) and the profiled instantiation. The prefetch refill
+ * (Machine::RefillIBuf) is out of line too, but makes no call on its TB
+ * hit, traced or not. scripts/check_hot_path.sh checks these calls in
+ * the object code.
  *
  * The rest of the per-instruction work is fixed at compile time too, so
  * no step makes an out-of-line call it does not need:
@@ -45,8 +57,7 @@
  *    (Executor::Run), is one function in executor.cc: it tests the three
  *    interrupt latches inline, calls CheckInterrupts only when one is
  *    set, and calls Dispatch. A step is RunLoop → StepOne → Dispatch.
- *  - set_pc is inline (machine.h), and the patch's record builders
- *    trace::FromMemAccess and MakeFlags are inline (trace/record.h).
+ *  - set_pc is inline (machine.h).
  */
 
 #include "cpu/machine.h"

@@ -77,6 +77,15 @@ class PhysicalMemory
     {
         Store(pa, v);
     }
+    /**
+     * Writes a little-endian 64-bit value, one packed trace record, with
+     * no range check: the caller has checked once that its record buffer
+     * lies inside memory (ucode::ControlStore::Install).
+     */
+    [[gnu::always_inline]] void Write64Unchecked(uint32_t pa, uint64_t v)
+    {
+        std::memcpy(data_.data() + pa, &v, sizeof v);
+    }
 
     /** Copies `len` bytes out of memory starting at `pa`. */
     void ReadBlock(uint32_t pa, void* dst, uint32_t len) const

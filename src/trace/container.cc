@@ -1,11 +1,9 @@
 #include "trace/container.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "util/crc32.h"
 #include "util/logging.h"
@@ -273,7 +271,7 @@ Atf2Writer::FlushChunk()
 }
 
 util::Status
-Atf2Writer::Append(const Record& record)
+Atf2Writer::AppendSlow(const Record& record)
 {
     if (sealed_)
         return util::FailedPrecondition("Append on a sealed ATF2 writer");
@@ -285,10 +283,7 @@ Atf2Writer::Append(const Record& record)
         if (!status.ok())
             return status;  // `record` was not consumed; caller may retry
     }
-    PackRecord(record, chunk_.data() + kAtf2ChunkHeaderBytes +
-                           size_t{pending_records_} * kRecordBytes);
-    ++pending_records_;
-    ++records_;
+    Pack(record);
     return util::OkStatus();
 }
 
@@ -321,15 +316,8 @@ Atf2Writer::Seal()
 namespace {
 
 // A verified payload is copied into the caller's records as one block,
-// which is only the records themselves on a little-endian host whose
-// Record is laid out as the 8 packed bytes.
-static_assert(std::endian::native == std::endian::little,
-              "the block load copies little-endian records as they are");
-static_assert(sizeof(Record) == kRecordBytes &&
-              std::is_trivially_copyable_v<Record> &&
-              std::is_standard_layout_v<Record>);
-static_assert(offsetof(Record, addr) == 0 && offsetof(Record, type) == 4 &&
-              offsetof(Record, flags) == 5 && offsetof(Record, info) == 6);
+// which is only the records themselves because a Record is laid out as
+// its 8 packed bytes (trace/record.h).
 
 /** The scanner's read size: one Read call per 64 KiB of file. */
 constexpr size_t kScanReadBytes = 64 << 10;

@@ -37,6 +37,7 @@
  */
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -184,8 +185,21 @@ class Atf2Writer
     Atf2Writer(const Atf2Writer&) = delete;
     Atf2Writer& operator=(const Atf2Writer&) = delete;
 
-    /** Buffers one record, flushing a full chunk first if needed. */
-    util::Status Append(const Record& record);
+    /**
+     * Buffers one record, flushing a full chunk first if needed. A
+     * started, unsealed writer with room in its open chunk packs the
+     * record there in line; writing the header, flushing the full chunk
+     * and the sealed writer's error are out of line (AppendSlow).
+     */
+    util::Status Append(const Record& record)
+    {
+        if (started_ && !sealed_ &&
+            pending_records_ < options_.chunk_records) [[likely]] {
+            Pack(record);
+            return util::OkStatus();
+        }
+        return AppendSlow(record);
+    }
 
     /** Flushes the open chunk and writes the footer; idempotent. */
     util::Status Seal();
@@ -201,8 +215,19 @@ class Atf2Writer
     Atf2ResumeState SaveState() const;
 
   private:
+    util::Status AppendSlow(const Record& record);
     util::Status Start();
     util::Status FlushChunk();
+
+    /** Packs `record` into the open chunk, which has room for it. */
+    void Pack(const Record& record)
+    {
+        std::memcpy(chunk_.data() + kAtf2ChunkHeaderBytes +
+                        size_t{pending_records_} * kRecordBytes,
+                    &record, kRecordBytes);
+        ++pending_records_;
+        ++records_;
+    }
 
     io::WritableFile& out_;
     Atf2WriterOptions options_;

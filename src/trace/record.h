@@ -13,7 +13,10 @@
  *   bytes 6..7  info   pid (kCtxSwitch), vector (kException), else 0
  */
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "ucode/micro_op.h"
 
@@ -59,11 +62,23 @@ struct Record {
 /** Serialized record size in the trace buffer and trace files. */
 inline constexpr uint32_t kRecordBytes = 8;
 
+// A Record is laid out as its 8 packed bytes on a little-endian host, so
+// records are copied to and from packed form as they are: the drain out
+// of the trace buffer, the ATF2 writer's open chunk and the scanner's
+// block load all do.
+static_assert(std::endian::native == std::endian::little,
+              "records are copied as they are, in little-endian order");
+static_assert(sizeof(Record) == kRecordBytes &&
+              std::is_trivially_copyable_v<Record> &&
+              std::is_standard_layout_v<Record>);
+static_assert(offsetof(Record, addr) == 0 && offsetof(Record, type) == 4 &&
+              offsetof(Record, flags) == 5 && offsetof(Record, info) == 6);
+
 /** Panics: `size_bytes` is not an access size (1, 2 or 4). */
 [[noreturn]] void PanicBadAccessSize(uint8_t size_bytes);
 
-// MakeFlags and FromMemAccess run on the patch path, once per traced
-// reference, so they are inline; the bad-size panic stays out of line.
+// MakeFlags and FromMemAccess are inline; the bad-size panic stays out of
+// line. The patch's per-reference encoder is PackMemAccess, below.
 
 /** Builds the flags byte. */
 inline uint8_t
@@ -114,6 +129,35 @@ FromMemAccess(const ucode::MemAccess& access)
     return r;
 }
 
+// The four memory kinds a record shares with the access it describes.
+static_assert(static_cast<uint8_t>(ucode::MemAccessKind::kIFetch) ==
+                  static_cast<uint8_t>(RecordType::kIFetch) &&
+              static_cast<uint8_t>(ucode::MemAccessKind::kRead) ==
+                  static_cast<uint8_t>(RecordType::kRead) &&
+              static_cast<uint8_t>(ucode::MemAccessKind::kWrite) ==
+                  static_cast<uint8_t>(RecordType::kWrite) &&
+              static_cast<uint8_t>(ucode::MemAccessKind::kPte) ==
+                  static_cast<uint8_t>(RecordType::kPte));
+
+/**
+ * The 8 bytes PackRecord(FromMemAccess(access)) writes, as one
+ * little-endian word. `access.size` must be 1, 2 or 4, as it is for
+ * every reference the machine makes; this encoder does not check it, so
+ * it makes no call at all. The control store stores it in line
+ * (ucode/control_store.h), a layer below this library.
+ */
+inline uint64_t
+PackMemAccess(const ucode::MemAccess& access)
+{
+    const uint64_t type = access.kind == ucode::MemAccessKind::kDma
+                              ? static_cast<uint64_t>(RecordType::kDma)
+                              : static_cast<uint64_t>(access.kind);
+    // log2(size) << 1 is size & 6 for the sizes 1, 2 and 4.
+    const uint64_t flags =
+        (access.kernel ? kFlagKernel : 0u) | (access.size & 6u);
+    return access.vaddr | type << 32 | flags << 40;
+}
+
 /** Builds a context-switch marker record. */
 Record MakeCtxSwitch(uint16_t pid, uint32_t pcb_pa);
 
@@ -149,8 +193,8 @@ IsPlausibleRecord(const Record& r)
     return (r.flags & ~0x07u) == 0 && ((r.flags >> 1) & 3) != 3;
 }
 
-// Pack and unpack run once or twice per record on the patch, drain, scan
-// and load paths, so they are inline.
+// Pack and unpack are inline: the scanner unpacks every record it vets,
+// and the tracer packs the records its routines append out of line.
 
 /** Packs a record into 8 bytes (little-endian). */
 inline void

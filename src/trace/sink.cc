@@ -119,11 +119,9 @@ FileSink::~FileSink()
 }
 
 util::Status
-FileSink::Append(const Record& record)
+FileSink::ClosedError()
 {
-    if (closed_)
-        return util::FailedPrecondition("Append on a closed FileSink");
-    return writer_->Append(record);
+    return util::FailedPrecondition("Append on a closed FileSink");
 }
 
 util::Status

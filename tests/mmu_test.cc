@@ -13,7 +13,7 @@ namespace {
 class MmuTest : public ::testing::Test
 {
   protected:
-    MmuTest() : mem_(64 * kPageBytes), mmu_(mem_, cs_)
+    MmuTest() : mem_(64 * kPageBytes), cs_(mem_), mmu_(mem_, cs_)
     {
         // P0 page table at physical 0x1000 covering 16 pages.
         mmu_.SetRegion(Region::kP0, {0x1000, 16});

@@ -326,6 +326,67 @@ TEST(Container, FailedAppendConsumesNothingAndIsRetryable)
     EXPECT_EQ(back, records);
 }
 
+TEST(Container, FailedChunkFlushLeavesTheTriggeringRecordUnconsumed)
+{
+    // Default 512-record chunks: the first Append writes the header
+    // (write 1), records 1..512 pack into the open chunk, and record 513
+    // finds the chunk full and flushes it (write 2), which fails here.
+    const std::vector<Record> records = TestRecords(1200);
+    io::MemVfs mem;
+    io::ChaosVfs vfs(mem, Schedule("op fail-write 2 io\n"));
+    util::StatusOr<std::unique_ptr<FileSink>> sink =
+        FileSink::Open(kTrace, {}, vfs);
+    ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+    for (uint32_t i = 0; i < 512; ++i)
+        ASSERT_TRUE((*sink)->Append(records[i]).ok()) << i;
+    EXPECT_EQ((*sink)->Append(records[512]).code(),
+              util::StatusCode::kIoError);
+    EXPECT_EQ((*sink)->count(), 512u);
+    EXPECT_EQ((*sink)->bytes_written(), kAtf2HeaderBytes);
+    for (uint32_t i = 512; i < records.size(); ++i)
+        ASSERT_TRUE((*sink)->Append(records[i]).ok()) << i;
+    ASSERT_TRUE((*sink)->Close().ok());
+    EXPECT_EQ(vfs.faults_fired(), 1u);
+
+    // The retried capture is the file a fault-free one writes.
+    io::MemVfs clean;
+    util::StatusOr<std::unique_ptr<FileSink>> reference =
+        FileSink::Open(kTrace, {}, clean);
+    ASSERT_TRUE(reference.ok());
+    for (const Record& r : records)
+        ASSERT_TRUE((*reference)->Append(r).ok());
+    ASSERT_TRUE((*reference)->Close().ok());
+    EXPECT_EQ(mem.ReadAll(kTrace).value(), clean.ReadAll(kTrace).value());
+}
+
+TEST(Container, AppendAfterSealOrCloseIsFailedPrecondition)
+{
+    // A sealed writer refuses records even with room in its open chunk.
+    io::MemVfs mem;
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out =
+        mem.Create(kTrace);
+    ASSERT_TRUE(out.ok());
+    Atf2Writer writer(**out);
+    ASSERT_TRUE(writer.Append(TestRecord(0)).ok());
+    ASSERT_TRUE(writer.Seal().ok());
+    EXPECT_EQ(writer.Append(TestRecord(1)).code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ(writer.records(), 1u);
+
+    // A FileSink whose Close failed leaves its writer started, unsealed
+    // and with room, yet it refuses records too.
+    io::MemVfs faulty;
+    io::ChaosVfs vfs(faulty, Schedule("op fail-write 2 io\n"));
+    util::StatusOr<std::unique_ptr<FileSink>> sink =
+        FileSink::Open(kTrace, {}, vfs);
+    ASSERT_TRUE(sink.ok());
+    ASSERT_TRUE((*sink)->Append(TestRecord(0)).ok());
+    EXPECT_FALSE((*sink)->Close().ok());  // the final chunk's flush fails
+    EXPECT_EQ((*sink)->Append(TestRecord(1)).code(),
+              util::StatusCode::kFailedPrecondition);
+    EXPECT_EQ((*sink)->count(), 1u);
+}
+
 TEST(Container, CrashTruncationLeavesRecoverablePrefix)
 {
     // The capture syncs once chunk 0 is out (a checkpoint would), then

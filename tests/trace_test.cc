@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include <cstdio>
 #include <map>
 #include <string>
@@ -63,6 +65,31 @@ TEST(Record, FromMemAccessMapsKinds)
     EXPECT_EQ(r.addr, 0x1234u);
     EXPECT_TRUE(r.kernel());
     EXPECT_TRUE(r.IsMemory());
+}
+
+TEST(Record, PackMemAccessIsThePackedFromMemAccess)
+{
+    // The control store's in-line encoder and the tracer's out-of-line
+    // one must write the same 8 bytes for every reference the machine
+    // can make.
+    using ucode::MemAccessKind;
+    for (const MemAccessKind kind :
+         {MemAccessKind::kIFetch, MemAccessKind::kRead, MemAccessKind::kWrite,
+          MemAccessKind::kPte, MemAccessKind::kDma}) {
+        for (const uint8_t size : {1, 2, 4}) {
+            for (const bool kernel : {false, true}) {
+                const ucode::MemAccess a{0xDEADBEEF, 0x1234, size, kind,
+                                         kernel};
+                uint8_t bytes[kRecordBytes];
+                PackRecord(FromMemAccess(a), bytes);
+                uint64_t word;
+                std::memcpy(&word, bytes, sizeof word);
+                EXPECT_EQ(PackMemAccess(a), word)
+                    << static_cast<int>(kind) << " " << int{size} << " "
+                    << kernel;
+            }
+        }
+    }
 }
 
 TEST(Record, MarkersAreNotMemory)

@@ -74,14 +74,16 @@ ExpectAllFiresReturnZero(ControlStore& cs)
 
 TEST(ControlStore, UnpatchedFiresReturnZero)
 {
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     EXPECT_FALSE(cs.installed());
     ExpectAllFiresReturnZero(cs);
 }
 
 TEST(ControlStore, EachSplicePointReachesItsOverride)
 {
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     FakePatch patch;
     cs.Install(patch);
     EXPECT_TRUE(cs.installed());
@@ -113,7 +115,8 @@ TEST(ControlStore, EachSplicePointReachesItsOverride)
 
 TEST(ControlStore, PointNotOverriddenReturnsZero)
 {
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     FakePatch patch;
     cs.Install(patch);
     EXPECT_EQ(cs.FireExceptionDispatch(3), 0u);
@@ -130,7 +133,8 @@ TEST(ControlStore, PointLeftOutOfSplicesIsNeverCalled)
             return kSpliceMemAccess | kSpliceContextSwitch;
         }
     };
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     TwoPointPatch patch;
     cs.Install(patch);
     EXPECT_EQ(cs.FireMemAccess(MemAccess{}), 16u);
@@ -144,7 +148,8 @@ TEST(ControlStore, PointLeftOutOfSplicesIsNeverCalled)
 
 TEST(ControlStore, RemoveRestoresZero)
 {
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     FakePatch patch;
     cs.Install(patch);
     cs.Remove();
@@ -154,9 +159,86 @@ TEST(ControlStore, RemoveRestoresZero)
     EXPECT_EQ(cs.FireTlbMiss(0, false), 3u);
 }
 
+/**
+ * A patch with a record buffer: its OnMemAccess stands in for the
+ * tracer's buffer-filling store, storing nothing and emptying the buffer.
+ */
+struct BufferedPatch : Patch {
+    RecordBuffer buffer;
+    unsigned fills = 0;
+
+    RecordBuffer* record_buffer() override { return &buffer; }
+    uint32_t OnMemAccess(const MemAccess&) override
+    {
+        ++fills;
+        buffer.head = 0;
+        return 1000;
+    }
+};
+
+TEST(ControlStore, RecordBufferIsAppendedInLineUntilTheFillingStore)
+{
+    PhysicalMemory memory(4 * kPageBytes);
+    ControlStore cs(memory);
+    BufferedPatch patch;
+    patch.buffer = {.base = kPageBytes,
+                    .bytes = 8 * trace::kRecordBytes,
+                    .cost_per_record = 3,
+                    .kinds = 1u << static_cast<unsigned>(MemAccessKind::kRead)};
+    cs.Install(patch);
+
+    // A kind the buffer does not record stores nothing and costs nothing.
+    EXPECT_EQ(cs.FireMemAccess(MemAccess{0x2000, 0, 4, MemAccessKind::kWrite,
+                                         false}),
+              0u);
+    EXPECT_EQ(patch.buffer.head, 0u);
+
+    // Seven of the eight slots take records in line; the routine is not
+    // called and the cost is the per-record cost.
+    for (uint32_t i = 0; i < 7; ++i) {
+        const MemAccess read{0x1000 + 4 * i, 0, 4, MemAccessKind::kRead,
+                             i % 2 == 0};
+        EXPECT_EQ(cs.FireMemAccess(read), 3u);
+        uint64_t stored = 0;
+        memory.ReadBlock(kPageBytes + i * trace::kRecordBytes, &stored,
+                         sizeof stored);
+        EXPECT_EQ(stored, trace::PackMemAccess(read)) << i;
+    }
+    EXPECT_EQ(patch.fills, 0u);
+    EXPECT_EQ(patch.buffer.head, 7 * trace::kRecordBytes);
+    EXPECT_EQ(patch.buffer.records, 7u);
+    EXPECT_EQ(patch.buffer.overhead_ucycles, 21u);
+
+    // The eighth record would fill the buffer: that reference, of any
+    // kind, is the routine's. Here it empties the buffer, so the next
+    // record goes in line at the base again.
+    const MemAccess read{0x3000, 0, 4, MemAccessKind::kRead, false};
+    EXPECT_EQ(cs.FireMemAccess(read), 1000u);
+    EXPECT_EQ(patch.fills, 1u);
+    EXPECT_EQ(patch.buffer.records, 7u);
+    EXPECT_EQ(cs.FireMemAccess(read), 3u);
+    EXPECT_EQ(patch.buffer.head, trace::kRecordBytes);
+    EXPECT_EQ(patch.buffer.records, 8u);
+
+    // Removed, the buffer is no longer appended to.
+    cs.Remove();
+    EXPECT_EQ(cs.FireMemAccess(read), 0u);
+    EXPECT_EQ(patch.buffer.records, 8u);
+}
+
+TEST(ControlStoreDeath, RecordBufferOutsideMemoryIsFatal)
+{
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
+    BufferedPatch patch;
+    patch.buffer = {.base = kPageBytes / 2, .bytes = kPageBytes};
+    EXPECT_DEATH(cs.Install(patch), "inside physical memory");
+}
+
 TEST(ControlStoreDeath, SecondInstallIsFatal)
 {
-    ControlStore cs;
+    PhysicalMemory memory(kPageBytes);
+    ControlStore cs(memory);
     FakePatch first;
     FakePatch second;
     cs.Install(first);

@@ -469,13 +469,14 @@ TEST(Workloads, GoldenExecutionIsPinned)
 
 TEST(Workloads, PhaseProfilerDoesNotChangeExecution)
 {
-    // With a PhaseProfiler attached, every reference takes the profiled,
-    // out-of-line instantiation of Translate/MicroRead/MicroWrite
-    // (cpu/machine_hot.h); without one, the inline unprofiled copy. The
-    // two must drive the same machine. A multiprogrammed mix of compute
-    // and adversarial guests is traced both ways; the profiler samples
-    // one window in four, so references run with the window open and
-    // closed.
+    // In a step a sampled window covers, the run loop attaches the
+    // PhaseProfiler to the machine and every reference takes the
+    // profiled, out-of-line instantiation of Translate/MicroRead/
+    // MicroWrite (cpu/machine_hot.h); in the other steps, and without a
+    // profiler, the inline unprofiled copy. The two must drive the same
+    // machine. A multiprogrammed mix of compute and adversarial guests is
+    // traced both ways; the profiler samples one window in four, so the
+    // two paths interleave step by step.
     const std::vector<GuestProgram> mix = {
         MakeWorkload("matrix"), MakeWorkload("grep"),
         MakeWorkload("tlbthrash"), MakeWorkload("iostorm"),
