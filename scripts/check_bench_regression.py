@@ -24,9 +24,8 @@ Usage:
   check_bench_regression.py [--baselines DIR] FILE_OR_DIR...
   check_bench_regression.py --update [--baselines DIR] FILE_OR_DIR...
 
-Files that are not schema-1 bench reports (e.g. Google Benchmark output
-like BENCH_t5_sim_speed.json) are skipped with a note. Exit codes:
-0 clean, 1 drift/missing-metric, 2 usage or unreadable input.
+Files that are not schema-1 bench reports are skipped with a note. Exit
+codes: 0 clean, 1 drift/missing-metric, 2 usage or unreadable input.
 """
 
 import argparse

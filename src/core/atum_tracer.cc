@@ -25,16 +25,6 @@ AtumTracer::AtumTracer(cpu::Machine& machine, trace::TraceSink& sink,
     buf_.base = machine_.memory().ReserveTop(config_.buffer_bytes);
     buf_.bytes = config_.buffer_bytes;
     buf_.cost_per_record = config_.cost_per_record;
-    const auto bit = [](ucode::MemAccessKind kind) {
-        return static_cast<uint8_t>(1u << static_cast<unsigned>(kind));
-    };
-    buf_.kinds = bit(ucode::MemAccessKind::kRead) |
-                 bit(ucode::MemAccessKind::kWrite) |
-                 bit(ucode::MemAccessKind::kDma);
-    if (config_.record_ifetch)
-        buf_.kinds |= bit(ucode::MemAccessKind::kIFetch);
-    if (config_.record_pte)
-        buf_.kinds |= bit(ucode::MemAccessKind::kPte);
 }
 
 AtumTracer::~AtumTracer()
@@ -65,14 +55,10 @@ AtumTracer::Detach()
 uint8_t
 AtumTracer::splices() const
 {
-    uint8_t points = ucode::kSpliceMemAccess | ucode::kSpliceContextSwitch;
-    if (config_.record_tlb_miss)
-        points |= ucode::kSpliceTlbMiss;
-    if (config_.record_exceptions)
-        points |= ucode::kSpliceExceptionDispatch;
-    if (config_.record_opcodes)
-        points |= ucode::kSpliceDecode;
-    return points;
+    const uint8_t points =
+        ucode::kSpliceMemAccess | ucode::kSpliceContextSwitch |
+        ucode::kSpliceTlbMiss | ucode::kSpliceExceptionDispatch;
+    return config_.record_opcodes ? points | ucode::kSpliceDecode : points;
 }
 
 uint32_t
@@ -80,8 +66,6 @@ AtumTracer::OnMemAccess(const MemAccess& access)
 {
     // The control store's in-line append, for the one record it leaves
     // to this routine: the record that fills the buffer.
-    if ((buf_.kinds & (1u << static_cast<unsigned>(access.kind))) == 0)
-        return 0;
     return Append(trace::FromMemAccess(access));
 }
 
@@ -196,12 +180,12 @@ AtumTracer::Drain()
     util::Status status = DeliverRange(&delivered, total);
     for (uint32_t retry = 0;
          !status.ok() && status.code() != util::StatusCode::kNoSpace &&
-         retry < config_.drain_max_retries;
+         retry < kDrainMaxRetries;
          ++retry) {
         // Bounded backoff: the freeze lengthens 1x, 2x, 4x... while the
         // host-side sink sorts itself out. ENOSPC skips this: a full
         // disk will not recover within a freeze, so degrade immediately.
-        pause += config_.drain_retry_ucycles << retry;
+        pause += kDrainRetryUcycles << retry;
         ++drain_retries_;
         status = DeliverRange(&delivered, total);
     }
@@ -230,7 +214,7 @@ AtumTracer::Drain()
         w.BeginObject();
         w.KeyValue("event", "trace-drain-degrade");
         w.KeyValue("episode", static_cast<uint64_t>(loss_events_));
-        w.KeyValue("retries", static_cast<uint64_t>(config_.drain_max_retries));
+        w.KeyValue("retries", static_cast<uint64_t>(kDrainMaxRetries));
         w.KeyValue("delivered", static_cast<uint64_t>(delivered));
         w.KeyValue("lost", static_cast<uint64_t>(total - delivered));
         w.KeyValue("error", status.ToString());

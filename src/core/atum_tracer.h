@@ -47,30 +47,29 @@ struct AtumConfig {
     uint32_t cost_per_record = 64;
     /** Micro-cycles charged per buffer-full pause/extraction. */
     uint32_t drain_pause_ucycles = 100000;
-    bool record_ifetch = true;
-    bool record_pte = true;
-    bool record_tlb_miss = true;
-    bool record_exceptions = true;
     /** Record a kOpcode marker per retired instruction (off by default:
-     *  it enlarges traces; enable for opcode-frequency studies, T6). */
+     *  it enlarges traces; enable for opcode-frequency studies, T6). The
+     *  one optional record: every memory reference, TB miss, exception
+     *  and context switch is always recorded, and a study that wants
+     *  fewer kinds filters at replay time (trace::RefFilter). */
     bool record_opcodes = false;
-
-    // -- drain failure policy ----------------------------------------------
-    // A refusing sink (full disk, dead pipe) must never abort the
-    // simulated machine: the drain is retried with a bounded, doubling
-    // pause, and if the sink still refuses the tracer degrades to
-    // counting-only capture — records are tallied as lost, and a kLoss
-    // marker is emitted at the next successful append so consumers can
-    // resynchronize around the gap (HMTT-style). A kNoSpace failure
-    // skips the retries entirely: a full disk does not empty itself in
-    // a few hundred milliseconds, so the machine degrades immediately
-    // instead of stalling in pointless backoff.
-    /** Retries per failed drain before degrading. */
-    uint32_t drain_max_retries = 3;
-    /** Micro-cycles charged for the first retry pause; doubles per retry
-     *  (bounded backoff), on top of the normal drain pause. */
-    uint32_t drain_retry_ucycles = 50000;
 };
+
+// -- drain failure policy ----------------------------------------------------
+// A refusing sink (full disk, dead pipe) must never abort the simulated
+// machine: the drain is retried with a bounded, doubling pause, and if
+// the sink still refuses the tracer degrades to counting-only capture —
+// records are tallied as lost, and a kLoss marker is emitted at the next
+// successful append so consumers can resynchronize around the gap
+// (HMTT-style). A kNoSpace failure skips the retries entirely: a full
+// disk does not empty itself in a few hundred milliseconds, so the
+// machine degrades immediately instead of stalling in pointless backoff.
+
+/** Retries per failed drain before degrading. */
+inline constexpr uint32_t kDrainMaxRetries = 3;
+/** Micro-cycles charged for the first retry pause; doubles per retry
+ *  (bounded backoff), on top of the normal drain pause. */
+inline constexpr uint32_t kDrainRetryUcycles = 50000;
 
 class AtumTracer : public ucode::Patch
 {
@@ -173,11 +172,11 @@ class AtumTracer : public ucode::Patch
     }
 
   private:
-    // The ucode::Patch micro-routines. splices() leaves out the points
-    // whose record_* flag is off. The memory-access routine runs in line
-    // in the control store (record_buffer), which applies the ifetch and
-    // PTE filters and calls OnMemAccess only for the record that fills
-    // the buffer. Each spliced routine appends one record.
+    // The ucode::Patch micro-routines. splices() names every point but
+    // decode, which only record_opcodes adds. The memory-access routine
+    // runs in line in the control store (record_buffer), which calls
+    // OnMemAccess only for the record that fills the buffer. Each
+    // spliced routine appends one record.
     uint8_t splices() const override;
     ucode::RecordBuffer* record_buffer() override { return &buf_; }
     uint32_t OnMemAccess(const ucode::MemAccess& access) override;

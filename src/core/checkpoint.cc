@@ -81,6 +81,10 @@ Get64(const uint8_t* p)
 
 // -- meta section payload ---------------------------------------------------
 
+/** Meta slots that once held the ifetch, PTE, TB-miss and exception
+ *  record flags. The tracer records every kind, so each holds 1. */
+constexpr int kAlwaysRecordedSlots = 4;
+
 void
 SerializeMeta(const CheckpointMeta& meta, util::StateWriter& w)
 {
@@ -93,13 +97,11 @@ SerializeMeta(const CheckpointMeta& meta, util::StateWriter& w)
     w.U32(t.buffer_bytes);
     w.U32(t.cost_per_record);
     w.U32(t.drain_pause_ucycles);
-    w.Bool(t.record_ifetch);
-    w.Bool(t.record_pte);
-    w.Bool(t.record_tlb_miss);
-    w.Bool(t.record_exceptions);
+    for (int i = 0; i < kAlwaysRecordedSlots; ++i)
+        w.Bool(true);
     w.Bool(t.record_opcodes);
-    w.U32(t.drain_max_retries);
-    w.U32(t.drain_retry_ucycles);
+    w.U32(kDrainMaxRetries);
+    w.U32(kDrainRetryUcycles);
 
     w.U64(meta.sequence);
     w.U64(meta.instructions);
@@ -121,13 +123,12 @@ DeserializeMeta(const std::vector<uint8_t>& bytes, CheckpointMeta* meta)
     t.buffer_bytes = r.U32();
     t.cost_per_record = r.U32();
     t.drain_pause_ucycles = r.U32();
-    t.record_ifetch = r.Bool();
-    t.record_pte = r.Bool();
-    t.record_tlb_miss = r.Bool();
-    t.record_exceptions = r.Bool();
+    bool all_recorded = true;
+    for (int i = 0; i < kAlwaysRecordedSlots; ++i)
+        all_recorded = r.U8() == 1 && all_recorded;
     t.record_opcodes = r.Bool();
-    t.drain_max_retries = r.U32();
-    t.drain_retry_ucycles = r.U32();
+    const uint32_t max_retries = r.U32();
+    const uint32_t retry_ucycles = r.U32();
 
     meta->sequence = r.U64();
     meta->instructions = r.U64();
@@ -139,6 +140,18 @@ DeserializeMeta(const std::vector<uint8_t>& bytes, CheckpointMeta* meta)
     if (!r.AtEnd())
         return util::DataLoss("checkpoint meta section has ", r.remaining(),
                               " trailing bytes");
+    // Resuming a capture whose stream left out a record kind, or whose
+    // drains retried differently, would join a different stream onto
+    // the trace's prefix.
+    if (!all_recorded)
+        return util::DataLoss("checkpoint meta leaves a record kind out; "
+                              "this tracer records every kind");
+    if (max_retries != kDrainMaxRetries ||
+        retry_ucycles != kDrainRetryUcycles)
+        return util::DataLoss("checkpoint meta drain retry policy ",
+                              max_retries, "x", retry_ucycles,
+                              " ucycles is not this tracer's ",
+                              kDrainMaxRetries, "x", kDrainRetryUcycles);
     return util::OkStatus();
 }
 

@@ -188,7 +188,7 @@ RunLoop(cpu::Machine& machine, AtumTracer* tracer,
         // watchdog and checkpoint policy see every boundary, but all
         // host-side clock/flag checks stay out here at slice granularity.
         const uint64_t slice_end =
-            executed + std::min(options.slice_instructions,
+            executed + std::min(kSliceInstructions,
                                 options.max_instructions - executed);
         while (!machine.halted() && executed < slice_end) {
             // The sampled window covers the instruction *and* its

@@ -71,17 +71,17 @@ struct SessionResult {
     util::Status checkpoint_status;
 };
 
+/**
+ * Supervision granularity: signals, deadlines and the wall clock are
+ * checked every this many instructions (a safe drain boundary). Small
+ * enough to stop promptly, large enough to stay off the hot path.
+ */
+inline constexpr uint64_t kSliceInstructions = 4096;
+
 /** Knobs for the run loop; the defaults supervise nothing. */
 struct SupervisorOptions {
     /** Step budget (instructions plus interrupt deliveries). */
     uint64_t max_instructions = UINT64_MAX;
-
-    /**
-     * Supervision granularity: signals, deadlines and the wall clock are
-     * checked every this many instructions (a safe drain boundary). Small
-     * enough to stop promptly, large enough to stay off the hot path.
-     */
-    uint64_t slice_instructions = 4096;
 
     /**
      * Deadman watchdog: stop with kWatchdog when this many micro-cycles

@@ -43,8 +43,7 @@ UserOnlyTracer::OnMemAccess(const MemAccess& access)
     // A user-space software probe sees only its own process's
     // user-mode instruction and data stream.
     if (access.kernel || current_pid_ != config_.target_pid ||
-        access.kind == MemAccessKind::kPte ||
-        (access.kind == MemAccessKind::kIFetch && !config_.record_ifetch)) {
+        access.kind == MemAccessKind::kPte) {
         ++suppressed_;
         return 0;
     }

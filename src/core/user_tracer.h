@@ -30,8 +30,6 @@ namespace atum::core {
 struct UserTracerConfig {
     /** Process to trace; records are kept only while it is running. */
     uint16_t target_pid = 1;
-    /** Keep instruction-stream references. */
-    bool record_ifetch = true;
     /** Perturbation cost per record (0 = idealized probe). */
     uint32_t cost_per_record = 0;
 };

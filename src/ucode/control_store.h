@@ -28,11 +28,12 @@
  * record into the reserved region, bump the head, and involve the host
  * only when the buffer fills. A patch that hands the control store its
  * RecordBuffer (Patch::record_buffer) gets exactly that: FireMemAccess
- * packs the record and stores it in line, with no call, and calls the
- * patch's OnMemAccess only for the store that fills the buffer, which
- * then drains it. A patch without a buffer has OnMemAccess called on
- * every reference. Either way the patch routine is reached through one
- * out-of-line call, CallMemAccessPatch.
+ * packs the record of every reference, whatever its kind, and stores it
+ * in line, with no call; it calls the patch's OnMemAccess only for the
+ * store that fills the buffer, which then drains it. A patch without a
+ * buffer has OnMemAccess called on every reference. Either way the
+ * patch routine is reached through one out-of-line call,
+ * CallMemAccessPatch.
  */
 
 #include <cstdint>
@@ -61,9 +62,6 @@ struct RecordBuffer {
     uint32_t head = 0;
     /** Micro-cycles charged per record appended. */
     uint32_t cost_per_record = 0;
-    /** The MemAccessKinds recorded, bit (1 << kind) each; a reference of
-     *  another kind stores nothing and costs nothing. */
-    uint8_t kinds = 0;
     uint64_t records = 0;           ///< records appended
     /** Micro-cycles charged for the records and the patch's drains. */
     uint64_t overhead_ucycles = 0;
@@ -158,8 +156,6 @@ class ControlStore
         if (buf == nullptr ||
             buf->head + 2 * trace::kRecordBytes > buf->bytes) [[unlikely]]
             return CallMemAccessPatch(access);
-        if ((buf->kinds & (1u << static_cast<unsigned>(access.kind))) == 0)
-            return 0;
         memory_.Write64Unchecked(buf->base + buf->head,
                                  trace::PackMemAccess(access));
         buf->head += trace::kRecordBytes;

@@ -9,6 +9,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -23,6 +24,7 @@
 #include "kernel/boot.h"
 #include "trace/container.h"
 #include "trace/sink.h"
+#include "util/crc32.h"
 #include "util/serialize.h"
 #include "workloads/workloads.h"
 
@@ -486,7 +488,7 @@ TEST(Supervisor, StopFlagStopsAtSliceBoundaryAndCheckpoints)
     const auto result = core::RunSupervised(machine, tracer, sup);
     EXPECT_EQ(result.stop_cause, StopCause::kSignal);
     // Stopped after one slice, not the whole budget.
-    EXPECT_LE(result.instructions, sup.slice_instructions);
+    EXPECT_LE(result.instructions, core::kSliceInstructions);
     // The graceful stop sealed a final checkpoint.
     EXPECT_GE(result.checkpoints_written, 1u);
     EXPECT_FALSE(result.last_checkpoint.empty());
@@ -601,6 +603,71 @@ TEST(CheckpointSeries, DamagedNewestYieldsTheOneBefore)
     found = core::FindNewestCheckpoint("run.d/t", vfs);
     ASSERT_TRUE(found.ok()) << found.status().ToString();
     EXPECT_EQ(found->meta().sequence, 2u);
+}
+
+TEST(CheckpointSeries, MetaLeavingAKindOutIsRefused)
+{
+    // A supervised capture's checkpoints, in memory.
+    io::MemVfs vfs;
+    CheckpointRotator rotator("run.d/t", 3, 1, vfs);
+    {
+        Machine machine(MixConfig());
+        auto sink = trace::FileSink::Open("run.d/t.atum", {}, vfs);
+        ASSERT_TRUE(sink.ok()) << sink.status().ToString();
+        AtumTracer tracer(machine, **sink, SmallBufferConfig());
+        kernel::BootSystem(machine, workloads::StandardMix(1));
+        SupervisorOptions sup;
+        sup.max_instructions = 150'000;
+        sup.checkpoints = &rotator;
+        sup.checkpoint_every_fills = 1;
+        sup.file_sink = sink->get();
+        sup.meta.machine_config = MixConfig();
+        sup.meta.tracer_config = SmallBufferConfig();
+        const auto result = core::RunSupervised(machine, tracer, sup);
+        ASSERT_TRUE(result.checkpoint_status.ok())
+            << result.checkpoint_status.ToString();
+        ASSERT_TRUE((*sink)->Close().ok());
+    }
+    ASSERT_GE(rotator.written(), 2u);
+    const uint64_t newest = rotator.next_sequence() - 1;
+    const std::string path = rotator.PathFor(newest);
+
+    // Clear the meta slot that once held the PTE record flag, and
+    // recompute the meta section's payload and header CRCs so the file
+    // stays well framed. The meta is the first section; its payload
+    // opens with the machine config (4 x u32) and the buffer size, cost
+    // and drain pause (3 x u32), then the ifetch and PTE slots.
+    std::vector<uint8_t> bytes = vfs.ReadAll(path).value();
+    constexpr size_t kMetaHeader = core::kCheckpointHeaderBytes;
+    constexpr size_t kPayload =
+        kMetaHeader + core::kCheckpointSectionHeaderBytes;
+    constexpr size_t kPteSlot = kPayload + 7 * 4 + 1;
+    ASSERT_EQ(bytes[kPteSlot], 1u);
+    bytes[kPteSlot] = 0;
+    uint32_t payload_len = 0;
+    std::memcpy(&payload_len, &bytes[kMetaHeader + 8], 4);
+    const uint32_t payload_crc = util::Crc32c(&bytes[kPayload], payload_len);
+    std::memcpy(&bytes[kMetaHeader + 16], &payload_crc, 4);
+    const uint32_t header_crc = util::Crc32c(&bytes[kMetaHeader], 20);
+    std::memcpy(&bytes[kMetaHeader + 20], &header_crc, 4);
+    util::StatusOr<std::unique_ptr<io::WritableFile>> out = vfs.Create(path);
+    ASSERT_TRUE(out.ok());
+    ASSERT_TRUE((*out)->Write(bytes.data(), bytes.size()).ok());
+    ASSERT_TRUE((*out)->Close().ok());
+
+    // The frame checks pass and the meta check refuses it: resuming would
+    // join a stream without PTE records onto the trace's prefix.
+    util::StatusOr<Checkpoint> refused = Checkpoint::Load(path, vfs);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), util::StatusCode::kDataLoss);
+    EXPECT_NE(refused.status().ToString().find("record kind"),
+              std::string::npos)
+        << refused.status().ToString();
+
+    util::StatusOr<Checkpoint> found =
+        core::FindNewestCheckpoint("run.d/t", vfs);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found->meta().sequence, newest - 1);
 }
 
 TEST(CheckpointSeries, NoCheckpointIsNotFound)

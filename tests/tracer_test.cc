@@ -177,27 +177,6 @@ TEST(AtumTracer, DetachStopsRecording)
     EXPECT_EQ(sink.records().size(), at_detach);
 }
 
-TEST(AtumTracer, FilterConfigDropsRecordTypes)
-{
-    auto machine = SmallMachine();
-    trace::VectorSink sink;
-    AtumConfig config;
-    config.record_ifetch = false;
-    config.record_pte = false;
-    config.record_tlb_miss = false;
-    config.record_exceptions = false;
-    AtumTracer tracer(*machine, sink, config);
-    kernel::BootSystem(*machine, {TinyLoop(1000)});
-    RunSupervised(*machine, tracer, {.max_instructions = 10'000'000});
-    ASSERT_GT(sink.records().size(), 0u);
-    for (const auto& r : sink.records()) {
-        EXPECT_NE(r.type, RecordType::kIFetch);
-        EXPECT_NE(r.type, RecordType::kPte);
-        EXPECT_NE(r.type, RecordType::kTlbMiss);
-        EXPECT_NE(r.type, RecordType::kException);
-    }
-}
-
 TEST(AtumTracerDeath, DoubleAttachIsFatal)
 {
     auto machine = SmallMachine();
