@@ -11,10 +11,11 @@
  * instruction stream advances by small strides, data references cluster —
  * by encoding each record as:
  *
- *   header byte:  type (3 bits) | kernel (1 bit) | log2 size (2 bits)
+ *   header byte:  bits 0-3 type (0x0F) | bit 4 kernel (0x10) |
+ *                 bits 5-6 log2 size | bit 7 zero
  *   address:      zigzag varint of (addr - previous addr of same type)
  *   info:         varint, only for types that carry it (kCtxSwitch,
- *                 kException)
+ *                 kException, kOpcode, kLoss)
  *
  * Typical full-system traces compress to ~2-3 bytes/record from the fixed
  * 8-byte form (see bench_a1_compression).

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 
 #include "ucode/micro_op.h"
@@ -193,8 +194,53 @@ IsPlausibleRecord(const Record& r)
     return (r.flags & ~0x07u) == 0 && ((r.flags >> 1) & 3) != 3;
 }
 
-// Pack and unpack are inline: the scanner unpacks every record it vets,
-// and the tracer packs the records its routines append out of line.
+/**
+ * True when every one of the `count` packed records at `p` is
+ * IsPlausibleRecord: the scanner's vet of each verified chunk. On a
+ * record's little-endian word the test is two masked adds, so it runs
+ * branch-free, two vectors of two records at a time, and then over the
+ * scalar tail.
+ */
+inline bool
+AllPlausible(const uint8_t* p, uint32_t count)
+{
+    // IsPlausibleRecord holds exactly when type < 10 and flags < 6 (flags
+    // 6 and 7 are log2(size) 3), that is flags & 0xFE < 6. Type is bits
+    // 32-39 of the word and flags bits 40-47, so 256 - 10 added to the
+    // masked type carries into bit 40 only for a bad type, and 256 - 6
+    // added to the masked flags, whose sum keeps bit 40 clear, into bit 48
+    // only for bad flags.
+    static_assert(static_cast<uint8_t>(RecordType::kNumTypes) == 10);
+    constexpr uint64_t kTypeMask = uint64_t{0xFF} << 32;
+    constexpr uint64_t kTypeAdd = uint64_t{256 - 10} << 32;
+    constexpr uint64_t kFlagsMask = uint64_t{0xFE} << 40;
+    constexpr uint64_t kFlagsAdd = uint64_t{256 - 6} << 40;
+    constexpr uint64_t kCarries = uint64_t{1} << 40 | uint64_t{1} << 48;
+    typedef uint64_t Words __attribute__((vector_size(16)));
+    constexpr uint32_t kLanes = sizeof(Words) / sizeof(uint64_t);
+    Words lanes = {};
+    uint32_t i = 0;
+    for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
+        Words w[2];
+        std::memcpy(w, p + size_t{i} * kRecordBytes, sizeof w);
+        lanes |= ((w[0] & kTypeMask) + kTypeAdd) |
+                 ((w[0] & kFlagsMask) + kFlagsAdd) |
+                 ((w[1] & kTypeMask) + kTypeAdd) |
+                 ((w[1] & kFlagsMask) + kFlagsAdd);
+    }
+    uint64_t sums = 0;
+    for (uint32_t lane = 0; lane < kLanes; ++lane)
+        sums |= lanes[lane];
+    for (; i < count; ++i) {
+        uint64_t w;
+        std::memcpy(&w, p + size_t{i} * kRecordBytes, sizeof w);
+        sums |= ((w & kTypeMask) + kTypeAdd) | ((w & kFlagsMask) + kFlagsAdd);
+    }
+    return (sums & kCarries) == 0;
+}
+
+// Pack and unpack are inline: the tracer packs the records its routines
+// append out of line.
 
 /** Packs a record into 8 bytes (little-endian). */
 inline void

@@ -5,12 +5,14 @@
  * @file
  * CRC32C (Castagnoli polynomial 0x1EDC6F41, reflected), the checksum the
  * ATF2 trace container uses per chunk. Every drained and every loaded
- * byte passes through it, so it sits on the capture's critical path: a
- * bytewise table loop ran at ~350 MB/s and took about 0.4 s of a 1.1 s
- * drain of a 141 MB trace. Crc32cExtend therefore uses the SSE4.2 `crc32`
- * instruction when the CPU has it (checked once, at the first call) and
- * slicing-by-8 otherwise. Both give the same value on every platform,
- * which the golden-file tests require.
+ * byte passes through it: the drain CRCs each chunk it writes, and the
+ * scanner each chunk it reads back. Crc32cExtend therefore uses the
+ * SSE4.2 `crc32` instruction when the CPU has it (checked once, at the
+ * first call), as three interleaved streams over 768-byte blocks that
+ * are joined by a constant shift table, so the instruction's three-cycle
+ * latency does not bound it; it falls back to slicing-by-8 otherwise.
+ * Both give the same value on every platform, which the golden-file
+ * tests require.
  *
  * Check value: Crc32c("123456789", 9) == 0xE3069283.
  */

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "trace/compress.h"
 #include "trace/container.h"
@@ -117,6 +118,52 @@ TEST(Record, PackUnpackRoundTrip)
     EXPECT_EQ(buf[4], static_cast<uint8_t>(RecordType::kWrite));
     EXPECT_EQ(buf[6], 0xcd);
     EXPECT_EQ(buf[7], 0xab);
+}
+
+TEST(Record, AllPlausibleIsIsPlausibleRecordOverEveryTypeAndFlags)
+{
+    // Every (type, flags) byte pair, placed in each lane of the vector
+    // loop (its first and last steps) and in the scalar tail, among
+    // plausible records with every other byte set: the word test must
+    // agree with the definition each time.
+    Record good;
+    good.addr = 0xFFFFFFFF;
+    good.type = RecordType::kDma;
+    good.flags = MakeFlags(true, 4);
+    good.info = 0xFFFF;
+    ASSERT_TRUE(IsPlausibleRecord(good));
+    struct Placement {
+        uint32_t count;
+        std::vector<uint32_t> at;
+    };
+    const Placement placements[] = {
+        {1, {0}},
+        {5, {0, 1, 2, 3, 4}},
+        {512, {0, 1, 2, 3, 508, 509, 510, 511}},
+    };
+    std::vector<uint8_t> chunk(512 * kRecordBytes);
+    for (uint32_t i = 0; i < 512; ++i)
+        PackRecord(good, chunk.data() + i * kRecordBytes);
+    for (int type = 0; type < 256; ++type) {
+        for (int flags = 0; flags < 256; ++flags) {
+            Record r = good;
+            r.type = static_cast<RecordType>(type);
+            r.flags = static_cast<uint8_t>(flags);
+            const bool want = IsPlausibleRecord(r);
+            for (const Placement& placement : placements) {
+                for (const uint32_t at : placement.at) {
+                    uint8_t* slot = chunk.data() + at * kRecordBytes;
+                    PackRecord(r, slot);
+                    const bool got = AllPlausible(chunk.data(), placement.count);
+                    PackRecord(good, slot);
+                    ASSERT_EQ(got, want)
+                        << "type " << type << " flags " << flags << " at "
+                        << at << " of " << placement.count;
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(AllPlausible(chunk.data(), 0));
 }
 
 TEST(Sinks, VectorSinkCollects)

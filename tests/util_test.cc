@@ -233,6 +233,36 @@ TEST(Crc32c, EveryLengthAndAlignmentMatchesReference)
     }
 }
 
+TEST(Crc32c, ThreeStreamBlocksMatchReference)
+{
+    // The SSE4.2 path runs 768-byte blocks as three interleaved streams;
+    // these lengths cross one and several block boundaries, end one byte
+    // short of and past a block, and start from a nonzero running CRC.
+    Rng rng(17);
+    std::vector<uint8_t> buf(4096 + 7 + 8);
+    for (uint8_t& b : buf)
+        b = static_cast<uint8_t>(rng.Next32());
+    const uint8_t prefix[] = {0x5A, 0x01, 0xC3, 0x7E, 0x99};
+    const uint32_t seed = ReferenceCrc32c(prefix, sizeof prefix);
+    for (const size_t len : {size_t{768}, size_t{767}, size_t{769},
+                             size_t{3 * 768 - 1}, size_t{3 * 768},
+                             size_t{3 * 768 + 1}, size_t{4096},
+                             size_t{4096 + 7}}) {
+        for (size_t align = 0; align < 8; ++align) {
+            const uint8_t* p = buf.data() + align;
+            std::vector<uint8_t> whole(prefix, prefix + sizeof prefix);
+            whole.insert(whole.end(), p, p + len);
+            const uint32_t want = ReferenceCrc32c(whole.data(), whole.size());
+            EXPECT_EQ(util::Crc32cExtend(seed, p, len), want)
+                << "len " << len << " align " << align;
+            EXPECT_EQ(util::Crc32cExtendPortable(seed, p, len), want)
+                << "len " << len << " align " << align;
+            EXPECT_EQ(util::Crc32cExtend(0, p, len), ReferenceCrc32c(p, len))
+                << "len " << len << " align " << align;
+        }
+    }
+}
+
 TEST(Crc32c, RandomSplitsCompose)
 {
     Rng rng(16);
