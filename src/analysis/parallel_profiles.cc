@@ -1,5 +1,7 @@
 #include "analysis/parallel_profiles.h"
 
+#include <iterator>
+
 #include "analysis/stack_distance.h"
 #include "replay/thread_pool.h"
 #include "trace/ref_filter.h"
@@ -10,10 +12,9 @@ using trace::Record;
 
 std::vector<ProcessProfile>
 PerProcessStackProfiles(const std::vector<Record>& records,
-                        const ProcessProfileOptions& options, unsigned jobs)
+                        bool include_kernel, unsigned jobs)
 {
-    const trace::RefFilter::Options filter{.include_kernel =
-                                               options.include_kernel};
+    const trace::RefFilter::Options filter{.include_kernel = include_kernel};
     // Serial pass: which pids have references at all.
     std::vector<bool> seen(size_t{1} << 16);
     trace::RefFilter refs(filter);
@@ -31,19 +32,19 @@ PerProcessStackProfiles(const std::vector<Record>& records,
     replay::ThreadPool pool(jobs);
     for (ProcessProfile& profile : profiles) {
         ProcessProfile* out = &profile;
-        pool.Submit([out, &records, &options, filter] {
+        pool.Submit([out, &records, filter] {
             trace::RefFilter mine(filter);
             StackDistanceAnalyzer sd(0);  // fed blocks, not addresses
             for (const Record& r : records) {
                 if (mine.Classify(r) == trace::RefFilter::kRef &&
                     mine.PidOf(r) == out->pid)
-                    sd.TouchBlock(r.addr >> options.block_shift);
+                    sd.TouchBlock(r.addr >> 4);  // 16-byte blocks
             }
             out->accesses = sd.total_accesses();
             out->cold_misses = sd.cold_misses();
             out->distinct_blocks = sd.distinct_blocks();
-            out->misses_at_capacity.reserve(options.capacities.size());
-            for (uint64_t capacity : options.capacities)
+            out->misses_at_capacity.reserve(std::size(kProfileCapacities));
+            for (uint64_t capacity : kProfileCapacities)
                 out->misses_at_capacity.push_back(
                     sd.MissesForCapacity(capacity));
         });

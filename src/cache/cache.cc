@@ -62,7 +62,6 @@ Cache::Cache(const CacheConfig& config)
     block_shift_ = Log2Floor(config.block_bytes);
     lru_ = config.replacement == Replacement::kLru;
     write_back_ = config.write_back;
-    write_allocate_ = config.write_allocate;
     pid_tags_ = config.pid_tags;
     prefetch_ = config.prefetch_next_on_miss;
     lines_.resize(blocks);
@@ -75,19 +74,13 @@ Cache::Victim(uint32_t set)
     for (uint32_t w = 0; w < assoc_; ++w)
         if ((base[w].key & kValid) == 0)
             return base[w];
-    switch (config_.replacement) {
-      case Replacement::kLru:
-      case Replacement::kFifo: {
-        Line* victim = base;
-        for (uint32_t w = 1; w < assoc_; ++w)
-            if (base[w].stamp < victim->stamp)
-                victim = &base[w];
-        return *victim;
-      }
-      case Replacement::kRandom:
+    if (!lru_)
         return base[rng_.Below(assoc_)];
-    }
-    Panic("bad replacement policy");
+    Line* victim = base;
+    for (uint32_t w = 1; w < assoc_; ++w)
+        if (base[w].stamp < victim->stamp)
+            victim = &base[w];
+    return *victim;
 }
 
 bool
@@ -99,9 +92,6 @@ Cache::Miss(uint32_t block, uint64_t tag, bool is_write,
         ++stats_.write_misses;
     else
         ++stats_.read_misses;
-
-    if (is_write && !write_allocate_)
-        return false;  // write miss bypasses the cache
 
     const uint32_t set = block & set_mask_;
     Line& victim = Victim(set);

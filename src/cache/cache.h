@@ -13,6 +13,9 @@
  *     cache on every context switch;
  *   - PID tags: tags are extended with the process id (kernel references
  *     tag as pid 0, matching the shared system address space).
+ *
+ * Replacement is LRU or random, and a write miss always allocates its
+ * block.
  */
 
 #include <cstdint>
@@ -25,14 +28,13 @@
 namespace atum::cache {
 
 /** Replacement policies. */
-enum class Replacement : uint8_t { kLru, kFifo, kRandom };
+enum class Replacement : uint8_t { kLru, kRandom };
 
 struct CacheConfig {
     uint32_t size_bytes = 64u << 10;
     uint32_t block_bytes = 16;
     uint32_t assoc = 1;  ///< 0 means fully associative
     Replacement replacement = Replacement::kLru;
-    bool write_allocate = true;
     bool write_back = true;
     bool pid_tags = false;  ///< extend tags with the process id
     /** One-block lookahead (Smith): a miss also fills block+1. */
@@ -103,7 +105,7 @@ class Cache
      */
     struct Line {
         uint64_t key = 0;
-        uint64_t stamp = 0;  ///< LRU stamp or FIFO fill order
+        uint64_t stamp = 0;  ///< LRU stamp
     };
     static constexpr uint64_t kValid = 1;
     static constexpr uint64_t kDirty = 2;
@@ -127,7 +129,6 @@ class Cache
     unsigned block_shift_;
     bool lru_;
     bool write_back_;
-    bool write_allocate_;
     bool pid_tags_;
     bool prefetch_;
     std::vector<Line> lines_;

@@ -5,6 +5,11 @@ namespace atum::cache {
 using trace::Record;
 using trace::RecordType;
 
+/** Level latencies in cycles, for Amat. */
+constexpr double kL1HitCycles = 1;
+constexpr double kL2HitCycles = 8;
+constexpr double kMemoryCycles = 40;
+
 CacheHierarchy::CacheHierarchy(const HierarchyConfig& config)
     : config_(config),
       l1i_(config.l1i),
@@ -76,10 +81,9 @@ CacheHierarchy::Amat() const
     if (accesses_ == 0)
         return 0.0;
     const double n = static_cast<double>(accesses_);
-    return config_.l1_hit_cycles +
-           static_cast<double>(l1_misses_) / n * config_.l2_hit_cycles +
-           static_cast<double>(memory_accesses_) / n *
-               config_.memory_cycles;
+    return kL1HitCycles +
+           static_cast<double>(l1_misses_) / n * kL2HitCycles +
+           static_cast<double>(memory_accesses_) / n * kMemoryCycles;
 }
 
 }  // namespace atum::cache

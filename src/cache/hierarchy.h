@@ -5,9 +5,10 @@
  * @file
  * A two-level cache hierarchy: split L1 I/D caches in front of a unified
  * L2. L1 misses and L1 dirty writebacks propagate into L2. Average memory
- * access time (AMAT) is computed from configurable level latencies —
- * the metric late-80s multi-level studies optimized once full-system
- * traces made realistic miss rates available.
+ * access time (AMAT) is computed from fixed level latencies: 1 cycle for
+ * an L1 hit, 8 for an L2 hit and 40 for memory. AMAT is the metric
+ * late-80s multi-level studies optimized once full-system traces made
+ * realistic miss rates available.
  */
 
 #include <cstdint>
@@ -22,9 +23,6 @@ struct HierarchyConfig {
     CacheConfig l1i{.size_bytes = 4u << 10, .block_bytes = 16, .assoc = 1};
     CacheConfig l1d{.size_bytes = 4u << 10, .block_bytes = 16, .assoc = 1};
     CacheConfig l2{.size_bytes = 128u << 10, .block_bytes = 32, .assoc = 2};
-    uint32_t l1_hit_cycles = 1;
-    uint32_t l2_hit_cycles = 8;
-    uint32_t memory_cycles = 40;
     bool flush_on_switch = false;  ///< flush all levels at context switches
 };
 
@@ -49,7 +47,7 @@ class CacheHierarchy
     uint64_t memory_accesses() const { return memory_accesses_; }
     /** Global miss rate: references served by memory / all references. */
     double GlobalMissRate() const;
-    /** Average memory access time in cycles, per the config latencies. */
+    /** Average memory access time in cycles, per the fixed latencies. */
     double Amat() const;
 
   private:

@@ -5,7 +5,9 @@
  * @file
  * Feeds ATUM trace records into cache models, with the filtering options
  * the paper's comparisons require (full-system vs user-only, unified vs
- * split I/D, flush-on-switch vs PID-tagged).
+ * split I/D, flush-on-switch vs PID-tagged). Every instruction fetch is
+ * fed; PTE references, which carry physical addresses, never are
+ * (trace/ref_filter.h).
  */
 
 #include <cstdint>
@@ -19,10 +21,6 @@ namespace atum::cache {
 /** Record filtering and multiprogramming discipline. */
 struct DriverOptions {
     bool include_kernel = true;  ///< false models user-only trace studies
-    bool include_ifetch = true;
-    /** PTE references carry physical addresses; including them in a
-     *  virtually-addressed cache is usually wrong, so default off. */
-    bool include_pte = false;
     bool flush_on_switch = false;  ///< flush caches at context switches
     uint16_t only_pid = 0;         ///< nonzero: keep just this process
 };
@@ -32,8 +30,6 @@ inline trace::RefFilter
 RefFilterFor(const DriverOptions& options)
 {
     return trace::RefFilter({.include_kernel = options.include_kernel,
-                             .include_ifetch = options.include_ifetch,
-                             .include_pte = options.include_pte,
                              .only_pid = options.only_pid});
 }
 

@@ -30,12 +30,10 @@ WriteBuffer::Write(uint32_t addr)
     ++writes_;
     const uint32_t block = addr / config_.block_bytes;
 
-    if (config_.coalesce) {
-        for (const Entry& e : pending_) {
-            if (e.block == block) {
-                ++coalesced_;
-                return 0;
-            }
+    for (const Entry& e : pending_) {
+        if (e.block == block) {
+            ++coalesced_;
+            return 0;
         }
     }
 

@@ -10,8 +10,8 @@
  * stalled the processor. The model: the processor advances one cycle per
  * reference; each buffered write occupies the memory bus for
  * `retire_cycles`; the buffer holds `depth` entries; a store arriving at
- * a full buffer stalls the processor until a slot retires. Stores to a
- * block already pending may coalesce.
+ * a full buffer stalls the processor until a slot retires. A store to a
+ * block already pending coalesces into that entry and costs no slot.
  */
 
 #include <cstdint>
@@ -23,7 +23,6 @@ struct WriteBufferConfig {
     uint32_t depth = 4;
     uint32_t retire_cycles = 6;  ///< memory-bus occupancy per entry
     uint32_t block_bytes = 4;    ///< coalescing granule
-    bool coalesce = true;
 };
 
 class WriteBuffer

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/spans.h"
@@ -98,6 +99,9 @@ ValidateJob(const SweepConfig& config)
 
 namespace {
 
+/** Records between two checks of a ReplayControl (a power of two). */
+constexpr uint64_t kSliceRecords = 4096;
+
 /**
  * Watches the slice-boundary stop conditions for one config's replay.
  * The deadline is sampled lazily: the clock is only read at slice
@@ -109,8 +113,6 @@ class ReplayGovernor
   public:
     explicit ReplayGovernor(const ReplayControl& control)
         : control_(control),
-          mask_(control.slice_records > 0 ? control.slice_records - 1
-                                          : 4095),
           armed_(control.stop_flag != nullptr || control.deadline_ms > 0)
     {
         if (control_.deadline_ms > 0)
@@ -121,7 +123,7 @@ class ReplayGovernor
     /** True when the replay must stop; Verdict() then says why. */
     bool ShouldStop(uint64_t index)
     {
-        if (!armed_ || (index & mask_) != 0)
+        if (!armed_ || (index & (kSliceRecords - 1)) != 0)
             return false;
         if (control_.stop_flag != nullptr && *control_.stop_flag != 0) {
             verdict_ = util::Interrupted("replay stopped at record ",
@@ -142,15 +144,14 @@ class ReplayGovernor
 
   private:
     const ReplayControl& control_;
-    const uint64_t mask_;
     const bool armed_;
     std::chrono::steady_clock::time_point deadline_;
     util::Status verdict_;
 };
 
-/** The legacy replay body; runs after ValidateJob has passed. Returns
- *  non-OK (leaving the result to be zeroed by the caller) when the
- *  control stopped the replay early. */
+/** The replay body; runs after ValidateJob has passed. Returns non-OK
+ *  (leaving the result to be zeroed by the caller) when the control
+ *  stopped the replay early. */
 util::Status
 ReplayOneChecked(const std::vector<trace::Record>& records,
                  const SweepConfig& config, const ReplayControl& control,
@@ -201,6 +202,19 @@ ReplayOneChecked(const std::vector<trace::Record>& records,
     return util::OkStatus();
 }
 
+/** A row with zeroed statistics: the job's kind and label, and `status`.
+ *  A replay that did not finish reports one, so partial simulator state
+ *  never reads as a finished row. */
+SweepResult
+EmptyRow(const SweepConfig& config, util::Status status)
+{
+    SweepResult row;
+    row.kind = config.kind;
+    row.label = config.label;
+    row.status = std::move(status);
+    return row;
+}
+
 }  // namespace
 
 SweepResult
@@ -214,30 +228,19 @@ SweepResult
 ReplayOne(const std::vector<trace::Record>& records,
           const SweepConfig& config, const ReplayControl& control)
 {
-    SweepResult result;
-    result.kind = config.kind;
-    result.label = config.label;
     // Validate before constructing: the simulators Fatal on a bad
     // geometry, and one bad row must not take down a 100-config sweep.
-    result.status = ValidateJob(config);
+    SweepResult result = EmptyRow(config, ValidateJob(config));
     if (!result.status.ok())
         return result;
     try {
         util::Status ran = ReplayOneChecked(records, config, control,
                                             result);
-        if (!ran.ok()) {
-            // Stopped early: partial simulator state must never read as
-            // a finished row.
-            result = SweepResult{};
-            result.kind = config.kind;
-            result.label = config.label;
-            result.status = ran;
-        }
+        if (!ran.ok())
+            return EmptyRow(config, std::move(ran));
     } catch (const std::exception& e) {
-        result = SweepResult{};
-        result.kind = config.kind;
-        result.label = config.label;
-        result.status = util::InternalError("replay failed: ", e.what());
+        return EmptyRow(config,
+                        util::InternalError("replay failed: ", e.what()));
     }
     return result;
 }

@@ -97,11 +97,11 @@ util::Status ValidateJob(const SweepConfig& config);
 
 /**
  * Slice-boundary controls for one config's replay. The record loop
- * checks them every `slice_records` records, so a long replay can be
- * stopped (serve cancellation/drain) or bounded in wall time (per-config
- * timeout) without any cost on the per-record hot path beyond a masked
- * counter test. Both default off; the default-constructed control is the
- * legacy unbounded replay.
+ * checks them every 4096 records, so a long replay can be stopped (serve
+ * cancellation/drain) or bounded in wall time (per-config timeout)
+ * without any cost on the per-record hot path beyond a masked counter
+ * test. Both default off; the default-constructed control is the
+ * unbounded replay.
  */
 struct ReplayControl {
     /** Cooperative stop latch; non-zero stops at the next slice with
@@ -111,11 +111,9 @@ struct ReplayControl {
      *  it stops at the next slice with status kUnavailable (the row is
      *  retryable, unlike a bad geometry). */
     uint64_t deadline_ms = 0;
-    /** Records between control checks (power of two; default 4096). */
-    uint32_t slice_records = 4096;
 };
 
-/** Replays one job over `records` serially (the legacy inner loop). */
+/** Replays one job over `records` serially. */
 SweepResult ReplayOne(const std::vector<trace::Record>& records,
                       const SweepConfig& config);
 

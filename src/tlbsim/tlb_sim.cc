@@ -41,8 +41,7 @@ MakeTlb(const TlbSimConfig& config)
 TlbSim::TlbSim(const TlbSimConfig& config)
     : config_(config),
       tlb_(MakeTlb(config)),
-      refs_({.include_kernel = config.include_kernel,
-             .include_pte = config.include_pte})
+      refs_({.include_kernel = config.include_kernel})
 {
 }
 
@@ -53,10 +52,7 @@ TlbSim::Feed(const Record& record)
       case RefFilter::kSwitch:
         if (config_.flush_on_switch) {
             ++flushes_;
-            if (config_.flush_system_too)
-                tlb_.InvalidateAll();
-            else
-                tlb_.FlushProcessEntries();
+            tlb_.FlushProcessEntries();
         }
         return;
       case RefFilter::kRef: {

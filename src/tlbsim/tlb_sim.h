@@ -7,6 +7,10 @@
  * buffer must be once operating-system references and context-switch
  * flushes are accounted for — one of the questions ATUM's full-system
  * traces made answerable.
+ *
+ * PTE references carry physical addresses, so they never reach the
+ * virtually addressed TB. A context switch flushes the process entries
+ * and keeps the system (S0) ones, as the machine's LDPCTX does.
  */
 
 #include <cstdint>
@@ -22,9 +26,7 @@ struct TlbSimConfig {
     uint32_t entries = 64;
     uint32_t ways = 0;  ///< 0 = fully associative
     bool include_kernel = true;
-    bool include_pte = false;        ///< PTE refs are physical; usually skip
-    bool flush_on_switch = true;     ///< no ASIDs, VAX-style
-    bool flush_system_too = false;   ///< flush S0 entries as well
+    bool flush_on_switch = true;  ///< no ASIDs, VAX-style
 };
 
 /**

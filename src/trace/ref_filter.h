@@ -9,10 +9,11 @@
  *
  * kCtxSwitch markers set the current pid (info = new pid); a model
  * without address-space identifiers flushes there. Other markers carry no
- * reference. PTE references carry physical addresses, so a virtually
- * addressed model keeps them only on request. Kernel references tag as
- * pid 0: the system region is shared, so a PID-tagged model keeps one
- * copy, as the 8200-era studies modelled.
+ * reference. Instruction fetches are references like any other. PTE
+ * references carry physical addresses and every model here is virtually
+ * addressed, so none is fed one. Kernel references tag as pid 0: the
+ * system region is shared, so a PID-tagged model keeps one copy, as the
+ * 8200-era studies modelled.
  */
 
 #include <cstdint>
@@ -27,8 +28,6 @@ class RefFilter
     /** Which references to keep; the defaults keep every virtual one. */
     struct Options {
         bool include_kernel = true;  ///< false models user-only studies
-        bool include_ifetch = true;
-        bool include_pte = false;
         uint16_t only_pid = 0;  ///< nonzero: keep just this process's
                                 ///< user references (kernel refs stay)
     };
@@ -37,7 +36,7 @@ class RefFilter
     enum Verdict : uint8_t {
         kMarker,    ///< not a memory reference
         kSwitch,    ///< context switch: the pid changed
-        kFiltered,  ///< a memory reference the options exclude
+        kFiltered,  ///< a PTE reference, or one the options exclude
         kRef,       ///< a reference to feed; PidOf() gives its pid
     };
 
@@ -53,9 +52,7 @@ class RefFilter
         }
         if (!r.IsMemory())
             return kMarker;
-        if (r.type == RecordType::kPte && !options_.include_pte)
-            return kFiltered;
-        if (r.type == RecordType::kIFetch && !options_.include_ifetch)
+        if (r.type == RecordType::kPte)
             return kFiltered;
         if (r.kernel() ? !options_.include_kernel
                        : options_.only_pid != 0 && pid_ != options_.only_pid)

@@ -520,8 +520,8 @@ TEST(SetSampling, SampledSubsetIsExactPerSet)
 TEST(SetSampling, ShiftZeroAgreesWithSimulateCache)
 {
     // Sampling every set is a plain simulation: the same filter options
-    // must select the same references as SimulateCache, PTE and pid
-    // filters included.
+    // must select the same references as SimulateCache, the PTE rule and
+    // the kernel and pid filters included.
     Rng rng(11);
     std::vector<Record> records;
     for (int i = 0; i < 40000; ++i) {
@@ -537,7 +537,7 @@ TEST(SetSampling, ShiftZeroAgreesWithSimulateCache)
     const cache::CacheConfig config{.size_bytes = 4096, .block_bytes = 16,
                                     .assoc = 2, .pid_tags = true};
     for (const cache::DriverOptions& options :
-         {cache::DriverOptions{}, cache::DriverOptions{.include_pte = true},
+         {cache::DriverOptions{},
           cache::DriverOptions{.include_kernel = false},
           cache::DriverOptions{.only_pid = 2}}) {
         const auto full = SimulateCache(records, config, options);

@@ -73,19 +73,6 @@ TEST(Cache, LruReplacement)
     EXPECT_FALSE(c.Access(0x40, false));
 }
 
-TEST(Cache, FifoReplacementIgnoresTouches)
-{
-    Cache c({.size_bytes = 64,
-             .block_bytes = 16,
-             .assoc = 2,
-             .replacement = Replacement::kFifo});
-    c.Access(0x00, false);
-    c.Access(0x40, false);
-    c.Access(0x00, false);  // touch does not change FIFO order
-    c.Access(0x80, false);  // evicts 0x00 (oldest fill)
-    EXPECT_FALSE(c.Access(0x00, false));
-}
-
 TEST(Cache, FullyAssociative)
 {
     Cache c({.size_bytes = 64, .block_bytes = 16, .assoc = 0});
@@ -117,16 +104,6 @@ TEST(Cache, WriteThroughNeverWritesBack)
     c.Access(0x00, true);
     c.Access(0x40, false);
     EXPECT_EQ(c.stats().writebacks, 0u);
-}
-
-TEST(Cache, NoWriteAllocateBypassesOnWriteMiss)
-{
-    Cache c({.size_bytes = 1024,
-             .block_bytes = 16,
-             .assoc = 1,
-             .write_allocate = false});
-    EXPECT_FALSE(c.Access(0x100, true));  // write miss, not allocated
-    EXPECT_FALSE(c.Access(0x100, false)); // still a miss
 }
 
 TEST(Cache, PidTagsSeparateProcesses)
@@ -328,10 +305,8 @@ TEST(Hierarchy, AmatBetweenL1AndMemoryLatency)
     Rng rng(5);
     for (int i = 0; i < 20000; ++i)
         h.Access(rng.Below(1u << 16), rng.Below(4) == 0, rng.Below(4) == 0);
-    EXPECT_GE(h.Amat(), config.l1_hit_cycles);
-    EXPECT_LE(h.Amat(),
-              config.l1_hit_cycles + config.l2_hit_cycles +
-                  config.memory_cycles);
+    EXPECT_GE(h.Amat(), 1.0);             // every reference hits L1
+    EXPECT_LE(h.Amat(), 1.0 + 8.0 + 40.0);  // every reference goes to memory
     EXPECT_GT(h.Amat(), 1.0);
 }
 
@@ -369,8 +344,7 @@ TEST(WriteBuffer, NoStallWhileSlotsFree)
 
 TEST(WriteBuffer, BackToBackBurstStalls)
 {
-    cache::WriteBuffer wb({.depth = 2, .retire_cycles = 10,
-                           .coalesce = false});
+    cache::WriteBuffer wb({.depth = 2, .retire_cycles = 10});
     wb.Write(0x100);
     wb.Write(0x200);
     // Buffer full; the third store must wait for the first to retire.
@@ -403,8 +377,7 @@ TEST(WriteBuffer, CoalescingAbsorbsSameBlockStores)
 TEST(WriteBuffer, DeeperBufferStallsLess)
 {
     auto stalls_with_depth = [](uint32_t depth) {
-        cache::WriteBuffer wb({.depth = depth, .retire_cycles = 8,
-                               .coalesce = false});
+        cache::WriteBuffer wb({.depth = depth, .retire_cycles = 8});
         Rng rng(77);
         for (int i = 0; i < 5000; ++i) {
             if (rng.Below(3) == 0)
@@ -517,9 +490,6 @@ class ReferenceCache
         else
             ++stats_.read_misses;
 
-        if (is_write && !config_.write_allocate)
-            return false;
-
         Line& victim = Victim(set);
         if (victim.valid && victim.dirty) {
             ++stats_.writebacks;
@@ -590,8 +560,7 @@ class ReferenceCache
             if (!base[w].valid)
                 return base[w];
         switch (config_.replacement) {
-          case Replacement::kLru:
-          case Replacement::kFifo: {
+          case Replacement::kLru: {
             Line* victim = base;
             for (uint32_t w = 1; w < config_.assoc; ++w)
                 if (base[w].stamp < victim->stamp)
@@ -644,26 +613,23 @@ NextAddr(Rng& rng)
 
 TEST(Cache, MatchesReferenceModel)
 {
-    // The grid: assoc 1/2/4/full x LRU/FIFO/random x write-back/through
-    // x allocate/no-allocate x pid tags x OBL prefetch, one seeded stream
-    // each, with flushes mixed in.
+    // The grid: assoc 1/2/4/full x LRU/random x write-back/through x pid
+    // tags x OBL prefetch, one seeded stream each, with flushes mixed in.
     static constexpr uint32_t kAssocs[] = {1, 2, 4, 0};
-    static constexpr Replacement kPolicies[] = {
-        Replacement::kLru, Replacement::kFifo, Replacement::kRandom};
+    static constexpr Replacement kPolicies[] = {Replacement::kLru,
+                                                Replacement::kRandom};
     static constexpr uint16_t kPids[] = {0, 1, 2, 7, 0xffff};
-    for (uint32_t i = 0; i < 4 * 3 * 2 * 2 * 2 * 2; ++i) {
+    for (uint32_t i = 0; i < 4 * 2 * 2 * 2 * 2; ++i) {
         const CacheConfig config{.size_bytes = 512,
                                  .block_bytes = 16,
                                  .assoc = kAssocs[i % 4],
-                                 .replacement = kPolicies[i / 4 % 3],
-                                 .write_allocate = (i / 12 & 1) != 0,
-                                 .write_back = (i / 24 & 1) != 0,
-                                 .pid_tags = (i / 48 & 1) != 0,
-                                 .prefetch_next_on_miss = (i / 96 & 1) != 0};
+                                 .replacement = kPolicies[i / 4 % 2],
+                                 .write_back = (i / 8 & 1) != 0,
+                                 .pid_tags = (i / 16 & 1) != 0,
+                                 .prefetch_next_on_miss = (i / 32 & 1) != 0};
         const std::string label =
             config.ToString() + " policy " +
-            std::to_string(static_cast<int>(config.replacement)) +
-            (config.write_allocate ? " allocate" : " no-allocate");
+            std::to_string(static_cast<int>(config.replacement));
         Cache cache(config);
         ReferenceCache reference(config);
         Rng rng(1000 + i);

@@ -377,11 +377,8 @@ TEST(SweepRunner, ReplayOneValidatesBeforeConstructing)
 TEST(PerProcessProfiles, ParallelMatchesSerialSubstreams)
 {
     const std::vector<Record> records = SyntheticTrace(20000);
-    analysis::ProcessProfileOptions options;
-    options.capacities = {16, 256, 4096};
-
-    const auto one = analysis::PerProcessStackProfiles(records, options, 1);
-    const auto four = analysis::PerProcessStackProfiles(records, options, 4);
+    const auto one = analysis::PerProcessStackProfiles(records, true, 1);
+    const auto four = analysis::PerProcessStackProfiles(records, true, 4);
     ASSERT_EQ(one.size(), four.size());
     ASSERT_GE(one.size(), 3u);  // kernel + three user pids
     for (size_t i = 0; i < one.size(); ++i) {
@@ -404,20 +401,17 @@ TEST(PerProcessProfiles, ParallelMatchesSerialSubstreams)
         if (!r.IsMemory() || r.type == RecordType::kPte || r.kernel())
             continue;
         if (current == pid)
-            sd.TouchBlock(r.addr >> options.block_shift);
+            sd.TouchBlock(r.addr >> 4);  // 16-byte blocks
     }
     EXPECT_EQ(one[1].accesses, sd.total_accesses());
     EXPECT_EQ(one[1].cold_misses, sd.cold_misses());
-    EXPECT_EQ(one[1].misses_at_capacity[1], sd.MissesForCapacity(256));
+    EXPECT_EQ(one[1].misses_at_capacity[1], sd.MissesForCapacity(1024));
 }
 
 TEST(PerProcessProfiles, KernelExclusionDropsPidZero)
 {
     const std::vector<Record> records = SyntheticTrace(5000);
-    analysis::ProcessProfileOptions options;
-    options.include_kernel = false;
-    const auto profiles =
-        analysis::PerProcessStackProfiles(records, options, 2);
+    const auto profiles = analysis::PerProcessStackProfiles(records, false, 2);
     for (const auto& p : profiles)
         EXPECT_NE(p.pid, 0);
 }

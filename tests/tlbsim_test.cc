@@ -69,13 +69,20 @@ TEST(TlbSim, ContextSwitchFlushesProcessPages)
     EXPECT_EQ(sim.stats().flushes, 1u);
 }
 
-TEST(TlbSim, FlushSystemTooOption)
+TEST(TlbSim, PteRecordsMakeNoLookup)
 {
-    TlbSim sim({.entries = 16, .flush_system_too = true});
-    sim.Feed(Ref(0x80001000, true));
-    sim.Feed(MakeCtxSwitch(2, 0));
-    sim.Feed(Ref(0x80001000, true));
-    EXPECT_EQ(sim.stats().misses, 2u);
+    // A PTE reference carries a physical address: it never reaches the TB.
+    TlbSim sim({.entries = 16});
+    for (bool kernel : {false, true}) {
+        Record pte = Ref(0x2000, kernel);
+        pte.type = RecordType::kPte;
+        sim.Feed(pte);
+    }
+    EXPECT_EQ(sim.stats().accesses, 0u);
+    EXPECT_EQ(sim.stats().misses, 0u);
+    sim.Feed(Ref(0x2000));  // the same page as a virtual reference: a miss
+    EXPECT_EQ(sim.stats().accesses, 1u);
+    EXPECT_EQ(sim.stats().misses, 1u);
 }
 
 TEST(TlbSim, NoFlushOption)

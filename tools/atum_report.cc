@@ -434,10 +434,8 @@ Run(const Options& opts, io::Vfs& vfs)
         std::printf("%s\n", table.ToString().c_str());
 
         // Per-process locality, one worker per process substream.
-        analysis::ProcessProfileOptions profile_opts;
-        profile_opts.include_kernel = opts.driver_options.include_kernel;
         const auto profiles = analysis::PerProcessStackProfiles(
-            records, profile_opts, opts.jobs);
+            records, opts.driver_options.include_kernel, opts.jobs);
         Table per_pid({"pid", "refs", "blocks", "1K-miss%", "16K-miss%"});
         for (const analysis::ProcessProfile& p : profiles) {
             per_pid.AddRow({
