@@ -24,8 +24,10 @@ Usage:
   check_bench_regression.py [--baselines DIR] FILE_OR_DIR...
   check_bench_regression.py --update [--baselines DIR] FILE_OR_DIR...
 
-Files that are not schema-1 bench reports are skipped with a note. Exit
-codes: 0 clean, 1 drift/missing-metric, 2 usage or unreadable input.
+A file named on the command line must be a readable schema-1 report;
+files in a named directory that are not are skipped with a note. Exit
+codes: 0 clean, 1 drift/missing-metric, 2 usage, unreadable input, or no
+report gated.
 """
 
 import argparse
@@ -60,14 +62,15 @@ def load_report(path):
 
 
 def collect_inputs(paths):
+    """Returns [(path, named)]: named is True for a file given by name."""
     files = []
     for path in paths:
         if os.path.isdir(path):
             for name in sorted(os.listdir(path)):
                 if name.startswith("BENCH_") and name.endswith(".json"):
-                    files.append(os.path.join(path, name))
+                    files.append((os.path.join(path, name), False))
         else:
-            files.append(path)
+            files.append((path, True))
     return files
 
 
@@ -159,8 +162,11 @@ def main():
     failures = []
     checked = 0
     regressed = []  # bench names with at least one failure, in order
-    for path in files:
+    for path, named in files:
         report, skip = load_report(path)
+        if report is None and named:
+            print(f"error: {path}: {skip}", file=sys.stderr)
+            return 2
         if report is None:
             print(f"skip: {path}: {skip}")
             continue
@@ -182,6 +188,9 @@ def main():
 
     if args.update:
         return 0
+    if checked == 0:
+        print("error: no report was gated", file=sys.stderr)
+        return 2
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
