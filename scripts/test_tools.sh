@@ -96,6 +96,17 @@ expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --tlb 3
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --jobs abc
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --head -5
 expect_exit 2 "$BUILD/tools/atum-report" "$TMP/absent.atum" --cache 17:16:1
+# The scan and crosscheck modes run no analysis: a flag they would drop
+# is a usage error, as are the crosscheck options without --crosscheck.
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --cache 16:16:1 \
+    --stack-distance --verify
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --salvage \
+    "$TMP/never.atum" --working-sets
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --tlb 32 --crosscheck
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --verify --crosscheck
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --prefix
+expect_exit 2 "$BUILD/tools/atum-report" "$TMP/t.atum" --manifest \
+    "$TMP/t.atum.run.json"
 expect_exit 2 "$BUILD/tools/atum-disasm" --kernel --mem-mb
 expect_exit 2 "$BUILD/tools/atum-disasm" --workload sort --scale 0x2
 expect_exit 2 "$BUILD/tools/atum-top" --once "$TMP/absent.jsonl" \

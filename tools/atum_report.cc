@@ -45,6 +45,10 @@
 // interval fails the run with the corrupt exit code. --prefix marks the
 // trace as a salvaged prefix (lower bounds only). See docs/COUNTERS.md.
 //
+// --verify/--salvage and --crosscheck run instead of the analyses: an
+// analysis flag beside them, --crosscheck beside a scan, or --prefix or
+// --manifest without --crosscheck exits 2. --stats works in every mode.
+//
 // Exit codes: 0 success (--verify: file intact), 1 internal failure,
 // 2 usage error, 3 input missing/unreadable, 4 input corrupt
 // (--verify: damage found; --crosscheck: counter mismatch).
@@ -117,8 +121,19 @@ ParseArgs(int argc, char** argv)
     std::optional<replay::ConfigSpec> cache_spec, tlb_spec;
     std::vector<replay::ConfigSpec> sweep_specs;
     bool pid_tags = false;
+    // The analysis flags: the scan and crosscheck modes run none of them.
+    static constexpr std::string_view kAnalysisFlags[] = {
+        "--head",       "--cache",           "--sweep",
+        "--jobs",       "--flush-on-switch", "--pid-tags",
+        "--no-kernel",  "--tlb",             "--working-sets",
+        "--stack-distance"};
+    std::string analysis_flag;
     while (args.Next()) {
         const std::string& arg = args.arg();
+        for (std::string_view flag : kAnalysisFlags) {
+            if (arg == flag)
+                analysis_flag = arg;
+        }
         if (arg == "--head")
             opts.head = args.Uint<uint32_t>();
         else if (arg == "--cache")
@@ -162,6 +177,18 @@ ParseArgs(int argc, char** argv)
     }
     if (opts.path.empty())
         args.Fail("usage: atum-report TRACE [options]");
+    // A flag the chosen mode would not act on is a usage error, not a
+    // silent no-op.
+    const bool scan = opts.verify || !opts.salvage_out.empty();
+    const char* mode = scan ? "--verify/--salvage" : "--crosscheck";
+    if ((scan || opts.crosscheck) && !analysis_flag.empty())
+        args.Fail(analysis_flag, " does not apply with ", mode);
+    if (scan && opts.crosscheck)
+        args.Fail("--crosscheck does not apply with --verify/--salvage");
+    if (!opts.crosscheck && opts.prefix)
+        args.Fail("--prefix applies only with --crosscheck");
+    if (!opts.crosscheck && !opts.manifest.empty())
+        args.Fail("--manifest applies only with --crosscheck");
 
     // The model flags apply to every cache job, whatever the flag order.
     const auto to_job = [&](const replay::ConfigSpec& s) {
@@ -303,14 +330,13 @@ RunSalvage(const Options& opts, io::Vfs& vfs)
 int
 Run(const Options& opts, io::Vfs& vfs)
 {
-    if (opts.verify || !opts.salvage_out.empty()) {
-        const int code = RunSalvage(opts, vfs);
+    if (opts.verify || !opts.salvage_out.empty() || opts.crosscheck) {
+        const int code = opts.crosscheck ? RunCrosscheck(opts, vfs)
+                                         : RunSalvage(opts, vfs);
         if (opts.stats)
             PrintStats();
         return code;
     }
-    if (opts.crosscheck)
-        return RunCrosscheck(opts, vfs);
 
     util::StatusOr<std::vector<trace::Record>> loaded = [&] {
         StageTimer timer("report.load_us");
