@@ -33,17 +33,6 @@ struct CampaignRow {
     uint64_t seeds = 0;
 };
 
-double
-Percentile(std::vector<uint64_t> sorted_us, double p)
-{
-    if (sorted_us.empty())
-        return 0.0;
-    const size_t idx = static_cast<size_t>(
-        p * static_cast<double>(sorted_us.size() - 1) / 100.0 + 0.5);
-    return static_cast<double>(sorted_us[std::min(idx,
-                                                  sorted_us.size() - 1)]);
-}
-
 int
 Run()
 {
@@ -112,9 +101,9 @@ Run()
     std::printf("%s\n", table.ToString().c_str());
 
     std::sort(recovery_us.begin(), recovery_us.end());
-    const double p50 = Percentile(recovery_us, 50);
-    const double p90 = Percentile(recovery_us, 90);
-    const double p99 = Percentile(recovery_us, 99);
+    const double p50 = bench::Percentile(recovery_us, 50);
+    const double p90 = bench::Percentile(recovery_us, 90);
+    const double p99 = bench::Percentile(recovery_us, 99);
     report.Add("recovery_latency_p50", p50, "us", {});
     report.Add("recovery_latency_p90", p90, "us", {});
     report.Add("recovery_latency_p99", p99, "us", {});

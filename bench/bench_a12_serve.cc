@@ -42,17 +42,6 @@ constexpr uint32_t kBurst = 128;     // submissions in the latency burst
 constexpr uint32_t kQueueDepth = 8;  // bounded queue for the shed row
 constexpr uint32_t kShedBurst = 24;  // submissions thrown at it
 
-double
-Percentile(std::vector<uint64_t> sorted_us, double p)
-{
-    if (sorted_us.empty())
-        return 0.0;
-    const size_t idx = static_cast<size_t>(
-        p * static_cast<double>(sorted_us.size() - 1) / 100.0 + 0.5);
-    return static_cast<double>(sorted_us[std::min(idx,
-                                                  sorted_us.size() - 1)]);
-}
-
 serve::ServeConfig
 BenchConfig()
 {
@@ -106,8 +95,8 @@ Run()
                 .count()));
     }
     std::sort(admit_us.begin(), admit_us.end());
-    const double admit_p50 = Percentile(admit_us, 50);
-    const double admit_p99 = Percentile(admit_us, 99);
+    const double admit_p50 = bench::Percentile(admit_us, 50);
+    const double admit_p99 = bench::Percentile(admit_us, 99);
     report.Add("admit_latency_p50", admit_p50, "us", {});
     report.Add("admit_latency_p99", admit_p99, "us", {});
     table.AddRow({"admit p50", Table::Fmt(admit_p50, 0), "us"});

@@ -41,17 +41,6 @@ using Clock = std::chrono::steady_clock;
 constexpr uint32_t kRowBurst = 24;    // single-config sweeps in the burst
 constexpr uint32_t kWideConfigs = 12; // configs in the throughput sweep
 
-double
-Percentile(std::vector<uint64_t> sorted_us, double p)
-{
-    if (sorted_us.empty())
-        return 0.0;
-    const size_t idx = static_cast<size_t>(
-        p * static_cast<double>(sorted_us.size() - 1) / 100.0 + 0.5);
-    return static_cast<double>(sorted_us[std::min(idx,
-                                                  sorted_us.size() - 1)]);
-}
-
 serve::ServeConfig
 BenchConfig()
 {
@@ -156,8 +145,8 @@ Run()
                 .count()));
     }
     std::sort(row_us.begin(), row_us.end());
-    const double row_p50 = Percentile(row_us, 50);
-    const double row_p99 = Percentile(row_us, 99);
+    const double row_p50 = bench::Percentile(row_us, 50);
+    const double row_p99 = bench::Percentile(row_us, 99);
     report.Add("sweep_row_p50", row_p50, "us", {});
     report.Add("sweep_row_p99", row_p99, "us", {});
     table.AddRow({"row p50", Table::Fmt(row_p50, 0), "us"});

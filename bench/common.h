@@ -7,6 +7,7 @@
  * full-system capture, and the workload mixes each table/figure uses.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -195,6 +196,17 @@ MixOfDegree(uint32_t degree, uint32_t scale = 2)
         programs.push_back(
             workloads::MakeWorkload(names[i % names.size()], scale));
     return programs;
+}
+
+/** The `p`th percentile (0-100) of an ascending sample; 0 when empty. */
+inline double
+Percentile(const std::vector<uint64_t>& sorted, double p)
+{
+    if (sorted.empty())
+        return 0.0;
+    const size_t idx = static_cast<size_t>(
+        p * static_cast<double>(sorted.size() - 1) / 100.0 + 0.5);
+    return static_cast<double>(sorted[std::min(idx, sorted.size() - 1)]);
 }
 
 }  // namespace atum::bench
