@@ -12,7 +12,12 @@
 #include <vector>
 
 #include "common.h"
+#include "core/atum_tracer.h"
+#include "core/session.h"
+#include "kernel/boot.h"
 #include "obs/spans.h"
+#include "trace/sink.h"
+#include "workloads/workloads.h"
 
 namespace atum {
 namespace {

@@ -3,30 +3,22 @@
 
 /**
  * @file
- * Shared plumbing for the experiment harnesses: standard machines,
- * full-system capture, and the workload mixes each table/figure uses.
+ * Shared plumbing for the experiment harnesses: the BENCH JSON report,
+ * the standard machine and a percentile.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/atum_tracer.h"
-#include "core/session.h"
-#include "core/user_tracer.h"
 #include "cpu/machine.h"
-#include "kernel/boot.h"
-#include "trace/record.h"
-#include "trace/sink.h"
 #include "util/build_info.h"
 #include "util/json.h"
 #include "util/logging.h"
-#include "workloads/workloads.h"
 
 namespace atum::bench {
 
@@ -129,73 +121,6 @@ StandardMachineConfig(uint32_t timer_reload = 2000)
     config.mem_bytes = 4u << 20;
     config.timer_reload = timer_reload;
     return config;
-}
-
-/** Result of one full-system capture. */
-struct Capture {
-    std::vector<trace::Record> records;
-    core::SessionResult session;
-    std::string console;
-    uint32_t page_faults = 0;
-    uint32_t context_switches = 0;
-};
-
-/** Boots `programs`, traces the whole run with ATUM, returns the trace. */
-inline Capture
-CaptureFullSystem(std::vector<kernel::GuestProgram> programs,
-                  const core::AtumConfig& tracer_config = {},
-                  uint32_t timer_reload = 2000)
-{
-    cpu::Machine machine(StandardMachineConfig(timer_reload));
-    trace::VectorSink sink;
-    core::AtumTracer tracer(machine, sink, tracer_config);
-    kernel::BootInfo info = kernel::BootSystem(machine, std::move(programs));
-    Capture capture;
-    capture.session = core::RunSupervised(
-        machine, tracer, {.max_instructions = 400'000'000});
-    if (!capture.session.halted)
-        Fatal("capture did not run to completion");
-    capture.records = sink.TakeRecords();
-    capture.console = machine.console_output();
-    capture.page_faults = machine.memory().Read32(
-        info.layout.kdata_pa + kernel::KdataOffsets::kPfCount);
-    capture.context_switches = machine.memory().Read32(
-        info.layout.kdata_pa + kernel::KdataOffsets::kCsCount);
-    return capture;
-}
-
-/** Same run, but through the pre-ATUM user-only software probe. */
-inline Capture
-CaptureUserOnly(std::vector<kernel::GuestProgram> programs,
-                uint16_t target_pid = 1, uint32_t timer_reload = 2000)
-{
-    cpu::Machine machine(StandardMachineConfig(timer_reload));
-    trace::VectorSink sink;
-    core::UserTracerConfig config;
-    config.target_pid = target_pid;
-    core::UserOnlyTracer tracer(machine, sink, config);
-    kernel::BootSystem(machine, std::move(programs));
-    Capture capture;
-    capture.session = core::RunBaseline(machine, tracer, 400'000'000);
-    if (!capture.session.halted)
-        Fatal("capture did not run to completion");
-    capture.records = sink.TakeRecords();
-    capture.console = machine.console_output();
-    return capture;
-}
-
-/** The multiprogrammed mixes used across experiments, by degree. The
- *  default scale gives each workload a multi-page footprint so cache
- *  curves have texture beyond tiny sizes. */
-inline std::vector<kernel::GuestProgram>
-MixOfDegree(uint32_t degree, uint32_t scale = 2)
-{
-    const std::vector<std::string>& names = workloads::AllWorkloadNames();
-    std::vector<kernel::GuestProgram> programs;
-    for (uint32_t i = 0; i < degree; ++i)
-        programs.push_back(
-            workloads::MakeWorkload(names[i % names.size()], scale));
-    return programs;
 }
 
 /** The `p`th percentile (0-100) of an ascending sample; 0 when empty. */
