@@ -24,10 +24,10 @@ Usage:
   check_bench_regression.py [--baselines DIR] FILE_OR_DIR...
   check_bench_regression.py --update [--baselines DIR] FILE_OR_DIR...
 
-A file named on the command line must be a readable schema-1 report;
-files in a named directory that are not are skipped with a note. Exit
-codes: 0 clean, 1 drift/missing-metric, 2 usage, unreadable input, or no
-report gated.
+A file named on the command line must be a readable schema-1 report with
+a baseline; files in a named directory that are not are skipped with a
+note. Exit codes: 0 clean, 1 drift/missing-metric, 2 usage, unreadable
+input, a named report without a baseline, or no report gated.
 """
 
 import argparse
@@ -176,6 +176,10 @@ def main():
             update_baseline(report, base_path)
             continue
         baseline, skip = load_report(base_path)
+        if baseline is None and named:
+            print(f"error: {path}: no baseline ({base_path}: {skip})",
+                  file=sys.stderr)
+            return 2
         if baseline is None:
             print(f"skip: {path}: no baseline ({base_path}: {skip}); "
                   "adopt with --update")
