@@ -179,7 +179,7 @@ T1(BenchReport& report)
         const double os = 100.0 * stats.KernelFraction();
         const uint64_t reads = stats.CountOf(trace::RecordType::kRead);
         const uint64_t writes = stats.CountOf(trace::RecordType::kWrite);
-        // Every trace carries the OS; writes are >= 15 % of data refs.
+        // The OS is >= 4 % of every trace; writes >= 15 % of data refs.
         holds &= os >= 4.0 && 100 * writes >= 15 * (reads + writes);
         report.Add("mem_refs", mem, "records", {{"workload", name}});
         report.Add("os_share", os, "%", {{"workload", name}});
