@@ -93,8 +93,9 @@ expect_exit 3 "$SUBMIT" --socket "$SOCK" sweep --of 999 \
 expect_exit 2 "$SUBMIT" --socket "$SOCK" sweep --of 1 --config bogus:x=1
 
 # --wait-timeout-ms: a huge job cannot finish in 300 ms; the wait expires
-# with the unavailable exit code (7) while the job keeps running.
-expect_exit 7 "$SUBMIT" --socket "$SOCK" --workload grep \
+# with the unavailable exit code (7) while the job keeps running. It is
+# the scale-1024 grep below: a scale-1 grep can halt "done" in time.
+expect_exit 7 "$SUBMIT" --socket "$SOCK" --workload grep --scale 1024 \
     --max-instructions 50000000 --wait --wait-timeout-ms 300 submit
 TIMED_ID=$(sed 's/.*"id":\([0-9]*\).*/\1/;q' "$TMP/out.txt")
 expect_exit 0 "$SUBMIT" --socket "$SOCK" --id "$TIMED_ID" cancel
