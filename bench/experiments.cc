@@ -527,13 +527,13 @@ F3(BenchReport& report)
  * ATUM's full-system traces let the field quantify, for the first time
  * with real workloads, what context switching does to caches: a cache
  * without process tags must be flushed on every switch, and the damage
- * grows with the cache size.
+ * grows with the multiprogramming degree and the cache size.
  *
- * Paper shape to reproduce: flush-on-switch is consistently worse than
- * PID-tagged caches; the effect is largest for big caches (whose contents
- * a flush wipes out wholesale). Here the flush rate does not rise with
- * degree (3.910/3.767/3.929 % at 16K); the PID-tagged rate is highest at
- * degree 4.
+ * Paper shape to reproduce: miss rate rises with degree; flush-on-switch
+ * is consistently worse than PID-tagged caches; the effect is largest for
+ * big caches (whose contents a flush wipes out wholesale). Here the flush
+ * rate does not rise with degree (3.910/3.767/3.929 % at 16K), so only
+ * the rest is asserted, with the PID-tagged rate highest at degree 4.
  */
 bool
 F4(BenchReport& report)
