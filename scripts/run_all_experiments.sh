@@ -2,8 +2,9 @@
 # Regenerates every table and figure: runs each harness that
 # bench/CMakeLists.txt declares with atum_bench(...), in that order, so a
 # new bench is run here as soon as it is built. The first,
-# bench_experiments, runs every deterministic paper experiment. Run from the repository
-# root after building into ./build. Output mirrors EXPERIMENTS.md.
+# bench_experiments, runs every deterministic paper experiment. Run from
+# the repository root after building into ./build. Output mirrors
+# EXPERIMENTS.md.
 #
 # Each harness also writes a machine-readable BENCH_<name>.json into
 # $ATUM_BENCH_DIR (default: ./results); the collected files are listed at
