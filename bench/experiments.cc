@@ -800,8 +800,9 @@ F6(BenchReport& report)
                  "os-refs%", "instr"});
 
     bool holds = true;
-    uint32_t unlimited_faults = 0, prev_faults = 0, prev_swaps = 0;
+    uint32_t prev_faults = 0, prev_swaps = 0;
     double prev_os = 0;
+    std::pair<uint32_t, double> unlimited;  // faults and OS share
     for (uint32_t pool : {0u, 48u, 32u, 24u, 16u, 12u}) {
         cpu::Machine machine(StandardMachineConfig());
         trace::VectorSink sink;
@@ -833,7 +834,8 @@ F6(BenchReport& report)
         prev_faults = faults;
         prev_swaps = swap_outs + swap_ins;
         prev_os = os;
-        unlimited_faults = pool == 0 ? faults : unlimited_faults;
+        if (pool == 0)
+            unlimited = {faults, os};
 
         const std::string pool_key =
             pool == 0 ? "unlimited" : std::to_string(pool);
@@ -850,7 +852,9 @@ F6(BenchReport& report)
         });
     }
     // Multiplies: the smallest pool faults >= 10x as often as unlimited.
-    return Shape(table, holds && prev_faults >= 10 * unlimited_faults,
+    return Shape(table,
+                 holds && prev_faults >= 10 * unlimited.first &&
+                     prev_os > unlimited.second,
                  "shrinking memory multiplies page faults and\n"
                  "swap traffic, and the OS share of references climbs —\n"
                  "thrashing, visible only in a full-system trace.\n");
@@ -988,11 +992,8 @@ A3(BenchReport& report)
             cache::HierarchyConfig config;
             config.l2.size_bytes = kib << 10;
             config.flush_on_switch = flush;
-            if (!flush) {
-                config.l1i.pid_tags = true;
-                config.l1d.pid_tags = true;
-                config.l2.pid_tags = true;
-            }
+            config.l1i.pid_tags = config.l1d.pid_tags = config.l2.pid_tags =
+                !flush;
             jobs.push_back(replay::MakeHierarchyJob(config));
         }
     }
