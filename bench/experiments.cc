@@ -139,6 +139,17 @@ SharedCapture(const Mix& mix, bool user_only = false)
     return it->second;
 }
 
+/** `mix` traced under `config`: the shared capture when `config` is the
+ *  default, else one made into `own`. */
+const Capture&
+CaptureUnder(const Mix& mix, const core::AtumConfig& config, Capture& own)
+{
+    if (config == core::AtumConfig{})
+        return SharedCapture(mix);
+    own = CaptureFullSystem(mix.Programs(), config);
+    return own;
+}
+
 constexpr cache::DriverOptions kFlush{.flush_on_switch = true};
 
 /** Prints `table` and the experiment's shape-check sentence; returns
@@ -248,7 +259,8 @@ T2(BenchReport& report)
     for (uint32_t cost : costs) {
         core::AtumConfig config;
         config.cost_per_record = cost;
-        const Capture cap = CaptureFullSystem(mix.Programs(), config);
+        Capture own;
+        const Capture& cap = CaptureUnder(mix, config, own);
         if (cap.session.instructions != base.instructions)
             Fatal("tracing perturbed the instruction stream");
         const double slowdown = static_cast<double>(cap.session.ucycles) /
@@ -303,8 +315,8 @@ T3(BenchReport& report)
     for (uint32_t kib : {16u, 64u, 256u, 1024u}) {
         core::AtumConfig config;
         config.buffer_bytes = kib << 10;
-        const Capture cap =
-            CaptureFullSystem(MixOfDegree(2).Programs(), config);
+        Capture own;
+        const Capture& cap = CaptureUnder(MixOfDegree(2), config, own);
         const uint64_t pauses =
             cap.session.buffer_fills * config.drain_pause_ucycles;
         pause_share = 100.0 * static_cast<double>(pauses) /

@@ -74,6 +74,11 @@ def collect_inputs(paths):
     return files
 
 
+def exact(value):
+    """A value as it compares: every digit, so a change always shows."""
+    return repr(int(value)) if value.is_integer() else repr(value)
+
+
 def compare(report, baseline, label):
     """Returns a list of failure strings (empty = clean)."""
     failures = []
@@ -101,7 +106,7 @@ def compare(report, baseline, label):
             if have != want:
                 failures.append(
                     f"{label}: {pretty}: exact-match metric changed: "
-                    f"{want:g} -> {have:g} {unit} "
+                    f"{exact(want)} -> {exact(have)} {unit} "
                     "(update the baseline if intended)")
     for key in current:
         print(f"note: {label}: new metric not in baseline: {key[0]} "

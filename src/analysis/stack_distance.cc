@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <exception>
+#include <memory>
+#include <system_error>
+#include <thread>
 
 #include "util/logging.h"
 
@@ -33,20 +37,26 @@ LowBit(uint32_t i)
 
 }  // namespace
 
-StackDistanceAnalyzer::StackDistanceAnalyzer(unsigned block_shift)
-    : block_shift_(block_shift),
+StackDistanceAnalyzer::Engine::Engine(bool keep_first_touches)
+    : distance_counts(1, 0),
       map_(kInitialSlots),
       tree_(kInitialStamps / 64 + 1, 0),
       owner_(kInitialStamps, 0),
       live_bits_(kInitialStamps / 64, 0),
-      distance_counts_(1, 0)
+      keep_first_touches_(keep_first_touches)
+{
+}
+
+StackDistanceAnalyzer::StackDistanceAnalyzer(unsigned block_shift)
+    : block_shift_(block_shift),
+      pending_(std::make_unique_for_overwrite<uint32_t[]>(kBatchTouches))
 {
     if (block_shift > 16)
         Fatal("block_shift too large: ", block_shift);
 }
 
-StackDistanceAnalyzer::Slot&
-StackDistanceAnalyzer::Find(uint32_t block)
+StackDistanceAnalyzer::Engine::Slot&
+StackDistanceAnalyzer::Engine::Find(uint32_t block)
 {
     const size_t mask = map_.size() - 1;
     for (size_t i = SlotOf(block, mask);; i = (i + 1) & mask) {
@@ -57,7 +67,7 @@ StackDistanceAnalyzer::Find(uint32_t block)
 }
 
 void
-StackDistanceAnalyzer::GrowMap()
+StackDistanceAnalyzer::Engine::GrowMap()
 {
     std::vector<Slot> old(map_.size() * 2);
     old.swap(map_);
@@ -68,7 +78,7 @@ StackDistanceAnalyzer::GrowMap()
 }
 
 void
-StackDistanceAnalyzer::TreeAdd(uint32_t stamp, int32_t delta)
+StackDistanceAnalyzer::Engine::TreeAdd(uint32_t stamp, int32_t delta)
 {
     const uint32_t n = static_cast<uint32_t>(tree_.size());
     for (uint32_t i = stamp / 64 + 1; i < n; i += LowBit(i))
@@ -76,7 +86,7 @@ StackDistanceAnalyzer::TreeAdd(uint32_t stamp, int32_t delta)
 }
 
 void
-StackDistanceAnalyzer::TreeMove(uint32_t from, uint32_t to)
+StackDistanceAnalyzer::Engine::TreeMove(uint32_t from, uint32_t to)
 {
     // -1 up from's path and +1 up to's; where the paths meet, the two
     // cancel, so climb the lower one until they do (or both leave).
@@ -95,7 +105,7 @@ StackDistanceAnalyzer::TreeMove(uint32_t from, uint32_t to)
 }
 
 uint32_t
-StackDistanceAnalyzer::NewerThan(uint32_t stamp) const
+StackDistanceAnalyzer::Engine::NewerThan(uint32_t stamp) const
 {
     // The live bits above stamp in its own word, then the words after it
     // up to the newest stamp's: a Fenwick range sum, whose two prefix
@@ -117,7 +127,7 @@ StackDistanceAnalyzer::NewerThan(uint32_t stamp) const
 }
 
 void
-StackDistanceAnalyzer::Renumber()
+StackDistanceAnalyzer::Engine::Renumber()
 {
     // The live stamps, oldest first, become 1..B: the stack order is all
     // a stamp means, so the distances to come are unchanged.
@@ -156,7 +166,7 @@ StackDistanceAnalyzer::Renumber()
 }
 
 uint32_t
-StackDistanceAnalyzer::NextStamp(uint32_t block, uint32_t retired)
+StackDistanceAnalyzer::Engine::NextStamp(uint32_t block, uint32_t retired)
 {
     if (next_stamp_ == owner_.size()) {
         // The rebuilt tree already leaves out retired, whose bit is clear.
@@ -174,22 +184,25 @@ StackDistanceAnalyzer::NextStamp(uint32_t block, uint32_t retired)
 }
 
 void
-StackDistanceAnalyzer::TouchBlock(uint32_t block)
+StackDistanceAnalyzer::Engine::Restamp(Slot& slot)
 {
-    if (block == last_block_ && time_ > 0) {
-        // Re-touching the top of the stack reorders nothing.
-        ++time_;
-        ++distance_counts_[0];
-        return;
-    }
-    ++time_;
-    last_block_ = block;
+    // Retire the old bit before issuing the new stamp, so a renumbering
+    // in between sees one live stamp per block.
+    const uint32_t prev = slot.stamp;
+    live_bits_[prev / 64] &= ~(uint64_t{1} << (prev % 64));
+    slot.stamp = NextStamp(slot.block, prev);
+}
 
+void
+StackDistanceAnalyzer::Engine::Touch(uint32_t block)
+{
     Slot* slot = &Find(block);
     if (slot->stamp == 0) {
-        ++cold_misses_;
-        ++live_;
-        if (2 * size_t{live_} > map_.size()) {
+        ++cold_misses;
+        ++live;
+        if (keep_first_touches_)
+            first_touches.push_back(block);
+        if (2 * size_t{live} > map_.size()) {
             GrowMap();
             slot = &Find(block);
         }
@@ -200,38 +213,138 @@ StackDistanceAnalyzer::TouchBlock(uint32_t block)
         return;
     }
 
-    const uint32_t prev = slot->stamp;
-    // Distinct blocks touched since: the live stamps newer than prev.
-    const uint64_t distance = NewerThan(prev);
-    if (distance >= distance_counts_.size())
-        distance_counts_.resize(distance + 1, 0);
-    ++distance_counts_[distance];
-    // Retire prev's bit before issuing the new stamp, so a renumbering in
-    // between sees one live stamp per block.
-    live_bits_[prev / 64] &= ~(uint64_t{1} << (prev % 64));
-    slot->stamp = NextStamp(block, prev);
+    // Distinct blocks touched since: the live stamps newer than its own.
+    const uint64_t distance = NewerThan(slot->stamp);
+    if (distance >= distance_counts.size())
+        distance_counts.resize(distance + 1, 0);
+    ++distance_counts[distance];
+    Restamp(*slot);
 }
 
 void
-StackDistanceAnalyzer::Feed(const trace::Record& record)
+StackDistanceAnalyzer::Engine::Raise(uint32_t block)
 {
-    if (refs_.Classify(record) == trace::RefFilter::kRef)
-        TouchBlock(record.addr >> block_shift_);
+    Slot& slot = Find(block);
+    if (slot.stamp != next_stamp_ - 1)
+        Restamp(slot);
+}
+
+std::vector<uint32_t>
+StackDistanceAnalyzer::Engine::BlocksByRecency() const
+{
+    std::vector<uint32_t> blocks;
+    blocks.reserve(live);
+    for (size_t w = 0; w < live_bits_.size(); ++w) {
+        for (uint64_t bits = live_bits_[w]; bits != 0; bits &= bits - 1)
+            blocks.push_back(owner_[w * 64 + std::countr_zero(bits)]);
+    }
+    return blocks;
+}
+
+void
+StackDistanceAnalyzer::Engine::AddCounts(const Engine& other)
+{
+    if (other.distance_counts.size() > distance_counts.size())
+        distance_counts.resize(other.distance_counts.size(), 0);
+    for (size_t d = 0; d < other.distance_counts.size(); ++d)
+        distance_counts[d] += other.distance_counts[d];
+}
+
+void
+StackDistanceAnalyzer::Settle()
+{
+    const size_t n = pending_count_;
+    pending_count_ = 0;
+    if (n < kSplitTouches) {
+        for (size_t i = 0; i < n; ++i)
+            engine_.Touch(pending_[i]);
+        return;
+    }
+
+    // Slice 0 on the global engine, the others on engines of their own.
+    const size_t slice = n / kPieces;
+    std::vector<Engine> slices(kPieces - 1, Engine(true));
+    auto run = [&](unsigned piece) {
+        const uint32_t* begin = pending_.get() + piece * slice;
+        const uint32_t* end =
+            piece + 1 == kPieces ? pending_.get() + n : begin + slice;
+        Engine& engine = piece == 0 ? engine_ : slices[piece - 1];
+        for (const uint32_t* p = begin; p != end; ++p)
+            engine.Touch(*p);
+    };
+    // Thread t runs pieces t, t + threads, ...; the caller is thread 0.
+    static const unsigned threads = std::clamp(
+        std::thread::hardware_concurrency(), 1u, kPieces);
+    // A share's failure (an allocation) is held until every thread is
+    // joined, then rethrown here.
+    std::vector<std::exception_ptr> failed(threads);
+    auto run_share = [&](unsigned t) {
+        try {
+            for (unsigned piece = t; piece < kPieces; piece += threads)
+                run(piece);
+        } catch (...) {
+            failed[t] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) {
+        try {
+            helpers.emplace_back(run_share, t);
+        } catch (const std::system_error&) {
+            run_share(t);  // no thread to be had: run its share here
+        }
+    }
+    run_share(0);
+    for (std::thread& helper : helpers)
+        helper.join();
+    for (const std::exception_ptr& failure : failed) {
+        if (failure)
+            std::rethrow_exception(failure);
+    }
+
+    // Merge, slice by slice: the first touches get their distances on
+    // the global stack, then the slice's order replaces theirs.
+    for (unsigned piece = 1; piece < kPieces; ++piece) {
+        const Engine& local = slices[piece - 1];
+        for (uint32_t block : local.first_touches)
+            engine_.Touch(block);
+        for (uint32_t block : local.BlocksByRecency())
+            engine_.Raise(block);
+        engine_.AddCounts(local);
+    }
 }
 
 uint64_t
-StackDistanceAnalyzer::MissesForCapacity(uint64_t capacity_blocks) const
+StackDistanceAnalyzer::cold_misses()
+{
+    Settle();
+    return engine_.cold_misses;
+}
+
+uint64_t
+StackDistanceAnalyzer::distinct_blocks()
+{
+    Settle();
+    return engine_.live;
+}
+
+uint64_t
+StackDistanceAnalyzer::MissesForCapacity(uint64_t capacity_blocks)
 {
     if (capacity_blocks == 0)
         Fatal("capacity must be nonzero");
-    uint64_t misses = cold_misses_;
-    for (uint64_t d = capacity_blocks; d < distance_counts_.size(); ++d)
-        misses += distance_counts_[d];
+    Settle();
+    // Repeats are distance 0, a hit at every capacity.
+    const std::vector<uint64_t>& counts = engine_.distance_counts;
+    uint64_t misses = engine_.cold_misses;
+    for (uint64_t d = capacity_blocks; d < counts.size(); ++d)
+        misses += counts[d];
     return misses;
 }
 
 double
-StackDistanceAnalyzer::MissRateForCapacity(uint64_t capacity_blocks) const
+StackDistanceAnalyzer::MissRateForCapacity(uint64_t capacity_blocks)
 {
     return time_ == 0 ? 0.0
                       : static_cast<double>(
@@ -240,9 +353,11 @@ StackDistanceAnalyzer::MissRateForCapacity(uint64_t capacity_blocks) const
 }
 
 uint64_t
-StackDistanceAnalyzer::DistanceCount(uint64_t d) const
+StackDistanceAnalyzer::DistanceCount(uint64_t d)
 {
-    return d < distance_counts_.size() ? distance_counts_[d] : 0;
+    Settle();
+    const std::vector<uint64_t>& counts = engine_.distance_counts;
+    return (d < counts.size() ? counts[d] : 0) + (d == 0 ? repeats_ : 0);
 }
 
 }  // namespace atum::analysis

@@ -83,8 +83,8 @@ Cache::Victim(uint32_t set)
     return *victim;
 }
 
-bool
-Cache::Miss(uint32_t block, uint64_t tag, bool is_write,
+uint64_t
+Cache::Miss(uint64_t tick, uint32_t block, uint64_t tag, bool is_write,
             uint32_t* writeback_addr)
 {
     ++stats_.misses;
@@ -107,17 +107,17 @@ Cache::Miss(uint32_t block, uint64_t tag, bool is_write,
     }
     victim.key = tag << kTagShift | kValid |
                  (is_write && write_back_ ? kDirty : 0);
-    victim.stamp = ++tick_;
+    victim.stamp = ++tick;
 
     if (prefetch_) {
         // One-block lookahead: bring in the sequentially next block too.
-        Fill(block + 1, tag & ~0xffffffffull);  // same pid tag bits
+        tick = Fill(tick, block + 1, tag & ~0xffffffffull);  // same pid
     }
-    return false;
+    return tick;
 }
 
-void
-Cache::Fill(uint32_t block, uint64_t tag_extra)
+uint64_t
+Cache::Fill(uint64_t tick, uint32_t block, uint64_t tag_extra)
 {
     const uint32_t set = block & set_mask_;
     const uint64_t tag = (block >> set_shift_) | tag_extra;
@@ -125,14 +125,15 @@ Cache::Fill(uint32_t block, uint64_t tag_extra)
     Line* base = SetBase(set);
     for (uint32_t w = 0; w < assoc_; ++w) {
         if ((base[w].key & ~kDirty) == want)
-            return;  // already resident: nothing to prefetch
+            return tick;  // already resident: nothing to prefetch
     }
     Line& victim = Victim(set);
     if ((victim.key & (kValid | kDirty)) == (kValid | kDirty))
         ++stats_.writebacks;
     victim.key = want;
-    victim.stamp = ++tick_;
+    victim.stamp = ++tick;
     ++stats_.prefetch_fills;
+    return tick;
 }
 
 void

@@ -87,17 +87,39 @@ class Cache
      * next cache level); otherwise it is left untouched.
      */
     bool Access(uint32_t addr, bool is_write, uint16_t pid = 0,
-                uint32_t* writeback_addr = nullptr);
+                uint32_t* writeback_addr = nullptr)
+    {
+        return AccessIn<0>(tally_, addr, is_write, pid, writeback_addr);
+    }
 
     /** Invalidates everything (a context-switch flush); dirty blocks of a
      *  write-back cache count as writebacks. */
     void Flush();
 
     const CacheConfig& config() const { return config_; }
-    const CacheStats& stats() const { return stats_; }
+    CacheStats stats() const
+    {
+        CacheStats stats = stats_;
+        stats.accesses = tally_.accesses;
+        stats.writes = tally_.writes;
+        stats.reads = tally_.accesses - tally_.writes;
+        return stats;
+    }
     uint32_t num_sets() const { return set_mask_ + 1; }
 
   private:
+    friend class TraceCacheDriver;  // its slice loop (FeedSlice)
+
+    /** What every access updates besides its line: the access and
+     *  write counts (reads are the rest) and the LRU tick. A replay loop
+     *  keeps a copy in locals over a slice of records, so they stay in
+     *  registers; the rarer counts stay in stats_. */
+    struct Tally {
+        uint64_t accesses = 0;
+        uint64_t writes = 0;
+        uint64_t tick = 0;
+    };
+
     /**
      * One cache line in 16 bytes. `key` packs the tag (pid bits
      * included) above a dirty and a valid bit, so a hit is one compare
@@ -116,10 +138,23 @@ class Cache
         return &lines_[static_cast<size_t>(set) * assoc_];
     }
 
-    /** The miss path of Access: victim choice, writeback and fill. */
-    bool Miss(uint32_t block, uint64_t tag, bool is_write,
-              uint32_t* writeback_addr);
-    void Fill(uint32_t block, uint64_t tag_extra);
+    /**
+     * The access body, against `t`. `kWays` is the associativity when a
+     * caller knows it at compile time (1, 2 or 4), 0 for the configured
+     * one; the same body serves both, so a known way count only unrolls
+     * the probe.
+     */
+    template <uint32_t kWays>
+    [[gnu::always_inline]] bool AccessIn(Tally& t, uint32_t addr,
+                                         bool is_write, uint16_t pid,
+                                         uint32_t* writeback_addr);
+    /** The miss path of an access: victim choice, writeback and fill.
+     *  Takes the LRU tick and returns it advanced, so a caller's copy
+     *  never leaves its register. */
+    uint64_t Miss(uint64_t tick, uint32_t block, uint64_t tag, bool is_write,
+                  uint32_t* writeback_addr);
+    /** One-block lookahead: brings `block` in unless it is resident. */
+    uint64_t Fill(uint64_t tick, uint32_t block, uint64_t tag_extra);
     Line& Victim(uint32_t set);
 
     CacheConfig config_;
@@ -132,20 +167,18 @@ class Cache
     bool pid_tags_;
     bool prefetch_;
     std::vector<Line> lines_;
-    uint64_t tick_ = 0;
+    Tally tally_;
+    CacheStats stats_;  ///< all but accesses, reads and writes
     Rng rng_;
-    CacheStats stats_;
 };
 
+template <uint32_t kWays>
 inline bool
-Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
-              uint32_t* writeback_addr)
+Cache::AccessIn(Tally& t, uint32_t addr, bool is_write, uint16_t pid,
+                uint32_t* writeback_addr)
 {
-    ++stats_.accesses;
-    if (is_write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
+    ++t.accesses;
+    t.writes += is_write;
 
     const uint32_t block = addr >> block_shift_;
     uint64_t tag = block >> set_shift_;
@@ -153,12 +186,13 @@ Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
         tag |= static_cast<uint64_t>(pid) << 32;
 
     const uint64_t want = tag << kTagShift | kValid;
-    Line* base = SetBase(block & set_mask_);
-    for (uint32_t w = 0; w < assoc_; ++w) {
+    const uint32_t ways = kWays != 0 ? kWays : assoc_;
+    Line* base = &lines_[static_cast<size_t>(block & set_mask_) * ways];
+    for (uint32_t w = 0; w < ways; ++w) {
         Line& line = base[w];
         if ((line.key & ~kDirty) == want) {
             if (lru_)
-                line.stamp = ++tick_;
+                line.stamp = ++t.tick;
             // Write-through: the write also goes to memory; the block
             // stays clean.
             if (is_write && write_back_)
@@ -166,7 +200,9 @@ Cache::Access(uint32_t addr, bool is_write, uint16_t pid,
             return true;
         }
     }
-    return Miss(block, tag, is_write, writeback_addr);
+
+    t.tick = Miss(t.tick, block, tag, is_write, writeback_addr);
+    return false;
 }
 
 }  // namespace atum::cache

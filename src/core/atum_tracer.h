@@ -53,6 +53,8 @@ struct AtumConfig {
      *  and context switch is always recorded, and a study that wants
      *  fewer kinds filters at replay time (trace::RefFilter). */
     bool record_opcodes = false;
+
+    bool operator==(const AtumConfig&) const = default;
 };
 
 // -- drain failure policy ----------------------------------------------------

@@ -33,7 +33,7 @@ Tlb::VictimIn(unsigned set)
     return *victim;
 }
 
-void
+TlbEntry*
 Tlb::Insert(const TlbEntry& entry)
 {
     const unsigned set = entry.vpn & (sets_ - 1);
@@ -41,6 +41,7 @@ Tlb::Insert(const TlbEntry& entry)
     slot = entry;
     slot.valid = true;
     slot.lru = ++stamp_;
+    return &slot;
 }
 
 void

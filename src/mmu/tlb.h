@@ -65,8 +65,21 @@ class Tlb
         return nullptr;
     }
 
-    /** Installs a translation, evicting the set's LRU entry if needed. */
-    void Insert(const TlbEntry& entry);
+    /**
+     * Counts a hit on `e`, an entry of this TB that holds the vpn looked
+     * up: exactly what Lookup does on that hit, without the scan. A
+     * caller that remembers where a vpn lives (tlbsim::TlbSim) checks
+     * the entry is still valid with that vpn first.
+     */
+    void Rehit(TlbEntry& e)
+    {
+        ++lookups_;
+        e.lru = ++stamp_;
+    }
+
+    /** Installs a translation, evicting the set's LRU entry if needed.
+     *  Returns the slot it filled. */
+    TlbEntry* Insert(const TlbEntry& entry);
 
     /** Invalidates everything (MTPR TBIA). */
     void InvalidateAll();

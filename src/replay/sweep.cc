@@ -162,10 +162,12 @@ ReplayOneChecked(const std::vector<trace::Record>& records,
       case SweepConfig::Kind::kCache: {
         cache::Cache c(config.cache);
         cache::TraceCacheDriver driver(c, config.driver);
-        for (uint64_t i = 0; i < records.size(); ++i) {
+        for (uint64_t i = 0; i < records.size(); i += kSliceRecords) {
             if (governor.ShouldStop(i))
                 return governor.Verdict();
-            driver.Feed(records[i]);
+            driver.FeedSlice(records.data() + i,
+                             std::min<uint64_t>(kSliceRecords,
+                                                records.size() - i));
         }
         result.cache_stats = c.stats();
         result.fed = driver.fed();

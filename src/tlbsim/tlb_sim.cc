@@ -1,13 +1,9 @@
 #include "tlbsim/tlb_sim.h"
 
-#include "mem/physical_memory.h"
 #include "util/bitops.h"
 #include "util/logging.h"
 
 namespace atum::tlbsim {
-
-using trace::Record;
-using trace::RefFilter;
 
 util::Status
 ValidateConfig(const TlbSimConfig& config)
@@ -46,24 +42,20 @@ TlbSim::TlbSim(const TlbSimConfig& config)
 }
 
 void
-TlbSim::Feed(const Record& record)
+TlbSim::Switch()
 {
-    switch (refs_.Classify(record)) {
-      case RefFilter::kSwitch:
-        if (config_.flush_on_switch) {
-            ++flushes_;
-            tlb_.FlushProcessEntries();
-        }
-        return;
-      case RefFilter::kRef: {
-        const uint32_t vpn = record.addr >> kPageShift;
-        if (tlb_.Lookup(vpn) == nullptr)
-            tlb_.Insert({.vpn = vpn});
-        return;
-      }
-      default:
-        return;
+    if (config_.flush_on_switch) {
+        ++flushes_;
+        tlb_.FlushProcessEntries();
     }
+}
+
+mmu::TlbEntry*
+TlbSim::LookupOrInsert(uint32_t vpn)
+{
+    if (mmu::TlbEntry* hit = tlb_.Lookup(vpn); hit != nullptr)
+        return hit;
+    return tlb_.Insert({.vpn = vpn});
 }
 
 }  // namespace atum::tlbsim

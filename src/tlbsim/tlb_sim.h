@@ -13,8 +13,10 @@
  * and keeps the system (S0) ones, as the machine's LDPCTX does.
  */
 
+#include <array>
 #include <cstdint>
 
+#include "mem/physical_memory.h"
 #include "mmu/tlb.h"
 #include "trace/record.h"
 #include "trace/ref_filter.h"
@@ -54,14 +56,42 @@ struct TlbSimStats {
  * The machine's TB (mmu::Tlb) driven by a trace instead of the MMU: a hit
  * is a Lookup, a miss a Lookup then an Insert, so replacement and LRU
  * order are the machine's own.
+ *
+ * Most references hit the page the same vpn hit last time, so a small
+ * table indexed by vpn remembers the entry each vpn was last found or
+ * put in. An entry still valid with that vpn is the one a Lookup would
+ * scan to, since a vpn lives in at most one entry (it is inserted only
+ * after a Lookup misses it); Rehit then counts the hit as Lookup would.
+ * Anything else falls back to Lookup. The table points into this
+ * object's TB, so a TlbSim is neither copied nor moved.
  */
 class TlbSim
 {
   public:
     explicit TlbSim(const TlbSimConfig& config);
+    TlbSim(const TlbSim&) = delete;
+    TlbSim& operator=(const TlbSim&) = delete;
 
     /** Feeds one trace record, in order. */
-    void Feed(const trace::Record& record);
+    void Feed(const trace::Record& record)
+    {
+        switch (refs_.Classify(record)) {
+          case trace::RefFilter::kSwitch:
+            Switch();
+            return;
+          case trace::RefFilter::kRef: {
+            const uint32_t vpn = record.addr >> kPageShift;
+            mmu::TlbEntry*& known = memo_[MemoSlot(vpn)];
+            if (known != nullptr && known->valid && known->vpn == vpn)
+                tlb_.Rehit(*known);
+            else
+                known = LookupOrInsert(vpn);
+            return;
+          }
+          default:
+            return;
+        }
+    }
 
     TlbSimStats stats() const
     {
@@ -69,11 +99,30 @@ class TlbSim
                 .flushes = flushes_};
     }
 
+    /** The simulated TB, for its Save bytes. */
+    const mmu::Tlb& tlb() const { return tlb_; }
+
   private:
+    /** Entries of the vpn-indexed table (a power of two). */
+    static constexpr size_t kMemoSlots = 1024;
+
+    static size_t MemoSlot(uint32_t vpn)
+    {
+        // Fold the region bits down, so system and process pages with
+        // equal low bits take different slots.
+        return (vpn ^ vpn >> 13) & (kMemoSlots - 1);
+    }
+
+    void Switch();
+    /** A Lookup of `vpn`, then an Insert if it missed: the entry that
+     *  holds it now. */
+    mmu::TlbEntry* LookupOrInsert(uint32_t vpn);
+
     TlbSimConfig config_;
     mmu::Tlb tlb_;
     trace::RefFilter refs_;
     uint64_t flushes_ = 0;
+    std::array<mmu::TlbEntry*, kMemoSlots> memo_{};
 };
 
 }  // namespace atum::tlbsim

@@ -18,7 +18,7 @@
  *                 kException, kOpcode, kLoss)
  *
  * Typical full-system traces compress to ~2-3 bytes/record from the fixed
- * 8-byte form (see bench_a1_compression).
+ * 8-byte form (see `bench_experiments a1_compression`).
  */
 
 #include <cstddef>

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -582,6 +583,56 @@ AdviseHugePages(std::vector<Record>& records)
 }
 
 /**
+ * Reads the packed records of a byte range as a random-access range of
+ * Record values. A chunk payload after a resynchronization may start at
+ * any byte of the window, so each record is copied out, never cast in
+ * place. Appending through it constructs each slot once, where a resize
+ * would zero-fill the slots before the copy.
+ */
+class PackedRecords
+{
+  public:
+    // What vector::insert asks of a random-access iterator.
+    using iterator_category = std::random_access_iterator_tag;
+    using value_type = Record;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Record*;
+    using reference = Record;
+
+    explicit PackedRecords(const uint8_t* p) : p_(p) {}
+
+    Record operator*() const
+    {
+        Record r;
+        std::memcpy(&r, p_, sizeof r);
+        return r;
+    }
+    PackedRecords& operator++()
+    {
+        p_ += kRecordBytes;
+        return *this;
+    }
+    PackedRecords& operator--()
+    {
+        p_ -= kRecordBytes;
+        return *this;
+    }
+    PackedRecords& operator+=(difference_type n)
+    {
+        p_ += n * kRecordBytes;
+        return *this;
+    }
+    difference_type operator-(const PackedRecords& other) const
+    {
+        return (p_ - other.p_) / kRecordBytes;
+    }
+    bool operator==(const PackedRecords&) const = default;
+
+  private:
+    const uint8_t* p_;
+};
+
+/**
  * The parse behind ScanTrace: walks the container through `w`, filling
  * `report` (all but the read failure and file_bytes, which ScanTrace
  * adds once the input has ended) and appending salvaged records to
@@ -715,9 +766,8 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                 issue(pos, "chunk passes CRC but holds implausible "
                            "records");
             } else if (out != nullptr && count > 0) {
-                const size_t kept = out->size();
-                out->resize(kept + count);
-                std::memcpy(out->data() + kept, records, payload);
+                out->insert(out->end(), PackedRecords(records),
+                            PackedRecords(records + payload));
             }
             if (good) {
                 ++report.chunks_ok;

@@ -7,26 +7,19 @@
 namespace atum::trace {
 
 void
-TraceStats::Accumulate(const Record& record)
+TraceStats::BadType(size_t type_idx)
 {
-    ++total_;
-    const auto type_idx = static_cast<size_t>(record.type);
-    if (type_idx >= static_cast<size_t>(RecordType::kNumTypes))
-        Panic("bad record type ", type_idx);
-    ++by_type_[type_idx];
+    Panic("bad record type ", type_idx);
+}
 
-    if (record.IsMemory()) {
-        ++mem_refs_;
-        if (record.kernel())
-            ++kernel_refs_;
-        ++refs_since_switch_;
-    } else if (record.type == RecordType::kCtxSwitch) {
-        if (refs_since_switch_ != 0)
-            refs_by_pid_[current_pid_] += refs_since_switch_;
-        switch_interval_refs_.Add(refs_since_switch_);
-        refs_since_switch_ = 0;
-        current_pid_ = record.info;
-    }
+void
+TraceStats::Switch(uint16_t pid)
+{
+    if (refs_since_switch_ != 0)
+        refs_by_pid_[current_pid_] += refs_since_switch_;
+    switch_interval_refs_.Add(refs_since_switch_);
+    refs_since_switch_ = 0;
+    current_pid_ = pid;
 }
 
 std::map<uint16_t, uint64_t>

@@ -21,7 +21,22 @@ class TraceStats
 {
   public:
     /** Feeds one record, in trace order (context tracking is stateful). */
-    void Accumulate(const Record& record);
+    void Accumulate(const Record& record)
+    {
+        ++total_;
+        const auto type_idx = static_cast<size_t>(record.type);
+        if (type_idx >= static_cast<size_t>(RecordType::kNumTypes))
+            BadType(type_idx);
+        ++by_type_[type_idx];
+
+        if (record.IsMemory()) {
+            ++mem_refs_;
+            kernel_refs_ += record.kernel();
+            ++refs_since_switch_;
+        } else if (record.type == RecordType::kCtxSwitch) {
+            Switch(record.info);
+        }
+    }
 
     uint64_t total() const { return total_; }
     uint64_t CountOf(RecordType type) const;
@@ -50,6 +65,10 @@ class TraceStats
     std::string ToString() const;
 
   private:
+    [[noreturn]] static void BadType(size_t type_idx);
+    /** Closes the running pid's interval; `pid` runs next. */
+    void Switch(uint16_t pid);
+
     uint64_t total_ = 0;
     uint64_t by_type_[static_cast<size_t>(RecordType::kNumTypes)] = {};
     uint64_t mem_refs_ = 0;

@@ -407,7 +407,7 @@ OracleStream(uint32_t distinct, size_t length, uint32_t top, uint64_t seed)
 }
 
 void
-ExpectMatchesOracle(const StackDistanceAnalyzer& sd,
+ExpectMatchesOracle(StackDistanceAnalyzer& sd,
                     const LruStackOracle& oracle, uint32_t distinct)
 {
     EXPECT_EQ(sd.cold_misses(), oracle.cold()) << distinct;
@@ -451,6 +451,93 @@ TEST(StackDistance, MatchesBruteForceLruStackAtTheTopOfMemory)
         EXPECT_EQ(sd.total_accesses(), blocks.size());
         ExpectMatchesOracle(sd, oracle, distinct);
     }
+}
+
+TEST(StackDistance, MergeAcrossPiecesMatchesOracle)
+{
+    // A settle of n >= kSplitTouches buffered touches cuts them into
+    // kPieces slices of n / kPieces. The stream below buffers exactly
+    // kPieces * kSlice touches (repeats are counted, not buffered), so
+    // the slice edges sit at multiples of kSlice. At each edge a block
+    // touched just before it is touched again just after, and a repeat
+    // run starts on the edge's last buffered touch and runs past it.
+    constexpr size_t kPieces = StackDistanceAnalyzer::kPieces;
+    constexpr size_t kSlice = StackDistanceAnalyzer::kSplitTouches / 2;
+    Rng rng(7);
+    std::vector<uint32_t> buffered;  // no two neighbours equal
+    auto push = [&buffered](uint32_t block) {
+        if (buffered.empty() || buffered.back() != block)
+            buffered.push_back(block);
+    };
+    while (buffered.size() < kPieces * kSlice) {
+        const size_t edge = buffered.size() % kSlice;
+        if (buffered.size() >= kSlice && edge == 2) {
+            // Re-touch the block buffered four touches back, across the
+            // edge two touches back.
+            push(buffered[buffered.size() - 4]);
+        } else {
+            push(rng.Below(3) == 0 ? rng.Below(20000) : rng.Below(600));
+        }
+    }
+    buffered.resize(kPieces * kSlice);
+
+    std::vector<uint32_t> stream;
+    for (size_t i = 0; i < buffered.size(); ++i) {
+        stream.push_back(buffered[i]);
+        if ((i + 1) % kSlice == 0)
+            stream.insert(stream.end(), 5, buffered[i]);  // straddles
+    }
+    StackDistanceAnalyzer sd(0);
+    LruStackOracle oracle;
+    for (uint32_t block : stream) {
+        sd.TouchBlock(block);
+        oracle.Touch(block);
+    }
+    EXPECT_EQ(sd.total_accesses(), stream.size());
+    EXPECT_EQ(sd.DistanceCount(0), oracle.Count(0));
+    ExpectMatchesOracle(sd, oracle, 20000);
+}
+
+TEST(StackDistance, SettlesMidStreamChangeNothing)
+{
+    // Each accessor settles what is pending, so calling them while the
+    // stream is fed cuts it into other batches and slices. The counts
+    // must not move. 2.4 M touches also fill whole batches.
+    Rng rng(1986);
+    StackDistanceAnalyzer plain(0);
+    StackDistanceAnalyzer polled(0);
+    uint32_t block = 0;
+    for (int i = 0; i < 2'400'000; ++i) {
+        switch (rng.Below(8)) {
+          case 0:
+          case 1:
+            break;  // a repeat
+          case 2:
+            block = rng.Below(50000);
+            break;
+          default:
+            block = static_cast<uint32_t>(i % 3000) + rng.Below(4);
+        }
+        plain.TouchBlock(block);
+        polled.TouchBlock(block);
+        // Irregular gaps: some settles split, some run serially.
+        if (rng.Below(40000) == 0 || i % 100003 == 77)
+            polled.DistanceCount(rng.Below(64));
+        if (i % 250007 == 5)
+            polled.distinct_blocks();
+    }
+    EXPECT_EQ(polled.total_accesses(), plain.total_accesses());
+    EXPECT_EQ(polled.cold_misses(), plain.cold_misses());
+    EXPECT_EQ(polled.distinct_blocks(), plain.distinct_blocks());
+    uint64_t counted = polled.cold_misses();
+    for (uint64_t d = 0; d <= 50000; ++d) {
+        ASSERT_EQ(polled.DistanceCount(d), plain.DistanceCount(d)) << d;
+        counted += plain.DistanceCount(d);
+    }
+    EXPECT_EQ(counted, plain.total_accesses());
+    for (uint64_t capacity : {1u, 64u, 3000u, 4096u, 65536u})
+        EXPECT_EQ(polled.MissesForCapacity(capacity),
+                  plain.MissesForCapacity(capacity));
 }
 
 TEST(StackDistanceDeath, ZeroCapacityIsFatal)

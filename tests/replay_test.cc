@@ -306,6 +306,80 @@ TEST(SweepRunner, MatchesLegacyAnalysisSweep)
     }
 }
 
+/** Every CacheStats field, for one-line comparison. */
+std::vector<uint64_t>
+StatFields(const cache::CacheStats& s)
+{
+    return {s.accesses,   s.misses,       s.reads,      s.read_misses,
+            s.writes,     s.write_misses, s.writebacks, s.flushes,
+            s.flushed_blocks, s.prefetch_fills};
+}
+
+TEST(SweepRunner, SliceKernelMatchesPerRecordDriver)
+{
+    // ReplayOne feeds a cache row 4,096 records at a time through the
+    // slice kernel; TraceCacheDriver::Feed is the per-record path. Every
+    // probe width, discipline, filter and policy must count the same.
+    std::vector<Record> records;
+    for (const Record& r : SyntheticTrace(40000)) {
+        records.push_back(r);
+        if (records.size() % 50 == 0) {  // filtered: physical
+            Record pte = r;
+            pte.type = RecordType::kPte;
+            records.push_back(pte);
+        }
+        if (records.size() % 301 == 0) {  // not a reference
+            Record marker;
+            marker.type = RecordType::kException;
+            records.push_back(marker);
+        }
+    }
+    ASSERT_GT(records.size(), 8u * 4096);
+
+    const cache::DriverOptions flush{.flush_on_switch = true};
+    const cache::DriverOptions user_only{.include_kernel = false};
+    const cache::DriverOptions pid2{.only_pid = 2};
+    auto geometry = [](uint32_t kib, uint32_t assoc) {
+        return cache::CacheConfig{.size_bytes = kib << 10,
+                                  .block_bytes = 16, .assoc = assoc};
+    };
+    std::vector<SweepConfig> jobs;
+    for (uint32_t assoc : {1u, 2u, 4u, 8u, 0u}) {
+        jobs.push_back(MakeCacheJob(geometry(4, assoc)));
+        jobs.push_back(MakeCacheJob(geometry(16, assoc), flush));
+    }
+    cache::CacheConfig config = geometry(8, 2);
+    config.pid_tags = true;
+    jobs.push_back(MakeCacheJob(config));
+    jobs.push_back(MakeCacheJob(geometry(8, 4), user_only));
+    jobs.push_back(MakeCacheJob(geometry(8, 1), pid2));
+    config = geometry(8, 2);
+    config.write_back = false;
+    jobs.push_back(MakeCacheJob(config, flush));
+    config = geometry(8, 4);
+    config.replacement = cache::Replacement::kRandom;
+    jobs.push_back(MakeCacheJob(config));
+    for (uint32_t assoc : {1u, 2u, 4u}) {
+        config = geometry(8, assoc);
+        config.prefetch_next_on_miss = true;
+        jobs.push_back(MakeCacheJob(config));
+    }
+
+    for (const SweepConfig& job : jobs) {
+        cache::Cache c(job.cache);
+        cache::TraceCacheDriver driver(c, job.driver);
+        for (const Record& r : records)
+            driver.Feed(r);
+        const SweepResult row = ReplayOne(records, job);
+        ASSERT_TRUE(row.status.ok()) << job.label;
+        EXPECT_EQ(StatFields(row.cache_stats), StatFields(c.stats()))
+            << job.label;
+        EXPECT_EQ(row.fed, driver.fed()) << job.label;
+        EXPECT_EQ(row.filtered, driver.filtered()) << job.label;
+        EXPECT_GT(row.cache_stats.misses, 0u) << job.label;
+    }
+}
+
 TEST(SweepRunner, EmptyConfigListAndEmptyTrace)
 {
     EXPECT_TRUE(SweepRunner(2).Run(SyntheticTrace(100), {}).empty());

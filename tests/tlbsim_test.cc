@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/physical_memory.h"
+#include "mmu/tlb.h"
 #include "tlbsim/tlb_sim.h"
 #include "trace/record.h"
+#include "util/rng.h"
+#include "util/serialize.h"
 
 namespace atum::tlbsim {
 namespace {
@@ -113,6 +118,60 @@ TEST(TlbSim, SetAssociativeGeometry)
     sim.Feed(Ref(8 * kPageBytes));
     sim.Feed(Ref(0 * kPageBytes));  // evicted: miss
     EXPECT_EQ(sim.stats().misses, 4u);
+}
+
+/** The Save bytes of `tlb`: its entries, LRU stamps and counters. */
+std::vector<uint8_t>
+SaveBytes(const mmu::Tlb& tlb)
+{
+    util::StateWriter w;
+    EXPECT_TRUE(tlb.Save(w).ok());
+    return w.bytes();
+}
+
+TEST(TlbSim, RememberedEntriesLeaveTheMachinesTbState)
+{
+    // TlbSim skips Lookup's scan for a vpn it remembers. The TB it leaves
+    // must be byte-for-byte the one a plain Lookup/Insert loop leaves:
+    // the same entries, LRU stamps, lookups and misses.
+    struct Geometry {
+        uint32_t entries, ways;
+    };
+    for (const Geometry g : {Geometry{64, 0}, Geometry{64, 2},
+                             Geometry{8, 0}}) {
+        const uint32_t ways = g.ways == 0 ? g.entries : g.ways;
+        TlbSim sim({.entries = g.entries, .ways = g.ways});
+        mmu::Tlb plain(g.entries / ways, ways);
+        Rng rng(g.entries * 31 + ways);
+        uint32_t hot = 0;
+        for (int i = 0; i < 200000; ++i) {
+            Record r;
+            if (i % 5000 == 0) {  // a switch flushes the process pages
+                r = MakeCtxSwitch(static_cast<uint16_t>(1 + i / 5000 % 3),
+                                  0);
+                plain.FlushProcessEntries();
+            } else {
+                // A hot page, a warm set larger than the TB, and kernel
+                // pages, so entries are rehit, evicted and flushed.
+                const uint32_t roll = rng.Below(10);
+                if (roll < 6)
+                    hot = roll == 0 ? rng.Below(96) : hot;
+                const bool kernel = roll == 9;
+                const uint32_t page =
+                    roll < 6 ? hot : roll < 9 ? rng.Below(96) : rng.Below(40);
+                r = Ref((kernel ? 0x80000000u : 0) + page * kPageBytes +
+                            rng.Below(kPageBytes),
+                        kernel);
+                const uint32_t vpn = r.addr >> kPageShift;
+                if (plain.Lookup(vpn) == nullptr)
+                    plain.Insert({.vpn = vpn});
+            }
+            sim.Feed(r);
+        }
+        EXPECT_GT(sim.stats().misses, 1000u) << g.entries << "x" << ways;
+        EXPECT_EQ(SaveBytes(sim.tlb()), SaveBytes(plain))
+            << g.entries << "x" << ways;
+    }
 }
 
 TEST(TlbSimDeath, BadGeometryIsFatal)

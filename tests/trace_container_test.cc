@@ -247,6 +247,22 @@ TEST(Container, ChunkHeaderFlipResynchronizesAtNextMarker)
     EXPECT_EQ(back[4], TestRecord(8));
 }
 
+TEST(Container, ResyncToAnOddOffsetLoadsEveryRecord)
+{
+    // Three stray bytes before chunk 1 move it, and every chunk after
+    // it, off the 8-byte grid of the window: their payloads are copied
+    // out from odd addresses, not read in place as records.
+    std::vector<uint8_t> bytes = SealedContainer(10);
+    bytes.insert(bytes.begin() + kChunk1, {0xA5, 0x5A, 0xC3});
+
+    std::vector<Record> back;
+    const ScanReport report = Scan(bytes, &back);
+    EXPECT_FALSE(report.intact());
+    EXPECT_EQ(report.chunks_ok, 3u);
+    EXPECT_EQ(report.records_salvaged, 10u);
+    EXPECT_EQ(back, TestRecords(10));
+}
+
 TEST(Container, HeaderFlipStillSalvagesAllChunks)
 {
     std::vector<uint8_t> bytes = SealedContainer(10);
