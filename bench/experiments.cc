@@ -1162,8 +1162,7 @@ A5(BenchReport& report)
     bool holds = true;
     double stalls = 0;
     for (uint32_t depth : {1u, 2u, 4u, 8u}) {
-        cache::WriteBuffer buffer(
-            {.depth = depth, .retire_cycles = 6, .block_bytes = 4});
+        cache::WriteBuffer buffer({.depth = depth});
         trace::RefFilter refs;
         for (const auto& r : cap.records) {
             if (refs.Classify(r) != trace::RefFilter::kRef)

@@ -72,19 +72,6 @@ SubFloor(uint64_t a, uint64_t b)
 }  // namespace
 
 std::string
-CounterCheck::ToString() const
-{
-    if (!checked)
-        return name + ": (not derivable from this stream)";
-    std::string s = name + ": actual=" + std::to_string(actual) +
-                    " derived=[" + std::to_string(derived.lo) + ", " +
-                    (derived.unbounded ? std::string("inf")
-                                       : std::to_string(derived.hi)) +
-                    "] " + (ok ? "ok" : "MISMATCH");
-    return s;
-}
-
-std::string
 CrosscheckReport::ToString() const
 {
     Table table({"counter", "actual", "derived-lo", "derived-hi", "delta",

@@ -61,8 +61,6 @@ struct CounterCheck {
     CounterInterval derived; ///< from the record stream
     bool checked = true;     ///< false: underivable from this stream
     bool ok = true;
-
-    std::string ToString() const;
 };
 
 struct CrosscheckReport {

@@ -1,6 +1,5 @@
 #include "cache/write_buffer.h"
 
-#include "util/bitops.h"
 #include "util/logging.h"
 
 namespace atum::cache {
@@ -9,10 +8,6 @@ WriteBuffer::WriteBuffer(const WriteBufferConfig& config) : config_(config)
 {
     if (config.depth == 0)
         Fatal("write buffer depth must be nonzero");
-    if (config.retire_cycles == 0)
-        Fatal("retire_cycles must be nonzero");
-    if (!IsPowerOfTwo(config.block_bytes))
-        Fatal("write-buffer block size must be a power of two");
 }
 
 void
@@ -28,7 +23,7 @@ WriteBuffer::Write(uint32_t addr)
     ++now_;  // the store itself is one processor cycle
     Drain();
     ++writes_;
-    const uint32_t block = addr / config_.block_bytes;
+    const uint32_t block = addr / kBlockBytes;
 
     for (const Entry& e : pending_) {
         if (e.block == block) {
@@ -48,7 +43,7 @@ WriteBuffer::Write(uint32_t addr)
     }
 
     const uint64_t start = bus_free_at_ > now_ ? bus_free_at_ : now_;
-    const uint64_t done = start + config_.retire_cycles;
+    const uint64_t done = start + kRetireCycles;
     bus_free_at_ = done;
     pending_.push_back({block, done});
     return stall;

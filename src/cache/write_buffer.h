@@ -9,9 +9,10 @@
  * so the write buffer was the component that decided whether stores
  * stalled the processor. The model: the processor advances one cycle per
  * reference; each buffered write occupies the memory bus for
- * `retire_cycles`; the buffer holds `depth` entries; a store arriving at
+ * kRetireCycles; the buffer holds `depth` entries; a store arriving at
  * a full buffer stalls the processor until a slot retires. A store to a
- * block already pending coalesces into that entry and costs no slot.
+ * kBlockBytes block already pending coalesces into that entry and costs
+ * no slot.
  */
 
 #include <cstdint>
@@ -21,13 +22,16 @@ namespace atum::cache {
 
 struct WriteBufferConfig {
     uint32_t depth = 4;
-    uint32_t retire_cycles = 6;  ///< memory-bus occupancy per entry
-    uint32_t block_bytes = 4;    ///< coalescing granule
 };
 
 class WriteBuffer
 {
   public:
+    /** Memory-bus occupancy per entry, in processor cycles. */
+    static constexpr uint32_t kRetireCycles = 6;
+    /** Coalescing granule: one longword. */
+    static constexpr uint32_t kBlockBytes = 4;
+
     explicit WriteBuffer(const WriteBufferConfig& config);
 
     /** Advances processor time by one non-store reference. */

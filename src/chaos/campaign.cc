@@ -4,9 +4,12 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "core/checkpoint.h"
 #include "core/session.h"
@@ -935,10 +938,11 @@ MakeNetPlan(const NetCampaignSpec& spec, uint64_t seed)
 constexpr int kNetPumpBound = 64;
 
 /**
- * One hostile-network drill in flight: the daemon (disk, core and
- * metrics registry, all replaced on every kill-restart), both ends'
- * frame parsers, and the client's book of promises — every id it was
- * ever acked, per idempotency token.
+ * One hostile-network drill in flight: the daemon (disk, core, metrics
+ * registry and connection governor, all replaced on every kill-restart)
+ * with the serve::Conversation it runs for the client's current dial,
+ * the client's frame parser, and the client's book of promises — every
+ * id it was ever acked, per idempotency token.
  */
 class NetHarness
 {
@@ -954,8 +958,8 @@ class NetHarness
 
     util::Status Start()
     {
-        core_ = std::make_unique<serve::ServeCore>(
-            ServeConfigFor(spec_, spec_.submits), *disk_, registry_.get());
+        Spawn();
+        AcceptDial();
         return core_->Start();
     }
 
@@ -1017,17 +1021,51 @@ class NetHarness
         while (core_->RunNextQueuedJob()) {
         }
         core_->Shutdown();
+        CountPoisonFrames();
         CheckNetInvariants(core_->Jobs());
     }
 
   private:
+    /** A daemon process: core and connection governor over the current
+     *  disk and registry. */
+    void Spawn()
+    {
+        core_ = std::make_unique<serve::ServeCore>(
+            ServeConfigFor(spec_, spec_.submits), *disk_, registry_.get());
+        governor_ = std::make_unique<serve::ConnGovernor>(
+            serve::ConnGovernorConfig{});
+    }
+
+    /**
+     * The daemon's side of a dial: the previous connection is closed
+     * and the new one admitted, with a fresh Conversation. The drill
+     * holds one connection at a time, so no cap ever sheds it.
+     */
+    void AcceptDial()
+    {
+        if (conversation_ != nullptr)
+            governor_->OnClose(conversation_->id());
+        const uint64_t id = ++conn_ids_;
+        (void)governor_->OnAccept(id, /*now_ms=*/0);
+        conversation_ =
+            std::make_unique<serve::Conversation>(*core_, *governor_, id);
+    }
+
     /** A fresh dial over the same hostile network: queues drain, the
      *  disconnect latch clears, both framing states start over. */
     void ResetWire()
     {
         net_.ResetConnection();
-        server_parser_ = serve::FrameParser();
+        AcceptDial();
         client_parser_ = serve::FrameParser();
+    }
+
+    /** Adds the dying generation's serve.net.poison_frames to the
+     *  seed's tally. */
+    void CountPoisonFrames()
+    {
+        r_.poison_frames += static_cast<uint32_t>(
+            registry_->GetCounter("serve.net.poison_frames").value());
     }
 
     /**
@@ -1040,11 +1078,13 @@ class NetHarness
     {
         ++r_.kills;
         const io::MemVfs::Snapshot snap = disk_->SnapshotDurable();
+        CountPoisonFrames();
+        conversation_.reset();  // the connection dies with the process
+        governor_.reset();
         core_.reset();  // the dying process's last I/O hits the old disk
         registry_ = std::make_unique<obs::Registry>();
         disk_ = std::make_unique<io::MemVfs>(snap);
-        core_ = std::make_unique<serve::ServeCore>(
-            ServeConfigFor(spec_, spec_.submits), *disk_, registry_.get());
+        Spawn();
         if (util::Status s = core_->Start(); !s.ok()) {
             r_.Fail("net-recovery",
                     "restarted daemon cannot recover: " + s.ToString());
@@ -1055,12 +1095,12 @@ class NetHarness
     }
 
     /**
-     * Reads everything currently on `wire` into `parser`. Returns false
+     * Appends everything currently on `wire` to `bytes`. Returns false
      * when the connection turned hostile (an injected fault or the
      * disconnect latch) rather than merely running dry — the caller
      * then drops its framing state like a real peer dropping a socket.
      */
-    bool DrainWire(io::Stream& wire, serve::FrameParser& parser)
+    bool DrainWire(io::Stream& wire, std::string& bytes)
     {
         char buf[512];
         for (int i = 0; i < kNetPumpBound; ++i) {
@@ -1069,7 +1109,7 @@ class NetHarness
                 return false;
             if (*n == 0)
                 return true;
-            parser.Feed(buf, *n);
+            bytes.append(buf, *n);
         }
         r_.Fail("net-wedged",
                 "wire did not run dry within " +
@@ -1078,39 +1118,43 @@ class NetHarness
     }
 
     /**
-     * The daemon's side of one delivery: read whatever arrived, answer
-     * every complete frame, answer a poison frame with a structured
-     * error before dropping the connection (N2's contract).
+     * The daemon's side of one delivery: read whatever arrived and hand
+     * it to the Conversation atum-serve runs, then put each answer frame
+     * on the wire as its own write. A poison frame is answered with a
+     * structured error and the daemon hangs up after it (N2's contract).
      */
     void PumpServer()
     {
-        const bool alive =
-            DrainWire(net_.client_to_server(), server_parser_);
-        std::string payload;
-        int extracted = 0;
-        for (; extracted < kNetPumpBound; ++extracted) {
-            util::StatusOr<bool> got = server_parser_.Next(&payload);
-            if (!got.ok()) {
-                (void)serve::WriteFrameStream(
-                    net_.server_to_client(),
-                    serve::ErrorResponse(got.status()));
-                server_parser_ = serve::FrameParser();
-                return;
-            }
-            if (!*got)
-                break;
-            (void)serve::WriteFrameStream(net_.server_to_client(),
-                                          core_->HandleRequest(payload));
+        std::string bytes;
+        const bool alive = DrainWire(net_.client_to_server(), bytes);
+        if (!conversation_->Receive(bytes.data(), bytes.size())) {
+            AcceptDial();  // evicted over its buffer bound, unanswered
+            return;
         }
-        if (extracted == kNetPumpBound) {
+        const uint32_t faults_before_answers = net_.faults_fired();
+        bool answers_sent = true;
+        int answered = 0;
+        for (std::string_view out; !(out = conversation_->Unsent()).empty();
+             ++answered) {
+            answers_sent &=
+                io::WriteAll(net_.server_to_client(), out.data(), out.size())
+                    .ok();
+            conversation_->Sent(out.size());
+        }
+        if (answered >= kNetPumpBound) {
             r_.Fail("net-wedged",
-                    "server answered " + std::to_string(kNetPumpBound) +
-                        " frames from one delivery without running dry");
+                    "server answered " + std::to_string(answered) +
+                        " frames from one delivery");
         }
-        if (!alive) {
+        if (conversation_->condemned()) {
+            // The daemon closes once the error is out; the client reads
+            // what was sent, then sees the hang-up and dials again.
+            if (answers_sent)
+                poison_answer_mark_ = faults_before_answers;
+        } else if (!alive) {
             // The read faulted: the daemon saw a dead peer and drops
             // any half-received frame with the connection.
-            server_parser_ = serve::FrameParser();
+            AcceptDial();
         }
     }
 
@@ -1121,8 +1165,11 @@ class NetHarness
      */
     int ReadAnswers(const std::string& token)
     {
-        const bool alive =
-            DrainWire(net_.server_to_client(), client_parser_);
+        std::string bytes;
+        const bool alive = DrainWire(net_.server_to_client(), bytes);
+        client_parser_.Feed(bytes.data(), bytes.size());
+        const std::optional<uint32_t> poison_mark =
+            std::exchange(poison_answer_mark_, std::nullopt);
         int got = 0;
         std::string payload;
         while (got < kNetPumpBound) {
@@ -1146,13 +1193,34 @@ class NetHarness
             r_.Fail("net-wedged",
                     "client read " + std::to_string(kNetPumpBound) +
                         " answers to one delivery without running dry");
-        if (!alive || client_parser_.pending_bytes() > 0) {
-            // A faulted read or a torn answer: the client drops the
-            // connection (it cannot resynchronize a byte stream) and
-            // the retry loop dials fresh.
+        if (poison_mark && net_.faults_fired() == *poison_mark)
+            CheckPoisonAnswer(got > 0 ? payload : std::string());
+        if (!alive || client_parser_.pending_bytes() > 0 ||
+            conversation_->condemned()) {
+            // A faulted read, a torn answer or the daemon's hang-up: the
+            // client drops the connection (it cannot resynchronize a
+            // byte stream) and the retry loop dials fresh.
             ResetWire();
         }
         return got;
+    }
+
+    /**
+     * N2 — a poison frame earns a structured invalid-argument error.
+     * `last` is the last answer the client read after the daemon
+     * answered the poison, when no fault touched the answers on their
+     * way; the error is always the last thing the daemon sends.
+     */
+    void CheckPoisonAnswer(const std::string& last)
+    {
+        util::StatusOr<util::JsonValue> doc = util::JsonValue::Parse(last);
+        if (doc.ok() && doc->is_object() &&
+            doc->Get("code").AsString() == "invalid-argument")
+            return;
+        r_.Fail("net-poison-unanswered",
+                "after a poison frame the client read " +
+                    (last.empty() ? std::string("no answer")
+                                  : "'" + last + "' as the last answer"));
     }
 
     void RecordAnswer(const std::string& token, const std::string& payload)
@@ -1273,7 +1341,12 @@ class NetHarness
     std::unique_ptr<io::MemVfs> disk_;
     std::unique_ptr<obs::Registry> registry_;
     std::unique_ptr<serve::ServeCore> core_;
-    serve::FrameParser server_parser_;
+    std::unique_ptr<serve::ConnGovernor> governor_;
+    std::unique_ptr<serve::Conversation> conversation_;
+    uint64_t conn_ids_ = 0;
+    /** Faults fired before the daemon wrote a poison frame's answer;
+     *  set until the client's next read checks that answer. */
+    std::optional<uint32_t> poison_answer_mark_;
     serve::FrameParser client_parser_;
     std::map<std::string, std::vector<uint64_t>> acked_;
 };
@@ -1617,6 +1690,8 @@ NetSeedResult::Summary() const
         os << " (" << dup_acks << " dedup)";
     if (retries > 0)
         os << ", " << retries << " retries";
+    if (poison_frames > 0)
+        os << ", " << poison_frames << " poisoned";
     os << Verdict(violations);
     return os.str();
 }

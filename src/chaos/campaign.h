@@ -274,6 +274,9 @@ struct NetSeedResult : DrillResult {
     uint32_t retries = 0;    ///< ambiguous submits re-sent (same token)
     uint32_t acks = 0;       ///< submit answers carrying a job id
     uint32_t dup_acks = 0;   ///< answers flagged "dup" (dedup served them)
+    /** Poison frames the daemon answered (serve.net.poison_frames,
+     *  summed over its generations). */
+    uint32_t poison_frames = 0;
 
     /** One log line: seed, faults, retry/ack traffic, verdict. */
     std::string Summary() const;

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <utility>
 
+#include "util/bitops.h"
 #include "util/crc32.h"
 #include "util/parse.h"
 #include "util/serialize.h"
@@ -34,49 +35,6 @@ SplitSeriesPath(std::string_view path)
     if (!seq.ok())
         return std::nullopt;
     return SeriesName(path.substr(0, dot), *seq);
-}
-
-// -- little-endian helpers over raw frame buffers ---------------------------
-
-void
-Put16(std::vector<uint8_t>& out, uint16_t v)
-{
-    out.push_back(static_cast<uint8_t>(v));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void
-Put32(std::vector<uint8_t>& out, uint32_t v)
-{
-    Put16(out, static_cast<uint16_t>(v));
-    Put16(out, static_cast<uint16_t>(v >> 16));
-}
-
-void
-Put64(std::vector<uint8_t>& out, uint64_t v)
-{
-    Put32(out, static_cast<uint32_t>(v));
-    Put32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint16_t
-Get16(const uint8_t* p)
-{
-    return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t
-Get32(const uint8_t* p)
-{
-    return static_cast<uint32_t>(Get16(p)) |
-           (static_cast<uint32_t>(Get16(p + 2)) << 16);
-}
-
-uint64_t
-Get64(const uint8_t* p)
-{
-    return static_cast<uint64_t>(Get32(p)) |
-           (static_cast<uint64_t>(Get32(p + 4)) << 32);
 }
 
 // -- meta section payload ---------------------------------------------------
@@ -208,15 +166,15 @@ WriteSection(io::WritableFile& out, CheckpointSection id,
              const std::vector<uint8_t>& payload, uint32_t* sections,
              uint64_t* payload_total)
 {
-    std::vector<uint8_t> header;
-    header.reserve(kCheckpointSectionHeaderBytes);
-    Put32(header, kCheckpointSectionMagic);
-    Put32(header, static_cast<uint32_t>(id));
-    Put64(header, payload.size());
-    Put32(header, util::Crc32c(payload.data(), payload.size()));
-    Put32(header, util::Crc32c(header.data(), header.size()));
+    util::StateWriter header;
+    header.U32(kCheckpointSectionMagic);
+    header.U32(static_cast<uint32_t>(id));
+    header.U64(payload.size());
+    header.U32(util::Crc32c(payload.data(), payload.size()));
+    header.U32(util::Crc32c(header.bytes().data(), header.bytes().size()));
 
-    util::Status status = out.Write(header.data(), header.size());
+    util::Status status =
+        out.Write(header.bytes().data(), header.bytes().size());
     if (!status.ok())
         return status;
     status = out.Write(payload.data(), payload.size());
@@ -254,16 +212,16 @@ WriteCheckpoint(io::WritableFile& out, const CheckpointMeta& meta,
 {
     const uint32_t section_count = sink_state ? 4 : 3;
 
-    std::vector<uint8_t> header;
-    header.reserve(kCheckpointHeaderBytes);
-    header.insert(header.end(), kCheckpointMagic, kCheckpointMagic + 8);
-    Put16(header, kCheckpointVersion);
-    Put16(header, 0);  // flags
-    Put32(header, section_count);
-    while (header.size() < kCheckpointHeaderBytes - 4)
-        header.push_back(0);  // reserved
-    Put32(header, util::Crc32c(header.data(), header.size()));
-    util::Status status = out.Write(header.data(), header.size());
+    util::StateWriter header;
+    header.Bytes(kCheckpointMagic, 8);
+    header.U16(kCheckpointVersion);
+    header.U16(0);  // flags
+    header.U32(section_count);
+    while (header.bytes().size() < kCheckpointHeaderBytes - 4)
+        header.U8(0);  // reserved
+    header.U32(util::Crc32c(header.bytes().data(), header.bytes().size()));
+    util::Status status =
+        out.Write(header.bytes().data(), header.bytes().size());
     if (!status.ok())
         return status;
 
@@ -309,14 +267,13 @@ WriteCheckpoint(io::WritableFile& out, const CheckpointMeta& meta,
             return status;
     }
 
-    std::vector<uint8_t> footer;
-    footer.reserve(kCheckpointFooterBytes);
-    Put32(footer, kCheckpointFooterMagic);
-    Put32(footer, sections);
-    Put64(footer, payload_total);
-    Put32(footer, 0);  // reserved
-    Put32(footer, util::Crc32c(footer.data(), footer.size()));
-    return out.Write(footer.data(), footer.size());
+    util::StateWriter footer;
+    footer.U32(kCheckpointFooterMagic);
+    footer.U32(sections);
+    footer.U64(payload_total);
+    footer.U32(0);  // reserved
+    footer.U32(util::Crc32c(footer.bytes().data(), footer.bytes().size()));
+    return out.Write(footer.bytes().data(), footer.bytes().size());
 }
 
 namespace {
@@ -379,14 +336,14 @@ Checkpoint::Read(io::ReadableFile& in)
         return status;
     if (std::memcmp(header, kCheckpointMagic, 8) != 0)
         return util::InvalidArgument("not an ATUM checkpoint file");
-    if (Get32(&header[kCheckpointHeaderBytes - 4]) !=
+    if (LoadLe<uint32_t>(&header[kCheckpointHeaderBytes - 4]) !=
         util::Crc32c(header, kCheckpointHeaderBytes - 4))
         return util::DataLoss("checkpoint header CRC mismatch");
-    const uint16_t version = Get16(&header[8]);
+    const uint16_t version = LoadLe<uint16_t>(&header[8]);
     if (version != kCheckpointVersion)
         return util::InvalidArgument("unsupported checkpoint version ",
                                      version);
-    const uint32_t section_count = Get32(&header[12]);
+    const uint32_t section_count = LoadLe<uint32_t>(&header[12]);
     if (section_count < 3 || section_count > 16)
         return util::DataLoss("implausible checkpoint section count ",
                               section_count);
@@ -399,13 +356,13 @@ Checkpoint::Read(io::ReadableFile& in)
         status = ReadExact(in, sh, sizeof sh, "section header");
         if (!status.ok())
             return status;
-        if (Get32(&sh[0]) != kCheckpointSectionMagic)
+        if (LoadLe<uint32_t>(&sh[0]) != kCheckpointSectionMagic)
             return util::DataLoss("bad section marker in checkpoint");
-        if (Get32(&sh[20]) != util::Crc32c(sh, 20))
+        if (LoadLe<uint32_t>(&sh[20]) != util::Crc32c(sh, 20))
             return util::DataLoss("checkpoint section header CRC mismatch");
-        const uint32_t id = Get32(&sh[4]);
-        const uint64_t len = Get64(&sh[8]);
-        const uint32_t payload_crc = Get32(&sh[16]);
+        const uint32_t id = LoadLe<uint32_t>(&sh[4]);
+        const uint64_t len = LoadLe<uint64_t>(&sh[8]);
+        const uint32_t payload_crc = LoadLe<uint32_t>(&sh[16]);
         if (len > (64u << 20))
             return util::DataLoss("implausible checkpoint section size ",
                                   len);
@@ -450,13 +407,13 @@ Checkpoint::Read(io::ReadableFile& in)
     status = ReadExact(in, footer, sizeof footer, "footer");
     if (!status.ok())
         return status;
-    if (Get32(&footer[0]) != kCheckpointFooterMagic)
+    if (LoadLe<uint32_t>(&footer[0]) != kCheckpointFooterMagic)
         return util::DataLoss("checkpoint footer marker missing");
-    if (Get32(&footer[kCheckpointFooterBytes - 4]) !=
+    if (LoadLe<uint32_t>(&footer[kCheckpointFooterBytes - 4]) !=
         util::Crc32c(footer, kCheckpointFooterBytes - 4))
         return util::DataLoss("checkpoint footer CRC mismatch");
-    if (Get32(&footer[4]) != section_count ||
-        Get64(&footer[8]) != payload_total)
+    if (LoadLe<uint32_t>(&footer[4]) != section_count ||
+        LoadLe<uint64_t>(&footer[8]) != payload_total)
         return util::DataLoss("checkpoint footer totals disagree with body");
 
     if (!have[1] || !have[2] || !have[3])

@@ -93,13 +93,6 @@ ParseErrorToken(const std::string& token, util::StatusCode* code)
 
 }  // namespace
 
-const char*
-ChaosOpKindName(ChaosOpKind kind)
-{
-    const KindInfo* info = FindKind(kind);
-    return info != nullptr ? info->name : "unknown";
-}
-
 std::string
 ChaosSchedule::Serialize() const
 {

@@ -85,9 +85,6 @@ enum class ChaosOpKind : uint8_t {
     kKillServe,   ///< daemon dies (SIGKILL-style) before request #at
 };
 
-/** Stable schedule-file token ("fail-write") for one kind. */
-const char* ChaosOpKindName(ChaosOpKind kind);
-
 struct ChaosOp {
     ChaosOpKind kind = ChaosOpKind::kFailWrite;
     /** 1-based index on the kind's operation-class counter. */

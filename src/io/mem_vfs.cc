@@ -215,14 +215,4 @@ MemVfs::ReadAll(const std::string& path) const
     return inode->data;
 }
 
-std::vector<std::string>
-MemVfs::List() const
-{
-    std::vector<std::string> names;
-    names.reserve(live_.size());
-    for (const auto& [name, inode] : live_)
-        names.push_back(name);
-    return names;
-}
-
 }  // namespace atum::io

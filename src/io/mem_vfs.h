@@ -77,7 +77,6 @@ class MemVfs : public Vfs
     // -- test/driver introspection (volatile view) --------------------------
     bool Exists(const std::string& path) const;
     util::StatusOr<std::vector<uint8_t>> ReadAll(const std::string& path) const;
-    std::vector<std::string> List() const;
 
   private:
     struct Inode {

@@ -1,28 +1,13 @@
 #include "serve/journal.h"
 
+#include "util/bitops.h"
 #include "util/crc32.h"
 #include "util/json.h"
+#include "util/serialize.h"
 
 namespace atum::serve {
 
 namespace {
-
-uint32_t
-ReadU32Le(const uint8_t* b)
-{
-    return static_cast<uint32_t>(b[0]) | static_cast<uint32_t>(b[1]) << 8 |
-           static_cast<uint32_t>(b[2]) << 16 |
-           static_cast<uint32_t>(b[3]) << 24;
-}
-
-void
-AppendU32Le(std::string& out, uint32_t v)
-{
-    out.push_back(static_cast<char>(v & 0xFF));
-    out.push_back(static_cast<char>((v >> 8) & 0xFF));
-    out.push_back(static_cast<char>((v >> 16) & 0xFF));
-    out.push_back(static_cast<char>((v >> 24) & 0xFF));
-}
 
 /** Records are small; anything claiming more is noise, not a record. */
 constexpr uint32_t kMaxRecordBytes = 64u << 10;
@@ -177,8 +162,8 @@ ScanJournalBytes(const std::string& bytes, uint64_t* valid_bytes,
     bool cut = false;
     while (bytes.size() - pos >= 8) {
         const auto* b = reinterpret_cast<const uint8_t*>(bytes.data() + pos);
-        const uint32_t len = ReadU32Le(b);
-        const uint32_t crc = ReadU32Le(b + 4);
+        const uint32_t len = LoadLe<uint32_t>(b);
+        const uint32_t crc = LoadLe<uint32_t>(b + 4);
         if (len > kMaxRecordBytes || bytes.size() - pos - 8 < len) {
             cut = true;  // torn final write or garbage length
             break;
@@ -247,12 +232,11 @@ JobJournal::Append(const JournalRecord& record)
     if (!file_)
         return util::FailedPrecondition("journal ", path_, " is not open");
     const std::string payload = SerializeJournalRecord(record);
-    std::string frame;
-    frame.reserve(8 + payload.size());
-    AppendU32Le(frame, static_cast<uint32_t>(payload.size()));
-    AppendU32Le(frame, util::Crc32c(payload.data(), payload.size()));
-    frame += payload;
-    util::Status s = file_->Write(frame.data(), frame.size());
+    util::StateWriter frame;
+    frame.U32(static_cast<uint32_t>(payload.size()));
+    frame.U32(util::Crc32c(payload.data(), payload.size()));
+    frame.Bytes(payload.data(), payload.size());
+    util::Status s = file_->Write(frame.bytes().data(), frame.bytes().size());
     // J1: the record must be durable before the daemon acts on it.
     if (s.ok())
         s = file_->Sync();
@@ -271,7 +255,7 @@ JobJournal::Append(const JournalRecord& record)
             file_ = std::move(*reopened);
         return s;
     }
-    durable_bytes_ += frame.size();
+    durable_bytes_ += frame.bytes().size();
     return util::OkStatus();
 }
 

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include "util/bitops.h"
 #include "util/json.h"
 
 namespace atum::serve {
@@ -7,13 +8,9 @@ namespace atum::serve {
 std::string
 EncodeFrame(const std::string& payload)
 {
-    const auto len = static_cast<uint32_t>(payload.size());
-    std::string frame;
-    frame.reserve(4 + payload.size());
-    frame.push_back(static_cast<char>(len & 0xFF));
-    frame.push_back(static_cast<char>((len >> 8) & 0xFF));
-    frame.push_back(static_cast<char>((len >> 16) & 0xFF));
-    frame.push_back(static_cast<char>((len >> 24) & 0xFF));
+    std::string frame(4, '\0');
+    StoreLe(reinterpret_cast<uint8_t*>(frame.data()),
+            static_cast<uint32_t>(payload.size()));
     frame += payload;
     return frame;
 }
@@ -32,11 +29,8 @@ FrameParser::Next(std::string* payload)
                                      "oversized frame; drop the connection");
     if (buffer_.size() < 4)
         return false;
-    const auto* b = reinterpret_cast<const uint8_t*>(buffer_.data());
-    const uint32_t len = static_cast<uint32_t>(b[0]) |
-                         static_cast<uint32_t>(b[1]) << 8 |
-                         static_cast<uint32_t>(b[2]) << 16 |
-                         static_cast<uint32_t>(b[3]) << 24;
+    const uint32_t len = LoadLe<uint32_t>(
+        reinterpret_cast<const uint8_t*>(buffer_.data()));
     if (len > kMaxFrameBytes) {
         poisoned_ = true;
         return util::InvalidArgument("frame declares ", len,

@@ -804,7 +804,7 @@ ServeCore::RunJob(uint64_t id)
     // -- build the capture stack, resuming from a checkpoint if one
     //    survived a previous life of this daemon -------------------------
     cpu::Machine::Config mconfig;
-    mconfig.mem_bytes = config_.mem_bytes;
+    mconfig.mem_bytes = 2u << 20;  // every job's memory quota
     mconfig.timer_reload = 2000;
     core::AtumConfig tconfig;
     tconfig.buffer_bytes = config_.buffer_bytes;
@@ -1120,13 +1120,6 @@ ServeCore::Jobs() const
     for (const auto& [id, job] : jobs_)
         jobs.push_back(job->info);
     return jobs;
-}
-
-std::string
-ServeCore::StatusJson() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return StatusJsonLocked();
 }
 
 std::string

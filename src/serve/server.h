@@ -114,8 +114,7 @@ struct ServeConfig {
     unsigned workers = 2;
     AdmissionConfig admission;
 
-    // -- capture shape (every job; the "memory quota" is mem_bytes) --------
-    uint32_t mem_bytes = 2u << 20;
+    // -- capture shape (every job runs on a 2 MiB machine) ------------------
     uint32_t buffer_bytes = 8u << 10;
     uint32_t chunk_records = 128;
     uint64_t checkpoint_every_fills = 2;
@@ -181,8 +180,9 @@ class ServeCore
     /** Point-in-time copy of every job, ascending id. */
     std::vector<JobInfo> Jobs() const;
 
-    /** The serve.status.json document (atum-serve-status-v1). */
-    std::string StatusJson() const;
+    /** Where the serve.* instruments live (the constructor's
+     *  `registry`, or Global()). */
+    obs::Registry& registry() { return registry_; }
 
     std::string TracePath(uint64_t id) const;
     std::string CheckpointBase(uint64_t id) const;

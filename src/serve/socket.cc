@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include "io/posix.h"
+#include "serve/server.h"
 
 namespace atum::serve {
 
@@ -77,21 +78,6 @@ ReadFrameStream(io::Stream& stream, FrameParser& parser)
         }
         parser.Feed(buf, *n);
     }
-}
-
-util::Status
-WriteFrameFd(int fd, const std::string& payload)
-{
-    io::FdStream stream(fd);
-    return WriteFrameStream(stream, payload);
-}
-
-util::StatusOr<std::string>
-ReadFrameFd(int fd)
-{
-    io::FdStream stream(fd);
-    FrameParser parser;
-    return ReadFrameStream(stream, parser);
 }
 
 util::StatusOr<std::unique_ptr<UnixListener>>
@@ -198,9 +184,11 @@ UnixClient::~UnixClient()
 util::StatusOr<std::string>
 UnixClient::Call(const std::string& payload)
 {
-    if (util::Status s = WriteFrameFd(fd_, payload); !s.ok())
+    io::FdStream stream(fd_);
+    if (util::Status s = WriteFrameStream(stream, payload); !s.ok())
         return s;
-    return ReadFrameFd(fd_);
+    FrameParser parser;
+    return ReadFrameStream(stream, parser);
 }
 
 util::Status
@@ -270,6 +258,82 @@ ConnGovernor::IdleConnections(uint64_t now_ms) const
             idle.push_back(id);
     }
     return idle;
+}
+
+bool
+Conversation::Receive(const char* data, size_t len)
+{
+    if (condemned_)
+        return true;  // the framing is lost; nothing more is answered
+    parser_.Feed(data, len);
+    std::string payload;
+    for (;;) {
+        util::StatusOr<bool> got = parser_.Next(&payload);
+        if (!got.ok()) {
+            // Poison frame (oversized/garbage length): the framing is
+            // unrecoverable, but the length prefix arrived intact enough
+            // to diagnose — answer with a structured error, then the
+            // caller drops the connection.
+            core_.registry().GetCounter("serve.net.poison_frames").Add();
+            Answer(ErrorResponse(got.status()));
+            condemned_ = true;
+            break;
+        }
+        if (!*got)
+            break;
+        // The tenant's connection share is charged before the request
+        // reaches the core: a tenant at its cap gets a structured shed
+        // on this connection but keeps the connection (its other
+        // requests may name a different tenant).
+        util::StatusOr<Request> request = ParseRequest(payload);
+        if (request.ok() && (request->op == RequestOp::kSubmit ||
+                             request->op == RequestOp::kSweep)) {
+            if (util::Status s = governor_.OnTenant(id_, request->tenant);
+                !s.ok()) {
+                core_.registry().GetCounter("serve.net.conns.shed").Add();
+                Answer(ErrorResponse(s));
+                continue;
+            }
+        }
+        // Malformed JSON inside an intact frame is answered in-band by
+        // the core (error response, connection survives).
+        Answer(core_.HandleRequest(payload));
+    }
+    // Bounded buffers: a peer that stuffs requests without reading
+    // answers (or trickles an endless frame) is evicted before its
+    // connection grows into the daemon's memory.
+    if (parser_.pending_bytes() + unsent_bytes_ >
+        governor_.config().max_buffered_bytes) {
+        core_.registry().GetCounter("serve.net.conns.evicted").Add();
+        return false;
+    }
+    return true;
+}
+
+std::string_view
+Conversation::Unsent() const
+{
+    if (outbox_.empty())
+        return {};
+    return std::string_view(outbox_.front()).substr(front_sent_);
+}
+
+void
+Conversation::Sent(size_t n)
+{
+    unsent_bytes_ -= n;
+    front_sent_ += n;
+    if (front_sent_ == outbox_.front().size()) {
+        outbox_.pop_front();
+        front_sent_ = 0;
+    }
+}
+
+void
+Conversation::Answer(const std::string& payload)
+{
+    outbox_.push_back(EncodeFrame(payload));
+    unsent_bytes_ += outbox_.back().size();
 }
 
 }  // namespace atum::serve

@@ -4,17 +4,21 @@
 /**
  * @file
  * The POSIX rind around ServeCore: a Unix-domain stream listener, the
- * matching client, frame I/O over the io::Stream seam, and the
- * connection governor that keeps a hostile peer from wedging or
- * starving the daemon.
+ * matching client, frame I/O over the io::Stream seam, the connection
+ * governor that keeps a hostile peer from wedging or starving the
+ * daemon, and the Conversation that answers one peer's frames.
  *
  * Everything with job-level behavior worth testing lives in ServeCore;
  * this layer owns the connection-level robustness contract instead
  * (docs/SERVE.md "Network failure model"):
  *
- *  - frame I/O is written against io::Stream, so the same code path the
- *    daemon runs in production is driven through ChaosNet in the net
- *    chaos drills (short reads, mid-frame cuts, bit flips, stalls);
+ *  - Conversation is the daemon's whole per-connection protocol: frame
+ *    extraction, poison frames, the tenant's connection share and the
+ *    buffer bound. atum-serve's poll loop and the hostile-network drill
+ *    (chaos/campaign.cc) both drive it, so invariants N1-N3 are proven
+ *    on the code the daemon ships; each owns only its transport;
+ *  - frame I/O is written against io::Stream: FdStream in production,
+ *    ChaosNet's pipes in the drills;
  *  - raw fd work goes through the EINTR-retrying wrappers in
  *    io/posix.h, never bare read(2)/write(2);
  *  - ConnGovernor bounds how many connections exist at once (globally
@@ -25,9 +29,11 @@
 
 #include <cstdint>
 #include <csignal>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/stream.h"
@@ -35,6 +41,8 @@
 #include "util/status.h"
 
 namespace atum::serve {
+
+class ServeCore;
 
 /** Writes one length-prefixed frame through `stream` (loops partials). */
 util::Status WriteFrameStream(io::Stream& stream,
@@ -49,10 +57,6 @@ util::Status WriteFrameStream(io::Stream& stream,
  */
 util::StatusOr<std::string> ReadFrameStream(io::Stream& stream,
                                             FrameParser& parser);
-
-/** Frame I/O on a bare connected fd (one-shot; wraps FdStream). */
-util::Status WriteFrameFd(int fd, const std::string& payload);
-util::StatusOr<std::string> ReadFrameFd(int fd);
 
 /** A bound, listening Unix-domain stream socket. */
 class UnixListener
@@ -144,9 +148,10 @@ struct ConnGovernorConfig {
  * Per-connection bookkeeping for the daemon's accept loop: admission
  * against the global and per-tenant connection caps, last-activity
  * tracking for slowloris eviction. Pure state over caller-supplied
- * timestamps (monotonic ms), so the net drills and unit tests govern
- * simulated connections without wall-clock nondeterminism. Not
- * thread-safe; the accept loop is single-threaded by design.
+ * timestamps (monotonic ms), so the net drill governs its simulated
+ * connections with the same instance type atum-serve runs, and unit
+ * tests need no wall clock. Not thread-safe; the accept loop is
+ * single-threaded by design.
  */
 class ConnGovernor
 {
@@ -191,6 +196,63 @@ class ConnGovernor
     ConnGovernorConfig config_;
     std::map<uint64_t, Conn> conns_;
     std::map<std::string, uint32_t> tenant_conns_;
+};
+
+/**
+ * The daemon's side of one connection: bytes read from the peer in,
+ * answer frames out, and the verdict on when the connection must close.
+ * No I/O happens here — the caller reads, writes and closes, so
+ * atum-serve drives it from its poll loop and the net drill from its
+ * ChaosNet pipes.
+ *
+ * Every complete frame is answered in order. A submit or sweep is first
+ * charged to its tenant's connection share (ConnGovernor::OnTenant); a
+ * tenant at its share gets a structured shed and the connection stays
+ * open. A poison frame (a length over kMaxFrameBytes) is answered with
+ * a structured invalid-argument error, counted in
+ * serve.net.poison_frames, and condemns the connection: nothing after
+ * it is answered, and the caller closes once the answer is out.
+ */
+class Conversation
+{
+  public:
+    /** `conn_id` is already admitted by `governor` (OnAccept). */
+    Conversation(ServeCore& core, ConnGovernor& governor, uint64_t conn_id)
+        : core_(core), governor_(governor), id_(conn_id)
+    {
+    }
+
+    /**
+     * Takes `len` bytes read from the peer and answers every complete
+     * frame in them. False when the connection must close now: its
+     * buffered bytes (parser read-ahead plus unsent answers) passed
+     * max_buffered_bytes, counted in serve.net.conns.evicted.
+     */
+    bool Receive(const char* data, size_t len);
+
+    /** The unsent rest of the oldest answer frame; empty when every
+     *  answer is on the wire. */
+    std::string_view Unsent() const;
+
+    /** The caller put the first `n` bytes of Unsent() on the wire. */
+    void Sent(size_t n);
+
+    /** A poison frame was answered: close once Unsent() is empty. */
+    bool condemned() const { return condemned_; }
+
+    uint64_t id() const { return id_; }
+
+  private:
+    void Answer(const std::string& payload);
+
+    ServeCore& core_;
+    ConnGovernor& governor_;
+    uint64_t id_;
+    FrameParser parser_;
+    std::deque<std::string> outbox_;  ///< encoded answer frames, oldest first
+    size_t front_sent_ = 0;   ///< bytes of outbox_.front() already sent
+    size_t unsent_bytes_ = 0;
+    bool condemned_ = false;
 };
 
 }  // namespace atum::serve

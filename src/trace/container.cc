@@ -10,54 +10,13 @@
 
 #include <sys/mman.h>
 
+#include "util/bitops.h"
 #include "util/crc32.h"
 #include "util/logging.h"
 
 namespace atum::trace {
 
 namespace {
-
-void
-Set16(uint8_t* p, uint16_t v)
-{
-    p[0] = static_cast<uint8_t>(v);
-    p[1] = static_cast<uint8_t>(v >> 8);
-}
-
-void
-Set32(uint8_t* p, uint32_t v)
-{
-    Set16(p, static_cast<uint16_t>(v));
-    Set16(p + 2, static_cast<uint16_t>(v >> 16));
-}
-
-void
-Set64(uint8_t* p, uint64_t v)
-{
-    Set32(p, static_cast<uint32_t>(v));
-    Set32(p + 4, static_cast<uint32_t>(v >> 32));
-}
-
-uint16_t
-Get16(const uint8_t* p)
-{
-    return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t
-Get32(const uint8_t* p)
-{
-    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-           static_cast<uint32_t>(p[2]) << 16 |
-           static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t
-Get64(const uint8_t* p)
-{
-    return static_cast<uint64_t>(Get32(p)) |
-           static_cast<uint64_t>(Get32(p + 4)) << 32;
-}
 
 /**
  * Bound on consecutive kInterrupted results retried before giving up.
@@ -239,10 +198,10 @@ Atf2Writer::Start()
         return util::OkStatus();
     uint8_t header[kAtf2HeaderBytes] = {};  // flags and reserved stay 0
     std::memcpy(header, kAtf2Magic, sizeof kAtf2Magic);
-    Set16(header + 8, kAtf2Version);
-    Set16(header + 10, static_cast<uint16_t>(kRecordBytes));
-    Set32(header + 12, options_.chunk_records);
-    Set32(header + 28, util::Crc32c(header, 28));
+    StoreLe<uint16_t>(header + 8, kAtf2Version);
+    StoreLe<uint16_t>(header + 10, static_cast<uint16_t>(kRecordBytes));
+    StoreLe<uint32_t>(header + 12, options_.chunk_records);
+    StoreLe<uint32_t>(header + 28, util::Crc32c(header, 28));
     util::Status status = out_.Write(header, sizeof header);
     if (status.ok()) {
         started_ = true;
@@ -260,11 +219,11 @@ Atf2Writer::FlushChunk()
     // or the stream is torn at a point the scanner can resynchronize past.
     const size_t payload = size_t{pending_records_} * kRecordBytes;
     uint8_t* header = chunk_.data();
-    Set32(header, kAtf2ChunkMagic);
-    Set32(header + 4, pending_records_);
-    Set32(header + 8,
+    StoreLe<uint32_t>(header, kAtf2ChunkMagic);
+    StoreLe<uint32_t>(header + 4, pending_records_);
+    StoreLe<uint32_t>(header + 8,
           util::Crc32c(header + kAtf2ChunkHeaderBytes, payload));
-    Set32(header + 12, util::Crc32c(header, 12));
+    StoreLe<uint32_t>(header + 12, util::Crc32c(header, 12));
     const size_t bytes = kAtf2ChunkHeaderBytes + payload;
     util::Status status = out_.Write(header, bytes);
     if (!status.ok())
@@ -304,10 +263,10 @@ Atf2Writer::Seal()
     if (!status.ok())
         return status;
     uint8_t footer[kAtf2FooterBytes] = {};  // reserved stays 0
-    Set32(footer, kAtf2FooterMagic);
-    Set32(footer + 4, chunks_);
-    Set64(footer + 8, records_);
-    Set32(footer + 20, util::Crc32c(footer, 20));
+    StoreLe<uint32_t>(footer, kAtf2FooterMagic);
+    StoreLe<uint32_t>(footer + 4, chunks_);
+    StoreLe<uint64_t>(footer + 8, records_);
+    StoreLe<uint32_t>(footer + 20, util::Crc32c(footer, 20));
     status = out_.Write(footer, sizeof footer);
     if (!status.ok())
         return status;
@@ -467,7 +426,7 @@ class ScanWindow
             const uint8_t* p = At(i);
             const size_t avail = static_cast<size_t>(end_ - i);
             for (size_t j = 0; j + 4 <= avail; ++j) {
-                const uint32_t m = Get32(p + j);
+                const uint32_t m = LoadLe<uint32_t>(p + j);
                 if (m == kAtf2ChunkMagic || m == kAtf2FooterMagic)
                     return i + j;
             }
@@ -661,19 +620,19 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
         return;
     }
     const uint8_t* h = w.At(0);
-    if (Get32(h + 28) != util::Crc32c(h, 28)) {
+    if (LoadLe<uint32_t>(h + 28) != util::Crc32c(h, 28)) {
         // Header fields are untrusted, but chunks self-describe: keep going.
         issue(0, "container header CRC mismatch");
     } else {
-        const uint16_t version = Get16(h + 8);
+        const uint16_t version = LoadLe<uint16_t>(h + 8);
         if (version != kAtf2Version) {
             issue(8, "unsupported container version " +
                          std::to_string(version));
             return;
         }
-        if (Get16(h + 10) != kRecordBytes) {
+        if (LoadLe<uint16_t>(h + 10) != kRecordBytes) {
             issue(10, "unsupported record size " +
-                          std::to_string(Get16(h + 10)));
+                          std::to_string(LoadLe<uint16_t>(h + 10)));
             return;
         }
     }
@@ -693,7 +652,7 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                            " bytes)");
             break;
         }
-        const uint32_t magic = Get32(w.At(pos));
+        const uint32_t magic = LoadLe<uint32_t>(w.At(pos));
 
         if (magic == kAtf2FooterMagic) {
             if (w.Need(pos, kAtf2FooterBytes) < kAtf2FooterBytes) {
@@ -701,7 +660,7 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                 break;
             }
             const uint8_t* f = w.At(pos);
-            if (Get32(f + 20) != util::Crc32c(f, 20)) {
+            if (LoadLe<uint32_t>(f + 20) != util::Crc32c(f, 20)) {
                 issue(pos, "footer CRC mismatch");
                 const uint64_t next = w.FindMarker(pos + 1);
                 if (next == kNoMarker)
@@ -710,8 +669,8 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                 continue;
             }
             report.sealed = true;
-            const uint32_t footer_chunks = Get32(f + 4);
-            report.footer_records = Get64(f + 8);
+            const uint32_t footer_chunks = LoadLe<uint32_t>(f + 4);
+            report.footer_records = LoadLe<uint64_t>(f + 8);
             // The chunk count is checked only on a file with no other
             // issue, a failed read included, so read to the end first.
             const uint64_t file_end = w.ReadToEnd();
@@ -734,8 +693,8 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                 break;
             }
             const uint8_t* c = w.At(pos);
-            if (Get32(c + 12) != util::Crc32c(c, 12) ||
-                Get32(c + 4) > kAtf2MaxChunkRecords) {
+            if (LoadLe<uint32_t>(c + 12) != util::Crc32c(c, 12) ||
+                LoadLe<uint32_t>(c + 4) > kAtf2MaxChunkRecords) {
                 issue(pos, "chunk header CRC mismatch");
                 const uint64_t next = w.FindMarker(pos + 1);
                 if (next == kNoMarker)
@@ -743,8 +702,8 @@ ScanContainer(ScanWindow& w, uint64_t max_records, ScanReport& report,
                 pos = next;
                 continue;
             }
-            const uint32_t count = Get32(c + 4);
-            const uint32_t payload_crc = Get32(c + 8);
+            const uint32_t count = LoadLe<uint32_t>(c + 4);
+            const uint32_t payload_crc = LoadLe<uint32_t>(c + 8);
             const size_t payload = size_t{count} * kRecordBytes;
             const size_t bytes = kAtf2ChunkHeaderBytes + payload;
             if (w.Need(pos, bytes) < bytes) {

@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace atum {
 
@@ -52,6 +53,28 @@ SignExtend(uint32_t v, unsigned bits)
 {
     const uint32_t m = 1u << (bits - 1);
     return static_cast<int32_t>((v ^ m) - m);
+}
+
+static_assert(std::endian::native == std::endian::little,
+              "LoadLe/StoreLe copy bytes as they are");
+
+/** Reads the little-endian `T` stored at `p` (any alignment). Fixed-
+ *  offset fields use this; appended streams use util::StateWriter. */
+template <typename T>
+inline T
+LoadLe(const uint8_t* p)
+{
+    T v = 0;
+    std::memcpy(&v, p, sizeof v);
+    return v;
+}
+
+/** Stores `v` at `p` as little-endian bytes (any alignment). */
+template <typename T>
+inline void
+StoreLe(uint8_t* p, T v)
+{
+    std::memcpy(p, &v, sizeof v);
 }
 
 }  // namespace atum

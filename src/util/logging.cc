@@ -5,16 +5,6 @@
 
 namespace atum {
 
-namespace {
-bool g_quiet = false;
-}  // namespace
-
-void
-SetLogQuiet(bool quiet)
-{
-    g_quiet = quiet;
-}
-
 namespace internal {
 
 void
@@ -34,15 +24,13 @@ PanicImpl(const std::string& msg)
 void
 InformImpl(const std::string& msg)
 {
-    if (!g_quiet)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
+    std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 void
 WarnImpl(const std::string& msg)
 {
-    if (!g_quiet)
-        std::fprintf(stderr, "warn: %s\n", msg.c_str());
+    std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
 }  // namespace internal

@@ -68,12 +68,6 @@ void Warn(Args&&... args)
     internal::WarnImpl(internal::StrCat(std::forward<Args>(args)...));
 }
 
-/**
- * Enables or disables Inform()/Warn() output globally (useful in tests and
- * benchmarks that run many simulations). Fatal/Panic always print.
- */
-void SetLogQuiet(bool quiet);
-
 }  // namespace atum
 
 #endif  // ATUM_UTIL_LOGGING_H_

@@ -1,7 +1,5 @@
 #include "util/stats.h"
 
-#include <sstream>
-
 namespace atum {
 
 void
@@ -22,20 +20,6 @@ uint64_t
 Log2Histogram::BucketCount(unsigned i) const
 {
     return i < buckets_.size() ? buckets_[i] : 0;
-}
-
-std::string
-Log2Histogram::ToString() const
-{
-    std::ostringstream os;
-    for (unsigned i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        const uint64_t lo = i == 0 ? 0 : (1ull << i);
-        const uint64_t hi = (1ull << (i + 1)) - 1;
-        os << "[" << lo << ", " << hi << "]: " << buckets_[i] << "\n";
-    }
-    return os.str();
 }
 
 }  // namespace atum

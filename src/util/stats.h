@@ -7,7 +7,6 @@
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace atum {
@@ -27,8 +26,6 @@ class Log2Histogram
     /** Number of samples in [2^i, 2^(i+1)). */
     uint64_t BucketCount(unsigned i) const;
     unsigned NumBuckets() const { return buckets_.size(); }
-    /** Renders "bucket-range: count" lines, omitting empty buckets. */
-    std::string ToString() const;
 
   private:
     std::vector<uint64_t> buckets_;

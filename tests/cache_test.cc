@@ -334,7 +334,7 @@ TEST(Hierarchy, PteRecordsIgnored)
 
 TEST(WriteBuffer, NoStallWhileSlotsFree)
 {
-    cache::WriteBuffer wb({.depth = 4, .retire_cycles = 6});
+    cache::WriteBuffer wb({.depth = 4});
     EXPECT_EQ(wb.Write(0x100), 0u);
     EXPECT_EQ(wb.Write(0x200), 0u);
     EXPECT_EQ(wb.Write(0x300), 0u);
@@ -344,7 +344,7 @@ TEST(WriteBuffer, NoStallWhileSlotsFree)
 
 TEST(WriteBuffer, BackToBackBurstStalls)
 {
-    cache::WriteBuffer wb({.depth = 2, .retire_cycles = 10});
+    cache::WriteBuffer wb({.depth = 2});
     wb.Write(0x100);
     wb.Write(0x200);
     // Buffer full; the third store must wait for the first to retire.
@@ -354,10 +354,10 @@ TEST(WriteBuffer, BackToBackBurstStalls)
 
 TEST(WriteBuffer, SpacedStoresNeverStall)
 {
-    cache::WriteBuffer wb({.depth = 1, .retire_cycles = 4});
+    cache::WriteBuffer wb({.depth = 1});
     for (int i = 0; i < 100; ++i) {
         EXPECT_EQ(wb.Write(0x100 + 0x40 * i), 0u);
-        for (int j = 0; j < 8; ++j)
+        for (uint32_t j = 0; j < cache::WriteBuffer::kRetireCycles; ++j)
             wb.OnReference();  // enough gap for the bus to retire
     }
     EXPECT_EQ(wb.stall_cycles(), 0u);
@@ -365,19 +365,17 @@ TEST(WriteBuffer, SpacedStoresNeverStall)
 
 TEST(WriteBuffer, CoalescingAbsorbsSameBlockStores)
 {
-    cache::WriteBuffer wb({.depth = 1, .retire_cycles = 50,
-                           .block_bytes = 16});
+    cache::WriteBuffer wb({.depth = 1});
     wb.Write(0x100);
-    EXPECT_EQ(wb.Write(0x104), 0u);  // same 16B block: coalesces
-    EXPECT_EQ(wb.Write(0x108), 0u);
-    EXPECT_EQ(wb.coalesced(), 2u);
+    EXPECT_EQ(wb.Write(0x102), 0u);  // same 4B block: coalesces
+    EXPECT_EQ(wb.coalesced(), 1u);
     EXPECT_EQ(wb.stall_cycles(), 0u);
 }
 
 TEST(WriteBuffer, DeeperBufferStallsLess)
 {
     auto stalls_with_depth = [](uint32_t depth) {
-        cache::WriteBuffer wb({.depth = depth, .retire_cycles = 8});
+        cache::WriteBuffer wb({.depth = depth});
         Rng rng(77);
         for (int i = 0; i < 5000; ++i) {
             if (rng.Below(3) == 0)
@@ -397,7 +395,6 @@ TEST(WriteBuffer, DeeperBufferStallsLess)
 TEST(WriteBufferDeath, BadConfigIsFatal)
 {
     EXPECT_DEATH(cache::WriteBuffer({.depth = 0}), "depth");
-    EXPECT_DEATH(cache::WriteBuffer({.retire_cycles = 0}), "retire");
 }
 
 

@@ -1166,6 +1166,177 @@ TEST(ConnGovernor, IdleConnectionsAreNamedForEviction)
 }
 
 // ---------------------------------------------------------------------------
+// Conversation: the per-connection protocol atum-serve's poll loop and
+// the net drill both run, driven here without any transport.
+
+std::string
+RequestFrame(RequestOp op, const std::string& tenant = "", uint64_t id = 0)
+{
+    Request request;
+    request.op = op;
+    request.tenant = tenant;
+    request.workload = "grep";
+    request.id = id;
+    request.has_id = id != 0;
+    return EncodeFrame(SerializeRequest(request));
+}
+
+/** Sends everything `talk` queued and decodes it, oldest first. */
+std::vector<std::string>
+TakeAnswers(Conversation& talk)
+{
+    FrameParser parser;
+    for (std::string_view out; !(out = talk.Unsent()).empty();
+         talk.Sent(out.size()))
+        parser.Feed(out.data(), out.size());
+    std::vector<std::string> answers;
+    std::string payload;
+    for (;;) {
+        util::StatusOr<bool> got = parser.Next(&payload);
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        if (!got.ok() || !*got)
+            break;
+        answers.push_back(payload);
+    }
+    EXPECT_EQ(parser.pending_bytes(), 0u) << "a torn answer frame";
+    return answers;
+}
+
+class ConversationTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override { ASSERT_TRUE(core_.Start().ok()); }
+
+    /** Admits connection `id` and opens its conversation. */
+    Conversation Open(uint64_t id)
+    {
+        EXPECT_TRUE(governor_.OnAccept(id, 0).ok());
+        return Conversation(core_, governor_, id);
+    }
+
+    uint64_t Count(const char* name)
+    {
+        return registry_.GetCounter(name).value();
+    }
+
+    io::MemVfs vfs_;
+    obs::Registry registry_;
+    ServeCore core_{DrillConfig(), vfs_, &registry_};
+    ConnGovernorConfig config_;
+    ConnGovernor governor_{config_};
+};
+
+TEST_F(ConversationTest, TwoFramesInOneReadAreAnsweredInOrder)
+{
+    Conversation talk = Open(1);
+    const std::string bytes = RequestFrame(RequestOp::kPing) +
+                              RequestFrame(RequestOp::kStatus, "", 999);
+    ASSERT_TRUE(talk.Receive(bytes.data(), bytes.size()));
+
+    const std::vector<std::string> answers = TakeAnswers(talk);
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_TRUE(ResponseStatus(answers[0]).ok()) << answers[0];
+    EXPECT_NE(answers[0].find("\"draining\""), std::string::npos)
+        << "the ping is answered first: " << answers[0];
+    EXPECT_EQ(ResponseStatus(answers[1]).code(), util::StatusCode::kNotFound)
+        << answers[1];
+    EXPECT_FALSE(talk.condemned());
+}
+
+TEST_F(ConversationTest, FrameSplitAcrossThreeReadsIsAnsweredOnce)
+{
+    Conversation talk = Open(1);
+    const std::string frame = RequestFrame(RequestOp::kPing);
+    ASSERT_GT(frame.size(), 6u);
+    ASSERT_TRUE(talk.Receive(frame.data(), 2));  // half the length prefix
+    EXPECT_TRUE(talk.Unsent().empty());
+    ASSERT_TRUE(talk.Receive(frame.data() + 2, 4));
+    EXPECT_TRUE(talk.Unsent().empty());
+    ASSERT_TRUE(talk.Receive(frame.data() + 6, frame.size() - 6));
+
+    const std::vector<std::string> answers = TakeAnswers(talk);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(ResponseStatus(answers[0]).ok()) << answers[0];
+}
+
+TEST_F(ConversationTest, PoisonLengthPrefixEarnsOneStructuredErrorAndCondemns)
+{
+    Conversation talk = Open(1);
+    // A length prefix declaring ~4 GiB (atum-submit probe-garbage's
+    // bytes), then a well-formed ping the daemon must never answer.
+    std::string bytes = {'\xff', '\xff', '\xff', '\xff', 'j', 'u', 'n', 'k'};
+    bytes += RequestFrame(RequestOp::kPing);
+    ASSERT_TRUE(talk.Receive(bytes.data(), bytes.size()));
+
+    const std::vector<std::string> answers = TakeAnswers(talk);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_NE(answers[0].find("\"code\":\"invalid-argument\""),
+              std::string::npos)
+        << answers[0];
+    EXPECT_TRUE(talk.condemned());
+    EXPECT_EQ(Count("serve.net.poison_frames"), 1u);
+
+    // Nothing after the poison is answered.
+    const std::string ping = RequestFrame(RequestOp::kPing);
+    ASSERT_TRUE(talk.Receive(ping.data(), ping.size()));
+    EXPECT_TRUE(talk.Unsent().empty());
+}
+
+TEST_F(ConversationTest, TenantOverItsShareIsShedAndTheConnectionStays)
+{
+    config_.max_per_tenant = 1;
+    governor_ = ConnGovernor(config_);
+    Conversation first = Open(1);
+    Conversation second = Open(2);
+
+    const std::string submit = RequestFrame(RequestOp::kSubmit, "alice");
+    ASSERT_TRUE(first.Receive(submit.data(), submit.size()));
+    std::vector<std::string> answers = TakeAnswers(first);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(ResponseStatus(answers[0]).ok()) << answers[0];
+
+    ASSERT_TRUE(second.Receive(submit.data(), submit.size()));
+    answers = TakeAnswers(second);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_EQ(ResponseStatus(answers[0]).code(),
+              util::StatusCode::kResourceExhausted)
+        << answers[0];
+    EXPECT_EQ(Count("serve.net.conns.shed"), 1u);
+    EXPECT_EQ(core_.Jobs().size(), 1u) << "the shed submit reached the core";
+
+    // The shed connection stays open and keeps answering.
+    EXPECT_FALSE(second.condemned());
+    const std::string ping = RequestFrame(RequestOp::kPing);
+    ASSERT_TRUE(second.Receive(ping.data(), ping.size()));
+    answers = TakeAnswers(second);
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_TRUE(ResponseStatus(answers[0]).ok()) << answers[0];
+}
+
+TEST_F(ConversationTest, BufferedBytesPastTheBoundEvict)
+{
+    const std::string ping = RequestFrame(RequestOp::kPing);
+    config_.max_buffered_bytes = 100;
+    governor_ = ConnGovernor(config_);
+
+    // Unsent answers: one ping answer fits, a second one does not.
+    Conversation reader = Open(1);
+    ASSERT_TRUE(reader.Receive(ping.data(), ping.size()));
+    ASSERT_GT(reader.Unsent().size(), 50u);
+    ASSERT_LE(reader.Unsent().size(), 100u);
+    EXPECT_FALSE(reader.Receive(ping.data(), ping.size()));
+    EXPECT_EQ(Count("serve.net.conns.evicted"), 1u);
+
+    // Parser read-ahead: a frame trickling in past the bound.
+    Conversation trickler = Open(2);
+    std::string partial = EncodeFrame(std::string(500, ' '));
+    partial.resize(4 + 60);
+    ASSERT_TRUE(trickler.Receive(partial.data(), partial.size()));
+    EXPECT_FALSE(trickler.Receive(partial.data() + 4, 60));
+    EXPECT_EQ(Count("serve.net.conns.evicted"), 2u);
+}
+
+// ---------------------------------------------------------------------------
 // Exactly-once submits: the idempotency-token dedup map, live and
 // across a kill-restart (N1 at unit scale; the campaigns below drive it
 // through a hostile wire).
@@ -1354,6 +1525,29 @@ TEST(NetChaos, MinimizeNetShrinksToTheDuplicateDelivery)
         chaos::ReplaySchedule(spec, *reparsed);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     EXPECT_FALSE(replay->ok());
+}
+
+// A poison frame on the drill's wire reaches the daemon's own
+// Conversation: the drill daemon's registry counts it, and the client
+// reads the structured error — the drill's N2 poison check fails the
+// seed with "net-poison-unanswered" when it does not.
+TEST(NetChaos, PoisonedLengthPrefixIsCountedAndAnsweredWithAStructuredError)
+{
+    io::ChaosSchedule schedule;
+    schedule.seed = 11;
+    schedule.campaigns = {"net-flip"};
+    io::ChaosOp flip;
+    flip.kind = io::ChaosOpKind::kFlipSend;
+    flip.at = 1;   // the first scripted request: a tokened submit
+    flip.arg = 3;  // the length prefix's high byte: ~4 GiB declared
+    schedule.ops = {flip};
+
+    util::StatusOr<chaos::NetSeedResult> result =
+        chaos::ReplaySchedule(QuickNetSpec(), schedule);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->faults_fired, 1u) << result->Summary();
+    EXPECT_EQ(result->poison_frames, 1u) << result->Summary();
+    EXPECT_TRUE(result->ok()) << result->Summary();
 }
 
 // ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <poll.h>
@@ -149,13 +150,8 @@ NowMs()
 
 /** One live client connection in the multiplexed accept loop. */
 struct Connection {
-    int fd = -1;
-    uint64_t id = 0;
-    serve::FrameParser parser;
-    std::string out;  ///< encoded response frames not yet on the wire
-    /** Answer queued, connection condemned (poison frame / shed): close
-     *  once the out buffer drains instead of mid-sentence. */
-    bool close_after_flush = false;
+    int fd;
+    serve::Conversation talk;  ///< the per-connection protocol
 };
 
 /**
@@ -163,7 +159,9 @@ struct Connection {
  * poll set. Requests are sub-millisecond (the expensive work happens on
  * the worker pool), so a single thread multiplexes every conversation —
  * and a peer that trickles bytes, sends garbage, or never reads its
- * response can only hurt its own connection, never the daemon.
+ * response can only hurt its own connection, never the daemon. What a
+ * connection's bytes mean is serve::Conversation's business; this loop
+ * owns poll, accept, fd reads and writes, and idle eviction.
  */
 class ConnectionLoop
 {
@@ -171,15 +169,18 @@ class ConnectionLoop
     ConnectionLoop(serve::ServeCore& core, serve::UnixListener& listener,
                    serve::ConnGovernorConfig governor_config)
         : core_(core), listener_(listener), governor_(governor_config),
-          registry_(obs::Registry::Global())
+          registry_(core.registry())
     {
     }
 
     ~ConnectionLoop()
     {
-        for (auto& [id, conn] : conns_)
-            DropLocked(conn, /*flush=*/true);
-        conns_.clear();
+        // Best-effort drain of queued answers (the drain response itself
+        // travels this path), then close.
+        while (!conns_.empty()) {
+            if (Flush(conns_.begin(), NowMs()))
+                Close(conns_.begin());
+        }
     }
 
     void Run()
@@ -190,7 +191,7 @@ class ConnectionLoop
             pfds.push_back({listener_.fd(), POLLIN, 0});
             for (auto& [id, conn] : conns_) {
                 short events = POLLIN;
-                if (!conn.out.empty())
+                if (!conn.talk.Unsent().empty())
                     events |= POLLOUT;
                 pfds.push_back({conn.fd, events, 0});
                 ids.push_back(id);
@@ -216,6 +217,8 @@ class ConnectionLoop
     }
 
   private:
+    using ConnIt = std::map<uint64_t, Connection>::iterator;
+
     void AcceptOne(uint64_t now)
     {
         util::StatusOr<int> fd = listener_.Accept(/*timeout_ms=*/0);
@@ -226,14 +229,14 @@ class ConnectionLoop
             // Shed with a structured answer (client exit 8), not a
             // silent RST: the peer learns to back off, not to retry.
             registry_.GetCounter("serve.net.conns.shed").Add();
-            (void)serve::WriteFrameFd(*fd, serve::ErrorResponse(s));
+            io::FdStream stream(*fd);
+            (void)serve::WriteFrameStream(stream, serve::ErrorResponse(s));
             io::CloseFd(*fd, "shed connection");
             return;
         }
         registry_.GetCounter("serve.net.conns.accepted").Add();
-        Connection& conn = conns_[id];
-        conn.fd = *fd;
-        conn.id = id;
+        conns_.try_emplace(
+            id, Connection{*fd, serve::Conversation(core_, governor_, id)});
     }
 
     void ServiceConnection(uint64_t id, short revents, uint64_t now)
@@ -243,22 +246,8 @@ class ConnectionLoop
             return;
         Connection& conn = it->second;
 
-        if ((revents & POLLOUT) != 0 && !conn.out.empty()) {
-            io::FdStream stream(conn.fd);
-            util::StatusOr<size_t> n =
-                stream.Write(conn.out.data(), conn.out.size());
-            if (!n.ok()) {
-                Close(it);
-                return;
-            }
-            conn.out.erase(0, *n);
-            governor_.OnActivity(id, now);
-            if (conn.out.empty() && conn.close_after_flush) {
-                Close(it);
-                return;
-            }
-        }
-
+        if ((revents & POLLOUT) != 0 && !Flush(it, now))
+            return;
         if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0)
             return;
         io::FdStream stream(conn.fd);
@@ -271,74 +260,40 @@ class ConnectionLoop
             return;
         }
         governor_.OnActivity(id, now);
-        conn.parser.Feed(buf, *n);
-
-        std::string payload;
-        while (!conn.close_after_flush) {
-            util::StatusOr<bool> got = conn.parser.Next(&payload);
-            if (!got.ok()) {
-                // Poison frame (oversized/garbage length): the framing
-                // is unrecoverable, but the length prefix arrived intact
-                // enough to diagnose — answer with a structured error,
-                // then drop the connection.
-                registry_.GetCounter("serve.net.poison_frames").Add();
-                conn.out += serve::EncodeFrame(
-                    serve::ErrorResponse(got.status()));
-                conn.close_after_flush = true;
-                break;
-            }
-            if (!*got)
-                break;
-            HandleFrame(conn, payload);
-        }
-
-        // Bounded buffers: a peer that stuffs requests without reading
-        // answers (or trickles an endless frame) is evicted before its
-        // connection grows into the daemon's memory.
-        if (conn.parser.pending_bytes() + conn.out.size() >
-            governor_.config().max_buffered_bytes) {
-            registry_.GetCounter("serve.net.conns.evicted").Add();
-            Close(it);
+        if (!conn.talk.Receive(buf, *n)) {
+            Close(it);  // over its buffer bound: evicted
             return;
         }
-
         // Flush opportunistically; POLLOUT picks up whatever remains.
-        if (!conn.out.empty()) {
-            io::FdStream out_stream(conn.fd);
-            util::StatusOr<size_t> wrote =
-                out_stream.Write(conn.out.data(), conn.out.size());
-            if (!wrote.ok()) {
-                Close(it);
-                return;
-            }
-            conn.out.erase(0, *wrote);
-            if (conn.out.empty() && conn.close_after_flush)
-                Close(it);
-        }
+        Flush(it, now);
     }
 
-    void HandleFrame(Connection& conn, const std::string& payload)
+    /**
+     * Writes queued answers until the socket stops taking them, and
+     * closes a condemned connection once its answer is out. False when
+     * the connection was closed.
+     */
+    bool Flush(ConnIt it, uint64_t now)
     {
-        // The tenant's connection share is charged before the request
-        // reaches the core: a tenant at its cap gets a structured shed
-        // on this connection but keeps the connection (its other
-        // requests may name a different tenant).
-        util::StatusOr<serve::Request> request =
-            serve::ParseRequest(payload);
-        if (request.ok() &&
-            (request->op == serve::RequestOp::kSubmit ||
-             request->op == serve::RequestOp::kSweep)) {
-            if (util::Status s = governor_.OnTenant(conn.id,
-                                                    request->tenant);
-                !s.ok()) {
-                registry_.GetCounter("serve.net.conns.shed").Add();
-                conn.out += serve::EncodeFrame(serve::ErrorResponse(s));
-                return;
+        Connection& conn = it->second;
+        io::FdStream stream(conn.fd);
+        for (std::string_view out; !(out = conn.talk.Unsent()).empty();) {
+            util::StatusOr<size_t> n = stream.Write(out.data(), out.size());
+            if (!n.ok()) {
+                Close(it);
+                return false;
             }
+            const bool partial = *n < out.size();
+            conn.talk.Sent(*n);
+            governor_.OnActivity(it->first, now);
+            if (partial)
+                break;
         }
-        // Malformed JSON inside an intact frame is answered in-band by
-        // the core (error response, connection survives).
-        conn.out += serve::EncodeFrame(core_.HandleRequest(payload));
+        if (conn.talk.condemned() && conn.talk.Unsent().empty()) {
+            Close(it);
+            return false;
+        }
+        return true;
     }
 
     void EvictIdle(uint64_t now)
@@ -348,8 +303,9 @@ class ConnectionLoop
             if (it == conns_.end())
                 continue;
             registry_.GetCounter("serve.net.conns.evicted").Add();
-            (void)serve::WriteFrameFd(
-                it->second.fd,
+            io::FdStream stream(it->second.fd);
+            (void)serve::WriteFrameStream(
+                stream,
                 serve::ErrorResponse(util::Unavailable(
                     "connection idle past ",
                     governor_.config().idle_timeout_ms, " ms; evicted")));
@@ -357,20 +313,9 @@ class ConnectionLoop
         }
     }
 
-    void DropLocked(Connection& conn, bool flush)
+    void Close(ConnIt it)
     {
-        if (flush && !conn.out.empty()) {
-            // Best-effort drain of queued answers (the drain response
-            // itself travels this path).
-            io::FdStream stream(conn.fd);
-            (void)io::WriteAll(stream, conn.out.data(), conn.out.size());
-        }
-        io::CloseFd(conn.fd, "connection");
-    }
-
-    void Close(std::map<uint64_t, Connection>::iterator it)
-    {
-        DropLocked(it->second, /*flush=*/false);
+        io::CloseFd(it->second.fd, "connection");
         governor_.OnClose(it->first);
         conns_.erase(it);
     }

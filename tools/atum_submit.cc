@@ -427,8 +427,9 @@ ProbeGarbage(const Options& opts)
     if (util::Status s = io::WriteAll(stream, poison, sizeof poison);
         !s.ok())
         return ExitFor(s);
+    serve::FrameParser parser;
     util::StatusOr<std::string> answer =
-        serve::ReadFrameFd((*client)->fd());
+        serve::ReadFrameStream(stream, parser);
     if (!answer.ok())
         return ExitFor(util::Status(
             util::StatusCode::kInternal,
